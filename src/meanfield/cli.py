@@ -11,10 +11,11 @@ Subcommands
 Every output embeds the fully resolved config, the code version, the rate
 conventions in force and the per-stream draw accounting, and is
 byte-identical for a fixed (config, seed) regardless of ``--workers``
-(replica tasks own disjoint streams; aggregation is order-preserving).
+(replicas own disjoint streams whatever task block they fall in;
+aggregation is order-preserving).
 
 Stream-id allocation: simulate uses 1 (initial data) and 2 (dynamics);
-chaos-curve tasks carry base id 1_000_000 (k+1) + r for replica r of the
+chaos-curve replicas carry base id 1_000_000 (k+1) + r for replica r of the
 k-th N (oracle replicas 900_000_000 + r) and split each base b into 2b
 (initial data) and 2b + 1 (dynamics); omega-n uses 10_000 (k+1) plus 0
 (reference), 1 (projection directions), 2 + r (replicas); check uses ids
@@ -24,6 +25,7 @@ below 1000.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -39,12 +41,13 @@ from .core import (
     EmpiricalMeasure,
     ParticleState,
     RngStream,
+    SimulationError,
     gaussian_sample_state,
     quantile_init_1d,
 )
-from .elastic import AngularKernel, simulate_kac
-from .harness import DegenerateFit, rate_fit, symmetrization_gap
-from .limits import OracleEstimate
+from .elastic import AngularKernel, simulate_kac, simulate_kac_replicas
+from .harness import DegenerateFit, rate_fit, symmetrization_gap, u_statistic
+from .limits import OracleEstimate, SpectralInstability
 from .mckean import (
     DriftDiffusionSpec,
     VlasovSpec,
@@ -62,7 +65,7 @@ from .metrics import (
     w2_exact_matching,
     w2_sliced,
 )
-from .observables import ObservableProduct, observable_catalog
+from .observables import ObservableProduct, marginal_observable, observable_catalog
 from .thermostat import RestitutionParams, simulate_thermostat, temperature
 
 RATE_CONVENTIONS = {
@@ -73,8 +76,10 @@ RATE_CONVENTIONS = {
 
 _MODELS = ("kac_elastic", "inelastic_thermostat", "mckean_vlasov", "vlasov")
 
-# set by the parent right before a pool is spawned (fork shares it)
-_TASK_CTX: dict = {}
+# chaos-curve replicas of one N run in blocks of at most this many particles
+# (kac_elastic blocks are played as one stacked system); larger blocks buy
+# little speed and cost memory
+REPLICA_BLOCK_PARTICLES = 16_384
 
 
 class ConfigError(ValueError):
@@ -229,41 +234,56 @@ def _build_vlasov_spec(cfg: dict, dim: int) -> VlasovSpec:
     return VlasovSpec(space_dim=dim, potential_gradient=gradient_catalog(name, **params))
 
 
-def _simulate_states(cfg: dict, n: int, seed: int, sid_init: int, sid_dyn: int):
-    """Dispatch one trajectory; returns (times, states, draw_items)."""
+def _model_kernel(cfg: dict) -> AngularKernel | None:
+    """The angular kernel of a collision model, built once per command."""
+    if _get(cfg, "model", required=True) in ("kac_elastic", "inelastic_thermostat"):
+        return _build_kernel(cfg, int(_get(cfg, "dimension", required=True)))
+    return None
+
+
+def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKernel | None):
+    """Trajectories of N particles, one per (initial, dynamics) stream-id pair.
+
+    Returns (times, states per run, draw items per run); kac_elastic runs
+    are played as one stacked system.
+    """
     model = _get(cfg, "model", required=True)
     if model not in _MODELS:
         raise ConfigError("model", f"must be one of {_MODELS}")
     times = _as_floats(_get(cfg, "snapshot_times", required=True))
     t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
-    init_stream = RngStream(seed, sid_init)
-    init = _initial_state(cfg, n, init_stream)
+    init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
+    inits = [_initial_state(cfg, n, stream) for stream in init_streams]
     dim = int(_get(cfg, "dimension", required=True))
-    dyn_stream = RngStream(seed, sid_dyn)
+    dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
     if model == "kac_elastic":
-        kern = _build_kernel(cfg, dim)
-        states = simulate_kac(init, kern, t_end, times, dyn_stream)
+        runs = simulate_kac_replicas(inits, kernel, t_end, times, dyn_streams)
     elif model == "inelastic_thermostat":
-        kern = _build_kernel(cfg, dim)
         params = RestitutionParams(
             alpha=float(_get(cfg, "alpha", required=True)),
             nu=float(_get(cfg, "nu", 1.0)),
             dim=dim,
         )
-        states = simulate_thermostat(
-            init, kern, params, t_end, times, dyn_stream,
-            ordered_pair_rate=bool(_get(cfg, "ordered_pair_rate", True)),
-        )
+        ordered = bool(_get(cfg, "ordered_pair_rate", True))
+        runs = [
+            simulate_thermostat(init, kernel, params, t_end, times, dyn,
+                                ordered_pair_rate=ordered)
+            for init, dyn in zip(inits, dyn_streams)
+        ]
     elif model == "mckean_vlasov":
         spec = _build_mkv_spec(cfg, dim)
         dt = float(_get(cfg, "dt", 1e-3))
-        states = simulate_mkv(init, spec, t_end, dt, times, dyn_stream)
+        runs = [simulate_mkv(init, spec, t_end, dt, times, dyn)
+                for init, dyn in zip(inits, dyn_streams)]
     else:  # vlasov
         spec = _build_vlasov_spec(cfg, dim)
         dt = float(_get(cfg, "dt", 1e-3))
-        states = simulate_vlasov(init, spec, t_end, dt, times)
-    draws = [(sid_init, init_stream.draw_counter), (sid_dyn, dyn_stream.draw_counter)]
-    return times, states, draws
+        runs = [simulate_vlasov(init, spec, t_end, dt, times) for init in inits]
+    draws = [
+        [(a, init.draw_counter), (b, dyn.draw_counter)]
+        for (a, b), init, dyn in zip(stream_ids, init_streams, dyn_streams)
+    ]
+    return times, runs, draws
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +325,7 @@ def _header(cfg: dict, seed: int, extra: list[tuple[str, object]]) -> list[tuple
 def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     n = int(_get(cfg, "n", required=True))
-    times, states, draws = _simulate_states(cfg, n, seed, sid_init=1, sid_dyn=2)
+    times, (states,), (draws,) = _simulate_runs(cfg, n, seed, [(1, 2)], _model_kernel(cfg))
     m = states[0].dim if states else 0
     columns = ["time", "temperature"] + [f"mom_{k}" for k in range(m)]
     rows = []
@@ -362,23 +382,24 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     return write_csv(out, header, ["metric", "value", "std_error"], [[name, value, se]])
 
 
-def _curve_task(task) -> tuple[np.ndarray, int, int]:
-    """One replica of one N: returns (per-time values, stream_id, draws)."""
-    from .harness import u_statistic
-    from .observables import marginal_observable
+def _curve_block(cfg, seed, obs, estimator, kernel, block) -> list[tuple[np.ndarray, int, int]]:
+    """Replicas of one N: per replica (per-time values, stream_id, draws)."""
+    n, sids = block
+    # even/odd split keeps the two per-replica streams disjoint for every replica
+    _, runs, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids], kernel)
+    out = []
+    for states, sid, items in zip(runs, sids, draws):
+        if estimator == "marginal":
+            vals = np.array([marginal_observable(s, obs) for s in states])
+        else:
+            vals = np.array([u_statistic(s.coords, obs) for s in states])
+        out.append((vals, sid, sum(c for _, c in items)))
+    return out
 
-    cfg = _TASK_CTX["cfg"]
-    seed = _TASK_CTX["seed"]
-    obs = _TASK_CTX["obs"]
-    estimator = _TASK_CTX["estimator"]
-    n, sid = task
-    # even/odd split keeps the two per-task streams disjoint for every task
-    _, states, draws = _simulate_states(cfg, n, seed, sid_init=2 * sid, sid_dyn=2 * sid + 1)
-    if estimator == "marginal":
-        vals = np.array([marginal_observable(s, obs) for s in states])
-    else:
-        vals = np.array([u_statistic(s.coords, obs) for s in states])
-    return vals, sid, sum(c for _, c in draws)
+
+def _replica_blocks(n: int, sids: list[int]) -> list[tuple[int, list[int]]]:
+    size = max(1, REPLICA_BLOCK_PARTICLES // n)
+    return [(n, sids[i:i + size]) for i in range(0, len(sids), size)]
 
 
 def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
@@ -394,56 +415,54 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     deterministic = model == "vlasov"
     replicas = 1 if deterministic else int(_get(cfg, "replicas", 64))
     replicas_ref = 1 if deterministic else int(_get(cfg, "replicas_ref", 32))
+    task = functools.partial(_curve_block, cfg, seed, obs, estimator, _model_kernel(cfg))
 
-    global _TASK_CTX
-    _TASK_CTX = {"cfg": cfg, "seed": seed, "obs": obs, "estimator": estimator}
-    try:
-        # oracle replicas first (fixed stream block), then the measured runs;
-        # the first task runs in-process so the defaults it resolves land in
-        # the parent's header whatever the worker count
-        oracle_tasks = [(n_ref, 900_000_000 + r) for r in range(replicas_ref)]
-        oracle_out = [_curve_task(oracle_tasks[0])]
-        oracle_out += ordered_map(_curve_task, oracle_tasks[1:], workers)
-        o_vals = np.stack([v for v, _, _ in oracle_out])
-        oracle = OracleEstimate(
-            times=times,
-            mean=o_vals.mean(axis=0),
-            standard_error=(
-                o_vals.std(axis=0, ddof=1) / math.sqrt(replicas_ref)
-                if replicas_ref > 1 else np.zeros(len(times))
-            ),
-            per_replica=o_vals,
-        )
-        draws = [(sid, d) for _, sid, d in oracle_out]
+    def run_blocks(n: int, sids: list[int], in_process_first: bool = False) -> list:
+        blocks = _replica_blocks(n, sids)
+        head = [task(blocks.pop(0))] if in_process_first else []
+        return [rep for block in head + ordered_map(task, blocks, workers) for rep in block]
 
-        errors = np.empty(len(n_values))
-        std_errors = np.empty(len(n_values))
-        boot_rng = RngStream(seed, 977)
-        for k, n in enumerate(n_values):
-            tasks = [(n, 1_000_000 * (k + 1) + r) for r in range(replicas)]
-            results = ordered_map(_curve_task, tasks, workers)
-            vals = np.stack([v for v, _, _ in results])
-            draws += [(sid, d) for _, sid, d in results]
-            gaps = np.abs(vals.mean(axis=0) - oracle.mean)
-            errors[k] = float(gaps.max())
-            if replicas > 1:
-                bs = np.empty(200)
-                for bi in range(200):
-                    pick = np.asarray(boot_rng.integers(0, replicas, size=replicas))
-                    mean_b = vals[pick].mean(axis=0)
-                    if replicas_ref > 1:
-                        opick = np.asarray(
-                            boot_rng.integers(0, replicas_ref, size=replicas_ref)
-                        )
-                        om = o_vals[opick].mean(axis=0)
-                    else:
-                        om = oracle.mean
-                    bs[bi] = float(np.abs(mean_b - om).max())
-                std_errors[k] = float(bs.std(ddof=1))
-            else:
-                std_errors[k] = 0.0
-    finally:
-        _TASK_CTX = {}
+    # oracle replicas first (fixed stream block), then the measured runs;
+    # the first block runs in-process so the defaults it resolves land in
+    # the parent's header whatever the worker count
+    oracle_out = run_blocks(n_ref, [900_000_000 + r for r in range(replicas_ref)], True)
+    o_vals = np.stack([v for v, _, _ in oracle_out])
+    oracle = OracleEstimate(
+        times=times,
+        mean=o_vals.mean(axis=0),
+        standard_error=(
+            o_vals.std(axis=0, ddof=1) / math.sqrt(replicas_ref)
+            if replicas_ref > 1 else np.zeros(len(times))
+        ),
+        per_replica=o_vals,
+    )
+    draws = [(sid, d) for _, sid, d in oracle_out]
+
+    errors = np.empty(len(n_values))
+    std_errors = np.empty(len(n_values))
+    boot_rng = RngStream(seed, 977)
+    for k, n in enumerate(n_values):
+        results = run_blocks(n, [1_000_000 * (k + 1) + r for r in range(replicas)])
+        vals = np.stack([v for v, _, _ in results])
+        draws += [(sid, d) for _, sid, d in results]
+        gaps = np.abs(vals.mean(axis=0) - oracle.mean)
+        errors[k] = float(gaps.max())
+        if replicas > 1:
+            bs = np.empty(200)
+            for bi in range(200):
+                pick = np.asarray(boot_rng.integers(0, replicas, size=replicas))
+                mean_b = vals[pick].mean(axis=0)
+                if replicas_ref > 1:
+                    opick = np.asarray(
+                        boot_rng.integers(0, replicas_ref, size=replicas_ref)
+                    )
+                    om = o_vals[opick].mean(axis=0)
+                else:
+                    om = oracle.mean
+                bs[bi] = float(np.abs(mean_b - om).max())
+            std_errors[k] = float(bs.std(ddof=1))
+        else:
+            std_errors[k] = 0.0
 
     footers: list[tuple[str, object]] = [("oracle_se_max", float(np.max(oracle.standard_error)))]
     try:
@@ -658,7 +677,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out if args.out is not None else cfg.get("out")
     try:
         _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers), out)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, SimulationError, SpectralInstability) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0

@@ -164,14 +164,24 @@ class MomentVector:
     value: float
 
 
+def _strictly_ascending(x: np.ndarray) -> bool:
+    return bool((x[1:] > x[:-1]).all())
+
+
 def canonical_atom_order(atoms: np.ndarray) -> np.ndarray:
     """Atoms sorted lexicographically by coordinates.
 
     Measurement functionals reduce over this order so their floating-point
-    result is invariant under atom permutations, exactly.
+    result is invariant under atom permutations, exactly.  Atoms already
+    in that order come back as the same array, so a state canonicalized
+    once costs O(N) per later functional.
     """
-    key = np.lexsort(atoms.T[::-1])
-    return atoms[key]
+    if _strictly_ascending(atoms[:, 0]):
+        return atoms
+    out = atoms[np.argsort(atoms[:, 0])]
+    if _strictly_ascending(out[:, 0]):
+        return out  # distinct leading coordinates fix the lexicographic order
+    return atoms[np.lexsort(atoms.T[::-1])]
 
 
 def empirical_from_state(state: ParticleState) -> EmpiricalMeasure:

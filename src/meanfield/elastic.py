@@ -9,6 +9,7 @@ kinetic energy are conserved collision by collision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -17,6 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _events
+from ._events import EventRecord
 from .core import ParticleState, RngStream, SimulationError
 
 __all__ = [
@@ -27,11 +29,16 @@ __all__ = [
     "collide_elastic",
     "next_collision",
     "simulate_kac",
+    "simulate_kac_replicas",
     "replay_collisions",
     "simulate_kac_coupled",
 ]
 
 _TABLE_NODES = 4096
+
+
+def _constant_density(value: float, c: np.ndarray) -> np.ndarray:
+    return np.full_like(np.asarray(c, float), value)
 
 
 def sphere_area(k: int) -> float:
@@ -100,9 +107,9 @@ class AngularKernel:
         """Uniform scattering direction on S^{d-1} (constant b = 1/|S^{d-1}|)."""
         if dim == 1:
             return cls(dim=1, weights=(0.5, 0.5), name="isotropic")
-        area = sphere_area(dim - 1)
-        return cls(dim=dim, density=lambda c: np.full_like(np.asarray(c, float), 1.0 / area),
-                   name="isotropic")
+        # a partial, not a lambda, so the kernel pickles into worker tasks
+        density = functools.partial(_constant_density, 1.0 / sphere_area(dim - 1))
+        return cls(dim=dim, density=density, name="isotropic")
 
     @classmethod
     def two_point(cls, w_plus: float, w_minus: float) -> "AngularKernel":
@@ -146,20 +153,6 @@ class CollisionEvent:
             raise ValueError("sigma must be a unit vector")
         if self.pair[0] == self.pair[1]:
             raise ValueError("pair indices must differ")
-
-
-@dataclass
-class EventRecord:
-    """Realized event stream: enough to replay the same collisions elsewhere."""
-
-    times: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    costh: np.ndarray
-    frames: np.ndarray | None
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def sample_sigma(kernel: AngularKernel, u_hat: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -233,47 +226,54 @@ def _generate_events(
 ) -> EventRecord:
     times = _events.sample_event_times(rate, t0, t_end, rng)
     k = len(times)
-    pi, pj = _events.sample_pairs(n, k, rng) if k else (np.empty(0, np.int64),) * 2
-    costh = kernel.sample_costheta(k, rng) if k else np.empty(0)
-    frames = None
-    if dim >= 2 and k:
-        frames = np.atleast_2d(rng.normal(size=(k, dim)))
+    pi, pj = _events.sample_pairs(n, k, rng)
+    costh = kernel.sample_costheta(k, rng)
+    frames = rng.normal(size=(k, dim)) if dim >= 2 else None
     return EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
 
 
-def _play_events(
-    coords: np.ndarray,
-    record: EventRecord,
-    snaps: np.ndarray,
+def _run_replicas(
+    initials: Sequence[ParticleState],
+    kernel: AngularKernel,
     t_end: float,
-    restitution: float | None,
-    pre_batch_hook=None,
-) -> list[tuple[float, np.ndarray]]:
-    """Apply the event stream, capturing copies of the state at snapshot times."""
-    n = coords.shape[0]
-    out: list[tuple[float, np.ndarray]] = []
-    cursor = 0
-    for s in snaps:
-        upto = int(np.searchsorted(record.times, s, side="right"))
-        if upto > cursor:
-            sl = slice(cursor, upto)
-            batches = _events.disjoint_batches(record.pair_i[sl], record.pair_j[sl], n)
-            batches = [(lo + cursor, hi + cursor) for lo, hi in batches]
-            _events.apply_pair_collisions(
-                coords, record.pair_i, record.pair_j, record.costh, record.frames,
-                restitution, batches, pre_batch_hook,
-            )
-            cursor = upto
-        out.append((float(s), coords.copy()))
-    if cursor < len(record.times):
-        sl = slice(cursor, len(record.times))
-        batches = _events.disjoint_batches(record.pair_i[sl], record.pair_j[sl], n)
-        batches = [(lo + cursor, hi + cursor) for lo, hi in batches]
-        _events.apply_pair_collisions(
-            coords, record.pair_i, record.pair_j, record.costh, record.frames,
-            restitution, batches, pre_batch_hook,
-        )
-    return out
+    snapshot_times: Sequence[float],
+    rngs: Sequence[RngStream],
+) -> tuple[list[list[ParticleState]], list[EventRecord]]:
+    if not initials or len(rngs) != len(initials):
+        raise ValueError("need one dynamics stream per initial state, and at least one")
+    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
+    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
+        raise ValueError("replicas need matching shapes and start times")
+    if n < 2:
+        raise SimulationError("need N >= 2")
+    if kernel.dim != d:
+        raise ValueError("kernel dimension must match the state")
+    snaps = _validate_snapshots(snapshot_times, t0, t_end)
+    records = [_generate_events(n, d, (n - 1) / 2.0, kernel, t0, t_end, rng) for rng in rngs]
+    coords = np.concatenate([s.coords for s in initials])
+    captured = _events.play_events(coords, records, snaps)
+    states = [
+        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
+        for r in range(len(initials))
+    ]
+    return states, records
+
+
+def simulate_kac_replicas(
+    initials: Sequence[ParticleState],
+    kernel: AngularKernel,
+    t_end: float,
+    snapshot_times: Sequence[float],
+    rngs: Sequence[RngStream],
+) -> list[list[ParticleState]]:
+    """Independent trajectories of R replicas, played as one stacked system.
+
+    Replica r starts from ``initials[r]`` and draws its events from
+    ``rngs[r]``; its snapshot states are bitwise those of
+    ``simulate_kac(initials[r], kernel, t_end, snapshot_times, rngs[r])``.
+    All replicas share N, the dimension and the start time.
+    """
+    return _run_replicas(initials, kernel, t_end, snapshot_times, rngs)[0]
 
 
 def simulate_kac(
@@ -290,19 +290,10 @@ def simulate_kac(
     so a second initial condition can be driven by identical randomness
     (common-random-number coupling).
     """
-    n, d = initial.n_particles, initial.dim
-    if n < 2:
-        raise SimulationError("need N >= 2")
-    if kernel.dim != d:
-        raise ValueError("kernel dimension must match the state")
-    snaps = _validate_snapshots(snapshot_times, initial.time, t_end)
-    record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial.time, t_end, rng)
-    coords = initial.coords.copy()
-    captured = _play_events(coords, record, snaps, t_end, restitution=None)
-    states = [ParticleState(c, time=t) for t, c in captured]
+    states, records = _run_replicas([initial], kernel, t_end, snapshot_times, [rng])
     if record_events:
-        return states, record
-    return states
+        return states[0], records[0]
+    return states[0]
 
 
 def replay_collisions(
@@ -315,8 +306,40 @@ def replay_collisions(
     """Drive a state through a previously recorded event stream."""
     snaps = _validate_snapshots(snapshot_times, initial.time, t_end)
     coords = initial.coords.copy()
-    captured = _play_events(coords, record, snaps, t_end, restitution)
-    return [ParticleState(c, time=t) for t, c in captured]
+    captured = _events.play_events(coords, [record], snaps, restitution)
+    return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
+
+
+def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:
+    """Elastic collisions of two systems side by side in coords = [v_a | v_b].
+
+    Takes the arguments of ``_events.apply_pair_collisions`` (restitution
+    and hook are unused: the coupling is elastic and has no bath).
+    """
+    d = coords.shape[1] // 2
+    va, vb = coords[:, :d], coords[:, d:]
+    for lo, hi in batches:
+        ii = pi[lo:hi]
+        jj = pj[lo:hi]
+        ua = va[ii] - va[jj]
+        ub = vb[ii] - vb[jj]
+        ra = np.linalg.norm(ua, axis=1)
+        rb = np.linalg.norm(ub, axis=1)
+        fr = None if frames is None else frames[lo:hi]
+        sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr)
+        # transport onto the second geometry where both are defined;
+        # a degenerate first pair falls back to the direct construction
+        safe_a = np.where(ra > 0.0, ra, 1.0)[:, None]
+        safe_b = np.where(rb > 0.0, rb, 1.0)[:, None]
+        sigma_b = _events.rotate_between(ua / safe_a, ub / safe_b, sigma_a)
+        direct_b = _events.deviation_vectors(ub, rb, costh[lo:hi], fr)
+        sigma_b = np.where((ra > 0.0)[:, None], sigma_b, direct_b)
+        for v, r, sigma in ((va, ra, sigma_a), (vb, rb, sigma_b)):
+            moving = r > 0.0
+            w = v[ii] + v[jj]
+            u_star = r[:, None] * sigma
+            v[ii[moving]] = 0.5 * (w + u_star)[moving]
+            v[jj[moving]] = 0.5 * (w - u_star)[moving]
 
 
 def simulate_kac_coupled(
@@ -346,46 +369,8 @@ def simulate_kac_coupled(
         raise SimulationError("need N >= 2")
     snaps = _validate_snapshots(snapshot_times, initial_a.time, t_end)
     record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial_a.time, t_end, rng)
-    va = initial_a.coords.copy()
-    vb = initial_b.coords.copy()
-    out_a: list[ParticleState] = []
-    out_b: list[ParticleState] = []
-    cursor = 0
-
-    def apply_span(lo: int, hi: int) -> None:
-        sl = slice(lo, hi)
-        batches = _events.disjoint_batches(record.pair_i[sl], record.pair_j[sl], n)
-        for b0, b1 in batches:
-            bsl = slice(lo + b0, lo + b1)
-            ii = record.pair_i[bsl]
-            jj = record.pair_j[bsl]
-            ua = va[ii] - va[jj]
-            ub = vb[ii] - vb[jj]
-            ra = np.linalg.norm(ua, axis=1)
-            rb = np.linalg.norm(ub, axis=1)
-            frames = None if record.frames is None else record.frames[bsl]
-            sigma_a = _events.deviation_vectors(ua, ra, record.costh[bsl], frames)
-            # transport onto the second geometry where both are defined;
-            # a degenerate first pair falls back to the direct construction
-            safe_a = np.where(ra > 0.0, ra, 1.0)[:, None]
-            safe_b = np.where(rb > 0.0, rb, 1.0)[:, None]
-            sigma_b = _events.rotate_between(ua / safe_a, ub / safe_b, sigma_a)
-            direct_b = _events.deviation_vectors(ub, rb, record.costh[bsl], frames)
-            sigma_b = np.where((ra > 0.0)[:, None], sigma_b, direct_b)
-            for coords, u, r, sigma in ((va, ua, ra, sigma_a), (vb, ub, rb, sigma_b)):
-                moving = r > 0.0
-                w = coords[ii] + coords[jj]
-                u_star = r[:, None] * sigma
-                coords[ii[moving]] = 0.5 * (w + u_star)[moving]
-                coords[jj[moving]] = 0.5 * (w - u_star)[moving]
-
-    for s in snaps:
-        upto = int(np.searchsorted(record.times, s, side="right"))
-        if upto > cursor:
-            apply_span(cursor, upto)
-            cursor = upto
-        out_a.append(ParticleState(va.copy(), time=float(s)))
-        out_b.append(ParticleState(vb.copy(), time=float(s)))
-    if cursor < len(record.times):
-        apply_span(cursor, len(record.times))
+    coords = np.hstack([initial_a.coords, initial_b.coords])
+    captured = _events.play_events(coords, [record], snaps, apply=_apply_coupled)
+    out_a = [ParticleState(c[:, :d], time=float(t)) for t, c in zip(snaps, captured)]
+    out_b = [ParticleState(c[:, d:], time=float(t)) for t, c in zip(snaps, captured)]
     return out_a, out_b

@@ -132,12 +132,14 @@ class ChaosCurve:
     oracle_se_max: float
     fitted_slope: float | None = None
     slope_ci: tuple[float, float] | None = None
+    fit_intercept: float | None = None
     raw_values: list[np.ndarray] = field(default_factory=list, repr=False)
     oracle_raw: np.ndarray | None = field(default=None, repr=False)
     oracle_mean: np.ndarray | None = field(default=None, repr=False)
 
     def attach_fit(self, slope: float, intercept: float, ci: tuple[float, float]) -> None:
         self.fitted_slope = slope
+        self.fit_intercept = intercept
         self.slope_ci = ci
 
 

@@ -8,6 +8,7 @@ so curves built from the catalog are comparable across observables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -40,6 +41,23 @@ class Observable:
         return self.fn(atoms)
 
 
+# module-level factor functions, bound with functools.partial, so that
+# observables pickle into worker tasks
+
+
+def _gauss_bump(center, width, amp, atoms: np.ndarray) -> np.ndarray:
+    d2 = ((atoms - center[None, :]) ** 2).sum(axis=1)
+    return amp * np.exp(-d2 / (2.0 * width**2))
+
+
+def _tanh_coord(axis, scale, amp, atoms: np.ndarray) -> np.ndarray:
+    return amp * np.tanh(atoms[:, axis] / scale)
+
+
+def _tanh_square(axis, scale, amp, atoms: np.ndarray) -> np.ndarray:
+    return amp * np.tanh(atoms[:, axis] / scale) ** 2
+
+
 def observable_catalog(name: str, **params) -> Observable:
     """Built-in factors: gauss_bump, tanh_coord, tanh_square.
 
@@ -56,11 +74,7 @@ def observable_catalog(name: str, **params) -> Observable:
         width = float(params.get("width", 1.0))
         raw_lip = math.exp(-0.5) / width
         amp = min(1.0, 1.0 / raw_lip)
-
-        def fn(atoms: np.ndarray) -> np.ndarray:
-            d2 = ((atoms - center[None, :]) ** 2).sum(axis=1)
-            return amp * np.exp(-d2 / (2.0 * width**2))
-
+        fn = functools.partial(_gauss_bump, center, width, amp)
         ctag = "|".join(f"{c:g}" for c in center)  # tags stay comma-free
         return Observable(f"gauss_bump(c={ctag} w={width:g})", fn,
                           sup_norm=amp, lip_const=amp * raw_lip)
@@ -69,10 +83,7 @@ def observable_catalog(name: str, **params) -> Observable:
         scale = float(params.get("scale", 1.0))
         raw_lip = 1.0 / scale
         amp = min(1.0, scale)
-
-        def fn(atoms: np.ndarray) -> np.ndarray:
-            return amp * np.tanh(atoms[:, axis] / scale)
-
+        fn = functools.partial(_tanh_coord, axis, scale, amp)
         return Observable(f"tanh_coord(axis={axis} s={scale:g})", fn,
                           sup_norm=amp, lip_const=amp * raw_lip)
     if name == "tanh_square":
@@ -80,10 +91,7 @@ def observable_catalog(name: str, **params) -> Observable:
         scale = float(params.get("scale", 1.0))
         raw_lip = _TANH_SQ_SLOPE / scale
         amp = min(1.0, 1.0 / raw_lip)
-
-        def fn(atoms: np.ndarray) -> np.ndarray:
-            return amp * np.tanh(atoms[:, axis] / scale) ** 2
-
+        fn = functools.partial(_tanh_square, axis, scale, amp)
         return Observable(f"tanh_square(axis={axis} s={scale:g})", fn,
                           sup_norm=amp, lip_const=amp * raw_lip)
     raise ValueError(f"unknown observable '{name}'")

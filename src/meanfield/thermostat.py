@@ -9,6 +9,15 @@ particle was last touched (increments over disjoint intervals are
 independent Gaussians, so deferred aggregation is exact in law and O(1)
 per event instead of O(N)).
 
+The bath is drawn in event order, never in batch order: before each
+chunk of consecutive events is played, every event of the chunk gets 2 d
+normals up front (d for each particle of the pair, the increment since
+that particle was last touched), and at each snapshot every particle is
+synced with d more.  A particle's increments therefore follow its own events in
+stream order, and the trajectory is the same bit for bit under any
+schedule of the event engine, the dependency levels or one event per
+batch.
+
 Rate convention: the generator used here sums over ordered pairs, total
 jump rate N-1.  The halved convention (unordered pairs, rate (N-1)/2,
 matching the elastic module) is available behind ``ordered_pair_rate=False``
@@ -140,10 +149,9 @@ def steady_temperature(
     return 2.0 * params.nu * finite_n / dissipation
 
 
-def _diffuse(coords, idx, last_sync, now, nu, rng) -> None:
+def _diffuse(coords, idx, last_sync, now, nu, z) -> None:
     """Bring particles idx up to their exact Brownian state at time now."""
     dt = now - last_sync[idx]
-    z = np.atleast_2d(rng.normal(size=(len(idx), coords.shape[1])))
     coords[idx] += np.sqrt(np.maximum(2.0 * nu * dt, 0.0))[:, None] * z
     last_sync[idx] = now
 
@@ -176,36 +184,32 @@ def simulate_thermostat(
 
     coords = initial.coords.copy()
     last_sync = np.full(n, initial.time)
-    times = record.times
+    nu = params.nu
 
-    def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
-        if params.nu > 0.0:
+    def on_chunk(order: np.ndarray, now: np.ndarray):
+        # drawn in event order, then taken in play order
+        z = rng.normal(size=(len(order), 2 * d))[order] if nu > 0.0 else None
+
+        def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
             both = np.concatenate([ii, jj])
-            _diffuse(coords, both, last_sync, np.tile(times[lo:hi], 2), params.nu, rng)
-        else:
-            last_sync[ii] = times[lo:hi]
-            last_sync[jj] = times[lo:hi]
+            t = np.tile(now[lo:hi], 2)
+            if z is None:
+                last_sync[both] = t
+            else:
+                normals = np.concatenate([z[lo:hi, :d], z[lo:hi, d:]])
+                _diffuse(coords, both, last_sync, t, nu, normals)
 
-    out: list[ParticleState] = []
-    cursor = 0
-    all_idx = np.arange(n)
-    for s in snaps:
-        upto = int(np.searchsorted(times, s, side="right"))
-        if upto > cursor:
-            sl = slice(cursor, upto)
-            batches = _events.disjoint_batches(record.pair_i[sl], record.pair_j[sl], n)
-            batches = [(lo + cursor, hi + cursor) for lo, hi in batches]
-            _events.apply_pair_collisions(
-                coords, record.pair_i, record.pair_j, record.costh, record.frames,
-                params.alpha, batches, hook,
-            )
-            cursor = upto
-        if params.nu > 0.0:
-            _diffuse(coords, all_idx, last_sync, np.full(n, s), params.nu, rng)
+        return hook
+
+    def on_snapshot(s: float) -> None:
+        if nu > 0.0:
+            _diffuse(coords, np.arange(n), last_sync, s, nu, rng.normal(size=(n, d)))
         else:
             last_sync[:] = s
-        out.append(ParticleState(coords.copy(), time=float(s)))
-    return out
+
+    captured = _events.play_events(coords, [record], snaps, params.alpha,
+                                   on_chunk=on_chunk, on_snapshot=on_snapshot)
+    return [ParticleState(c, time=float(s)) for s, c in zip(snaps, captured)]
 
 
 def step_mixed(

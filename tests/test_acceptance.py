@@ -13,15 +13,28 @@ import numpy as np
 import pytest
 
 from meanfield import _events
-from meanfield.cli import cmd_chaos_curve, cmd_metric, cmd_omega_n, cmd_simulate
+from meanfield.cli import (
+    REPLICA_BLOCK_PARTICLES,
+    cmd_chaos_curve,
+    cmd_metric,
+    cmd_omega_n,
+    cmd_simulate,
+)
 from meanfield.config import dump_particles
 from meanfield.core import (
     EmpiricalMeasure,
     ParticleState,
     RngStream,
+    canonical_atom_order,
     gaussian_sample_state,
 )
-from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma, simulate_kac
+from meanfield.elastic import (
+    AngularKernel,
+    collide_elastic,
+    sample_sigma,
+    simulate_kac,
+    simulate_kac_replicas,
+)
 from meanfield.harness import (
     fourier_contraction_check,
     rate_fit,
@@ -176,12 +189,17 @@ _C4_OBS = {
 def _c4_block(n: int, base: int, reps: int) -> dict:
     kern = AngularKernel.isotropic(3)
     out = {k: np.empty((reps, len(_C4_TIMES))) for k in _C4_OBS}
-    for r in range(reps):
-        init = gaussian_sample_state(np.zeros(3), _C4_VAR, n, RngStream(SEED, 2 * (base + r)))
-        states = simulate_kac(init, kern, float(_C4_TIMES[-1]), _C4_TIMES,
-                              RngStream(SEED, 2 * (base + r) + 1))
-        for key, obs in _C4_OBS.items():
-            out[key][r] = [u_statistic(s.coords, obs) for s in states]
+    size = max(1, REPLICA_BLOCK_PARTICLES // n)
+    for lo in range(0, reps, size):
+        rs = range(lo, min(reps, lo + size))
+        inits = [gaussian_sample_state(np.zeros(3), _C4_VAR, n, RngStream(SEED, 2 * (base + r)))
+                 for r in rs]
+        runs = simulate_kac_replicas(inits, kern, float(_C4_TIMES[-1]), _C4_TIMES,
+                                     [RngStream(SEED, 2 * (base + r) + 1) for r in rs])
+        for r, states in zip(rs, runs):
+            atoms = [canonical_atom_order(s.coords) for s in states]  # once per state
+            for key, obs in _C4_OBS.items():
+                out[key][r] = [u_statistic(a, obs) for a in atoms]
     return out
 
 

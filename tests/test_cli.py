@@ -1,9 +1,12 @@
+import functools
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from meanfield import cli
 from meanfield.cli import cmd_chaos_curve, cmd_metric, cmd_omega_n, cmd_simulate, main
 from meanfield.config import (
     dump_particles,
@@ -166,6 +169,25 @@ def test_cmd_chaos_curve_worker_independence():
     assert a == b
     assert "N,error,std_error" in a
     assert "fit_refused" in a or "fitted_slope" in a
+
+
+def test_chaos_curve_block_task_pickles():
+    # tasks carry their context, so they run under any start method
+    cfg = cli._Cfg(dict(CURVE_CFG))
+    task = functools.partial(cli._curve_block, cfg, 21, cli._build_observable(cfg),
+                             "empirical-mean", cli._model_kernel(cfg))
+    block = (8, [1_000_000, 1_000_001, 1_000_002])
+    copy = pickle.loads(pickle.dumps(task))
+    for (va, sa, da), (vb, sb, db) in zip(task(block), copy(block)):
+        np.testing.assert_array_equal(va, vb)
+        assert (sa, da) == (sb, db)
+
+
+def test_main_simulation_error_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("model = kac_elastic\ndimension = 3\nn = 1\nsnapshot_times = 1.0\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cmd_chaos_curve_nref_guard():

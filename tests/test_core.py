@@ -9,6 +9,7 @@ from meanfield.core import (
     ParticleState,
     RngStream,
     SimulationError,
+    canonical_atom_order,
     empirical_from_state,
     gaussian_sample_state,
     moment,
@@ -36,6 +37,17 @@ def test_empirical_measure_permutation_symmetric_functionals():
         a = moment(EmpiricalMeasure(atoms), q).value
         b = moment(EmpiricalMeasure(atoms[perm]), q).value
         assert a == b  # bitwise, by canonical reduction order
+
+
+def test_canonical_atom_order_is_lexicographic():
+    rng = np.random.default_rng(3)
+    distinct = rng.normal(size=(300, 3))
+    tied = np.round(rng.normal(size=(300, 3)), 1)  # many ties in every column
+    signed_zero = np.array([[0.0, 2.0], [-0.0, 1.0], [np.nan, 0.0], [np.nan, -1.0]])
+    for atoms in (distinct, tied, signed_zero, distinct[:1]):
+        canonical = canonical_atom_order(atoms)
+        np.testing.assert_array_equal(canonical, atoms[np.lexsort(atoms.T[::-1])])
+        np.testing.assert_array_equal(canonical_atom_order(canonical), canonical)
 
 
 def test_moment_values():

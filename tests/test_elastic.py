@@ -12,6 +12,7 @@ from meanfield.elastic import (
     replay_collisions,
     sample_sigma,
     simulate_kac,
+    simulate_kac_replicas,
 )
 
 
@@ -178,7 +179,7 @@ def test_simulate_rejects_unsorted_snapshots():
 
 
 def test_batched_apply_equals_sequential_oracle():
-    # the disjoint-batch engine must reproduce one-event-at-a-time application
+    # the level schedule must reproduce one-event-at-a-time application
     rng = RngStream(33, 0)
     n, d, k = 12, 3, 400
     coords0 = np.atleast_2d(rng.normal(size=(n, d)))
@@ -187,8 +188,10 @@ def test_batched_apply_equals_sequential_oracle():
     frames = np.atleast_2d(rng.normal(size=(k, d)))
 
     a = coords0.copy()
-    batches = _events.disjoint_batches(pi, pj, n)
-    _events.apply_pair_collisions(a, pi, pj, costh, frames, None, batches)
+    order, batches = _events.level_schedule(pi, pj)
+    assert len(batches) < k // 2  # the schedule really batches
+    _events.apply_pair_collisions(a, pi[order], pj[order], costh[order], frames[order], None,
+                                  batches)
 
     b = coords0.copy()
     one_by_one = [(e, e + 1) for e in range(k)]
@@ -197,18 +200,68 @@ def test_batched_apply_equals_sequential_oracle():
     np.testing.assert_array_equal(a, b)
 
 
-def test_disjoint_batches_are_disjoint_and_maximal():
+def test_level_schedule_properties():
     rng = RngStream(2, 0)
-    pi, pj = _events.sample_pairs(30, 500, rng)
-    batches = _events.disjoint_batches(pi, pj, 30)
-    assert batches[0][0] == 0 and batches[-1][1] == 500
-    for (lo, hi), (lo2, hi2) in zip(batches[:-1], batches[1:]):
-        assert hi == lo2
-        idx = np.concatenate([pi[lo:hi], pj[lo:hi]])
-        assert len(np.unique(idx)) == len(idx)
-        # maximality: the first event of the next batch conflicts
-        nxt = {pi[lo2], pj[lo2]}
-        assert nxt & set(idx.tolist())
+    n, k = 30, 500
+    pi, pj = _events.sample_pairs(n, k, rng)
+    order, batches = _events.level_schedule(pi, pj)
+    assert sorted(order.tolist()) == list(range(k))
+    assert [lo for lo, _ in batches[1:]] == [hi for _, hi in batches[:-1]]
+    level = np.empty(k, dtype=np.int64)
+    for lv, (lo, hi) in enumerate(batches):
+        level[order[lo:hi]] = lv
+    assert level[0] == 0
+    for lv in range(len(batches)):
+        at = np.flatnonzero(level == lv)
+        touched = np.concatenate([pi[at], pj[at]])
+        assert len(np.unique(touched)) == len(touched)  # disjoint within a level
+        if lv > 0:  # ASAP: each event waits on some event one level down
+            below = np.flatnonzero(level == lv - 1)
+            below_parts = set(np.concatenate([pi[below], pj[below]]).tolist())
+            assert all({pi[e], pj[e]} & below_parts for e in at)
+    for p in range(n):  # each particle meets its events in stream order
+        mine = np.flatnonzero((pi == p) | (pj == p))
+        assert np.all(np.diff(level[mine]) > 0)
+
+
+@pytest.mark.parametrize(
+    "n, d, frozen_pair",
+    [(2, 3, False), (2, 3, True), (9, 3, True), (2, 1, False), (7, 1, True), (16, 2, False),
+     (40, 3, False)],
+)
+def test_simulate_kac_replicas_equal_separate_runs(monkeypatch, n, d, frozen_pair):
+    kern = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
+    inits = [gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(61, 2 * r))
+             for r in range(5)]
+    if frozen_pair:  # a pair at zero relative velocity
+        inits[1].coords[1] = inits[1].coords[0]
+    snaps = [0.0, 0.7, 2.0]
+    stacked = simulate_kac_replicas(inits, kern, 2.5, snaps,
+                                    [RngStream(61, 2 * r + 1) for r in range(5)])
+    monkeypatch.setattr(_events, "CHUNK_EVENTS", 3)  # chunks cut through replicas
+    chunked = simulate_kac_replicas(inits, kern, 2.5, snaps,
+                                    [RngStream(61, 2 * r + 1) for r in range(5)])
+    monkeypatch.undo()
+    assert len(stacked) == 5
+    for r, init in enumerate(inits):
+        alone = simulate_kac(init, kern, 2.5, snaps, RngStream(61, 2 * r + 1))
+        assert [s.time for s in stacked[r]] == [s.time for s in alone] == snaps
+        for a, b, c in zip(stacked[r], alone, chunked[r]):
+            np.testing.assert_array_equal(a.coords, b.coords)
+            np.testing.assert_array_equal(c.coords, b.coords)
+    if frozen_pair and n == 2:
+        for s in stacked[1]:
+            np.testing.assert_array_equal(s.coords, inits[1].coords)
+
+
+def test_simulate_kac_replicas_validation():
+    kern = AngularKernel.isotropic(3)
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 4, RngStream(0, 0))
+    b = gaussian_sample_state(np.zeros(3), np.ones(3), 5, RngStream(0, 1))
+    with pytest.raises(ValueError, match="matching"):
+        simulate_kac_replicas([a, b], kern, 1.0, [1.0], [RngStream(0, 2), RngStream(0, 3)])
+    with pytest.raises(ValueError, match="one dynamics stream"):
+        simulate_kac_replicas([a, a], kern, 1.0, [1.0], [RngStream(0, 2)])
 
 
 def test_replay_coupled_identical_streams():

@@ -232,6 +232,19 @@ def test_chaos_curve_oracle_resolution_warning():
         )
 
 
+def test_chaos_curve_fit_keeps_intercept():
+    # planted err(N) = 3/N with zero spread: the fit is log err = log 3 - log N
+    obs = ObservableProduct((IDENTITY,))
+    curve = chaos_error_curve(
+        "planted", lambda n, stream: [ParticleState(np.full((n, 1), 3.0 / n))],
+        obs, [10, 100, 1000, 10_000], [1.0], replicas=2, oracle=np.zeros(1),
+        rng_factory=lambda k, r: RngStream(0, r), fit=True,
+    )
+    assert curve.fitted_slope == pytest.approx(-1.0, abs=1e-9)
+    assert curve.fit_intercept == pytest.approx(math.log(3.0), abs=1e-9)
+    assert curve.fit_intercept == rate_fit(curve)[1]
+
+
 def test_chaos_curve_marginal_vs_ustat_consistency():
     # both estimators target the same expectation; with many replicas the
     # marginal mean lands within a few SE of the u-stat mean

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma
 from meanfield.thermostat import (
@@ -145,6 +146,32 @@ def test_momentum_martingale_band():
     drift = np.mean(means, axis=0)
     se = np.std(means, axis=0, ddof=1) / math.sqrt(len(means))
     assert np.all(np.abs(drift) < 3.5 * se + 1e-12)
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.0])
+def test_trajectory_independent_of_batching(monkeypatch, nu):
+    # bath normals are drawn in event order, so the level schedule, small
+    # chunks and one event per batch realize the same trajectory bit for bit
+    p = RestitutionParams(alpha=0.7, nu=nu, dim=3)
+    kern = AngularKernel.isotropic(3)
+    st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 50, RngStream(19, 0))
+    snaps = [0.0, 0.5, 1.5, 2.0]
+
+    def run():
+        rng = RngStream(19, 1)
+        out = simulate_thermostat(st0, kern, p, 2.5, snaps, rng)
+        return out, rng.draw_counter
+
+    levels, draws = run()
+    monkeypatch.setattr(_events, "CHUNK_EVENTS", 7)
+    chunked, draws_chunked = run()
+    monkeypatch.setattr(_events, "level_schedule",
+                        lambda pi, pj: (np.arange(len(pi)), [(e, e + 1) for e in range(len(pi))]))
+    singles, draws_single = run()
+    assert draws == draws_chunked == draws_single
+    for a, b, c in zip(levels, singles, chunked):
+        np.testing.assert_array_equal(a.coords, b.coords)
+        np.testing.assert_array_equal(a.coords, c.coords)
 
 
 def test_step_mixed_rejects_past():
