@@ -409,6 +409,9 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
     obs = _build_observable(cfg)
     estimator = str(_get(cfg, "estimator", "empirical-mean"))
+    if estimator not in ("empirical-mean", "marginal"):
+        raise ConfigError("estimator", f"unknown estimator '{estimator}' "
+                          "(empirical-mean or marginal)")
     n_ref = int(_get(cfg, "n_ref", required=True))
     if n_ref < 16 * max(n_values):
         raise ConfigError("n_ref", "must be at least 16x the largest N")

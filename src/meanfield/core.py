@@ -14,6 +14,7 @@ consumes these types.  Two contracts matter most:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -66,7 +67,12 @@ class RngStream:
             raise ValueError("streams start at draw_counter=0; keep the object")
 
     def _count(self, size) -> int:
-        return int(np.prod(size)) if size is not None else 1
+        # plain Python: np.prod costs more than a small draw itself
+        if size is None:
+            return 1
+        if isinstance(size, (int, np.integer)):
+            return int(size)
+        return int(math.prod(size))
 
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform variates on the open interval (0, 1)."""

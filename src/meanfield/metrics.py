@@ -242,8 +242,12 @@ def empirical_sampling_error(
     reference).
 
     estimator: 'exact-1d' (quantile coupling; 1-D only), 'sliced'
-    (Monte Carlo sliced W2, any d), or 'auto'.
+    (Monte Carlo sliced W2, any d), or 'auto'; any other name is refused.
+    The sliced route costs O(n * n_projections) per replica: the sorted
+    reference projections are reduced once to per-block moments.
     """
+    if estimator not in ("auto", "exact-1d", "sliced"):
+        raise ValueError(f"unknown estimator '{estimator}' (auto, exact-1d or sliced)")
     if reference_size < 64 * n:
         if enforce_reference_ratio:
             raise ValueError("reference_size must be at least 64*n")
@@ -264,7 +268,17 @@ def empirical_sampling_error(
     else:
         dir_rng = rng_factory(1)
         dirs = dir_rng.unit_vectors(d, n_projections)
-        ref_proj = np.sort(ref @ dirs.T, axis=0)  # (M, n_projections)
+        # the coupling pairs sample atom i with block i of the sorted
+        # reference, so the reference enters only through each block's
+        # mean and (centered, cancellation-free) variance:
+        # mean_b (r_b - p)^2 = var + (mean - p)^2
+        blocks = ref @ dirs.T  # (M, n_projections)
+        blocks.sort(axis=0)
+        blocks = blocks.reshape(n, reference_size // n, n_projections)
+        block_mean = blocks.mean(axis=1)
+        blocks -= block_mean[:, None, :]
+        block_var = np.square(blocks, out=blocks).mean(axis=1)
+        del blocks
 
     sq = np.empty(replicas)
     for r in range(replicas):
@@ -276,8 +290,7 @@ def empirical_sampling_error(
             sq[r] = _quantile_coupling_cost(np.sort(sample[:, 0]), ref_sorted, 2)
         else:
             proj = np.sort(sample @ dirs.T, axis=0)  # (n, n_projections)
-            blocks = ref_proj.reshape(n, reference_size // n, n_projections)
-            sq[r] = float(np.mean((blocks - proj[:, None, :]) ** 2))
+            sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     if mean > 0 and n >= reference_size:

@@ -197,6 +197,17 @@ def test_cmd_chaos_curve_nref_guard():
         cmd_chaos_curve(cfg, 0, 1, None)
 
 
+def test_cmd_chaos_curve_rejects_unknown_estimator(tmp_path, capsys):
+    cfg = dict(CURVE_CFG)
+    cfg["estimator"] = "marginall"
+    with pytest.raises(cli.ConfigError, match="unknown estimator 'marginall'"):
+        cmd_chaos_curve(cfg, 0, 1, None)
+    path = tmp_path / "typo.cfg"
+    path.write_text(format_config(cfg))
+    assert main(["chaos-curve", "--config", str(path)]) == 2
+    assert "unknown estimator 'marginall'" in capsys.readouterr().err
+
+
 def test_cmd_omega_n_small():
     cfg = {
         "dimension": 1, "n_list": [8, 16], "replicas": 8,

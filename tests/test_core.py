@@ -136,6 +136,19 @@ def test_rng_stream_open_interval_and_counter():
     assert r.draw_counter == 1017
 
 
+def test_rng_stream_draw_counter_for_every_size_kind():
+    r = RngStream(6, 0)
+    sizes = [(None, 1), (7, 7), ((3, 4), 12), ((2, 0), 0), (np.int64(5), 5),
+             ((np.int32(2), np.int64(3)), 6), ([2, 2], 4)]
+    total = 0
+    for size, count in sizes:
+        for draw in (r.uniform, r.normal, lambda size: r.integers(0, 9, size=size)):
+            got = draw(size=size)
+            assert np.size(got) == count
+            total += count
+            assert r.draw_counter == total and type(r.draw_counter) is int
+
+
 def test_rng_unit_vectors():
     v = RngStream(11, 0).unit_vectors(3, 200)
     np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from meanfield import limits
 from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel
 from meanfield.limits import (
@@ -143,6 +145,64 @@ def test_boundary_truncation_warning():
     g = gaussian_spectrum(narrow, 0.25)  # F(2) = e^{-0.5} far above 1e-6
     with pytest.warns(RuntimeWarning, match="boundary"):
         spectral_evolve(g, 0.8, True, 0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("n_nodes", [129, 2049])
+def test_query_spline_matches_scipy_cubic_spline(n_nodes):
+    xi = make_xi_grid(6.0, n_nodes)
+    half = xi[len(xi) // 2:]
+    rng = np.random.default_rng(n_nodes)
+    f = rng.normal(size=(len(half), 3)) + 1j * rng.normal(size=(len(half), 3))
+    f[0] = 1.0
+    full = np.concatenate([np.conj(f[:0:-1]), f])  # Hermitian data
+    # contracted queries of two restitutions, node queries, both grid ends
+    q = np.concatenate([0.1 * half, 0.9 * half, half, rng.uniform(-6.0, 6.0, 50), [-6.0, 6.0]])
+    got = limits._QuerySpline(xi, q)(full)
+    want = CubicSpline(xi, full, extrapolate=False)(q)
+    assert got.shape == want.shape and np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want)) <= 1e-14
+    with pytest.raises(ValueError, match="outside"):
+        limits._QuerySpline(xi, [6.0 + 1e-9])
+
+
+def test_spectral_evolve_batch_equals_separate_runs():
+    a, b = gaussian_spectrum(XI, 0.7), gaussian_spectrum(XI, 1.9, mean=0.3)
+    times = [0.05, 0.1]
+    batch = spectral_evolve([a, b], 0.8, True, 0.1, dt=5e-3, snapshot_times=times)
+    for j, g in enumerate((a, b)):
+        alone = spectral_evolve(g, 0.8, True, 0.1, dt=5e-3, snapshot_times=times)
+        for (tb, gb), (ta, ga) in zip(batch, alone):
+            assert tb == ta
+            np.testing.assert_array_equal(gb[j].values, ga.values)
+    finals = spectral_evolve([a, b], 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
+    for g, fin in zip((a, b), finals):
+        alone = spectral_evolve(g, 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
+        np.testing.assert_array_equal(fin.values, alone.values)
+
+
+def test_spectral_evolve_batch_validation():
+    with pytest.raises(ValueError, match="share a grid"):
+        spectral_evolve([gaussian_spectrum(XI, 1.0), gaussian_spectrum(make_xi_grid(8.0, 256), 1.0)],
+                        0.8, True, 0.01, dt=1e-3)
+    with pytest.raises(ValueError, match="at least one"):
+        spectral_evolve([], 0.8, True, 0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize("blowup", ["growth", "nan"])
+def test_spectral_evolve_unstable_column_raises(monkeypatch, blowup):
+    # within the step budget the scheme stays in the unit ball, so the
+    # unstable column is made by the operator: column 1 grows or turns NaN
+    real_call = limits._BobylevOperator.__call__
+
+    def call(self, f):
+        rhs = real_call(self, f)
+        rhs[1:, 1] = 1e3 * f[1:, 1] if blowup == "growth" else np.nan
+        return rhs
+
+    monkeypatch.setattr(limits._BobylevOperator, "__call__", call)
+    a, b = gaussian_spectrum(XI, 1.0), gaussian_spectrum(XI, 2.0)
+    with pytest.raises(SpectralInstability, match="in spectrum 1"):
+        spectral_evolve([a, b], 0.8, True, 0.1, dt=5e-3)
 
 
 # ----------------------------------------------------------- particle oracles

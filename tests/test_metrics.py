@@ -256,3 +256,39 @@ def test_sampling_error_validations():
     sampler = lambda n, rng: np.zeros((n, 1))
     with pytest.raises(ValueError, match="64"):
         empirical_sampling_error(sampler, 16, 2, 100, lambda sid: RngStream(0, sid))
+
+
+def _block_tensor_sampling_error(f_sampler, n, replicas, reference_size, rng_factory,
+                                 n_projections):
+    """The sliced estimate formed from the full (n, M/n, P) block tensor."""
+    ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
+    ref = ref.reshape(reference_size, -1)
+    dirs = rng_factory(1).unit_vectors(ref.shape[1], n_projections)
+    blocks = np.sort(ref @ dirs.T, axis=0).reshape(n, reference_size // n, n_projections)
+    sq = np.empty(replicas)
+    for r in range(replicas):
+        sample = np.asarray(f_sampler(n, rng_factory(2 + r)), dtype=np.float64).reshape(n, -1)
+        proj = np.sort(sample @ dirs.T, axis=0)
+        sq[r] = float(np.mean((blocks - proj[:, None, :]) ** 2))
+    return sq
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_sampling_error_block_moments_match_block_tensor(d):
+    def sampler(n, rng):
+        return 2.0 + rng.normal(size=(n, d)) * np.arange(1, d + 1)
+
+    for n in (4, 32):
+        factory = lambda sid, _n=n: RngStream(40 + d, 100 * _n + sid)
+        res = empirical_sampling_error(sampler, n, 6, 64 * n, factory,
+                                       estimator="sliced", n_projections=16)
+        oracle = _block_tensor_sampling_error(sampler, n, 6, 64 * n, factory, 16)
+        assert res.estimator == "sliced"
+        np.testing.assert_allclose(res.per_replica, oracle, rtol=1e-13, atol=0.0)
+
+
+def test_sampling_error_rejects_unknown_estimator():
+    sampler = lambda n, rng: np.zeros((n, 1))
+    with pytest.raises(ValueError, match="unknown estimator 'exact'"):
+        empirical_sampling_error(sampler, 8, 2, 512, lambda sid: RngStream(0, sid),
+                                 estimator="exact")
