@@ -51,6 +51,13 @@ class RngStream:
     ``(k + 0.5) * 2**-53`` with k a 53-bit integer, so they lie strictly
     inside (0, 1); normals are inverse-transform (``ndtri``) so the whole
     stream reduces to one documented uniform sequence.
+
+    k is ``bit_generator.random_raw(size) >> 11``, the top 53 bits of one
+    raw 64-bit word.  For the range 2**53 numpy's Lemire method never
+    rejects and returns exactly that shift, so k equals
+    ``integers(0, 2**53, dtype=uint64)`` word for word and the generator
+    ends in the same state; the raw path only skips the bounded-integer
+    machinery and converts in place.
     """
 
     master_seed: int
@@ -77,12 +84,21 @@ class RngStream:
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform variates on the open interval (0, 1)."""
         self.draw_counter += self._count(size)
-        k = self._gen.integers(0, 2**53, size=size, dtype=np.uint64)
-        return (k.astype(np.float64) + 0.5) * _INV_2_53
+        k = self._gen.bit_generator.random_raw(size)
+        if size is None:
+            return (np.float64(k >> 11) + 0.5) * _INV_2_53
+        k >>= 11
+        u = k.view(np.float64)  # same buffer: each word is read before it is written
+        np.add(k, 0.5, out=u)
+        u *= _INV_2_53
+        return u
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normals via inverse transform of :meth:`uniform`."""
-        return ndtri(self.uniform(size=size))
+        u = self.uniform(size=size)
+        if size is None:
+            return ndtri(u)
+        return ndtri(u, out=u)
 
     def exponential(self, scale: float = 1.0, size=None) -> np.ndarray | float:
         return -scale * np.log(self.uniform(size=size))

@@ -86,6 +86,9 @@ class GridSpectrum:
         return len(self.xi_nodes) // 2
 
     def check_invariants(self, atol: float = 1e-8) -> None:
+        # the tests below are `>` comparisons, which NaN fails silently
+        if not np.isfinite(self.values).all():
+            raise SpectralInstability("non-finite characteristic-function values")
         mid = self.zero_index
         if abs(self.values[mid] - 1.0) > atol:
             raise SpectralInstability(f"mass node drifted: F(0) = {self.values[mid]}")

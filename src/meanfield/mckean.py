@@ -154,11 +154,16 @@ def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     coords = state.coords
-    drift = coords @ spec.linear_drift.T + _mean_field_forces(
-        coords, spec.interaction, spec.n_minus_one_prefactor
-    )
-    noise = np.atleast_2d(rng.normal(size=coords.shape)) @ spec.diffusion_matrix.T
-    new = coords + dt * drift + math.sqrt(dt) * noise
+    # coords + dt * (coords L^T + F) + sqrt(dt) * (z S^T), combined in place
+    # in that operation order, so bitwise equal to the expression.  np.dot,
+    # not @: at (N, 1) x (1, 1) a matmul call costs ~7x an np.dot call.
+    new = np.dot(coords, spec.linear_drift.T)
+    new += _mean_field_forces(coords, spec.interaction, spec.n_minus_one_prefactor)
+    new *= dt
+    new += coords
+    noise = np.dot(rng.normal(size=coords.shape), spec.diffusion_matrix.T)
+    noise *= math.sqrt(dt)
+    new += noise
     _check_finite(new, f"t={state.time + dt:g}")
     return ParticleState(new, time=state.time + dt)
 
@@ -187,7 +192,11 @@ def simulate_mkv(
     snapshot_times: Sequence[float],
     rng: RngStream,
 ) -> list[ParticleState]:
-    """Fixed-step Euler-Maruyama trajectory; deterministic given (seed, dt)."""
+    """Fixed-step Euler-Maruyama trajectory; deterministic given (seed, dt).
+
+    Step k's state is stamped ``initial.time + k * dt``, not a running sum
+    of dt, so snapshot times carry no accumulated rounding.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     want = _snapshot_steps(snapshot_times, initial.time, dt, t_end)
@@ -198,6 +207,7 @@ def simulate_mkv(
         out.extend(state.copy() for _ in range(want.count(0)))
     for k in range(1, n_steps + 1):
         state = em_step(state, spec, dt, rng)
+        state.time = initial.time + k * dt
         out.extend(state.copy() for _ in range(want.count(k)))
     return out
 

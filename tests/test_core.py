@@ -149,6 +149,27 @@ def test_rng_stream_draw_counter_for_every_size_kind():
             assert r.draw_counter == total and type(r.draw_counter) is int
 
 
+@pytest.mark.parametrize("size", [None, 0, 1, 7, np.int64(5), (3, 4), (2, 0)])
+def test_rng_stream_uniform_and_normal_equal_bounded_integer_formula(size):
+    # oracle: the documented k = integers(0, 2**53) form of the raw-word draw
+    r = RngStream(21, 3)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(21, spawn_key=(3,))))
+
+    def old_uniform():
+        k = gen.integers(0, 2**53, size=size, dtype=np.uint64)
+        return (k.astype(np.float64) + 0.5) * 2.0**-53
+
+    for got, want in ((r.uniform(size=size), old_uniform()),
+                      (r.normal(size=size), ndtri(old_uniform())),
+                      (r.uniform(size=size), old_uniform())):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                      np.asarray(want).view(np.uint64))
+    # the generator ends in the same state
+    np.testing.assert_array_equal(r._gen.bit_generator.random_raw(4),
+                                  gen.bit_generator.random_raw(4))
+
+
 def test_rng_unit_vectors():
     v = RngStream(11, 0).unit_vectors(3, 200)
     np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)

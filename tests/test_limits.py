@@ -51,6 +51,20 @@ def test_grid_spectrum_invariant_validation():
         GridSpectrum(XI, bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_grid_spectrum_rejects_non_finite_pair(value):
+    # a pair at +-xi keeps Hermitian symmetry; each `>` test alone lets NaN through
+    mid = len(XI) // 2
+    bad = np.exp(-0.5 * XI**2).astype(complex)
+    bad[mid - 5] = bad[mid + 5] = value
+    with pytest.raises(SpectralInstability, match="non-finite"):
+        GridSpectrum(XI, bad)
+    g = gaussian_spectrum(XI, 1.0)
+    g.values[[mid - 5, mid + 5]] = value
+    with pytest.raises(SpectralInstability, match="non-finite"):
+        g.check_invariants()
+
+
 def test_gaussian_spectrum_second_moment():
     for v in (0.5, 1.0, 3.0):
         g = gaussian_spectrum(XI, variance=v)
@@ -132,11 +146,11 @@ def test_spectral_equilibrium_matches_unordered_balance():
     assert out.second_moment() == pytest.approx(target, rel=0.02)
 
 
-def test_spectral_instability_detection():
+def test_spectral_evolve_refuses_dt_beyond_rk4_budget():
+    # lam * dt = 4.76 exceeds the RK4 budget 2.78: refused before any step
+    # (an unstable column inside the budget is test_spectral_evolve_unstable_column_raises)
     g = gaussian_spectrum(make_xi_grid(40.0, 64), 1.0)
-    # coarse wide grid with aggressive dt inside the nominal budget can
-    # still blow up; force it with a huge rate factor
-    with pytest.raises((SpectralInstability, ValueError)):
+    with pytest.raises(ValueError, match="stability budget"):
         spectral_evolve(g, 0.8, True, 5.0, dt=1.7e-3, rate_factor=600.0)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from meanfield import mckean
 from meanfield.core import ParticleState, RngStream, SimulationError, gaussian_sample_state
 from meanfield.mckean import (
     DriftDiffusionSpec,
@@ -121,6 +122,52 @@ def test_simulate_mkv_snapshots_and_t0():
     np.testing.assert_array_equal(out[0].coords, s.coords)
     with pytest.raises(ValueError, match="multiple"):
         simulate_mkv(s, _spec(), 1.0, 0.3, [0.5], RngStream(0, 0))
+
+
+def _oracle_mkv(initial, spec, n_steps, dt, rng):
+    # the Euler-Maruyama step written as one expression with matmul
+    coords, out = initial.coords.copy(), []
+    for _ in range(n_steps):
+        drift = coords @ spec.linear_drift.T + mckean._mean_field_forces(
+            coords, spec.interaction, spec.n_minus_one_prefactor)
+        noise = rng.normal(size=coords.shape) @ spec.diffusion_matrix.T
+        coords = coords + dt * drift + math.sqrt(dt) * noise
+        out.append(coords)
+    return out
+
+
+@pytest.mark.parametrize("case", ["d1-linear", "d2-gaussian-derivative", "n-minus-one"])
+def test_simulate_mkv_equals_matmul_oracle(case):
+    rng = np.random.default_rng(8)
+    if case == "d1-linear":
+        spec = _spec(lam=0.5, sigma=1.0, interaction=interaction_catalog("linear", 1))
+    else:
+        kernel = (interaction_catalog("gaussian_derivative", 2, amp=1.5, width=0.7)
+                  if case == "d2-gaussian-derivative" else interaction_catalog("linear", 2))
+        spec = DriftDiffusionSpec(2, rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), kernel,
+                                  n_minus_one_prefactor=case == "n-minus-one")
+    init = ParticleState(rng.normal(size=(300, spec.dim)))
+    dt, n_steps = 0.01, 20
+    got = simulate_mkv(init, spec, n_steps * dt, dt, [0.05, 0.2], RngStream(4, 1))
+    want = _oracle_mkv(init, spec, n_steps, dt, RngStream(4, 1))
+    for snap, k in zip(got, (5, 20)):
+        np.testing.assert_array_equal(snap.coords.view(np.uint64), want[k - 1].view(np.uint64))
+
+
+def test_simulate_mkv_blowup_names_the_time():
+    spec = _spec(lam=-10.0, sigma=1.0)  # growth by 6 per step from 1e300
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SimulationError, match=r"t=5\.5\)"):
+        simulate_mkv(ParticleState(np.full((3, 1), 1e300)), spec, 10.0, 0.5, [10.0],
+                     RngStream(0, 0))
+
+
+def test_simulate_mkv_snapshot_times_are_not_a_running_sum():
+    spec = _spec(lam=0.5, sigma=1.0)
+    times = [0.125 * k for k in range(1, 9)]
+    out = simulate_mkv(ParticleState(np.zeros((2, 1))), spec, 1.0, 5e-4, times,
+                       RngStream(0, 0))
+    assert [s.time for s in out] == times  # exact: a running sum gives 0.12500000000000008
 
 
 def test_simulate_mkv_ou_stationary_variance():
