@@ -17,9 +17,11 @@ aggregation is order-preserving).
 Stream-id allocation: simulate uses 1 (initial data) and 2 (dynamics);
 chaos-curve replicas carry base id 1_000_000 (k+1) + r for replica r of the
 k-th N (oracle replicas 900_000_000 + r) and split each base b into 2b
-(initial data) and 2b + 1 (dynamics); omega-n uses 10_000 (k+1) plus 0
-(reference), 1 (projection directions), 2 + r (replicas); check uses ids
-below 1000.
+(initial data) and 2b + 1 (dynamics), and its bootstrap draws from 977
+under the master seed; omega-n uses 10_000 (k+1) plus 0 (reference), 1
+(projection directions), 2 + r (replicas); the rate fit of chaos-curve and
+omega-n draws its slope CI from 1331 under the fixed seed 7; check uses
+ids below 1000.
 """
 
 from __future__ import annotations
@@ -46,7 +48,13 @@ from .core import (
     quantile_init_1d,
 )
 from .elastic import AngularKernel, simulate_kac, simulate_kac_replicas
-from .harness import DegenerateFit, rate_fit, symmetrization_gap, u_statistic
+from .harness import (
+    DegenerateFit,
+    chaos_error_curve,
+    observable_series,
+    rate_fit,
+    symmetrization_gap,
+)
 from .limits import OracleEstimate, SpectralInstability
 from .mckean import (
     DriftDiffusionSpec,
@@ -65,7 +73,7 @@ from .metrics import (
     w2_exact_matching,
     w2_sliced,
 )
-from .observables import ObservableProduct, marginal_observable, observable_catalog
+from .observables import ObservableProduct, observable_catalog
 from .thermostat import RestitutionParams, simulate_thermostat, temperature
 
 RATE_CONVENTIONS = {
@@ -318,6 +326,20 @@ def _header(cfg: dict, seed: int, extra: list[tuple[str, object]]) -> list[tuple
     return items
 
 
+def _fit_footers(n_values, errors, std_errors) -> list[tuple[str, object]]:
+    """Footer items of a log-log rate fit, or the reason it was refused."""
+    try:
+        slope, intercept, ci = rate_fit(n_values, errors, std_errors)
+    except (DegenerateFit, ValueError) as exc:
+        return [("fit_refused", str(exc))]
+    return [
+        ("fitted_slope", slope),
+        ("fit_intercept", intercept),
+        ("slope_ci_lo", ci[0]),
+        ("slope_ci_hi", ci[1]),
+    ]
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -387,14 +409,10 @@ def _curve_block(cfg, seed, obs, estimator, kernel, block) -> list[tuple[np.ndar
     n, sids = block
     # even/odd split keeps the two per-replica streams disjoint for every replica
     _, runs, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids], kernel)
-    out = []
-    for states, sid, items in zip(runs, sids, draws):
-        if estimator == "marginal":
-            vals = np.array([marginal_observable(s, obs) for s in states])
-        else:
-            vals = np.array([u_statistic(s.coords, obs) for s in states])
-        out.append((vals, sid, sum(c for _, c in items)))
-    return out
+    return [
+        (observable_series(states, obs, estimator), sid, sum(c for _, c in items))
+        for states, sid, items in zip(runs, sids, draws)
+    ]
 
 
 def _replica_blocks(n: int, sids: list[int]) -> list[tuple[int, list[int]]]:
@@ -429,58 +447,21 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     # the first block runs in-process so the defaults it resolves land in
     # the parent's header whatever the worker count
     oracle_out = run_blocks(n_ref, [900_000_000 + r for r in range(replicas_ref)], True)
-    o_vals = np.stack([v for v, _, _ in oracle_out])
-    oracle = OracleEstimate(
-        times=times,
-        mean=o_vals.mean(axis=0),
-        standard_error=(
-            o_vals.std(axis=0, ddof=1) / math.sqrt(replicas_ref)
-            if replicas_ref > 1 else np.zeros(len(times))
-        ),
-        per_replica=o_vals,
-    )
+    oracle = OracleEstimate.from_replicas(times, np.stack([v for v, _, _ in oracle_out]))
     draws = [(sid, d) for _, sid, d in oracle_out]
-
-    errors = np.empty(len(n_values))
-    std_errors = np.empty(len(n_values))
-    boot_rng = RngStream(seed, 977)
+    values = []
     for k, n in enumerate(n_values):
         results = run_blocks(n, [1_000_000 * (k + 1) + r for r in range(replicas)])
-        vals = np.stack([v for v, _, _ in results])
+        values.append(np.stack([v for v, _, _ in results]))
         draws += [(sid, d) for _, sid, d in results]
-        gaps = np.abs(vals.mean(axis=0) - oracle.mean)
-        errors[k] = float(gaps.max())
-        if replicas > 1:
-            bs = np.empty(200)
-            for bi in range(200):
-                pick = np.asarray(boot_rng.integers(0, replicas, size=replicas))
-                mean_b = vals[pick].mean(axis=0)
-                if replicas_ref > 1:
-                    opick = np.asarray(
-                        boot_rng.integers(0, replicas_ref, size=replicas_ref)
-                    )
-                    om = o_vals[opick].mean(axis=0)
-                else:
-                    om = oracle.mean
-                bs[bi] = float(np.abs(mean_b - om).max())
-            std_errors[k] = float(bs.std(ddof=1))
-        else:
-            std_errors[k] = 0.0
+    # the bootstrap reads only its own stream, so it can follow all the runs
+    curve = chaos_error_curve(n_values, values, oracle, seed)
 
-    footers: list[tuple[str, object]] = [("oracle_se_max", float(np.max(oracle.standard_error)))]
-    try:
-        slope, intercept, ci = rate_fit(np.asarray(n_values, float), errors, std_errors)
-        footers += [
-            ("fitted_slope", slope),
-            ("fit_intercept", intercept),
-            ("slope_ci_lo", ci[0]),
-            ("slope_ci_hi", ci[1]),
-        ]
-    except (DegenerateFit, ValueError) as exc:
-        footers.append(("fit_refused", str(exc)))
+    footers = [("oracle_se_max", curve.oracle_se_max)]
+    footers += _fit_footers(n_values, curve.errors, curve.std_errors)
     extra = [("estimator_used", estimator), ("observable_tag", obs.tag)]
     header = _header(cfg, seed, extra + _accounting_items(draws))
-    rows = [[n, errors[k], std_errors[k]] for k, n in enumerate(n_values)]
+    rows = [[n, curve.errors[k], curve.std_errors[k]] for k, n in enumerate(n_values)]
     return write_csv(out, header, ["N", "error", "std_error"], rows, footers)
 
 
@@ -528,21 +509,9 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         ses.append(res.standard_error)
         draws += [(sid, s.draw_counter) for sid, s in streams.items()]
 
-    footers: list[tuple[str, object]] = []
-    try:
-        slope, intercept, ci = rate_fit(
-            np.asarray(n_values, float), np.asarray(errors), np.asarray(ses)
-        )
-        footers += [
-            ("fitted_slope", slope),
-            ("fit_intercept", intercept),
-            ("slope_ci_lo", ci[0]),
-            ("slope_ci_hi", ci[1]),
-        ]
-    except (DegenerateFit, ValueError) as exc:
-        footers.append(("fit_refused", str(exc)))
     extra = [("estimator_used", est_used)]
     header = _header(cfg, seed, extra + _accounting_items(draws))
+    footers = _fit_footers(n_values, errors, ses)
     return write_csv(out, header, ["N", "omega_mean", "omega_se"], rows, footers)
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ParticleState",
     "EmpiricalMeasure",
     "RngStream",
-    "MomentVector",
     "empirical_from_state",
     "moment",
     "quantile_init_1d",
@@ -178,14 +177,6 @@ class EmpiricalMeasure:
         return 1.0 / self.atoms.shape[0]
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """A moment ⟨f, (1+|z|^2)^(q/2)⟩ tagged with its order."""
-
-    order_q: float
-    value: float
-
-
 def _strictly_ascending(x: np.ndarray) -> bool:
     return bool((x[1:] > x[:-1]).all())
 
@@ -211,13 +202,13 @@ def empirical_from_state(state: ParticleState) -> EmpiricalMeasure:
     return EmpiricalMeasure(state.coords.copy())
 
 
-def moment(mu: EmpiricalMeasure, q: float) -> MomentVector:
+def moment(mu: EmpiricalMeasure, q: float) -> float:
     """Moment of order q: (1/N) Σ_j (1 + |z_j|^2)^(q/2)."""
     if q < 0:
         raise ValueError("moment order q must be nonnegative")
     z2 = np.einsum("ij,ij->i", mu.atoms, mu.atoms)
     terms = np.sort((1.0 + z2) ** (q / 2.0))
-    return MomentVector(order_q=q, value=float(terms.sum() / mu.n_atoms))
+    return float(terms.sum() / mu.n_atoms)
 
 
 def quantile_init_1d(target_cdf_inverse: Callable[[float], float], n: int) -> ParticleState:

@@ -23,11 +23,9 @@ from .core import ParticleState, RngStream, SimulationError
 
 __all__ = [
     "AngularKernel",
-    "CollisionEvent",
     "EventRecord",
     "sample_sigma",
     "collide_elastic",
-    "next_collision",
     "simulate_kac",
     "simulate_kac_replicas",
     "replay_collisions",
@@ -142,19 +140,6 @@ class AngularKernel:
         return np.cos(np.interp(u, self._u_nodes, self._theta_of_u))
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
-    time: float
-    pair: tuple[int, int]
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        if abs(float(np.linalg.norm(self.sigma)) - 1.0) > 1e-12:
-            raise ValueError("sigma must be a unit vector")
-        if self.pair[0] == self.pair[1]:
-            raise ValueError("pair indices must differ")
-
-
 def sample_sigma(kernel: AngularKernel, u_hat: np.ndarray, rng: RngStream) -> np.ndarray:
     """One deviation direction with cos(theta) = sigma·u_hat drawn from b."""
     u_hat = np.asarray(u_hat, dtype=np.float64)
@@ -185,28 +170,9 @@ def collide_elastic(v_i: np.ndarray, v_j: np.ndarray, sigma: np.ndarray) -> tupl
     return 0.5 * (w + u_star), 0.5 * (w - u_star)
 
 
-def next_collision(state: ParticleState, kernel: AngularKernel, rng: RngStream) -> CollisionEvent:
-    """Draw the next event: Exp((N-1)/2) wait, uniform pair, sigma from b."""
-    n = state.n_particles
-    if n < 2:
-        raise SimulationError("collisions need at least 2 particles")
-    rate = (n - 1) / 2.0
-    wait = float(rng.exponential(scale=1.0 / rate))
-    i, j = _events.sample_pairs(n, 1, rng)
-    i, j = int(i[0]), int(j[0])
-    u = state.coords[i] - state.coords[j]
-    r = float(np.linalg.norm(u))
-    if r > 0.0:
-        sigma = sample_sigma(kernel, u / r, rng)
-    else:
-        # degenerate pair: any direction; consume the same draws
-        axis = np.zeros(state.dim)
-        axis[0] = 1.0
-        sigma = sample_sigma(kernel, axis, rng)
-    return CollisionEvent(time=state.time + wait, pair=(i, j), sigma=sigma)
-
-
 def _validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:
+    if t_end < t0:
+        raise ValueError("t_end must not precede the start time")
     snaps = np.asarray(snapshot_times, dtype=np.float64)
     if snaps.size and np.any(np.diff(snaps) < 0):
         raise ValueError("snapshot times must be sorted ascending")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -33,6 +33,7 @@ __all__ = [
     "DegenerateFit",
     "symmetrization_gap",
     "u_statistic",
+    "observable_series",
     "chaos_error_curve",
     "rate_fit",
     "tanaka_contraction_check",
@@ -116,36 +117,23 @@ def symmetrization_gap(state: ParticleState, obs: ObservableProduct) -> tuple[fl
 # --------------------------------------------------------------------------
 # observable error curves
 
+BOOTSTRAP_RESAMPLES = 200
+
 
 @dataclass
 class ChaosCurve:
-    """Observable error against a limit oracle, per N, with a rate fit."""
+    """Observable error against a limit oracle, per N, with bootstrap errors."""
 
-    model: str
-    observable: str
     n_values: np.ndarray
     errors: np.ndarray
     std_errors: np.ndarray
-    times: np.ndarray
-    per_time_errors: np.ndarray  # (len(n_values), len(times))
-    estimator: str
     oracle_se_max: float
-    fitted_slope: float | None = None
-    slope_ci: tuple[float, float] | None = None
-    fit_intercept: float | None = None
-    raw_values: list[np.ndarray] = field(default_factory=list, repr=False)
-    oracle_raw: np.ndarray | None = field(default=None, repr=False)
-    oracle_mean: np.ndarray | None = field(default=None, repr=False)
-
-    def attach_fit(self, slope: float, intercept: float, ci: tuple[float, float]) -> None:
-        self.fitted_slope = slope
-        self.fit_intercept = intercept
-        self.slope_ci = ci
 
 
-def _observable_series(
+def observable_series(
     states: Sequence[ParticleState], obs: ObservableProduct, estimator: str
 ) -> np.ndarray:
+    """Estimates of E Phi, one per state: 'marginal' or 'empirical-mean'."""
     if estimator == "marginal":
         return np.array([marginal_observable(s, obs) for s in states])
     if estimator == "empirical-mean":
@@ -154,27 +142,20 @@ def _observable_series(
 
 
 def chaos_error_curve(
-    model: str,
-    simulate_fn: Callable[[int, RngStream], Sequence[ParticleState]],
-    observable: ObservableProduct,
     n_values: Sequence[int],
-    times: Sequence[float],
-    replicas: int | dict,
+    values: Sequence[np.ndarray],
     oracle: OracleEstimate | np.ndarray,
-    rng_factory: Callable[[int, int], RngStream],
-    estimator: str = "empirical-mean",
-    bootstrap: int = 200,
-    bootstrap_seed: int = 1,
-    fit: bool = True,
+    seed: int,
 ) -> ChaosCurve:
     """Measure err(N) = sup_t |E Phi - oracle| by replica averaging.
 
-    ``simulate_fn(n, stream)`` returns one state per requested time;
-    ``oracle`` is either a replica-based estimate (its spread enters the
-    bootstrap) or a plain array of exact per-time values;
-    ``rng_factory(n_index, replica)`` assigns disjoint streams.
+    ``values[k]`` is the (replicas, n_times) array of observable values at
+    ``n_values[k]``; ``oracle`` is either a replica-based estimate (its
+    replicas are resampled too) or a plain array of exact per-time values.
+    The standard errors come from BOOTSTRAP_RESAMPLES resamples drawn from
+    ``RngStream(seed, 977)``: per N and resample, the replica pick, then the
+    oracle-replica pick.  A single replica has standard error 0.
     """
-    times = np.asarray(times, dtype=np.float64)
     n_values = np.asarray(list(n_values), dtype=np.int64)
     if isinstance(oracle, OracleEstimate):
         o_mean = oracle.mean
@@ -184,29 +165,21 @@ def chaos_error_curve(
         o_mean = np.asarray(oracle, dtype=np.float64)
         o_raw = None
         o_se = 0.0
-    if o_mean.shape != times.shape:
-        raise ValueError("oracle must provide one value per time")
+    if len(values) != len(n_values):
+        raise ValueError("need one value array per N")
 
-    boot_rng = RngStream(bootstrap_seed, 977)
+    boot_rng = RngStream(seed, 977)
     errors = np.empty(len(n_values))
-    std_errors = np.empty(len(n_values))
-    per_time = np.empty((len(n_values), len(times)))
-    raws: list[np.ndarray] = []
-    for k, n in enumerate(n_values):
-        reps = replicas[int(n)] if isinstance(replicas, dict) else int(replicas)
-        vals = np.empty((reps, len(times)))
-        for r in range(reps):
-            states = simulate_fn(int(n), rng_factory(k, r))
-            if len(states) != len(times):
-                raise ValueError("simulate_fn must return one state per time")
-            vals[r] = _observable_series(states, observable, estimator)
-        gaps = np.abs(vals.mean(axis=0) - o_mean)
-        per_time[k] = gaps
-        errors[k] = float(gaps.max())
-        # bootstrap over replicas (and oracle replicas when available)
-        if reps > 1 and bootstrap > 0:
-            bs = np.empty(bootstrap)
-            for b in range(bootstrap):
+    std_errors = np.zeros(len(n_values))
+    for k, vals in enumerate(values):
+        vals = np.asarray(vals, dtype=np.float64)
+        if vals.ndim != 2 or vals.shape[1] != len(o_mean):
+            raise ValueError("values must be (replicas, n_times) arrays matching the oracle")
+        reps = len(vals)
+        errors[k] = float(np.abs(vals.mean(axis=0) - o_mean).max())
+        if reps > 1:
+            bs = np.empty(BOOTSTRAP_RESAMPLES)
+            for b in range(BOOTSTRAP_RESAMPLES):
                 pick = np.asarray(boot_rng.integers(0, reps, size=reps))
                 mean_b = vals[pick].mean(axis=0)
                 if o_raw is not None and len(o_raw) > 1:
@@ -216,9 +189,6 @@ def chaos_error_curve(
                     oracle_b = o_mean
                 bs[b] = float(np.abs(mean_b - oracle_b).max())
             std_errors[k] = float(bs.std(ddof=1))
-        else:
-            std_errors[k] = 0.0
-        raws.append(vals)
 
     smallest = float(errors.min())
     if o_se > 0 and smallest > 0 and o_se * 3.0 > smallest:
@@ -228,52 +198,27 @@ def chaos_error_curve(
             RuntimeWarning,
             stacklevel=2,
         )
-    curve = ChaosCurve(
-        model=model,
-        observable=observable.tag,
-        n_values=n_values,
-        errors=errors,
-        std_errors=std_errors,
-        times=times,
-        per_time_errors=per_time,
-        estimator=estimator,
-        oracle_se_max=o_se,
-        raw_values=raws,
-        oracle_raw=o_raw,
-        oracle_mean=o_mean,
-    )
-    if fit:
-        try:
-            slope, intercept, ci = rate_fit(curve)
-            curve.attach_fit(slope, intercept, ci)
-        except (DegenerateFit, ValueError):
-            pass
-    return curve
+    return ChaosCurve(n_values=n_values, errors=errors, std_errors=std_errors,
+                      oracle_se_max=o_se)
 
 
 def rate_fit(
-    curve_or_n,
-    errors: np.ndarray | None = None,
-    std_errors: np.ndarray | None = None,
+    n_values: np.ndarray,
+    errors: np.ndarray,
+    std_errors: np.ndarray,
     n_bootstrap: int = 400,
     seed: int = 7,
 ) -> tuple[float, float, tuple[float, float]]:
     """Least-squares slope of log(error) against log(N), with bootstrap CI.
 
-    Accepts a ChaosCurve or raw (n_values, errors, std_errors) arrays.
-    Refuses (DegenerateFit) when any error sits within two standard
-    errors of zero, and demands at least four N values spanning 1.5
-    decades.  The CI resamples errors through their standard errors
-    (parametric bootstrap) unless zero everywhere.
+    Returns (slope, intercept, CI).  Refuses (DegenerateFit) when any
+    error sits within two standard errors of zero, and demands at least
+    four N values spanning 1.5 decades.  The CI resamples errors through
+    their standard errors (parametric bootstrap) unless zero everywhere.
     """
-    if isinstance(curve_or_n, ChaosCurve):
-        n_values = curve_or_n.n_values
-        errors = curve_or_n.errors
-        std_errors = curve_or_n.std_errors
-    else:
-        n_values = np.asarray(curve_or_n, dtype=np.float64)
-        errors = np.asarray(errors, dtype=np.float64)
-        std_errors = np.zeros_like(errors) if std_errors is None else np.asarray(std_errors)
+    n_values = np.asarray(n_values, dtype=np.float64)
+    errors = np.asarray(errors, dtype=np.float64)
+    std_errors = np.asarray(std_errors, dtype=np.float64)
     if len(n_values) < 4:
         raise ValueError("rate fits need at least 4 values of N")
     span = math.log10(float(max(n_values)) / float(min(n_values)))
@@ -281,7 +226,7 @@ def rate_fit(
         raise ValueError("rate fits need N spanning at least 1.5 decades")
     if np.any(errors <= 2.0 * std_errors):
         raise DegenerateFit("some errors are within 2 standard errors of zero")
-    x = np.log(np.asarray(n_values, dtype=np.float64))
+    x = np.log(n_values)
     y = np.log(errors)
     slope, intercept = np.polyfit(x, y, 1)
     if np.all(std_errors == 0.0):

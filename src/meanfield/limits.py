@@ -1,16 +1,16 @@
 """Reference solutions of the limiting one-particle equations.
 
-Three flavors of oracle:
+Two flavors of oracle:
 
 * a one-dimensional Fourier-spectral integrator of the inelastic
   collision equation with diffusion, built on Bobylev's identity for
   Maxwellian kernels (the collision gain becomes pointwise products of
   the characteristic function at contracted frequencies);
-* large-N particle self-oracles: the N_ref-particle system itself stands
-  in for the limit flow, justified by the very convergence rate under
-  measurement (enforced N_ref >> N);
-* the deterministic quantile flow for the zero-diffusion
-  position-velocity model.
+* large-N particle self-oracles: observable values of N_ref-particle
+  replica runs (``OracleEstimate``) stand in for the limit flow, justified
+  by the very convergence rate under measurement (the ``chaos-curve``
+  command enforces N_ref >= 16 N and runs them, quantile-initialized
+  deterministic flows included).
 
 The spectral grid is uniform and symmetric with an exact zero node
 (requested node counts are rounded up to odd).  Frequencies are evolved
@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import EmpiricalMeasure, ParticleState, RngStream, canonical_atom_order
+from .core import EmpiricalMeasure, canonical_atom_order
 
 __all__ = [
     "GridSpectrum",
@@ -41,9 +41,7 @@ __all__ = [
     "gaussian_spectrum",
     "bobylev_rhs",
     "spectral_evolve",
-    "particle_limit_oracle",
-    "kac_limit_oracle",
-    "vlasov_reference_flow",
+    "OracleEstimate",
 ]
 
 RK4_STABILITY = 2.78  # max |lambda| dt for the diffusion multiplier, asserted
@@ -382,85 +380,17 @@ class OracleEstimate:
     standard_error: np.ndarray
     per_replica: np.ndarray  # (replicas, n_times)
 
+    @classmethod
+    def from_replicas(cls, times: Sequence[float], values: np.ndarray) -> "OracleEstimate":
+        """Mean and standard error of ``values[r, t]``, one row per replica.
 
-def particle_limit_oracle(
-    simulate_fn: Callable[[RngStream], Sequence[ParticleState]],
-    observable_fn: Callable[[ParticleState], float],
-    times: Sequence[float],
-    replicas: int,
-    rng_factory: Callable[[int], RngStream],
-) -> OracleEstimate:
-    """Monte Carlo estimate of a limit-flow observable from replica runs."""
-    times = np.asarray(times, dtype=np.float64)
-    vals = np.empty((replicas, len(times)))
-    for r in range(replicas):
-        states = simulate_fn(rng_factory(r))
-        if len(states) != len(times):
-            raise ValueError("simulate_fn must return one state per requested time")
-        vals[r] = [observable_fn(s) for s in states]
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 else np.zeros_like(mean)
-    return OracleEstimate(times=times, mean=mean, standard_error=se, per_replica=vals)
-
-
-def kac_limit_oracle(
-    initial_sampler: Callable[[RngStream], ParticleState],
-    kernel,
-    times: Sequence[float],
-    observable_fn: Callable[[ParticleState], float],
-    n_ref: int,
-    n_max_measured: int,
-    replicas: int,
-    rng_factory: Callable[[int], RngStream],
-    resolve_gap: float | None = None,
-) -> OracleEstimate:
-    """Elastic-gas limit observable from the N_ref-particle system itself.
-
-    The substitution is justified by the convergence rate being measured;
-    the enforced gap N_ref >= 16 * N keeps the oracle bias an order of
-    magnitude under the smallest systematic error on the curve.  When the
-    caller states the gap it wants resolved, an oracle standard error too
-    close to it raises a warning.
-    """
-    from .elastic import simulate_kac
-
-    if n_ref < 16 * n_max_measured:
-        raise ValueError("n_ref must be at least 16x the largest measured N")
-    t_end = float(max(times))
-
-    def run(stream: RngStream) -> Sequence[ParticleState]:
-        init = initial_sampler(stream)
-        if init.n_particles != n_ref:
-            raise ValueError("initial_sampler must honor n_ref")
-        return simulate_kac(init, kernel, t_end, times, stream)
-
-    est = particle_limit_oracle(run, observable_fn, times, replicas, rng_factory)
-    if resolve_gap is not None and float(np.max(est.standard_error)) > resolve_gap / 3.0:
-        warnings.warn(
-            "oracle standard error is within 3x of the gap it must resolve",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return est
-
-
-def vlasov_reference_flow(
-    initial_builder: Callable[[int], ParticleState],
-    spec,
-    n_ref: int,
-    t_end: float,
-    dt: float,
-    snapshot_times: Sequence[float],
-) -> list[ParticleState]:
-    """Deterministic quantile-ensemble stand-in for the zero-diffusion limit.
-
-    The empirical measure of the particle flow is itself a weak solution
-    of the limit equation, so a much larger deterministic ensemble with
-    the same time step serves as the reference flow.
-    """
-    from .mckean import simulate_vlasov
-
-    init = initial_builder(n_ref)
-    if init.n_particles != n_ref:
-        raise ValueError("initial_builder must honor n_ref")
-    return simulate_vlasov(init, spec, t_end, dt, snapshot_times)
+        A single replica has standard error 0 (no spread to estimate).
+        """
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != len(times) or len(values) == 0:
+            raise ValueError("oracle values must be a (replicas, n_times) array, replicas >= 1")
+        reps = len(values)
+        se = (values.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
+              else np.zeros(len(times)))
+        return cls(times=times, mean=values.mean(axis=0), standard_error=se, per_replica=values)

@@ -40,7 +40,6 @@ from .elastic import AngularKernel, _generate_events, _validate_snapshots
 __all__ = [
     "RestitutionParams",
     "collide_inelastic",
-    "step_mixed",
     "simulate_thermostat",
     "steady_temperature",
     "mean_collision_energy_loss_rate",
@@ -210,21 +209,3 @@ def simulate_thermostat(
     captured = _events.play_events(coords, [record], snaps, params.alpha,
                                    on_chunk=on_chunk, on_snapshot=on_snapshot)
     return [ParticleState(c, time=float(s)) for s, c in zip(snaps, captured)]
-
-
-def step_mixed(
-    state: ParticleState,
-    kernel: AngularKernel,
-    params: RestitutionParams,
-    until: float,
-    rng: RngStream,
-    ordered_pair_rate: bool = True,
-    collisions_enabled: bool = True,
-) -> ParticleState:
-    """Advance the mixed process to the requested time (exact splitting)."""
-    if until <= state.time:
-        raise ValueError("until must exceed the current state time")
-    return simulate_thermostat(
-        state, kernel, params, until, [until], rng,
-        ordered_pair_rate=ordered_pair_rate, collisions_enabled=collisions_enabled,
-    )[0]

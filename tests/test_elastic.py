@@ -6,9 +6,7 @@ from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
-    CollisionEvent,
     collide_elastic,
-    next_collision,
     replay_collisions,
     sample_sigma,
     simulate_kac,
@@ -118,11 +116,11 @@ def test_collide_elastic_conservation_random():
 
 
 def test_next_collision_rate_and_mean_wait():
-    state = ParticleState(np.array([[1.0], [-1.0]]))
-    rng = RngStream(21, 0)
-    kern = AngularKernel.two_point(0.5, 0.5)
-    waits = np.array([next_collision(state, kern, rng).time for _ in range(100_000)])
-    assert 1.98 <= waits.mean() <= 2.02  # rate (N-1)/2 = 1/2
+    # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
+    times = _events.sample_event_times(0.5, 0.0, 200_000.0, RngStream(21, 0))
+    waits = np.diff(times, prepend=0.0)
+    assert len(waits) > 99_000
+    assert 1.98 <= waits.mean() <= 2.02
 
     # N=100 -> rate 49.5: check via expected number of events in simulate
     st100 = gaussian_sample_state(np.zeros(3), np.ones(3), 100, RngStream(3, 1))
@@ -272,13 +270,6 @@ def test_replay_coupled_identical_streams():
     out2 = replay_collisions(st0, rec, snaps, 2.0)
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b.coords)
-
-
-def test_collision_event_validation():
-    with pytest.raises(ValueError):
-        CollisionEvent(0.0, (1, 1), np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        CollisionEvent(0.0, (0, 1), np.array([1.0, 1.0]))
 
 
 @pytest.mark.slow

@@ -6,10 +6,12 @@ import pytest
 
 from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel, simulate_kac
+from meanfield import cli
 from meanfield.harness import (
     DegenerateFit,
     chaos_error_curve,
     fourier_contraction_check,
+    observable_series,
     rate_fit,
     symmetrization_gap,
     tanaka_contraction_check,
@@ -185,81 +187,130 @@ def test_rate_fit_guards():
 # ------------------------------------------------------- chaos error curves
 
 
-def _kac_simulator(kern, init_var, times):
-    def simulate(n: int, stream: RngStream):
-        init = gaussian_sample_state(np.zeros(3), np.full(3, init_var), n, stream)
-        return simulate_kac(init, kern, float(max(times)), times, stream)
+def _kac_values(obs, times, n, replicas, seed, estimator="empirical-mean"):
+    """(replicas, n_times) observable values of elastic-gas replica runs."""
+    kern = AngularKernel.isotropic(3)
+    rows = []
+    for r in range(replicas):
+        stream = RngStream(seed, r)
+        init = gaussian_sample_state(np.zeros(3), np.ones(3), n, stream)
+        states = simulate_kac(init, kern, float(max(times)), times, stream)
+        rows.append(observable_series(states, obs, estimator))
+    return np.stack(rows)
 
-    return simulate
+
+def _bootstrap_reference(values, oracle_values, seed):
+    """The chaos-curve bootstrap loop as the CLI ran it before the harness owned it."""
+    replicas_ref = len(oracle_values)
+    o_mean = oracle_values.mean(axis=0)
+    errors = np.empty(len(values))
+    std_errors = np.empty(len(values))
+    boot_rng = RngStream(seed, 977)
+    for k, vals in enumerate(values):
+        replicas = len(vals)
+        gaps = np.abs(vals.mean(axis=0) - o_mean)
+        errors[k] = float(gaps.max())
+        if replicas > 1:
+            bs = np.empty(200)
+            for bi in range(200):
+                pick = np.asarray(boot_rng.integers(0, replicas, size=replicas))
+                mean_b = vals[pick].mean(axis=0)
+                if replicas_ref > 1:
+                    opick = np.asarray(boot_rng.integers(0, replicas_ref, size=replicas_ref))
+                    om = oracle_values[opick].mean(axis=0)
+                else:
+                    om = o_mean
+                bs[bi] = float(np.abs(mean_b - om).max())
+            std_errors[k] = float(bs.std(ddof=1))
+        else:
+            std_errors[k] = 0.0
+    return errors, std_errors
+
+
+@pytest.mark.filterwarnings("ignore:oracle standard error:RuntimeWarning")
+def test_chaos_curve_equals_cli_bootstrap_bitwise():
+    rng = np.random.default_rng(2024)
+    times = np.array([0.5, 1.0, 1.5])
+    n_values = [4, 16, 64]
+    values = [rng.normal(size=(reps, 3)) for reps in (7, 2, 5)]
+    oracle_values = rng.normal(size=(4, 3))
+    cases = [
+        ("multi-replica oracle", values, OracleEstimate.from_replicas(times, oracle_values),
+         oracle_values),
+        ("one-replica oracle", values, OracleEstimate.from_replicas(times, oracle_values[:1]),
+         oracle_values[:1]),
+        ("exact oracle", values, oracle_values[0], oracle_values[:1]),
+        ("one replica per N", [v[:1] for v in values],
+         OracleEstimate.from_replicas(times, oracle_values), oracle_values),
+    ]
+    for label, vals, oracle, reference_oracle in cases:
+        curve = chaos_error_curve(n_values, vals, oracle, seed=13)
+        errors, std_errors = _bootstrap_reference(vals, reference_oracle, 13)
+        assert curve.errors.tobytes() == errors.tobytes(), label
+        assert curve.std_errors.tobytes() == std_errors.tobytes(), label
+        np.testing.assert_array_equal(curve.n_values, n_values)
+        if isinstance(oracle, OracleEstimate):
+            assert curve.oracle_se_max == float(np.max(oracle.standard_error))
+        else:
+            assert curve.oracle_se_max == 0.0
+    assert np.all(curve.std_errors == 0.0)  # one replica per N: no spread
+    with pytest.raises(ValueError, match="one value array per N"):
+        chaos_error_curve(n_values, values[:2], oracle_values[0], seed=13)
+    with pytest.raises(ValueError, match="matching the oracle"):
+        chaos_error_curve(n_values, [v[:, :2] for v in values], oracle_values[0], seed=13)
 
 
 def test_chaos_curve_self_comparison_zero():
-    kern = AngularKernel.isotropic(3)
     times = [0.5, 1.0]
     obs = ObservableProduct((observable_catalog("gauss_bump", center=[0.0, 0.0, 0.0]),))
-    sim = _kac_simulator(kern, 1.0, times)
-
     # oracle built from the same (N, streams) runs: gap is exactly zero
-    vals = []
-    for r in range(4):
-        states = sim(64, RngStream(123, 1000 + r))
-        vals.append([u_statistic(s.coords, obs) for s in states])
-    vals = np.array(vals)
-    oracle = OracleEstimate(
-        times=np.asarray(times), mean=vals.mean(axis=0),
-        standard_error=vals.std(axis=0, ddof=1) / 2.0, per_replica=vals,
-    )
-    curve = chaos_error_curve(
-        "elastic", sim, obs, [64], times, replicas=4, oracle=oracle,
-        rng_factory=lambda k, r: RngStream(123, 1000 + r), fit=False,
-    )
+    oracle = OracleEstimate.from_replicas(times, _kac_values(obs, times, 64, 4, 123))
+    curve = chaos_error_curve([64], [_kac_values(obs, times, 64, 4, 123)], oracle, seed=1)
     assert curve.errors[0] <= 1e-14
 
 
 def test_chaos_curve_oracle_resolution_warning():
     times = [0.25]
     obs = ObservableProduct((observable_catalog("gauss_bump", center=[0.0, 0.0, 0.0]),))
-    kern = AngularKernel.isotropic(3)
-    sim = _kac_simulator(kern, 1.0, times)
     noisy = OracleEstimate(
         times=np.asarray(times), mean=np.array([0.35]),
         standard_error=np.array([0.3]), per_replica=np.array([[0.05], [0.65]]),
     )
     with pytest.warns(RuntimeWarning, match="not resolved"):
-        chaos_error_curve(
-            "elastic", sim, obs, [16], times, replicas=3, oracle=noisy,
-            rng_factory=lambda k, r: RngStream(5, r), fit=False,
-        )
+        chaos_error_curve([16], [_kac_values(obs, times, 16, 3, 5)], noisy, seed=1)
 
 
 def test_chaos_curve_fit_keeps_intercept():
     # planted err(N) = 3/N with zero spread: the fit is log err = log 3 - log N
-    obs = ObservableProduct((IDENTITY,))
-    curve = chaos_error_curve(
-        "planted", lambda n, stream: [ParticleState(np.full((n, 1), 3.0 / n))],
-        obs, [10, 100, 1000, 10_000], [1.0], replicas=2, oracle=np.zeros(1),
-        rng_factory=lambda k, r: RngStream(0, r), fit=True,
-    )
-    assert curve.fitted_slope == pytest.approx(-1.0, abs=1e-9)
-    assert curve.fit_intercept == pytest.approx(math.log(3.0), abs=1e-9)
-    assert curve.fit_intercept == rate_fit(curve)[1]
+    n_values = [10, 100, 1000, 10_000]
+    values = [np.full((1, 1), 3.0 / n) for n in n_values]
+    curve = chaos_error_curve(n_values, values, np.zeros(1), seed=0)
+    np.testing.assert_array_equal(curve.std_errors, 0.0)
+    footers = dict(cli._fit_footers(n_values, curve.errors, curve.std_errors))
+    assert footers["fitted_slope"] == pytest.approx(-1.0, abs=1e-9)
+    assert footers["fit_intercept"] == pytest.approx(math.log(3.0), abs=1e-9)
+    assert footers["fit_intercept"] == rate_fit(n_values, curve.errors, curve.std_errors)[1]
+    refused = dict(cli._fit_footers(n_values[:3], curve.errors[:3], curve.std_errors[:3]))
+    assert refused == {"fit_refused": "rate fits need at least 4 values of N"}
 
 
 def test_chaos_curve_marginal_vs_ustat_consistency():
     # both estimators target the same expectation; with many replicas the
     # marginal mean lands within a few SE of the u-stat mean
-    kern = AngularKernel.isotropic(3)
     times = [0.5]
     obs = ObservableProduct((observable_catalog("tanh_square", axis=0),))
-    sim = _kac_simulator(kern, 1.0, times)
     oracle = np.array([0.0])  # exact-zero placeholder; compare raw means
-    a = chaos_error_curve("elastic", sim, obs, [32], times, 400, oracle,
-                          lambda k, r: RngStream(9, r), estimator="marginal", fit=False)
-    b = chaos_error_curve("elastic", sim, obs, [32], times, 50, oracle,
-                          lambda k, r: RngStream(10, r), estimator="empirical-mean",
-                          fit=False)
+    a = chaos_error_curve([32], [_kac_values(obs, times, 32, 400, 9, "marginal")], oracle, 1)
+    b = chaos_error_curve([32], [_kac_values(obs, times, 32, 50, 10)], oracle, 1)
     se = math.sqrt(a.std_errors[0] ** 2 + b.std_errors[0] ** 2)
     assert abs(a.errors[0] - b.errors[0]) < 4 * se
+    # the marginal reads particle 1 only, the U-statistic averages all
+    state = ParticleState(np.array([[2.0], [0.0], [1.0]]))
+    ident = ObservableProduct((IDENTITY,))
+    np.testing.assert_array_equal(observable_series([state], ident, "marginal"), [2.0])
+    np.testing.assert_array_equal(observable_series([state], ident, "empirical-mean"), [1.0])
+    with pytest.raises(ValueError, match="estimator must be"):
+        observable_series([state], obs, "marginall")
 
 
 # ------------------------------------------------------------- contractions

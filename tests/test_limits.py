@@ -3,21 +3,18 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from meanfield import limits
-from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import AngularKernel
+from meanfield.core import EmpiricalMeasure, RngStream, gaussian_sample_state
+from meanfield.elastic import AngularKernel, simulate_kac_replicas
 from meanfield.limits import (
     GridSpectrum,
+    OracleEstimate,
     SpectralInstability,
     bobylev_rhs,
     char_from_empirical,
     gaussian_spectrum,
-    kac_limit_oracle,
     make_xi_grid,
-    particle_limit_oracle,
     spectral_evolve,
-    vlasov_reference_flow,
 )
-from meanfield.mckean import VlasovSpec, gradient_catalog
 from meanfield.thermostat import RestitutionParams, steady_temperature
 
 XI = make_xi_grid(8.0, 512)
@@ -226,49 +223,29 @@ def test_particle_oracle_mass_and_energy():
     kern = AngularKernel.isotropic(3)
     times = [0.5, 1.0]
 
-    def simulate(stream: RngStream):
-        from meanfield.elastic import simulate_kac
+    def oracle(fn, replicas, seed):
+        streams = [RngStream(seed, r) for r in range(replicas)]
+        inits = [gaussian_sample_state(np.zeros(3), np.ones(3), 256, s) for s in streams]
+        runs = simulate_kac_replicas(inits, kern, 1.0, times, streams)
+        return OracleEstimate.from_replicas(times, [[fn(s) for s in run] for run in runs])
 
-        init = gaussian_sample_state(np.zeros(3), np.ones(3), 256, stream)
-        return simulate_kac(init, kern, 1.0, times, stream)
-
-    mass = particle_limit_oracle(simulate, lambda s: 1.0, times, 8,
-                                 lambda r: RngStream(70, r))
+    mass = oracle(lambda s: 1.0, 8, 70)
     np.testing.assert_array_equal(mass.mean, [1.0, 1.0])
     np.testing.assert_array_equal(mass.standard_error, [0.0, 0.0])
 
-    energy = particle_limit_oracle(
-        simulate, lambda s: float((s.coords**2).sum(axis=1).mean()), times, 16,
-        lambda r: RngStream(71, r),
-    )
+    energy = oracle(lambda s: float((s.coords**2).sum(axis=1).mean()), 16, 71)
+    assert energy.per_replica.shape == (16, 2)
+    np.testing.assert_array_equal(energy.standard_error,
+                                  energy.per_replica.std(axis=0, ddof=1) / 4.0)
     for m, se in zip(energy.mean, energy.standard_error):
         assert abs(m - 3.0) < 4 * se + 1e-12
 
-    odd = particle_limit_oracle(
-        simulate, lambda s: float(s.coords[:, 0].mean()), times, 16,
-        lambda r: RngStream(72, r),
-    )
+    odd = oracle(lambda s: float(s.coords[:, 0].mean()), 16, 72)
     assert np.all(np.abs(odd.mean) < 4 * odd.standard_error + 1e-3)
 
-
-def test_kac_limit_oracle_ratio_guard():
-    kern = AngularKernel.isotropic(3)
-    with pytest.raises(ValueError, match="16x"):
-        kac_limit_oracle(
-            lambda s: gaussian_sample_state(np.zeros(3), np.ones(3), 128, s),
-            kern, [1.0], lambda s: 1.0, n_ref=128, n_max_measured=64,
-            replicas=2, rng_factory=lambda r: RngStream(0, r),
-        )
-
-
-def test_vlasov_reference_flow_builder_contract():
-    spec = VlasovSpec(1, gradient_catalog("sine", amp=1.0))
-
-    def builder(n):
-        u = (np.arange(n) + 0.5) / n
-        coords = np.zeros((n, 2))
-        coords[:, 0] = 2.0 * u - 1.0
-        return ParticleState(coords)
-
-    out = vlasov_reference_flow(builder, spec, 512, 1.0, 0.05, [0.5, 1.0])
-    assert len(out) == 2 and out[0].n_particles == 512
+    one = OracleEstimate.from_replicas(times, odd.per_replica[:1])
+    np.testing.assert_array_equal(one.mean, odd.per_replica[0])
+    np.testing.assert_array_equal(one.standard_error, [0.0, 0.0])
+    for bad in (odd.per_replica[:, :1], odd.per_replica[0], np.empty((0, 2))):
+        with pytest.raises(ValueError, match="replicas, n_times"):
+            OracleEstimate.from_replicas(times, bad)

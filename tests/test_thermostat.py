@@ -5,14 +5,13 @@ import pytest
 
 from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma
+from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma, simulate_kac
 from meanfield.thermostat import (
     RestitutionParams,
     collide_inelastic,
     mean_collision_energy_loss_rate,
     simulate_thermostat,
     steady_temperature,
-    step_mixed,
     temperature,
 )
 
@@ -175,10 +174,15 @@ def test_trajectory_independent_of_batching(monkeypatch, nu):
 
 
 def test_step_mixed_rejects_past():
+    # the mixed jump-diffusion run refuses a t_end before its start time
     p = RestitutionParams(alpha=0.5, nu=1.0, dim=1)
+    kern = AngularKernel.two_point(0.5, 0.5)
     st0 = ParticleState(np.zeros((4, 1)), time=2.0)
-    with pytest.raises(ValueError):
-        step_mixed(st0, AngularKernel.two_point(0.5, 0.5), p, 1.5, RngStream(0, 0))
+    with pytest.raises(ValueError, match="t_end must not precede"):
+        simulate_thermostat(st0, kern, p, 1.5, [], RngStream(0, 0))
+    with pytest.raises(ValueError, match="t_end must not precede"):
+        simulate_kac(st0, kern, 1.5, [], RngStream(0, 0))
+    assert simulate_thermostat(st0, kern, p, 2.0, [], RngStream(0, 0)) == []
 
 
 def test_simulate_t_end_zero():
