@@ -119,6 +119,14 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _count(cfg: dict, key: str, default: int) -> int:
+    """A replica or projection count, refused below 1."""
+    value = int(_get(cfg, key, default))
+    if value < 1:
+        raise ConfigError(key, f"must be at least 1, got {value}")
+    return value
+
+
 def _as_list(v) -> list:
     if isinstance(v, (list, tuple)):
         return list(v)
@@ -434,8 +442,8 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     if n_ref < 16 * max(n_values):
         raise ConfigError("n_ref", "must be at least 16x the largest N")
     deterministic = model == "vlasov"
-    replicas = 1 if deterministic else int(_get(cfg, "replicas", 64))
-    replicas_ref = 1 if deterministic else int(_get(cfg, "replicas_ref", 32))
+    replicas = 1 if deterministic else _count(cfg, "replicas", 64)
+    replicas_ref = 1 if deterministic else _count(cfg, "replicas_ref", 32)
     task = functools.partial(_curve_block, cfg, seed, obs, estimator, _model_kernel(cfg))
 
     def run_blocks(n: int, sids: list[int], in_process_first: bool = False) -> list:
@@ -469,10 +477,10 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     dim = int(_get(cfg, "dimension", required=True))
     n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
-    replicas = int(_get(cfg, "replicas", 200))
+    replicas = _count(cfg, "replicas", 200)
     factor = int(_get(cfg, "reference_factor", 64))
     estimator = str(_get(cfg, "estimator", "auto"))
-    n_proj = int(_get(cfg, "n_projections", 64))
+    n_proj = _count(cfg, "n_projections", 64)
     law = str(_get(cfg, "law", "gaussian"))
     if law != "gaussian":
         raise ConfigError("law", "only the gaussian law is built in")

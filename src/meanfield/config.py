@@ -25,7 +25,6 @@ __all__ = [
     "format_config",
     "render_value",
     "write_csv",
-    "read_csv_header",
     "load_particles",
     "dump_particles",
 ]
@@ -106,21 +105,6 @@ def write_csv(
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def read_csv_header(text: str) -> dict:
-    """Recover the key = value header block of a CSV produced here."""
-    out: dict = {}
-    for line in text.splitlines():
-        if not line.startswith("#"):
-            break
-        body = line[1:].strip()
-        if "=" in body:
-            k, _, v = body.partition("=")
-            out[k.strip()] = _parse_scalar(v.strip()) if "," not in v else [
-                _parse_scalar(x) for x in v.split(",")
-            ]
-    return out
 
 
 def load_particles(path: str | Path) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "ParticleState",
     "EmpiricalMeasure",
     "RngStream",
-    "empirical_from_state",
     "moment",
     "quantile_init_1d",
     "gaussian_sample_state",
@@ -195,11 +194,6 @@ def canonical_atom_order(atoms: np.ndarray) -> np.ndarray:
     if _strictly_ascending(out[:, 0]):
         return out  # distinct leading coordinates fix the lexicographic order
     return atoms[np.lexsort(atoms.T[::-1])]
-
-
-def empirical_from_state(state: ParticleState) -> EmpiricalMeasure:
-    """The N-point uniform atomic measure carried by a particle state."""
-    return EmpiricalMeasure(state.coords.copy())
 
 
 def moment(mu: EmpiricalMeasure, q: float) -> float:

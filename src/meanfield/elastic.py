@@ -28,7 +28,6 @@ __all__ = [
     "collide_elastic",
     "simulate_kac",
     "simulate_kac_replicas",
-    "replay_collisions",
     "simulate_kac_coupled",
 ]
 
@@ -260,20 +259,6 @@ def simulate_kac(
     if record_events:
         return states[0], records[0]
     return states[0]
-
-
-def replay_collisions(
-    initial: ParticleState,
-    record: EventRecord,
-    snapshot_times: Sequence[float],
-    t_end: float,
-    restitution: float | None = None,
-) -> list[ParticleState]:
-    """Drive a state through a previously recorded event stream."""
-    snaps = _validate_snapshots(snapshot_times, initial.time, t_end)
-    coords = initial.coords.copy()
-    captured = _events.play_events(coords, [record], snaps, restitution)
-    return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
 
 def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:

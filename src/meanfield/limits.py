@@ -19,7 +19,8 @@ symmetry of real measures holds identically; the zero node carries the
 mass and its time derivative vanishes identically.  The interpolating
 spline's system is factored once per operator, and several spectra on
 one grid advance together as the columns of one array through a single
-RK4 loop.
+RK4 loop.  LAPACK (``scipy.linalg``) is imported when the first spline
+is factored, not with the module.
 """
 
 from __future__ import annotations
@@ -30,16 +31,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
-
-from .core import EmpiricalMeasure, canonical_atom_order
 
 __all__ = [
     "GridSpectrum",
     "SpectralInstability",
-    "char_from_empirical",
     "gaussian_spectrum",
-    "bobylev_rhs",
     "spectral_evolve",
     "OracleEstimate",
 ]
@@ -112,16 +108,6 @@ class GridSpectrum:
         return GridSpectrum(self.xi_nodes.copy(), self.values.copy())
 
 
-def char_from_empirical(mu: EmpiricalMeasure, xi_nodes: np.ndarray) -> GridSpectrum:
-    """Exact characteristic function of an atomic measure on the grid."""
-    if mu.dim != 1:
-        raise ValueError("the spectral solver is one-dimensional")
-    atoms = canonical_atom_order(mu.atoms)[:, 0]
-    xi = np.asarray(xi_nodes, dtype=np.float64)
-    vals = np.exp(-1j * np.outer(xi, atoms)).mean(axis=1)
-    return GridSpectrum(xi, vals)
-
-
 def gaussian_spectrum(xi_nodes: np.ndarray, variance: float, mean: float = 0.0) -> GridSpectrum:
     xi = np.asarray(xi_nodes, dtype=np.float64)
     return GridSpectrum(xi, np.exp(-1j * mean * xi - 0.5 * variance * xi**2))
@@ -153,6 +139,8 @@ class _QuerySpline:
             raise ValueError("the spline needs at least 4 increasing nodes")
         if q.min() < x[0] or q.max() > x[-1]:
             raise ValueError("spline queries fall outside the nodes")
+        from scipy.linalg import lapack
+
         d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
         lower = np.concatenate([dx[1:], [d_hi]])
         diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]])
@@ -160,6 +148,7 @@ class _QuerySpline:
         *self._lu, info = lapack.dgttrf(lower, diag, upper)
         if info != 0:
             raise ValueError("singular spline system")
+        self._gttrs = lapack.dgttrs
         self._dx = dx
         # SciPy divides complex data by a real step as numpy does, through
         # the reciprocal; multiplying by it keeps the spline the same bits
@@ -184,7 +173,7 @@ class _QuerySpline:
         rhs[:, 1:-1] = 3.0 * (dx[1:] * slope[:, :-1] + dx[:-1] * slope[:, 1:])
         rhs[:, 0] = (a0 * slope[:, 0] + a1 * slope[:, 1]) * inv_lo
         rhs[:, -1] = (b0 * slope[:, -2] + b1 * slope[:, -1]) * inv_hi
-        deriv = lapack.dgttrs(*self._lu, rhs.T, overwrite_b=1)[0].T
+        deriv = self._gttrs(*self._lu, rhs.T, overwrite_b=1)[0].T
         # PPoly's coefficients and its power-sum evaluation, per query
         i, inv_h, (u1, u2, u3) = self._idx, self._inv_h, self._powers
         s0, s1, sl = deriv.take(i, axis=1), deriv.take(i + 1, axis=1), slope.take(i, axis=1)
@@ -259,24 +248,6 @@ class _BobylevOperator:
         rhs = self.rate_factor * (gain - f_half) - self._damping * f_half
         rhs[0] = 0.0  # mass node: gain(0) = F(0)^2 = loss, identically
         return rhs
-
-
-def bobylev_rhs(
-    spectrum: GridSpectrum,
-    alpha: float,
-    with_diffusion: bool,
-    weights: tuple[float, float] = (0.5, 0.5),
-    rate_factor: float = 1.0,
-    nu: float = 1.0,
-) -> np.ndarray:
-    """Time derivative of the spectrum under collisions (+ diffusion).
-
-    Returns the derivative on the full grid (Hermitian by construction).
-    """
-    mid = spectrum.zero_index
-    op = _BobylevOperator(spectrum.xi_nodes[mid:], alpha, with_diffusion, weights,
-                          rate_factor, nu)
-    return _mirror(op(spectrum.values[mid:, None]))[:, 0]
 
 
 def spectral_evolve(

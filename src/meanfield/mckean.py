@@ -30,12 +30,10 @@ __all__ = [
     "DriftDiffusionSpec",
     "VlasovSpec",
     "gradient_catalog",
-    "pairwise_force",
     "em_step",
     "simulate_mkv",
     "simulate_vlasov",
     "linear_moment_flow",
-    "moment_flow_for_spec",
 ]
 
 _FORCE_CHUNK = 256
@@ -127,20 +125,6 @@ def _mean_field_forces(coords: np.ndarray, kernel: InteractionKernel,
     if n_minus_one and n > 1:
         out *= n / (n - 1.0)
     return out
-
-
-def pairwise_force(state: ParticleState, spec: DriftDiffusionSpec, i: int) -> np.ndarray:
-    """Mean-field force on particle i: exact (1/N) Σ_{j≠i} U(z_i - z_j)."""
-    if not 0 <= i < state.n_particles:
-        raise IndexError("particle index out of range")
-    n = state.n_particles
-    diffs = state.coords[i][None, :] - state.coords
-    contrib = spec.interaction.fn(diffs)
-    contrib[i] = 0.0
-    f = contrib.sum(axis=0) / n
-    if spec.n_minus_one_prefactor and n > 1:
-        f *= n / (n - 1.0)
-    return f
 
 
 def _check_finite(coords: np.ndarray, when: str) -> None:
@@ -347,26 +331,3 @@ def linear_moment_flow(
     else:
         variances = var0[None, :] + s2[None, :] * t
     return means, variances
-
-
-def moment_flow_for_spec(
-    spec: DriftDiffusionSpec,
-    mean0: np.ndarray,
-    var0: np.ndarray,
-    times: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moment flow for a spec in the solvable class; rejects anything else."""
-    if spec.interaction.name == "linear":
-        kappa = spec.interaction.params[0]
-    elif spec.interaction.name == "zero":
-        kappa = 0.0
-    else:
-        raise ValueError("moment flow is only available for linear interactions")
-    drift = spec.linear_drift
-    lam = -drift[0, 0]
-    if not np.allclose(drift, -lam * np.eye(spec.dim), atol=1e-12) or lam < 0:
-        raise ValueError("moment flow needs linear_drift = -lam * I with lam >= 0")
-    sig = spec.diffusion_matrix
-    if not np.allclose(sig, np.diag(np.diag(sig)), atol=1e-12):
-        raise ValueError("moment flow needs a diagonal diffusion matrix")
-    return linear_moment_flow(kappa, lam, np.diag(sig), mean0, var0, times)

@@ -4,7 +4,8 @@ Exact routes where the problem size allows them (sorted/CDF couplings in
 1-D, optimal assignment for equal-size point clouds), Monte Carlo sliced
 approximation beyond, and the two Fourier-side norms used by the spectral
 solver.  Every estimator that substitutes for an exact distance reports
-which route was taken so downstream CSV can record it.
+which route was taken so downstream CSV can record it.  SciPy's optimizer
+is imported on the first exact-assignment call, not with the module.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import EmpiricalMeasure, RngStream, canonical_atom_order
 
@@ -74,11 +74,6 @@ def w1_exact_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return _quantile_coupling_cost(_atoms_1d(a), _atoms_1d(b), power=1)
 
 
-def w2_exact_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
-    """Exact W2 between 1-D empirical measures (sorted quantile coupling)."""
-    return math.sqrt(_quantile_coupling_cost(_atoms_1d(a), _atoms_1d(b), power=2))
-
-
 def w2_exact_matching(a: EmpiricalMeasure, b: EmpiricalMeasure) -> TransportPlanResult:
     """Globally optimal squared-cost matching of two equal-size clouds.
 
@@ -96,6 +91,8 @@ def w2_exact_matching(a: EmpiricalMeasure, b: EmpiricalMeasure) -> TransportPlan
         )
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
+    from scipy.optimize import linear_sum_assignment
+
     d2 = ((a.atoms[:, None, :] - b.atoms[None, :, :]) ** 2).sum(axis=2)
     rows, cols = linear_sum_assignment(d2)
     sigma = np.empty(n, dtype=np.int64)

@@ -15,13 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-from .core import EmpiricalMeasure, ParticleState, canonical_atom_order
+from .core import ParticleState
 
 __all__ = [
     "Observable",
     "ObservableProduct",
     "observable_catalog",
-    "poly_observable",
     "marginal_observable",
 ]
 
@@ -121,19 +120,6 @@ class ObservableProduct:
     @property
     def tag(self) -> str:
         return " x ".join(f.name for f in self.factors)
-
-
-def poly_observable(mu: EmpiricalMeasure, obs: ObservableProduct) -> float:
-    """Product of atom averages: Π_j ⟨phi_j, mu⟩.
-
-    Atoms are canonicalized first, so the value is invariant under atom
-    permutations bit for bit.
-    """
-    atoms = canonical_atom_order(mu.atoms)
-    out = 1.0
-    for f in obs.factors:
-        out *= float(np.mean(f(atoms)))
-    return out
 
 
 def marginal_observable(state: ParticleState, obs: ObservableProduct) -> float:

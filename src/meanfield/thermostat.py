@@ -42,7 +42,6 @@ __all__ = [
     "collide_inelastic",
     "simulate_thermostat",
     "steady_temperature",
-    "mean_collision_energy_loss_rate",
     "temperature",
 ]
 
@@ -93,22 +92,6 @@ def collide_inelastic(
 def temperature(state: ParticleState) -> float:
     """Kinetic temperature (1/(dN)) Σ |v_k|^2."""
     return float(np.sum(state.coords**2) / state.coords.size)
-
-
-def mean_collision_energy_loss_rate(alpha: float, b1: float) -> float:
-    """Expected pair energy change per collision event, per unit |u|^2.
-
-    Derivation (committed oracle): the pair energy splits as
-    (|w|^2 + |u|^2)/2 over center-of-mass and relative velocities, and the
-    update only maps u to u* = (1-a)/2 u + (1+a)/2 |u| sigma, so
-
-        dE = (|u*|^2 - |u|^2)/2 = -(1-a^2) |u|^2 (1 - sigma·uhat) / 4.
-
-    Averaging sigma over the kernel (mean cosine b1) gives
-    E[dE] = -(1-a^2)(1-b1) |u|^2 / 4.  Validated by the single-collision
-    Monte Carlo check in the acceptance suite.
-    """
-    return -(1.0 - alpha**2) * (1.0 - b1) / 4.0
 
 
 def steady_temperature(

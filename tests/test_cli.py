@@ -13,10 +13,19 @@ from meanfield.config import (
     format_config,
     load_particles,
     parse_config_text,
-    read_csv_header,
     render_value,
     write_csv,
 )
+
+
+def read_csv_header(text: str) -> dict:
+    """The ``# key = value`` header block of a CSV written by write_csv, parsed."""
+    lines = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        lines.append(line[1:])
+    return parse_config_text("\n".join(lines))
 
 
 def test_config_round_trip():
@@ -208,6 +217,26 @@ def test_cmd_chaos_curve_rejects_unknown_estimator(tmp_path, capsys):
     assert "unknown estimator 'marginall'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, field", [
+    ("chaos-curve", "replicas"),
+    ("chaos-curve", "replicas_ref"),
+    ("omega-n", "replicas"),
+    ("omega-n", "n_projections"),
+])
+def test_counts_below_one_refused(tmp_path, capsys, command, field):
+    if command == "chaos-curve":
+        cfg = dict(CURVE_CFG)
+    else:
+        cfg = {"dimension": 2, "n_list": [8, 16], "replicas": 8}
+    cfg[field] = 0
+    with pytest.raises(cli.ConfigError, match=f"'{field}': must be at least 1, got 0"):
+        cli._COMMANDS[command](dict(cfg), 0, 1, None)
+    path = tmp_path / "zero.cfg"
+    path.write_text(format_config(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
 def test_cmd_omega_n_small():
     cfg = {
         "dimension": 1, "n_list": [8, 16], "replicas": 8,
@@ -237,3 +266,25 @@ def test_cli_subprocess_entry():
     )
     assert r.returncode == 0
     assert "[PASS]" in r.stdout
+
+
+def test_cli_import_defers_optimizer_and_lapack():
+    # the optimizer and LAPACK load at their one call site each, not with the CLI
+    code = """
+import sys
+import numpy as np
+import meanfield.cli
+from meanfield import limits, metrics
+from meanfield.core import EmpiricalMeasure
+print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+plan = metrics.w2_exact_matching(EmpiricalMeasure(np.array([[0.0], [1.0]])),
+                                 EmpiricalMeasure(np.array([[1.0], [0.0]])))
+assert plan.cost == 0.0 and plan.assignment.tolist() == [1, 0]
+x = np.linspace(-1.0, 1.0, 9)
+spline = limits._QuerySpline(x, x[1:-1] + 0.01)
+np.testing.assert_allclose(spline((x**2)[:, None] + 0j)[:, 0], (x[1:-1] + 0.01) ** 2)
+print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]", "['scipy.linalg', 'scipy.optimize']"]

@@ -9,7 +9,6 @@ from meanfield.core import (
     RngStream,
     SimulationError,
     canonical_atom_order,
-    empirical_from_state,
     gaussian_sample_state,
     moment,
     quantile_init_1d,
@@ -18,12 +17,12 @@ from meanfield.core import (
 
 def test_empirical_from_state_trivial_atoms():
     st0 = ParticleState(np.zeros((2, 1)))
-    mu = empirical_from_state(st0)
+    mu = EmpiricalMeasure(st0.coords)
     assert mu.n_atoms == 2 and mu.weight == 0.5
     assert np.all(mu.atoms == 0.0)
 
     st1 = ParticleState(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    mu1 = empirical_from_state(st1)
+    mu1 = EmpiricalMeasure(st1.coords)
     assert mu1.weight == 0.5
     np.testing.assert_array_equal(mu1.atoms, st1.coords)
 

@@ -4,7 +4,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
+from meanfield.core import (
+    EmpiricalMeasure,
+    ParticleState,
+    RngStream,
+    canonical_atom_order,
+    gaussian_sample_state,
+)
 from meanfield.elastic import AngularKernel, simulate_kac
 from meanfield import cli
 from meanfield.harness import (
@@ -23,11 +29,19 @@ from meanfield.observables import (
     ObservableProduct,
     marginal_observable,
     observable_catalog,
-    poly_observable,
 )
 
 CONST_ONE = Observable("one", lambda a: np.ones(a.shape[0]), 1.0, 0.0)
 IDENTITY = Observable("id01", lambda a: a[:, 0], 1.0, 1.0)
+
+
+def poly_observable(mu: EmpiricalMeasure, obs: ObservableProduct) -> float:
+    """Oracle: the product of atom averages Π_j ⟨phi_j, mu⟩ over canonical atoms."""
+    atoms = canonical_atom_order(mu.atoms)
+    out = 1.0
+    for f in obs.factors:
+        out *= float(np.mean(f(atoms)))
+    return out
 
 
 def test_catalog_norms_at_most_one():
@@ -77,6 +91,9 @@ def test_poly_observable_permutation_invariant_bitwise():
     a = poly_observable(EmpiricalMeasure(atoms), obs)
     b = poly_observable(EmpiricalMeasure(atoms[rng.permutation(23)]), obs)
     assert a == b
+    # the oracle is the polynomial side of the symmetrization gap, bit for bit
+    gap, _ = symmetrization_gap(ParticleState(atoms), obs)
+    assert gap == abs(a - u_statistic(atoms, obs))
 
 
 def test_poly_observable_multiplicative_over_concatenation():

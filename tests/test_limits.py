@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from meanfield import limits
+from meanfield import limits, metrics
 from meanfield.core import EmpiricalMeasure, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel, simulate_kac_replicas
 from meanfield.limits import (
     GridSpectrum,
     OracleEstimate,
     SpectralInstability,
-    bobylev_rhs,
-    char_from_empirical,
     gaussian_spectrum,
     make_xi_grid,
     spectral_evolve,
@@ -18,6 +16,18 @@ from meanfield.limits import (
 from meanfield.thermostat import RestitutionParams, steady_temperature
 
 XI = make_xi_grid(8.0, 512)
+
+
+def char_from_empirical(mu, xi):
+    """The empirical characteristic function of the Fourier-side norms, as a spectrum."""
+    return GridSpectrum(xi, metrics._char_values(mu, xi))
+
+
+def bobylev_rhs(spectrum, alpha, with_diffusion):
+    """Full-grid time derivative of one spectrum under the spectral operator."""
+    mid = spectrum.zero_index
+    op = limits._BobylevOperator(spectrum.xi_nodes[mid:], alpha, with_diffusion)
+    return limits._mirror(op(spectrum.values[mid:, None]))[:, 0]
 
 
 def test_make_xi_grid_has_zero_node_and_symmetry():

@@ -13,8 +13,6 @@ from meanfield.mckean import (
     gradient_catalog,
     interaction_catalog,
     linear_moment_flow,
-    moment_flow_for_spec,
-    pairwise_force,
     simulate_mkv,
     simulate_vlasov,
 )
@@ -31,6 +29,17 @@ def _spec(dim=1, lam=0.0, sigma=0.0, interaction=None, **kw):
 
 
 # ------------------------------------------------------------- forces
+
+
+def pairwise_force(state, spec, i):
+    """Oracle: the mean-field force on particle i, (1/N) Σ_{j≠i} U(z_i - z_j)."""
+    n = state.n_particles
+    contrib = spec.interaction.fn(state.coords[i][None, :] - state.coords)
+    contrib[i] = 0.0
+    f = contrib.sum(axis=0) / n
+    if spec.n_minus_one_prefactor and n > 1:
+        f *= n / (n - 1.0)
+    return f
 
 
 def test_pairwise_force_single_particle_zero():
@@ -233,12 +242,6 @@ def test_moment_flow_large_n_cross_check():
         se_c = c_ref * math.sqrt(2.0 / n)
         assert abs(st.coords.mean() - m_ref) < 4 * se_m + 2e-3
         assert abs(st.coords.var() - c_ref) < 4 * se_c + 2e-3
-
-
-def test_moment_flow_rejects_nonlinear():
-    spec = _spec(interaction=interaction_catalog("gaussian_derivative", 1))
-    with pytest.raises(ValueError, match="linear"):
-        moment_flow_for_spec(spec, [0.0], [1.0], [1.0])
 
 
 # ------------------------------------------------------------- Vlasov

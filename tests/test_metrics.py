@@ -12,12 +12,18 @@ from meanfield.metrics import (
     toscani_norm,
     tv_histogram,
     w1_exact_1d,
-    w2_exact_1d,
     w2_exact_matching,
     w2_sliced,
 )
 
 E = lambda a: EmpiricalMeasure(np.asarray(a, dtype=float))
+
+
+def w2_exact_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
+    """Oracle: W2 between equal-size 1-D empirical measures, sorted coupling."""
+    assert a.n_atoms == b.n_atoms and a.dim == b.dim == 1
+    diff = np.sort(a.atoms[:, 0]) - np.sort(b.atoms[:, 0])
+    return math.sqrt(float(np.mean(diff**2)))
 
 
 # ------------------------------------------------------------------ W1 / W2

@@ -9,7 +9,6 @@ from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma, simu
 from meanfield.thermostat import (
     RestitutionParams,
     collide_inelastic,
-    mean_collision_energy_loss_rate,
     simulate_thermostat,
     steady_temperature,
     temperature,
@@ -71,7 +70,7 @@ def test_collide_inelastic_contraction_and_momentum():
 
 
 def test_mean_energy_loss_single_collision_mc():
-    # Monte Carlo validation of the committed per-collision balance
+    # Monte Carlo validation of the per-collision balance behind steady_temperature
     alpha = 0.8
     k = AngularKernel.isotropic(3)
     rng = RngStream(11, 0)
@@ -79,7 +78,8 @@ def test_mean_energy_loss_single_collision_mc():
     c = k.sample_costheta(n, rng)
     # |u|=2 head-on pair: dE = -(1-a^2)|u|^2 (1-c)/4
     de = -(1 - alpha**2) * 4.0 * (1 - c) / 4.0
-    predicted = mean_collision_energy_loss_rate(alpha, k.b1()) * 4.0
+    # E[dE] = -(1-a^2)(1-b1)|u|^2/4, averaging sigma over the kernel (mean cosine b1)
+    predicted = -(1 - alpha**2) * (1 - k.b1()) * 4.0 / 4.0
     assert de.mean() == pytest.approx(predicted, rel=0.01)
 
 
