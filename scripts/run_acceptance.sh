@@ -1,5 +1,9 @@
 #!/bin/sh
-# Full acceptance run: one PASS line per criterion, log teed next to this script.
-set -e
-cd "$(dirname "$0")/.."
-exec python3 -m pytest tests/test_acceptance.py -v -s "$@" 2>&1 | tee acceptance_log.txt
+# Full acceptance run: one PASS line per criterion, log teed to
+# acceptance_log.txt at the repository root.  Exits with pytest's status:
+# /bin/sh has no pipefail, so the status leaves the pipe on fd 3.
+cd "$(dirname "$0")/.." || exit 1
+exec 4>&1
+status=$( { { python3 -m pytest tests/test_acceptance.py -v -s "$@" 2>&1; echo $? >&3; } \
+    | tee acceptance_log.txt >&4; } 3>&1 )
+exit "$status"

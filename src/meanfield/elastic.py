@@ -58,7 +58,6 @@ class AngularKernel:
     density: Callable[[np.ndarray], np.ndarray] | None = None
     weights: tuple[float, float] | None = None  # d=1: (mass at +1, mass at -1)
     name: str = "custom"
-    table_nodes: int = _TABLE_NODES
     normalization: float = field(init=False, default=1.0)
     raw_norm: float = field(init=False, default=1.0)
 
@@ -79,7 +78,7 @@ class AngularKernel:
         if self.density is None:
             raise ValueError("d>=2 kernels need a density on [-1, 1]")
         # fine angle grid; trapezoid CDF of b(cos t) sin^{d-2}(t) * |S^{d-2}|
-        t = np.linspace(0.0, math.pi, 8 * self.table_nodes + 1)
+        t = np.linspace(0.0, math.pi, 8 * _TABLE_NODES + 1)
         c = np.cos(t)
         vals = np.asarray(self.density(c), dtype=np.float64) * np.sin(t) ** (self.dim - 2)
         if np.any(vals < -1e-14):
@@ -92,7 +91,7 @@ class AngularKernel:
         cdf /= self.raw_norm
         self.normalization = float(cdf[-1])
         # decimate the fine CDF to the published table resolution
-        u_nodes = np.linspace(0.0, 1.0, self.table_nodes)
+        u_nodes = np.linspace(0.0, 1.0, _TABLE_NODES)
         self._theta_of_u = np.interp(u_nodes, cdf, t)
         self._u_nodes = u_nodes
         self._exact = None
@@ -117,7 +116,7 @@ class AngularKernel:
         if self.dim == 1:
             wp, wm = self.weights
             return wp - wm
-        t = np.linspace(0.0, math.pi, 8 * self.table_nodes + 1)
+        t = np.linspace(0.0, math.pi, 8 * _TABLE_NODES + 1)
         c = np.cos(t)
         vals = (
             np.asarray(self.density(c), dtype=np.float64)

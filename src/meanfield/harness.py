@@ -10,14 +10,17 @@ estimators of E Phi are available: the marginal product on particles
 1..ell (unbiased under exchangeability, simplest variance accounting)
 and the full U-statistic over distinct index tuples (same expectation,
 much smaller variance; the default for rate measurements at scale).
+The U-statistic is one exact sum for every ell, over the set partitions
+of the factors, at cost Bell(ell) * N.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,48 +52,59 @@ class DegenerateFit(RuntimeError):
 # distinct-tuple averages and the symmetrization bound
 
 
+@functools.cache
+def _partitions(ell: int) -> tuple[tuple[float, tuple[tuple[int, ...], ...]], ...]:
+    """(mu(pi), blocks of pi) for every set partition pi of the factors 0..ell-1.
+
+    Finest first, then by restricted-growth string, blocks by least element:
+    the order that reproduces the ell <= 3 closed forms bit for bit.
+    """
+    strings = [[0]]
+    for _ in range(ell - 1):
+        strings = [a + [k] for a in strings for k in range(max(a) + 2)]
+    strings.sort(key=lambda a: -max(a))  # stable: restricted-growth order within
+    out = []
+    for a in strings:
+        parts = tuple(tuple(j for j in range(ell) if a[j] == k) for k in range(max(a) + 1))
+        mu = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in parts)
+        out.append((float(mu), parts))
+    return tuple(out)
+
+
+def _distinct_tuple_mean(vals: Sequence[np.ndarray]) -> float:
+    """Mean of Π_j vals[j][i_j] over distinct index tuples (i_1, .., i_ell)."""
+    sums: dict[tuple[int, ...], float] = {}
+    total = None
+    for mu, parts in _partitions(len(vals)):
+        term = mu
+        for b in parts:
+            if b not in sums:
+                sums[b] = float(functools.reduce(operator.mul, [vals[j] for j in b]).sum())
+            term *= sums[b]
+        # left to right from the first term: no compensated sum(), and no
+        # 0.0 start that would turn a -0.0 total into 0.0
+        total = term if total is None else total + term
+    return total / math.perm(len(vals[0]), len(vals))
+
+
 def u_statistic(atoms: np.ndarray, obs: ObservableProduct) -> float:
     """Average of Π_j phi_j(z_{i_j}) over distinct index tuples, exactly.
 
     Equals the symmetrized tensor observable (every distinct tuple appears
-    the same number of times in the permutation average).  Evaluated in
-    closed form by inclusion-exclusion over coincident indices for
-    ell <= 3, and by explicit tuple enumeration beyond.
+    the same number of times in the permutation average).  One sum for
+    every ell, by Möbius inversion over coincident indices:
+
+        Σ_pi mu(pi) Π_{B in pi} S_B / (N)_ell,   S_B = Σ_i Π_{j in B} phi_j(z_i),
+
+    over the set partitions pi of the ell factors, with
+    mu(pi) = Π_B (-1)^{|B|-1} (|B|-1)! and (N)_ell = N (N-1) .. (N-ell+1).
+    Cost of order Bell(ell) * N (Bell = 1, 2, 5, 15, 52, 203 for ell = 1..6):
+    one sum over the atoms per block, each reused across partitions.
     """
-    n = atoms.shape[0]
-    ell = obs.ell
-    if n < ell:
+    if atoms.shape[0] < obs.ell:
         raise ValueError("need at least ell atoms")
     a = canonical_atom_order(atoms)
-    vals = [f(a) for f in obs.factors]
-    sums = [float(v.sum()) for v in vals]
-    if ell == 1:
-        return sums[0] / n
-    if ell == 2:
-        s12 = float((vals[0] * vals[1]).sum())
-        return (sums[0] * sums[1] - s12) / (n * (n - 1))
-    if ell == 3:
-        s12 = float((vals[0] * vals[1]).sum())
-        s13 = float((vals[0] * vals[2]).sum())
-        s23 = float((vals[1] * vals[2]).sum())
-        s123 = float((vals[0] * vals[1] * vals[2]).sum())
-        total = (
-            sums[0] * sums[1] * sums[2]
-            - s12 * sums[2] - s13 * sums[1] - s23 * sums[0]
-            + 2.0 * s123
-        )
-        return total / (n * (n - 1) * (n - 2))
-    # explicit enumeration; factorial growth makes this a small-N tool
-    idx = range(n)
-    total = 0.0
-    count = 0
-    for tup in permutations(idx, ell):
-        prod = 1.0
-        for j, i in enumerate(tup):
-            prod *= vals[j][i]
-        total += prod
-        count += 1
-    return total / count
+    return _distinct_tuple_mean([f(a) for f in obs.factors])
 
 
 def symmetrization_gap(state: ParticleState, obs: ObservableProduct) -> tuple[float, float]:
@@ -109,7 +123,7 @@ def symmetrization_gap(state: ParticleState, obs: ObservableProduct) -> tuple[fl
     poly = 1.0
     for v in vals:
         poly *= float(v.mean())
-    sym = u_statistic(state.coords, obs)
+    sym = _distinct_tuple_mean(vals)
     bound = 2.0 * ell * ell * obs.sup_norm / n
     return abs(poly - sym), bound
 

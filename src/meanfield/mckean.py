@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import ParticleState, RngStream, SimulationError
+from .elastic import _validate_snapshots
 
 __all__ = [
     "InteractionKernel",
@@ -154,11 +155,7 @@ def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
 
 def _snapshot_steps(snapshot_times: Sequence[float], t0: float, dt: float,
                     t_end: float) -> list[int]:
-    snaps = np.asarray(snapshot_times, dtype=np.float64)
-    if snaps.size and np.any(np.diff(snaps) < 0):
-        raise ValueError("snapshot times must be sorted ascending")
-    if snaps.size and snaps[-1] > t_end + 1e-9:
-        raise ValueError("t_end must cover the last snapshot")
+    snaps = _validate_snapshots(snapshot_times, t0, t_end)
     steps = []
     for s in snaps:
         k = (s - t0) / dt
@@ -240,18 +237,9 @@ class VlasovSpec:
 
     space_dim: int
     potential_gradient: InteractionKernel
-    use_fast_force: bool = True
 
     def force(self, x: np.ndarray) -> np.ndarray:
-        k = self.potential_gradient
-        if self.use_fast_force and k.fast_force is not None:
-            return k.fast_force(x)
-        n = x.shape[0]
-        out = np.zeros_like(x)
-        for lo in range(0, n, _FORCE_CHUNK):
-            hi = min(lo + _FORCE_CHUNK, n)
-            out[lo:hi] = k.fn(x[lo:hi, None, :] - x[None, :, :]).sum(axis=1) / n
-        return out
+        return _mean_field_forces(x, self.potential_gradient)
 
 
 def _vlasov_rhs(coords: np.ndarray, spec: VlasovSpec) -> np.ndarray:
@@ -275,6 +263,8 @@ def simulate_vlasov(
     """
     if initial.dim != 2 * spec.space_dim:
         raise ValueError("state must carry (x, v) pairs: dim = 2 * space_dim")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     want = _snapshot_steps(snapshot_times, initial.time, dt, t_end)
     n_steps = max(want) if want else int(round((t_end - initial.time) / dt))
     coords = initial.coords.copy()

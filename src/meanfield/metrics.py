@@ -226,7 +226,6 @@ def empirical_sampling_error(
     rng_factory,
     estimator: str = "auto",
     n_projections: int = 64,
-    enforce_reference_ratio: bool = True,
 ) -> SamplingErrorResult:
     """Monte Carlo estimate of E[W2(empirical_N, law)^2].
 
@@ -246,9 +245,7 @@ def empirical_sampling_error(
     if estimator not in ("auto", "exact-1d", "sliced"):
         raise ValueError(f"unknown estimator '{estimator}' (auto, exact-1d or sliced)")
     if reference_size < 64 * n:
-        if enforce_reference_ratio:
-            raise ValueError("reference_size must be at least 64*n")
-        warnings.warn("reference below 64*n; proxy bias is not small", RuntimeWarning)
+        raise ValueError("reference_size must be at least 64*n")
     if reference_size % n != 0:
         raise ValueError("reference_size must be a multiple of n (block coupling)")
     ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
@@ -290,8 +287,6 @@ def empirical_sampling_error(
             sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    if mean > 0 and n >= reference_size:
-        warnings.warn("reference proxy no larger than sample; bias dominates", RuntimeWarning)
     return SamplingErrorResult(
         mean=mean,
         standard_error=se,

@@ -199,6 +199,28 @@ def test_main_simulation_error_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("model, field, value, message", [
+    ("vlasov", "dt", 0.0, "dt must be positive"),
+    ("vlasov", "dt", -0.1, "dt must be positive"),
+    ("mckean_vlasov", "snapshot_times", [-0.5, 1.0], "must lie in \\[start, t_end\\]"),
+    ("vlasov", "snapshot_times", [-0.5, 1.0], "must lie in \\[start, t_end\\]"),
+    ("mckean_vlasov", "snapshot_times", [1.0, 0.5], "sorted ascending"),
+])
+def test_fixed_step_snapshot_contract_exits_two(tmp_path, capsys, model, field, value, message):
+    # the fixed-step integrators refuse what kac_elastic refuses, and a
+    # non-positive step, instead of dropping rows or overflowing
+    cfg = {"model": model, "dimension": 1, "n": 8, "dt": 0.1,
+           "snapshot_times": [0.5, 1.0], field: value}
+    with pytest.raises(ValueError, match=message):
+        cmd_simulate(dict(cfg), 0, 1, None)
+    path = tmp_path / "bad.cfg"
+    path.write_text(format_config(cfg))
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_cmd_chaos_curve_nref_guard():
     cfg = dict(CURVE_CFG)
     cfg["n_ref"] = 64

@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import permutations
 
 import numpy as np
@@ -108,6 +109,29 @@ def test_poly_observable_multiplicative_over_concatenation():
     assert lhs == pytest.approx(rhs, rel=1e-15)
 
 
+def closed_form_u_statistic(atoms: np.ndarray, obs: ObservableProduct) -> float:
+    """Oracle: inclusion-exclusion over coincident indices, written out for ell <= 3."""
+    n = atoms.shape[0]
+    a = canonical_atom_order(atoms)
+    vals = [f(a) for f in obs.factors]
+    sums = [float(v.sum()) for v in vals]
+    if obs.ell == 1:
+        return sums[0] / n
+    if obs.ell == 2:
+        s12 = float((vals[0] * vals[1]).sum())
+        return (sums[0] * sums[1] - s12) / (n * (n - 1))
+    s12 = float((vals[0] * vals[1]).sum())
+    s13 = float((vals[0] * vals[2]).sum())
+    s23 = float((vals[1] * vals[2]).sum())
+    s123 = float((vals[0] * vals[1] * vals[2]).sum())
+    total = (
+        sums[0] * sums[1] * sums[2]
+        - s12 * sums[2] - s13 * sums[1] - s23 * sums[0]
+        + 2.0 * s123
+    )
+    return total / (n * (n - 1) * (n - 2))
+
+
 def test_u_statistic_matches_enumeration():
     rng = np.random.default_rng(3)
     atoms = rng.normal(size=(7, 1))
@@ -115,8 +139,10 @@ def test_u_statistic_matches_enumeration():
         observable_catalog("gauss_bump", center=[0.0], width=1.0),
         observable_catalog("tanh_coord", axis=0),
         observable_catalog("tanh_square", axis=0, scale=1.5),
+        observable_catalog("gauss_bump", center=[0.7], width=0.5),
+        observable_catalog("tanh_coord", axis=0, scale=0.4),
     ]
-    for ell in (2, 3):
+    for ell in range(1, 6):
         obs = ObservableProduct(tuple(fs[:ell]))
         got = u_statistic(atoms, obs)
         vals = [f(atoms) for f in fs[:ell]]
@@ -129,6 +155,41 @@ def test_u_statistic_matches_enumeration():
             total += prod
             cnt += 1
         assert got == pytest.approx(total / cnt, rel=1e-12)
+
+
+def test_u_statistic_bitwise_equals_closed_forms():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        ell = int(rng.integers(1, 4))
+        n = int(rng.integers(3, 1001))
+        d = int(rng.integers(1, 3))
+        fs = tuple(
+            observable_catalog("gauss_bump", center=list(rng.normal(size=d)),
+                               width=float(rng.uniform(0.3, 2.0)))
+            if rng.random() < 0.5
+            else observable_catalog(str(rng.choice(["tanh_coord", "tanh_square"])),
+                                    axis=int(rng.integers(0, d)),
+                                    scale=float(rng.uniform(0.3, 2.0)))
+            for _ in range(ell)
+        )
+        atoms = rng.normal(size=(n, d)) * rng.uniform(0.1, 3.0)
+        obs = ObservableProduct(fs)
+        assert u_statistic(atoms, obs) == closed_form_u_statistic(atoms, obs)
+    # the sign of a zero survives: 0 * (-2) - 0 is -0.0 in both
+    zero = Observable("zero", lambda a: np.zeros(a.shape[0]), 1.0, 0.0)
+    neg = Observable("neg", lambda a: -np.ones(a.shape[0]), 1.0, 0.0)
+    got = u_statistic(np.zeros((2, 1)), ObservableProduct((zero, neg)))
+    want = closed_form_u_statistic(np.zeros((2, 1)), ObservableProduct((zero, neg)))
+    assert got == want == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, want) == -1.0
+
+
+def test_u_statistic_large_n_high_ell_constant_one():
+    atoms = np.random.default_rng(12).normal(size=(4096, 1))
+    for ell, tol in ((4, 0.0), (6, 1e-14)):
+        t0 = time.perf_counter()
+        got = u_statistic(atoms, ObservableProduct((CONST_ONE,) * ell))
+        assert time.perf_counter() - t0 < 1.0
+        assert abs(got - 1.0) <= tol
 
 
 def test_symmetrization_gap_ell_one_zero():

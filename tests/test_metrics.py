@@ -233,15 +233,12 @@ def test_sampling_error_dirac_zero():
 
 
 def test_sampling_error_self_reference_zero():
-    # sampling the reference itself with matched atoms gives distance 0
-    ref = np.linspace(-1, 1, 256)[:, None]
-    sampler = lambda n, rng: ref[:n]
-    with pytest.warns(RuntimeWarning, match="proxy bias"):
-        res = empirical_sampling_error(
-            sampler, 256, 2, 256, lambda sid: RngStream(2, sid),
-            enforce_reference_ratio=False,
-        )
-    assert res.mean == 0.0
+    # the reference repeats each sample atom 64 times: every sorted block of
+    # 64 reference atoms sits on its sample atom, so the coupling cost is 0
+    base = np.linspace(-1, 1, 256)
+    sampler = lambda n, rng: np.repeat(base, n // 256)[:, None]
+    res = empirical_sampling_error(sampler, 256, 2, 64 * 256, lambda sid: RngStream(2, sid))
+    assert res.mean == 0.0 and res.estimator == "exact-1d"
 
 
 def test_sampling_error_gaussian_1d_decay():
