@@ -16,9 +16,10 @@ per event).  Exactness under vectorization rests on two facts:
 snapshot form a segment, played in chunks of consecutive events; within
 a chunk every event gets the ASAP level of its per-particle dependency
 DAG (``level_schedule``), and each level is one batch of events on
-disjoint particles.  Levels are few (about 30
-for 12,000 events at N = 4096), so the per-batch numpy overhead is paid
-a few dozen times per segment instead of once per ~sqrt(N) events.
+disjoint particles.  Levels are few (11-13 for a chunk of 12,000-16,000
+events on 16,384 or 32,768 particles), so the per-batch numpy overhead
+is paid about a dozen times per chunk instead of once per ~sqrt(N)
+events.
 Replicas stack into one system: replica r owns rows r N .. r N + N - 1
 and its pair indices are offset by r N.  Their events never share a
 particle and each replica keeps its own streams, so a stacked block
@@ -95,11 +96,17 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
     level, and ``order[lo:hi]`` of each batch is one level.
     """
     k = len(pi)
-    slot = np.arange(2 * k)
     ends = np.column_stack((pi, pj)).ravel()  # event e owns slots 2e, 2e+1
-    by_particle = np.argsort(ends * (2 * k) + slot)  # unique keys: any sort is stable
+    if k and ends.max() < 65536:
+        # numpy's stable sort of 16-bit keys is a radix sort; stability
+        # keeps each particle's slots in stream order
+        by_particle = np.argsort(ends.astype(np.uint16), kind="stable")
+    else:
+        # unique keys: any sort is stable
+        by_particle = np.argsort(ends * (2 * k) + np.arange(2 * k))
+    sorted_ends = ends[by_particle]
     prev = np.full(2 * k, k, dtype=np.int64)  # event k stands for "none", always placed
-    follows = ends[by_particle[1:]] == ends[by_particle[:-1]]
+    follows = sorted_ends[1:] == sorted_ends[:-1]
     prev[by_particle[1:][follows]] = by_particle[:-1][follows] // 2
     dep_i, dep_j = prev[0::2], prev[1::2]
     placed = np.zeros(k + 1, dtype=bool)
@@ -109,6 +116,8 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
     while pending.size:
         ready = placed[dep_i[pending]] & placed[dep_j[pending]]
         now = pending[ready]
+        if not now.size:  # only an event on a pair (p, p) waits on itself
+            raise ValueError("an event pairs a particle with itself")
         placed[now] = True
         levels.append(now)
         pending = pending[~ready]
@@ -117,10 +126,30 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
     return order, list(zip(edges[:-1], edges[1:]))
 
 
+def row_norms(u: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of u, bit for bit ``np.linalg.norm(u, axis=1)``.
+
+    numpy adds the squares of a row shorter than 8 left to right, which
+    adding the squared columns in turn reproduces at a fraction of the
+    cost; longer rows it sums pairwise, so those go to numpy.
+    """
+    if u.shape[1] >= 8:
+        return np.linalg.norm(u, axis=1)
+    s = u[:, 0] * u[:, 0]
+    for c in range(1, u.shape[1]):
+        s += u[:, c] * u[:, c]
+    return np.sqrt(s, out=s)
+
+
+def sine_of(costh: np.ndarray) -> np.ndarray:
+    """sqrt(1 - costh^2), clipped at 0: the sine of the deviation angle."""
+    return np.sqrt(np.maximum(0.0, 1.0 - costh**2))
+
+
 def _orthonormal_to(uhat: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Unit vectors orthogonal to the rows of uhat, azimuth carried by g."""
     e = g - np.einsum("ij,ij->i", g, uhat)[:, None] * uhat
-    norms = np.linalg.norm(e, axis=1)
+    norms = row_norms(e)
     bad = norms < 1e-12
     if np.any(bad):
         # g (anti)parallel to uhat: deterministic completion via the axis
@@ -136,12 +165,18 @@ def _orthonormal_to(uhat: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def deviation_vectors(
-    u: np.ndarray, r: np.ndarray, costh: np.ndarray, frames: np.ndarray | None
+    u: np.ndarray,
+    r: np.ndarray,
+    costh: np.ndarray,
+    frames: np.ndarray | None,
+    sinth: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unit vectors sigma with sigma·(u/r) = costh, azimuth uniform via frames.
 
     Rows with r == 0 return an arbitrary placeholder (the caller must mask
     them; the collision update leaves such pairs unchanged anyway).
+    ``sinth`` is ``sine_of(costh)``, passed by a caller that computes it
+    once for many batches.
     """
     d = u.shape[1]
     safe_r = np.where(r > 0.0, r, 1.0)
@@ -149,7 +184,7 @@ def deviation_vectors(
     if d == 1:
         return costh[:, None] * uhat
     ehat = _orthonormal_to(uhat, frames)
-    ehat *= np.sqrt(np.maximum(0.0, 1.0 - costh**2))[:, None]
+    ehat *= (sine_of(costh) if sinth is None else sinth)[:, None]
     uhat *= costh[:, None]
     uhat += ehat
     return uhat
@@ -179,6 +214,15 @@ def rotate_between(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array as one opaque record each (a view; rows must be contiguous).
+
+    Scattering records copies whole rows, far cheaper than a 2-D fancy
+    assignment that walks every element.
+    """
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+
+
 def apply_pair_collisions(
     coords: np.ndarray,
     pi: np.ndarray,
@@ -189,7 +233,7 @@ def apply_pair_collisions(
     batches: list[tuple[int, int]],
     pre_batch_hook=None,
 ) -> None:
-    """Apply the collision sequence to coords in place.
+    """Apply the collision sequence to coords (rows contiguous) in place.
 
     restitution None means the elastic rule (relative speed preserved);
     otherwise the inelastic rule with that coefficient.  pre_batch_hook,
@@ -197,17 +241,20 @@ def apply_pair_collisions(
     (the thermostat uses it to bring colliding particles up to date with
     their diffusion).
     """
+    rows = _rows(coords)
+    sinth = None if frames is None else sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
         if pre_batch_hook is not None:
             pre_batch_hook(lo, hi, ii, jj)
-        vi = coords[ii]
-        vj = coords[jj]
+        vi = coords.take(ii, axis=0)
+        vj = coords.take(jj, axis=0)
         w = vi + vj
         u = np.subtract(vi, vj, out=vi)  # in place: same arithmetic, fewer temporaries
-        r = np.linalg.norm(u, axis=1)
-        sigma = deviation_vectors(u, r, costh[lo:hi], None if frames is None else frames[lo:hi])
+        r = row_norms(u)
+        sigma = deviation_vectors(u, r, costh[lo:hi], None if frames is None else frames[lo:hi],
+                                  None if sinth is None else sinth[lo:hi])
         if restitution is None:
             u_star = np.multiply(r[:, None], sigma, out=sigma)
         else:
@@ -219,14 +266,18 @@ def apply_pair_collisions(
         moving = r > 0.0
         if not moving.all():  # pairs at zero relative velocity stay put
             ii, jj, vi_new, vj_new = ii[moving], jj[moving], vi_new[moving], vj_new[moving]
-        coords[ii] = vi_new
-        coords[jj] = vj_new
+        rows[ii] = _rows(vi_new)
+        rows[jj] = _rows(vj_new)
 
 
-# a segment is played in chunks of at most this many events; larger chunks
-# gained no measurable speed, and with 8192 or more the chunk temporaries
-# grew the heap of a long thermostat run by 10-20 MB of peak RSS
-CHUNK_EVENTS = 4096
+# a segment is played in chunks of at most this many events: one chunk per
+# snapshot segment of a 16,384-particle chaos-curve block (11-13 levels
+# for its ~12,500 events, against ~12 levels per 4,096-event chunk).  The
+# thermostat at N = 32768 takes 11 levels per chunk; over repeated
+# thermostat and McKean runs in one process its peak RSS stayed at
+# 124-126 MB, as with 4,096-event chunks, once chunk fields are gathered
+# without extra copies (``_in_play_order``)
+CHUNK_EVENTS = 16384
 
 
 def _chunks(spans, limit: int):
@@ -243,6 +294,17 @@ def _chunks(spans, limit: int):
                 chunk, size = [], 0
     if chunk:
         yield chunk
+
+
+def _in_play_order(chunk, field: str, order: np.ndarray) -> np.ndarray:
+    """One event field of a chunk's spans, gathered into play order.
+
+    A one-span chunk is gathered straight from its record: chunk-sized
+    copies fragment the heap of a long run (with them, a second
+    thermostat run at N = 32768 peaked ~5 MB higher).
+    """
+    parts = [getattr(rec, field)[lo:hi] for _, rec, lo, hi in chunk]
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).take(order, axis=0)
 
 
 def play_events(
@@ -283,14 +345,11 @@ def play_events(
             pi = np.concatenate([rec.pair_i[lo:hi] + off for off, rec, lo, hi in chunk])
             pj = np.concatenate([rec.pair_j[lo:hi] + off for off, rec, lo, hi in chunk])
             order, batches = level_schedule(pi, pj)
-            costh = np.concatenate([rec.costh[lo:hi] for _, rec, lo, hi in chunk])[order]
-            frames = None
-            if records[0].frames is not None:
-                frames = np.concatenate([rec.frames[lo:hi] for _, rec, lo, hi in chunk])[order]
+            costh = _in_play_order(chunk, "costh", order)
+            frames = None if records[0].frames is None else _in_play_order(chunk, "frames", order)
             hook = None
             if on_chunk is not None:
-                times = np.concatenate([rec.times[lo:hi] for _, rec, lo, hi in chunk])
-                hook = on_chunk(order, times[order])
+                hook = on_chunk(order, _in_play_order(chunk, "times", order))
             apply(coords, pi[order], pj[order], costh, frames, restitution, batches, hook)
         cursors = uptos
         if on_snapshot is not None:

@@ -416,11 +416,12 @@ def _curve_block(cfg, seed, obs, estimator, kernel, block) -> list[tuple[np.ndar
     """Replicas of one N: per replica (per-time values, stream_id, draws)."""
     n, sids = block
     # even/odd split keeps the two per-replica streams disjoint for every replica
-    _, runs, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids], kernel)
-    return [
-        (observable_series(states, obs, estimator), sid, sum(c for _, c in items))
-        for states, sid, items in zip(runs, sids, draws)
-    ]
+    times, runs, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids],
+                                        kernel)
+    # one (replicas, N, d) stack per snapshot: the observable runs once per block
+    snapshots = [np.stack([states[t].coords for states in runs]) for t in range(len(times))]
+    values = observable_series(snapshots, obs, estimator)
+    return [(v, sid, sum(c for _, c in items)) for v, sid, items in zip(values, sids, draws)]
 
 
 def _replica_blocks(n: int, sids: list[int]) -> list[tuple[int, list[int]]]:

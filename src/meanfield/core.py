@@ -176,24 +176,32 @@ class EmpiricalMeasure:
         return 1.0 / self.atoms.shape[0]
 
 
-def _strictly_ascending(x: np.ndarray) -> bool:
-    return bool((x[1:] > x[:-1]).all())
+def _ascending_rows(x: np.ndarray) -> np.ndarray:
+    """Whether each row of x (along the last axis) is strictly ascending."""
+    return (x[..., 1:] > x[..., :-1]).all(axis=-1)
 
 
 def canonical_atom_order(atoms: np.ndarray) -> np.ndarray:
     """Atoms sorted lexicographically by coordinates.
 
     Measurement functionals reduce over this order so their floating-point
-    result is invariant under atom permutations, exactly.  Atoms already
-    in that order come back as the same array, so a state canonicalized
-    once costs O(N) per later functional.
+    result is invariant under atom permutations, exactly.  ``atoms`` is one
+    (N, m) configuration or a stack (..., N, m) of them, each sorted on its
+    own.  Atoms already in that order come back as the same array, so a
+    state canonicalized once costs O(N) per later functional.
     """
-    if _strictly_ascending(atoms[:, 0]):
+    lead = atoms[..., 0]
+    if _ascending_rows(lead).all():
         return atoms
-    out = atoms[np.argsort(atoms[:, 0])]
-    if _strictly_ascending(out[:, 0]):
-        return out  # distinct leading coordinates fix the lexicographic order
-    return atoms[np.lexsort(atoms.T[::-1])]
+    n, m = atoms.shape[-2:]
+    flat = atoms.reshape(-1, n, m)
+    order = np.argsort(lead.reshape(-1, n), axis=-1)
+    order += n * np.arange(len(flat))[:, None]  # row numbers in the (R N, m) stack
+    out = flat.reshape(-1, m).take(order.ravel(), axis=0).reshape(flat.shape)
+    # distinct leading coordinates fix the lexicographic order; ties need every key
+    for r in np.flatnonzero(~_ascending_rows(out[..., 0])):
+        out[r] = flat[r][np.lexsort(flat[r].T[::-1])]
+    return out.reshape(atoms.shape)
 
 
 def moment(mu: EmpiricalMeasure, q: float) -> float:

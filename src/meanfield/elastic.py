@@ -268,25 +268,27 @@ def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batc
     """
     d = coords.shape[1] // 2
     va, vb = coords[:, :d], coords[:, d:]
+    sinth = None if frames is None else _events.sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
-        ua = va[ii] - va[jj]
-        ub = vb[ii] - vb[jj]
-        ra = np.linalg.norm(ua, axis=1)
-        rb = np.linalg.norm(ub, axis=1)
+        ua = va.take(ii, axis=0) - va.take(jj, axis=0)
+        ub = vb.take(ii, axis=0) - vb.take(jj, axis=0)
+        ra = _events.row_norms(ua)
+        rb = _events.row_norms(ub)
         fr = None if frames is None else frames[lo:hi]
-        sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr)
+        sn = None if sinth is None else sinth[lo:hi]
+        sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr, sn)
         # transport onto the second geometry where both are defined;
         # a degenerate first pair falls back to the direct construction
         safe_a = np.where(ra > 0.0, ra, 1.0)[:, None]
         safe_b = np.where(rb > 0.0, rb, 1.0)[:, None]
         sigma_b = _events.rotate_between(ua / safe_a, ub / safe_b, sigma_a)
-        direct_b = _events.deviation_vectors(ub, rb, costh[lo:hi], fr)
+        direct_b = _events.deviation_vectors(ub, rb, costh[lo:hi], fr, sn)
         sigma_b = np.where((ra > 0.0)[:, None], sigma_b, direct_b)
         for v, r, sigma in ((va, ra, sigma_a), (vb, rb, sigma_b)):
             moving = r > 0.0
-            w = v[ii] + v[jj]
+            w = v.take(ii, axis=0) + v.take(jj, axis=0)
             u_star = r[:, None] * sigma
             v[ii[moving]] = 0.5 * (w + u_star)[moving]
             v[jj[moving]] = 0.5 * (w - u_star)[moving]

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ParticleState
-
 __all__ = [
     "Observable",
     "ObservableProduct",
@@ -32,7 +30,7 @@ class Observable:
     """One-particle test function with certified sup and Lipschitz norms."""
 
     name: str
-    fn: Callable[[np.ndarray], np.ndarray]  # (N, m) atoms -> (N,) values
+    fn: Callable[[np.ndarray], np.ndarray]  # (..., N, m) atoms -> (..., N) values
     sup_norm: float
     lip_const: float
 
@@ -45,16 +43,16 @@ class Observable:
 
 
 def _gauss_bump(center, width, amp, atoms: np.ndarray) -> np.ndarray:
-    d2 = ((atoms - center[None, :]) ** 2).sum(axis=1)
+    d2 = ((atoms - center) ** 2).sum(axis=-1)
     return amp * np.exp(-d2 / (2.0 * width**2))
 
 
 def _tanh_coord(axis, scale, amp, atoms: np.ndarray) -> np.ndarray:
-    return amp * np.tanh(atoms[:, axis] / scale)
+    return amp * np.tanh(atoms[..., axis] / scale)
 
 
 def _tanh_square(axis, scale, amp, atoms: np.ndarray) -> np.ndarray:
-    return amp * np.tanh(atoms[:, axis] / scale) ** 2
+    return amp * np.tanh(atoms[..., axis] / scale) ** 2
 
 
 def observable_catalog(name: str, **params) -> Observable:
@@ -122,11 +120,14 @@ class ObservableProduct:
         return " x ".join(f.name for f in self.factors)
 
 
-def marginal_observable(state: ParticleState, obs: ObservableProduct) -> float:
-    """Π_j phi_j(z_j) evaluated on the first ell particles of the state."""
-    if state.n_particles < obs.ell:
+def marginal_observable(atoms: np.ndarray, obs: ObservableProduct) -> float | np.ndarray:
+    """Π_j phi_j(z_j) on the first ell atoms of an (N, m) configuration.
+
+    A stack (..., N, m) gives one value per configuration.
+    """
+    if atoms.shape[-2] < obs.ell:
         raise ValueError("need at least ell particles")
     out = 1.0
     for j, f in enumerate(obs.factors):
-        out *= float(f(state.coords[j : j + 1])[0])
-    return out
+        out = out * f(atoms[..., j : j + 1, :])[..., 0]
+    return float(out) if np.ndim(out) == 0 else out

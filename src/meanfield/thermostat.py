@@ -169,8 +169,9 @@ def simulate_thermostat(
     nu = params.nu
 
     def on_chunk(order: np.ndarray, now: np.ndarray):
-        # drawn in event order, then taken in play order
-        z = rng.normal(size=(len(order), 2 * d))[order] if nu > 0.0 else None
+        # drawn in event order, then taken in play order batch by batch
+        # (no chunk-sized reordered copy)
+        z = rng.normal(size=(len(order), 2 * d)) if nu > 0.0 else None
 
         def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
             both = np.concatenate([ii, jj])
@@ -178,7 +179,8 @@ def simulate_thermostat(
             if z is None:
                 last_sync[both] = t
             else:
-                normals = np.concatenate([z[lo:hi, :d], z[lo:hi, d:]])
+                zb = z.take(order[lo:hi], axis=0)
+                normals = np.concatenate([zb[:, :d], zb[:, d:]])
                 _diffuse(coords, both, last_sync, t, nu, normals)
 
         return hook

@@ -37,6 +37,7 @@ from meanfield.elastic import (
 )
 from meanfield.harness import (
     fourier_contraction_check,
+    observable_series,
     rate_fit,
     symmetrization_gap,
     tanaka_contraction_check,
@@ -196,10 +197,11 @@ def _c4_block(n: int, base: int, reps: int) -> dict:
                  for r in rs]
         runs = simulate_kac_replicas(inits, kern, float(_C4_TIMES[-1]), _C4_TIMES,
                                      [RngStream(SEED, 2 * (base + r) + 1) for r in rs])
-        for r, states in zip(rs, runs):
-            atoms = [canonical_atom_order(s.coords) for s in states]  # once per state
-            for key, obs in _C4_OBS.items():
-                out[key][r] = [u_statistic(a, obs) for a in atoms]
+        # one (replicas, N, 3) stack per snapshot, sorted once for both observables
+        snapshots = [canonical_atom_order(np.stack([states[t].coords for states in runs]))
+                     for t in range(len(_C4_TIMES))]
+        for key, obs in _C4_OBS.items():
+            out[key][rs.start:rs.stop] = observable_series(snapshots, obs, "empirical-mean")
     return out
 
 

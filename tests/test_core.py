@@ -46,6 +46,14 @@ def test_canonical_atom_order_is_lexicographic():
         canonical = canonical_atom_order(atoms)
         np.testing.assert_array_equal(canonical, atoms[np.lexsort(atoms.T[::-1])])
         np.testing.assert_array_equal(canonical_atom_order(canonical), canonical)
+    # a stack is sorted configuration by configuration, ties by every key
+    stack = np.stack([distinct, tied, distinct[::-1]])
+    canonical = canonical_atom_order(stack)
+    for atoms, got in zip(stack, canonical):
+        np.testing.assert_array_equal(got, atoms[np.lexsort(atoms.T[::-1])])
+    np.testing.assert_array_equal(canonical_atom_order(canonical), canonical)
+    ascending = canonical[::2]  # distinct leading coordinates, already sorted
+    assert canonical_atom_order(ascending) is ascending
 
 
 def test_moment_values():

@@ -221,6 +221,122 @@ def test_level_schedule_properties():
         assert np.all(np.diff(level[mine]) > 0)
 
 
+def keyed_level_schedule(pi, pj):
+    """Oracle: the level schedule with slots ordered by one keyed argsort."""
+    k = len(pi)
+    slot = np.arange(2 * k)
+    ends = np.column_stack((pi, pj)).ravel()
+    by_particle = np.argsort(ends * (2 * k) + slot)
+    prev = np.full(2 * k, k, dtype=np.int64)
+    follows = ends[by_particle[1:]] == ends[by_particle[:-1]]
+    prev[by_particle[1:][follows]] = by_particle[:-1][follows] // 2
+    dep_i, dep_j = prev[0::2], prev[1::2]
+    placed = np.zeros(k + 1, dtype=bool)
+    placed[k] = True
+    levels = []
+    pending = np.arange(k)
+    while pending.size:
+        ready = placed[dep_i[pending]] & placed[dep_j[pending]]
+        levels.append(pending[ready])
+        placed[pending[ready]] = True
+        pending = pending[~ready]
+    edges = np.cumsum([0] + [len(lv) for lv in levels]).tolist()
+    order = np.concatenate(levels) if levels else np.empty(0, dtype=np.int64)
+    return order, list(zip(edges[:-1], edges[1:]))
+
+
+@pytest.mark.parametrize("n, top", [(2, None), (40, None), (16_384, None), (70_000, 65_535),
+                                    (70_000, 65_536), (70_000, None), (3, "empty")])
+def test_level_schedule_equals_keyed_argsort(n, top):
+    # particle indices below 2**16 take the radix sort, the rest the keyed one
+    rng = RngStream(8, n)
+    k = 0 if top == "empty" else 6_000
+    pi, pj = _events.sample_pairs(n, k, rng)
+    if isinstance(top, int):  # the largest index sits right at the boundary
+        pi, pj = np.minimum(pi, top - 1), np.minimum(pj, top)  # still pi < pj
+        pi[:50] = 0  # particle 0 shares its 16-bit residue with particle 65536
+        pj[-1] = top
+    order, batches = _events.level_schedule(pi, pj)
+    want_order, want_batches = keyed_level_schedule(pi, pj)
+    np.testing.assert_array_equal(order, want_order)
+    assert batches == want_batches
+    if top == "empty":
+        assert order.size == 0 and batches == []
+
+
+def test_level_schedule_refuses_self_pair():
+    # an event on (p, p) would wait on itself; refused instead of spinning
+    with pytest.raises(ValueError, match="itself"):
+        _events.level_schedule(np.array([0, 1, 2]), np.array([1, 1, 3]))
+
+
+def _reference_orthonormal_to(uhat, g):
+    e = g - np.einsum("ij,ij->i", g, uhat)[:, None] * uhat
+    norms = np.linalg.norm(e, axis=1)
+    for row in np.nonzero(norms < 1e-12)[0]:
+        axis = np.zeros(uhat.shape[1])
+        axis[int(np.argmin(np.abs(uhat[row])))] = 1.0
+        e[row] = axis - (axis @ uhat[row]) * uhat[row]
+        norms[row] = np.linalg.norm(e[row])
+    e /= norms[:, None]
+    return e
+
+
+def reference_apply(coords, pi, pj, costh, frames, restitution, batches):
+    """Oracle: the collision loop as first written (row fancy indexing,
+    np.linalg.norm, the deviation-angle sine per batch)."""
+    for lo, hi in batches:
+        ii, jj = pi[lo:hi], pj[lo:hi]
+        vi, vj = coords[ii], coords[jj]
+        w = vi + vj
+        u = vi - vj
+        r = np.linalg.norm(u, axis=1)
+        c = costh[lo:hi]
+        uhat = u / np.where(r > 0.0, r, 1.0)[:, None]
+        if frames is None:
+            sigma = c[:, None] * uhat
+        else:
+            ehat = _reference_orthonormal_to(uhat, frames[lo:hi])
+            ehat *= np.sqrt(np.maximum(0.0, 1.0 - c**2))[:, None]
+            uhat *= c[:, None]
+            uhat += ehat
+            sigma = uhat
+        if restitution is None:
+            u_star = r[:, None] * sigma
+        else:
+            u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r[:, None] * sigma
+        moving = r > 0.0
+        coords[ii[moving]] = (0.5 * (w + u_star))[moving]
+        coords[jj[moving]] = (0.5 * (w - u_star))[moving]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("restitution", [None, 0.8])
+def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
+    rng = RngStream(44, d)
+    n, k = 60, 3_000
+    coords0 = np.atleast_2d(rng.normal(size=(n, d)))
+    pi, pj = _events.sample_pairs(n, k, rng)
+    kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
+    costh = kern.sample_costheta(k, rng)
+    frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
+    order, batches = _events.level_schedule(pi, pj)
+    assert batches[0][1] >= 2
+    pi, pj, costh = pi[order], pj[order], costh[order]
+    # the first two events played are on level 0, so they see coords0: one
+    # pair at zero relative velocity, and one frame parallel to its u-hat
+    coords0[pj[1]] = coords0[pi[1]]
+    if frames is not None:
+        frames = frames[order]
+        frames[0] = 2.5 * (coords0[pi[0]] - coords0[pj[0]])
+    got = coords0.copy()
+    _events.apply_pair_collisions(got, pi, pj, costh, frames, restitution, batches)
+    want = coords0.copy()
+    reference_apply(want, pi, pj, costh, frames, restitution, batches)
+    assert got.tobytes() == want.tobytes()
+    assert not np.array_equal(got, coords0)
+
+
 @pytest.mark.parametrize(
     "n, d, frozen_pair",
     [(2, 3, False), (2, 3, True), (9, 3, True), (2, 1, False), (7, 1, True), (16, 2, False),

@@ -32,8 +32,8 @@ from meanfield.observables import (
     observable_catalog,
 )
 
-CONST_ONE = Observable("one", lambda a: np.ones(a.shape[0]), 1.0, 0.0)
-IDENTITY = Observable("id01", lambda a: a[:, 0], 1.0, 1.0)
+CONST_ONE = Observable("one", lambda a: np.ones(a.shape[:-1]), 1.0, 0.0)
+IDENTITY = Observable("id01", lambda a: a[..., 0], 1.0, 1.0)
 
 
 def poly_observable(mu: EmpiricalMeasure, obs: ObservableProduct) -> float:
@@ -192,6 +192,45 @@ def test_u_statistic_large_n_high_ell_constant_one():
         assert abs(got - 1.0) <= tol
 
 
+def test_u_statistic_refuses_ell_above_eight():
+    atoms = np.random.default_rng(13).normal(size=(16, 1))
+    t0 = time.perf_counter()
+    got = u_statistic(atoms, ObservableProduct((CONST_ONE,) * 8))
+    assert time.perf_counter() - t0 < 5.0  # Bell(8) = 4140 partitions
+    assert abs(got - 1.0) <= 1e-12
+    for ell in (9, 12):
+        with pytest.raises(ValueError, match=f"Bell\\({ell}\\)"):
+            u_statistic(atoms, ObservableProduct((CONST_ONE,) * ell))
+
+
+def test_observable_series_stack_equals_single_configurations():
+    # a (R, N, m) stack per snapshot gives, bit for bit, each configuration's
+    # own value: leading-coordinate ties, repeated atoms, every catalog factor
+    rng = np.random.default_rng(21)
+    for trial in range(120):
+        d = int(rng.integers(1, 4))
+        reps = int(rng.integers(1, 6))
+        n = int(rng.choice([2, 3, 7, 64, 300]))
+        stacks = [rng.normal(size=(reps, n, d)) for _ in range(2)]
+        if trial % 3 == 0:
+            stacks[0][..., 0] = np.round(stacks[0][..., 0], 1)
+        if trial % 4 == 0:
+            stacks[1][0, 1] = stacks[1][0, 0]
+        factors = [
+            observable_catalog("gauss_bump", center=rng.normal(size=d), width=1.3),
+            observable_catalog("tanh_coord", axis=int(rng.integers(0, d))),
+            observable_catalog("tanh_square", axis=0, scale=0.7),
+        ]
+        ell = int(rng.integers(1, min(3, n) + 1))
+        obs = ObservableProduct(tuple(factors[i] for i in rng.integers(0, 3, size=ell)))
+        for estimator, single in (("empirical-mean", u_statistic),
+                                  ("marginal", marginal_observable)):
+            got = observable_series(stacks, obs, estimator)
+            want = [[single(stack[r], obs) for stack in stacks] for r in range(reps)]
+            assert got.shape == (reps, 2)
+            assert got.tolist() == want
+
+
 def test_symmetrization_gap_ell_one_zero():
     state = ParticleState(np.random.default_rng(4).normal(size=(6, 1)))
     obs = ObservableProduct((observable_catalog("tanh_coord", axis=0),))
@@ -236,7 +275,7 @@ def test_symmetrization_gap_rejects_small_n():
 def test_marginal_observable_uses_leading_particles():
     state = ParticleState(np.array([[1.0], [2.0], [3.0]]))
     obs = ObservableProduct((IDENTITY, IDENTITY))
-    assert marginal_observable(state, obs) == pytest.approx(2.0)
+    assert marginal_observable(state.coords, obs) == pytest.approx(2.0)
 
 
 # ------------------------------------------------------------------ rate fit
@@ -273,7 +312,7 @@ def _kac_values(obs, times, n, replicas, seed, estimator="empirical-mean"):
         stream = RngStream(seed, r)
         init = gaussian_sample_state(np.zeros(3), np.ones(3), n, stream)
         states = simulate_kac(init, kern, float(max(times)), times, stream)
-        rows.append(observable_series(states, obs, estimator))
+        rows.append(observable_series([s.coords[None] for s in states], obs, estimator)[0])
     return np.stack(rows)
 
 
@@ -383,12 +422,12 @@ def test_chaos_curve_marginal_vs_ustat_consistency():
     se = math.sqrt(a.std_errors[0] ** 2 + b.std_errors[0] ** 2)
     assert abs(a.errors[0] - b.errors[0]) < 4 * se
     # the marginal reads particle 1 only, the U-statistic averages all
-    state = ParticleState(np.array([[2.0], [0.0], [1.0]]))
+    stack = np.array([[[2.0], [0.0], [1.0]]])
     ident = ObservableProduct((IDENTITY,))
-    np.testing.assert_array_equal(observable_series([state], ident, "marginal"), [2.0])
-    np.testing.assert_array_equal(observable_series([state], ident, "empirical-mean"), [1.0])
+    np.testing.assert_array_equal(observable_series([stack], ident, "marginal"), [[2.0]])
+    np.testing.assert_array_equal(observable_series([stack], ident, "empirical-mean"), [[1.0]])
     with pytest.raises(ValueError, match="estimator must be"):
-        observable_series([state], obs, "marginall")
+        observable_series([stack], obs, "marginall")
 
 
 # ------------------------------------------------------------- contractions
