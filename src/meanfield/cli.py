@@ -137,6 +137,24 @@ def _as_floats(v) -> np.ndarray:
     return np.asarray([float(x) for x in _as_list(v)], dtype=np.float64)
 
 
+def _n_list(cfg: dict) -> list[int]:
+    """The particle counts of a curve, each refused below 1."""
+    n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
+    if min(n_values) < 1:
+        raise ConfigError("n_list", f"must be at least 1, got {min(n_values)}")
+    return n_values
+
+
+def _per_coordinate(cfg: dict, key: str, default: list, m: int) -> np.ndarray:
+    """A per-coordinate list of m values; a single value is broadcast."""
+    values = _as_floats(_get(cfg, key, default))
+    if len(values) == 1:
+        return np.full(m, values[0])
+    if len(values) != m:
+        raise ConfigError(key, f"need 1 or {m} values (one per coordinate), got {len(values)}")
+    return values
+
+
 # --------------------------------------------------------------------------
 # builders
 
@@ -179,16 +197,13 @@ def _initial_state(cfg: dict, n: int, stream: RngStream) -> ParticleState:
     kind = _get(cfg, "initial", "gaussian")
     m = _state_dim(cfg)
     if kind == "gaussian":
-        mean = _as_floats(_get(cfg, "initial_mean", [0.0]))
-        var = _as_floats(_get(cfg, "initial_variance", [1.0]))
-        if len(mean) == 1:
-            mean = np.full(m, mean[0])
-        if len(var) == 1:
-            var = np.full(m, var[0])
-        if len(mean) != m or len(var) != m:
-            raise ConfigError("initial_mean", f"need scalars or length-{m} lists")
+        mean = _per_coordinate(cfg, "initial_mean", [0.0], m)
+        var = _per_coordinate(cfg, "initial_variance", [1.0], m)
         return gaussian_sample_state(mean, var, n, stream)
     if kind == "quantile":
+        vlasov = _get(cfg, "model") == "vlasov"
+        if m != (2 if vlasov else 1):
+            raise ConfigError("initial", "quantile initialization needs dimension = 1")
         law = _get(cfg, "quantile_law", "uniform")
         if law == "uniform":
             lo = float(_get(cfg, "quantile_lo", -1.0))
@@ -201,12 +216,10 @@ def _initial_state(cfg: dict, n: int, stream: RngStream) -> ParticleState:
         else:
             raise ConfigError("quantile_law", f"unknown law '{law}'")
         base = quantile_init_1d(inv, n)
-        if _get(cfg, "model") == "vlasov":
+        if vlasov:
             coords = np.zeros((n, m))
             coords[:, 0] = base.coords[:, 0]  # positions; velocities start at rest
             return ParticleState(coords)
-        if m != 1:
-            raise ConfigError("initial", "quantile initialization is one-dimensional")
         return base
     if kind == "file":
         coords = load_particles(_get(cfg, "initial_file", required=True))
@@ -433,7 +446,7 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     model = _get(cfg, "model", required=True)
     times = _as_floats(_get(cfg, "snapshot_times", required=True))
-    n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
+    n_values = _n_list(cfg)
     obs = _build_observable(cfg)
     estimator = str(_get(cfg, "estimator", "empirical-mean"))
     if estimator not in ("empirical-mean", "marginal"):
@@ -477,7 +490,7 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
 def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     dim = int(_get(cfg, "dimension", required=True))
-    n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
+    n_values = _n_list(cfg)
     replicas = _count(cfg, "replicas", 200)
     factor = int(_get(cfg, "reference_factor", 64))
     estimator = str(_get(cfg, "estimator", "auto"))
@@ -485,12 +498,8 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     law = str(_get(cfg, "law", "gaussian"))
     if law != "gaussian":
         raise ConfigError("law", "only the gaussian law is built in")
-    mean = _as_floats(_get(cfg, "law_mean", [0.0]))
-    var = _as_floats(_get(cfg, "law_variance", [1.0]))
-    if len(mean) == 1:
-        mean = np.full(dim, mean[0])
-    if len(var) == 1:
-        var = np.full(dim, var[0])
+    mean = _per_coordinate(cfg, "law_mean", [0.0], dim)
+    var = _per_coordinate(cfg, "law_variance", [1.0], dim)
 
     def sampler(n, stream):
         return gaussian_sample_state(mean, var, n, stream).coords

@@ -18,12 +18,10 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _events
-from ._events import EventRecord
 from .core import ParticleState, RngStream, SimulationError
 
 __all__ = [
     "AngularKernel",
-    "EventRecord",
     "sample_sigma",
     "collide_elastic",
     "simulate_kac",
@@ -58,7 +56,6 @@ class AngularKernel:
     density: Callable[[np.ndarray], np.ndarray] | None = None
     weights: tuple[float, float] | None = None  # d=1: (mass at +1, mass at -1)
     name: str = "custom"
-    normalization: float = field(init=False, default=1.0)
     raw_norm: float = field(init=False, default=1.0)
 
     def __post_init__(self) -> None:
@@ -72,8 +69,6 @@ class AngularKernel:
                 raise ValueError("weights must be nonnegative with positive sum")
             self.raw_norm = wp + wm
             self.weights = (wp / self.raw_norm, wm / self.raw_norm)
-            self.normalization = sum(self.weights)
-            self._exact = "two-point"
             return
         if self.density is None:
             raise ValueError("d>=2 kernels need a density on [-1, 1]")
@@ -89,7 +84,6 @@ class AngularKernel:
         if self.raw_norm <= 0:
             raise ValueError("kernel density integrates to zero")
         cdf /= self.raw_norm
-        self.normalization = float(cdf[-1])
         # decimate the fine CDF to the published table resolution
         u_nodes = np.linspace(0.0, 1.0, _TABLE_NODES)
         self._theta_of_u = np.interp(u_nodes, cdf, t)
@@ -187,40 +181,13 @@ def _generate_events(
     t0: float,
     t_end: float,
     rng: RngStream,
-) -> EventRecord:
+) -> _events.EventRecord:
     times = _events.sample_event_times(rate, t0, t_end, rng)
     k = len(times)
     pi, pj = _events.sample_pairs(n, k, rng)
     costh = kernel.sample_costheta(k, rng)
     frames = rng.normal(size=(k, dim)) if dim >= 2 else None
-    return EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
-
-
-def _run_replicas(
-    initials: Sequence[ParticleState],
-    kernel: AngularKernel,
-    t_end: float,
-    snapshot_times: Sequence[float],
-    rngs: Sequence[RngStream],
-) -> tuple[list[list[ParticleState]], list[EventRecord]]:
-    if not initials or len(rngs) != len(initials):
-        raise ValueError("need one dynamics stream per initial state, and at least one")
-    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
-    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
-        raise ValueError("replicas need matching shapes and start times")
-    if n < 2:
-        raise SimulationError("need N >= 2")
-    if kernel.dim != d:
-        raise ValueError("kernel dimension must match the state")
-    snaps = _validate_snapshots(snapshot_times, t0, t_end)
-    records = [_generate_events(n, d, (n - 1) / 2.0, kernel, t0, t_end, rng) for rng in rngs]
-    coords = np.concatenate([s.coords for s in initials])
-    captured = _events.play_events(coords, records, snaps)
-    states = [
-        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
-        for r in range(len(initials))
-    ]
-    return states, records
+    return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
 
 
 def simulate_kac_replicas(
@@ -237,7 +204,23 @@ def simulate_kac_replicas(
     ``simulate_kac(initials[r], kernel, t_end, snapshot_times, rngs[r])``.
     All replicas share N, the dimension and the start time.
     """
-    return _run_replicas(initials, kernel, t_end, snapshot_times, rngs)[0]
+    if not initials or len(rngs) != len(initials):
+        raise ValueError("need one dynamics stream per initial state, and at least one")
+    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
+    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
+        raise ValueError("replicas need matching shapes and start times")
+    if n < 2:
+        raise SimulationError("need N >= 2")
+    if kernel.dim != d:
+        raise ValueError("kernel dimension must match the state")
+    snaps = _validate_snapshots(snapshot_times, t0, t_end)
+    records = [_generate_events(n, d, (n - 1) / 2.0, kernel, t0, t_end, rng) for rng in rngs]
+    coords = np.concatenate([s.coords for s in initials])
+    captured = _events.play_events(coords, records, snaps)
+    return [
+        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
+        for r in range(len(initials))
+    ]
 
 
 def simulate_kac(
@@ -246,18 +229,9 @@ def simulate_kac(
     t_end: float,
     snapshot_times: Sequence[float],
     rng: RngStream,
-    record_events: bool = False,
-):
-    """Exact event-driven trajectory; returns states at the snapshot times.
-
-    With ``record_events`` the realized event stream is returned as well,
-    so a second initial condition can be driven by identical randomness
-    (common-random-number coupling).
-    """
-    states, records = _run_replicas([initial], kernel, t_end, snapshot_times, [rng])
-    if record_events:
-        return states[0], records[0]
-    return states[0]
+) -> list[ParticleState]:
+    """Exact event-driven trajectory; returns states at the snapshot times."""
+    return simulate_kac_replicas([initial], kernel, t_end, snapshot_times, [rng])[0]
 
 
 def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:

@@ -183,27 +183,22 @@ def observable_series(
 def chaos_error_curve(
     n_values: Sequence[int],
     values: Sequence[np.ndarray],
-    oracle: OracleEstimate | np.ndarray,
+    oracle: OracleEstimate,
     seed: int,
 ) -> ChaosCurve:
     """Measure err(N) = sup_t |E Phi - oracle| by replica averaging.
 
     ``values[k]`` is the (replicas, n_times) array of observable values at
-    ``n_values[k]``; ``oracle`` is either a replica-based estimate (its
-    replicas are resampled too) or a plain array of exact per-time values.
+    ``n_values[k]``; the oracle's replicas are resampled too.  An exact
+    oracle is the one-replica ``OracleEstimate.from_replicas(times,
+    exact[None])``: standard error 0, nothing to resample.
     The standard errors come from BOOTSTRAP_RESAMPLES resamples drawn from
     ``RngStream(seed, 977)``: per N and resample, the replica pick, then the
     oracle-replica pick.  A single replica has standard error 0.
     """
     n_values = np.asarray(list(n_values), dtype=np.int64)
-    if isinstance(oracle, OracleEstimate):
-        o_mean = oracle.mean
-        o_raw = oracle.per_replica
-        o_se = float(np.max(oracle.standard_error))
-    else:
-        o_mean = np.asarray(oracle, dtype=np.float64)
-        o_raw = None
-        o_se = 0.0
+    o_mean, o_raw = oracle.mean, oracle.per_replica
+    o_se = float(np.max(oracle.standard_error))
     if len(values) != len(n_values):
         raise ValueError("need one value array per N")
 
@@ -221,7 +216,7 @@ def chaos_error_curve(
             for b in range(BOOTSTRAP_RESAMPLES):
                 pick = np.asarray(boot_rng.integers(0, reps, size=reps))
                 mean_b = vals[pick].mean(axis=0)
-                if o_raw is not None and len(o_raw) > 1:
+                if len(o_raw) > 1:
                     opick = np.asarray(boot_rng.integers(0, len(o_raw), size=len(o_raw)))
                     oracle_b = o_raw[opick].mean(axis=0)
                 else:
@@ -347,23 +342,21 @@ def fourier_contraction_check(
     s: float,
     t_end: float,
     dt: float = 1e-3,
-    n_checkpoints: int = 10,
-    rate_factor: float = 1.0,
-    with_diffusion: bool = True,
 ) -> FourierContractionResult:
     """Growth of the Fourier-norm distance against the e^{2t} envelope.
 
     Evolves both spectra through the diffusive inelastic equation, as one
     batch of a single ``spectral_evolve`` loop, and returns
-    max_t |f_t - g_t|_s / (e^{2t} |f_0 - g_0|_s).  Identical inputs are
-    flagged and return ratio 0 by convention.
+    max_t |f_t - g_t|_s / (e^{2t} |f_0 - g_0|_s) over ten checkpoints
+    evenly spaced up to t_end.  Identical inputs are flagged and return
+    ratio 0 by convention.
     """
     if not np.array_equal(spec_a.xi_nodes, spec_b.xi_nodes):
         raise ValueError("spectra must share a grid")
     xi = spec_a.xi_nodes
     d0, _ = toscani_norm(spec_a.values, spec_b.values, s, xi)
     steps = int(round(t_end / dt))
-    snap_every = max(1, steps // n_checkpoints)
+    snap_every = max(1, steps // 10)
     snap_times = [k * dt for k in range(snap_every, steps + 1, snap_every)]
     if snap_times[-1] != steps * dt:
         snap_times.append(steps * dt)
@@ -372,8 +365,7 @@ def fourier_contraction_check(
             times=np.asarray(snap_times), distances=np.zeros(len(snap_times)),
             ratios=np.zeros(len(snap_times)), max_ratio=0.0, identical_inputs=True,
         )
-    snaps = spectral_evolve([spec_a, spec_b], alpha, with_diffusion, t_end, dt=dt,
-                            rate_factor=rate_factor, snapshot_times=snap_times)
+    snaps = spectral_evolve([spec_a, spec_b], alpha, True, t_end, dt=dt, snapshot_times=snap_times)
     times = np.array([t for t, _ in snaps])
     dists = np.array([toscani_norm(ga.values, gb.values, s, xi)[0] for _, (ga, gb) in snaps])
     ratios = dists / (np.exp(2.0 * times) * d0)

@@ -214,19 +214,12 @@ class _BobylevOperator:
         xi_half: np.ndarray,
         alpha: float,
         with_diffusion: bool,
-        weights: tuple[float, float] = (0.5, 0.5),
         rate_factor: float = 1.0,
-        nu: float = 1.0,
     ) -> None:
         if not (0.0 < alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
-        if abs(weights[0] + weights[1] - 1.0) > 1e-12 or min(weights) < 0:
-            raise ValueError("direction weights must be nonnegative and sum to 1")
         self.xi = xi_half
-        self.alpha = alpha
-        self.weights = weights
         self.rate_factor = rate_factor
-        self.diffusion = nu if with_diffusion else 0.0
         c_minus = 0.5 * (1.0 - alpha)
         c_plus = 0.5 * (1.0 + alpha)
         self.q_lo = c_minus * xi_half
@@ -238,13 +231,14 @@ class _BobylevOperator:
         # O(h) slope error that the energy readout amplifies by 1/h^2)
         x_full = np.concatenate([-xi_half[:0:-1], xi_half])
         self._spline = _QuerySpline(x_full, np.concatenate([self.q_lo, self.q_hi]))
-        self._damping = (self.diffusion * (xi_half**2))[:, None]
+        self._damping = (float(with_diffusion) * (xi_half**2))[:, None]
 
     def __call__(self, f_half: np.ndarray) -> np.ndarray:
         n = len(self.xi)
         f_q = self._spline(_mirror(f_half))
-        w_to, w_away = self.weights
-        gain = w_to * f_half * f_half[0] + w_away * f_q[:n] * f_q[n:]
+        # the two directions weigh 1/2 each; written as two products, not
+        # 0.5 * (a + b), which can round differently at subnormals
+        gain = 0.5 * f_half * f_half[0] + 0.5 * f_q[:n] * f_q[n:]
         rhs = self.rate_factor * (gain - f_half) - self._damping * f_half
         rhs[0] = 0.0  # mass node: gain(0) = F(0)^2 = loss, identically
         return rhs
@@ -256,16 +250,18 @@ def spectral_evolve(
     with_diffusion: bool,
     t_end: float,
     dt: float = 1e-3,
-    weights: tuple[float, float] = (0.5, 0.5),
     rate_factor: float = 1.0,
-    nu: float = 1.0,
     snapshot_times: Sequence[float] | None = None,
 ) -> GridSpectrum | list:
     """RK4 integration of the spectral equation, invariants checked per step.
 
-    ``spectrum`` is one GridSpectrum or a sequence of B spectra on one
-    grid; a sequence is advanced as one ``(n_half, B)`` array through a
-    single RK4 loop, each column exactly as it would be alone.  With
+    The equation weighs the two scattering directions of the 1-D sphere
+    equally and, ``with_diffusion``, adds the unit-strength bath term
+    -xi^2 F; ``rate_factor`` scales the collision part (0 leaves the
+    heat flow alone).  ``spectrum`` is one GridSpectrum or a sequence of
+    B spectra on one grid; a sequence is advanced as one ``(n_half, B)``
+    array through a single RK4 loop, each column exactly as it would be
+    alone.  With
     ``snapshot_times`` a list of (t, spectrum) pairs is returned;
     otherwise the terminal spectrum.  For a sequence input, each spectrum
     in the result is a list with one GridSpectrum per input.  Aborts via
@@ -283,7 +279,7 @@ def spectral_evolve(
         raise ValueError("spectra must share a grid")
     mid = spectra[0].zero_index
     xi_half = xi_nodes[mid:]
-    lam = (nu if with_diffusion else 0.0) * xi_half[-1] ** 2 + 2.0 * rate_factor
+    lam = float(with_diffusion) * xi_half[-1] ** 2 + 2.0 * rate_factor
     if lam * dt > RK4_STABILITY:
         raise ValueError(
             f"dt={dt} exceeds the RK4 stability budget for |xi|max={xi_half[-1]}"
@@ -295,7 +291,7 @@ def spectral_evolve(
             RuntimeWarning,
             stacklevel=2,
         )
-    op = _BobylevOperator(xi_half, alpha, with_diffusion, weights, rate_factor, nu)
+    op = _BobylevOperator(xi_half, alpha, with_diffusion, rate_factor)
     f = np.stack([g.values[mid:] for g in spectra], axis=1)
     n_steps = int(round(t_end / dt))
     if abs(n_steps * dt - t_end) > 1e-9:

@@ -42,10 +42,8 @@ _FORCE_CHUNK = 256
 
 @dataclass(frozen=True)
 class InteractionKernel:
-    """Named pairwise interaction U: R^m -> R^m with U(0) = 0."""
+    """Pairwise interaction U: R^m -> R^m with U(0) = 0."""
 
-    name: str
-    params: tuple
     fn: Callable[[np.ndarray], np.ndarray]
     fast_force: Callable[[np.ndarray], np.ndarray] | None = None
 
@@ -53,7 +51,7 @@ class InteractionKernel:
 def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
     """Built-in interactions: zero, linear, gaussian_derivative, screened_coulomb."""
     if name == "zero":
-        return InteractionKernel("zero", (), lambda z: np.zeros_like(z),
+        return InteractionKernel(lambda z: np.zeros_like(z),
                                  fast_force=lambda coords: np.zeros_like(coords))
     if name == "linear":
         kappa = float(params.get("kappa", 1.0))
@@ -61,7 +59,7 @@ def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
         def fast(coords: np.ndarray) -> np.ndarray:
             return -kappa * (coords - coords.mean(axis=0))
 
-        return InteractionKernel("linear", (kappa,), lambda z: -kappa * z, fast_force=fast)
+        return InteractionKernel(lambda z: -kappa * z, fast_force=fast)
     if name == "gaussian_derivative":
         amp = float(params.get("amp", 1.0))
         width = float(params.get("width", 1.0))
@@ -70,7 +68,7 @@ def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
             r2 = np.sum(z * z, axis=-1, keepdims=True)
             return -amp * z * np.exp(-r2 / (2.0 * width**2))
 
-        return InteractionKernel("gaussian_derivative", (amp, width), fn)
+        return InteractionKernel(fn)
     if name == "screened_coulomb":
         amp = float(params.get("amp", 1.0))
         eps = float(params.get("eps", 0.5))
@@ -79,7 +77,7 @@ def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
             r2 = np.sum(z * z, axis=-1, keepdims=True)
             return amp * z / (r2 + eps**2) ** 1.5
 
-        return InteractionKernel("screened_coulomb", (amp, eps), fn)
+        return InteractionKernel(fn)
     raise ValueError(f"unknown interaction kernel '{name}'")
 
 
@@ -105,10 +103,6 @@ class DriftDiffusionSpec:
         for mat in (self.linear_drift, self.diffusion_matrix):
             if mat.shape != (self.dim, self.dim):
                 raise ValueError("coefficient matrices must be dim x dim")
-
-    def diffusion_a(self) -> np.ndarray:
-        """A = sigma sigma^T / 2 (symmetric PSD by construction)."""
-        return 0.5 * self.diffusion_matrix @ self.diffusion_matrix.T
 
 
 def _mean_field_forces(coords: np.ndarray, kernel: InteractionKernel,
@@ -205,7 +199,7 @@ def gradient_catalog(name: str, **params) -> InteractionKernel:
     continuum dynamics.
     """
     if name == "zero":
-        return InteractionKernel("zero", (), lambda x: np.zeros_like(x),
+        return InteractionKernel(lambda x: np.zeros_like(x),
                                  fast_force=lambda x: np.zeros_like(x))
     if name == "linear":
         kappa = float(params.get("kappa", 1.0))
@@ -213,7 +207,7 @@ def gradient_catalog(name: str, **params) -> InteractionKernel:
         def fast(x: np.ndarray) -> np.ndarray:
             return kappa * (x - x.mean(axis=0))
 
-        return InteractionKernel("linear", (kappa,), lambda x: kappa * x, fast_force=fast)
+        return InteractionKernel(lambda x: kappa * x, fast_force=fast)
     if name == "sine":
         amp = float(params.get("amp", 1.0))
 
@@ -227,7 +221,7 @@ def gradient_catalog(name: str, **params) -> InteractionKernel:
             s, c = np.sin(x), np.cos(x)
             return amp * (s * c.mean(axis=0) - c * s.mean(axis=0))
 
-        return InteractionKernel("sine", (amp,), fn, fast_force=fast)
+        return InteractionKernel(fn, fast_force=fast)
     raise ValueError(f"unknown potential gradient '{name}'")
 
 

@@ -146,12 +146,11 @@ def simulate_thermostat(
     snapshot_times: Sequence[float],
     rng: RngStream,
     ordered_pair_rate: bool = True,
-    collisions_enabled: bool = True,
 ) -> list[ParticleState]:
     """Exact trajectory of the collision + bath process; snapshot states.
 
-    ``collisions_enabled=False`` runs the pure bath (diagnostic limit of a
-    kernel with vanishing mass).
+    At ``params.nu == 0`` there is no bath: the run is the pure inelastic
+    collision process, and ``rng`` draws only the event stream.
     """
     n, d = initial.n_particles, initial.dim
     if n < 2:
@@ -160,36 +159,30 @@ def simulate_thermostat(
         raise ValueError("kernel/params dimension must match the state")
     snaps = _validate_snapshots(snapshot_times, initial.time, t_end)
     rate = float(n - 1) if ordered_pair_rate else (n - 1) / 2.0
-    if not collisions_enabled:
-        rate = 0.0
     record = _generate_events(n, d, rate, kernel, initial.time, t_end, rng)
 
     coords = initial.coords.copy()
-    last_sync = np.full(n, initial.time)
-    nu = params.nu
+    on_chunk = on_snapshot = None
+    if params.nu > 0.0:
+        last_sync = np.full(n, initial.time)
+        nu = params.nu
 
-    def on_chunk(order: np.ndarray, now: np.ndarray):
-        # drawn in event order, then taken in play order batch by batch
-        # (no chunk-sized reordered copy)
-        z = rng.normal(size=(len(order), 2 * d)) if nu > 0.0 else None
+        def on_chunk(order: np.ndarray, now: np.ndarray):
+            # drawn in event order, then taken in play order batch by batch
+            # (no chunk-sized reordered copy)
+            z = rng.normal(size=(len(order), 2 * d))
 
-        def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
-            both = np.concatenate([ii, jj])
-            t = np.tile(now[lo:hi], 2)
-            if z is None:
-                last_sync[both] = t
-            else:
+            def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
+                both = np.concatenate([ii, jj])
+                t = np.tile(now[lo:hi], 2)
                 zb = z.take(order[lo:hi], axis=0)
                 normals = np.concatenate([zb[:, :d], zb[:, d:]])
                 _diffuse(coords, both, last_sync, t, nu, normals)
 
-        return hook
+            return hook
 
-    def on_snapshot(s: float) -> None:
-        if nu > 0.0:
+        def on_snapshot(s: float) -> None:
             _diffuse(coords, np.arange(n), last_sync, s, nu, rng.normal(size=(n, d)))
-        else:
-            last_sync[:] = s
 
     captured = _events.play_events(coords, [record], snaps, params.alpha,
                                    on_chunk=on_chunk, on_snapshot=on_snapshot)

@@ -30,6 +30,7 @@ from meanfield.core import (
 )
 from meanfield.elastic import (
     AngularKernel,
+    _generate_events,
     collide_elastic,
     sample_sigma,
     simulate_kac,
@@ -85,8 +86,12 @@ def test_c01_elastic_conservation():
     e0 = float(np.sum(init.coords**2))
     t_end = 1.0e6 / 499.5  # rate (N-1)/2
     snaps = np.linspace(t_end / 8, t_end, 8)
-    out, record = simulate_kac(init, kern, t_end, snaps, RngStream(SEED, 2),
-                               record_events=True)
+    dyn = RngStream(SEED, 2)
+    out = simulate_kac(init, kern, t_end, snaps, dyn)
+    # the run's events, drawn again from a stream with the same key
+    alone = RngStream(SEED, 2)
+    record = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, alone)
+    assert dyn.draw_counter == alone.draw_counter
     assert len(record) >= 1_000_000
     drift_e = max(abs(np.sum(s.coords**2) - e0) / e0 for s in out)
     drift_p = max(

@@ -242,18 +242,44 @@ def test_cmd_chaos_curve_rejects_unknown_estimator(tmp_path, capsys):
 @pytest.mark.parametrize("command, field", [
     ("chaos-curve", "replicas"),
     ("chaos-curve", "replicas_ref"),
+    ("chaos-curve", "n_list"),
     ("omega-n", "replicas"),
     ("omega-n", "n_projections"),
+    ("omega-n", "n_list"),
 ])
 def test_counts_below_one_refused(tmp_path, capsys, command, field):
     if command == "chaos-curve":
         cfg = dict(CURVE_CFG)
     else:
         cfg = {"dimension": 2, "n_list": [8, 16], "replicas": 8}
-    cfg[field] = 0
+    cfg[field] = [0, 16] if field == "n_list" else 0
     with pytest.raises(cli.ConfigError, match=f"'{field}': must be at least 1, got 0"):
         cli._COMMANDS[command](dict(cfg), 0, 1, None)
     path = tmp_path / "zero.cfg"
+    path.write_text(format_config(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    assert f"config field '{field}'" in capsys.readouterr().err
+
+
+OMEGA_D3 = {"dimension": 3, "n_list": [8, 16], "replicas": 4}
+KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5]}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    # per-coordinate lists hold one value or one per coordinate
+    ("omega-n", {**OMEGA_D3, "law_mean": [0.0, 0.0], "law_variance": [1.0, 1.0]}, "law_mean"),
+    ("omega-n", {**OMEGA_D3, "law_variance": [1.0, 1.0]}, "law_variance"),
+    ("simulate", {**KAC_D3, "initial_mean": [0.0, 0.0, 0.0], "initial_variance": [1.0, 2.0]},
+     "initial_variance"),
+    # quantile data fill one coordinate, so vlasov needs dimension = 1
+    ("simulate", {"model": "vlasov", "dimension": 2, "n": 8, "initial": "quantile",
+                  "snapshot_times": [0.5]}, "initial"),
+])
+def test_config_field_refused(tmp_path, capsys, command, cfg, field):
+    with pytest.raises(cli.ConfigError) as err:
+        cli._COMMANDS[command](dict(cfg), 0, 1, None)
+    assert err.value.field == field
+    path = tmp_path / "bad.cfg"
     path.write_text(format_config(cfg))
     assert main([command, "--config", str(path)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err

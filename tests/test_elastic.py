@@ -6,6 +6,7 @@ from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
+    _generate_events,
     collide_elastic,
     sample_sigma,
     simulate_kac,
@@ -14,10 +15,12 @@ from meanfield.elastic import (
 
 
 def test_kernel_normalization_witness():
+    # raw_norm is the trapezoid integral of the density over S^{d-1}; the
+    # isotropic density is 1/|S^{d-1}|, so it reads 1 (1 - 7.7e-10 at d = 3)
     for d in (2, 3, 4):
-        k = AngularKernel.isotropic(d)
-        assert abs(k.normalization - 1.0) < 1e-10
+        assert abs(AngularKernel.isotropic(d).raw_norm - 1.0) < 1e-8
     k1 = AngularKernel.two_point(0.3, 0.9)
+    assert k1.raw_norm == pytest.approx(1.2, abs=1e-15)
     assert abs(sum(k1.weights) - 1.0) < 1e-15
     assert k1.b1() == pytest.approx((0.3 - 0.9) / 1.2)
 
@@ -123,8 +126,11 @@ def test_next_collision_rate_and_mean_wait():
 
     # N=100 -> rate 49.5: check via expected number of events in simulate
     st100 = gaussian_sample_state(np.zeros(3), np.ones(3), 100, RngStream(3, 1))
-    _, rec = simulate_kac(st100, AngularKernel.isotropic(3), 10.0, [10.0], RngStream(3, 2),
-                          record_events=True)
+    kern = AngularKernel.isotropic(3)
+    dyn, alone = RngStream(3, 2), RngStream(3, 2)
+    simulate_kac(st100, kern, 10.0, [10.0], dyn)
+    rec = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, alone)
+    assert dyn.draw_counter == alone.draw_counter  # the run drew exactly this record
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
 
@@ -380,9 +386,11 @@ def test_simulate_kac_replicas_validation():
 def test_replay_coupled_identical_streams():
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 32, RngStream(4, 0))
     snaps = [1.0, 2.0]
-    out1, rec = simulate_kac(st0, AngularKernel.isotropic(3), 2.0, snaps, RngStream(4, 1),
-                             record_events=True)
-    # the recorded stream, played again on the same initial state
+    kern = AngularKernel.isotropic(3)
+    out1 = simulate_kac(st0, kern, 2.0, snaps, RngStream(4, 1))
+    # the same events, drawn again from a stream with the same key and
+    # played on the same initial state
+    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, RngStream(4, 1))
     out2 = _events.play_events(st0.coords.copy(), [rec], np.asarray(snaps))
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b)

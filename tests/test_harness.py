@@ -356,7 +356,6 @@ def test_chaos_curve_equals_cli_bootstrap_bitwise():
          oracle_values),
         ("one-replica oracle", values, OracleEstimate.from_replicas(times, oracle_values[:1]),
          oracle_values[:1]),
-        ("exact oracle", values, oracle_values[0], oracle_values[:1]),
         ("one replica per N", [v[:1] for v in values],
          OracleEstimate.from_replicas(times, oracle_values), oracle_values),
     ]
@@ -366,15 +365,13 @@ def test_chaos_curve_equals_cli_bootstrap_bitwise():
         assert curve.errors.tobytes() == errors.tobytes(), label
         assert curve.std_errors.tobytes() == std_errors.tobytes(), label
         np.testing.assert_array_equal(curve.n_values, n_values)
-        if isinstance(oracle, OracleEstimate):
-            assert curve.oracle_se_max == float(np.max(oracle.standard_error))
-        else:
-            assert curve.oracle_se_max == 0.0
+        assert curve.oracle_se_max == float(np.max(oracle.standard_error))
     assert np.all(curve.std_errors == 0.0)  # one replica per N: no spread
+    exact = OracleEstimate.from_replicas(times, oracle_values[:1])
     with pytest.raises(ValueError, match="one value array per N"):
-        chaos_error_curve(n_values, values[:2], oracle_values[0], seed=13)
+        chaos_error_curve(n_values, values[:2], exact, seed=13)
     with pytest.raises(ValueError, match="matching the oracle"):
-        chaos_error_curve(n_values, [v[:, :2] for v in values], oracle_values[0], seed=13)
+        chaos_error_curve(n_values, [v[:, :2] for v in values], exact, seed=13)
 
 
 def test_chaos_curve_self_comparison_zero():
@@ -401,7 +398,8 @@ def test_chaos_curve_fit_keeps_intercept():
     # planted err(N) = 3/N with zero spread: the fit is log err = log 3 - log N
     n_values = [10, 100, 1000, 10_000]
     values = [np.full((1, 1), 3.0 / n) for n in n_values]
-    curve = chaos_error_curve(n_values, values, np.zeros(1), seed=0)
+    exact_zero = OracleEstimate.from_replicas([1.0], np.zeros((1, 1)))
+    curve = chaos_error_curve(n_values, values, exact_zero, seed=0)
     np.testing.assert_array_equal(curve.std_errors, 0.0)
     footers = dict(cli._fit_footers(n_values, curve.errors, curve.std_errors))
     assert footers["fitted_slope"] == pytest.approx(-1.0, abs=1e-9)
@@ -416,7 +414,7 @@ def test_chaos_curve_marginal_vs_ustat_consistency():
     # marginal mean lands within a few SE of the u-stat mean
     times = [0.5]
     obs = ObservableProduct((observable_catalog("tanh_square", axis=0),))
-    oracle = np.array([0.0])  # exact-zero placeholder; compare raw means
+    oracle = OracleEstimate.from_replicas(times, np.zeros((1, 1)))  # exact zero: raw means
     a = chaos_error_curve([32], [_kac_values(obs, times, 32, 400, 9, "marginal")], oracle, 1)
     b = chaos_error_curve([32], [_kac_values(obs, times, 32, 50, 10)], oracle, 1)
     se = math.sqrt(a.std_errors[0] ** 2 + b.std_errors[0] ** 2)

@@ -5,7 +5,13 @@ import pytest
 
 from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import AngularKernel, collide_elastic, sample_sigma, simulate_kac
+from meanfield.elastic import (
+    AngularKernel,
+    _generate_events,
+    collide_elastic,
+    sample_sigma,
+    simulate_kac,
+)
 from meanfield.thermostat import (
     RestitutionParams,
     collide_inelastic,
@@ -106,16 +112,44 @@ def test_bath_off_energy_nonincreasing_pathwise():
     assert temps[-1] < 0.5 * temps[0]  # actually cools
 
 
-def test_pure_bath_variance_growth():
-    # collisions disabled: per-coordinate variance grows by 2 nu t
-    p = RestitutionParams(alpha=0.9, nu=1.0, dim=2)
-    st0 = ParticleState(np.zeros((30_000, 2)))
-    out = simulate_thermostat(
-        st0, AngularKernel.isotropic(2), p, 0.5, [0.5], RngStream(12, 0),
-        collisions_enabled=False,
-    )
-    var = out[0].coords.var(axis=0)
-    np.testing.assert_allclose(var, 1.0, rtol=0.03)  # 2*nu*t = 1
+def test_bath_off_draws_only_the_event_stream():
+    # nu = 0: the dynamics stream draws exactly the event record, and the
+    # run is that record played with restitution alpha
+    p = RestitutionParams(alpha=0.6, nu=0.0, dim=3)
+    kern = AngularKernel.isotropic(3)
+    st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 40, RngStream(23, 0))
+    snaps = [0.5, 1.0, 2.0]
+    dyn, alone = RngStream(23, 1), RngStream(23, 1)
+    out = simulate_thermostat(st0, kern, p, 2.0, snaps, dyn)
+    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, alone)
+    assert dyn.draw_counter == alone.draw_counter
+    replay = _events.play_events(st0.coords.copy(), [rec], np.asarray(snaps), p.alpha)
+    for a, b in zip(out, replay):
+        np.testing.assert_array_equal(a.coords, b)
+
+
+def test_halved_rate_runs_collisions_at_half_speed():
+    # without a bath time enters only through the collision clock, so the
+    # halved convention at 2t has the law of the ordered one at t; both
+    # start from the same data, and the mean temperature gap over 32
+    # replicas must sit within 4 standard errors
+    p = RestitutionParams(alpha=0.5, nu=0.0, dim=3)
+    kern = AngularKernel.isotropic(3)
+    ordered, halved = [], []
+    for r in range(32):
+        st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 256, RngStream(31, 2 * r))
+        for rate_ordered, out in ((True, ordered), (False, halved)):
+            states = simulate_thermostat(st0, kern, p, 2.0, [1.0, 2.0], RngStream(31, 2 * r + 1),
+                                         ordered_pair_rate=rate_ordered)
+            out.append([temperature(s) for s in states])
+    ordered, halved = np.array(ordered), np.array(halved)
+
+    def gap(a, b):
+        d = a - b
+        return abs(d.mean()) / (d.std(ddof=1) / math.sqrt(len(d)))
+
+    assert gap(halved[:, 1], ordered[:, 0]) < 4.0  # T_halved(2) ~ T_ordered(1)
+    assert gap(halved[:, 1], ordered[:, 1]) > 20.0  # the conventions do differ
 
 
 def test_momentum_random_walk_variance():
