@@ -175,6 +175,8 @@ def _build_observable(cfg: dict) -> ObservableProduct:
     name = _get(cfg, "observable", required=True)
     params = {}
     if "observable_center" in cfg:
+        # checked per coordinate, passed as given: the tag echoes the config
+        _per_coordinate(cfg, "observable_center", None, _state_dim(cfg))
         params["center"] = _as_floats(cfg["observable_center"])
     for key, tgt in (
         ("observable_width", "width"),
@@ -493,6 +495,8 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     n_values = _n_list(cfg)
     replicas = _count(cfg, "replicas", 200)
     factor = int(_get(cfg, "reference_factor", 64))
+    if factor < 64:
+        raise ConfigError("reference_factor", f"must be at least 64, got {factor}")
     estimator = str(_get(cfg, "estimator", "auto"))
     n_proj = _count(cfg, "n_projections", 64)
     law = str(_get(cfg, "law", "gaussian"))
@@ -600,7 +604,7 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
 
     try:
         g = gaussian_spectrum(make_xi_grid(8.0, 256), 1.0)
-        final = spectral_evolve(g, 0.8, True, 0.2, dt=5e-3)
+        [(_, [final])] = spectral_evolve([g], 0.8, True, 0.2, dt=5e-3)
         final.check_invariants(atol=1e-8)
         report("spectral-invariants", True, "F(0)=1, Hermitian, |F|<=1 after 40 steps")
     except Exception as exc:  # pragma: no cover

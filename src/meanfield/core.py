@@ -15,7 +15,7 @@ consumes these types.  Two contracts matter most:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ __all__ = [
     "quantile_init_1d",
     "gaussian_sample_state",
     "canonical_atom_order",
+    "validate_snapshots",
+    "run_fixed_steps",
 ]
 
 _INV_2_53 = 2.0 ** -53
@@ -60,16 +62,13 @@ class RngStream:
 
     master_seed: int
     stream_id: int = 0
-    draw_counter: int = 0
+    draw_counter: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.master_seed < 0 or self.stream_id < 0:
             raise ValueError("master_seed and stream_id must be nonnegative")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(seq))
-        # replay position when a stream is reconstructed mid-sequence
-        if self.draw_counter:
-            raise ValueError("streams start at draw_counter=0; keep the object")
 
     def _count(self, size) -> int:
         # plain Python: np.prod costs more than a small draw itself
@@ -111,7 +110,8 @@ class RngStream:
         g = self.normal(size=(n, dim))
         g = np.atleast_2d(g)
         norms = np.linalg.norm(g, axis=1, keepdims=True)
-        # a zero-norm draw has probability 0; regenerate defensively
+        # k = 2**52 rounds to u = 0.5 exactly, a normal of exactly 0, so a
+        # zero row has probability 2**(-53 dim); regenerate it
         bad = norms[:, 0] < 1e-300
         while np.any(bad):
             g[bad] = np.atleast_2d(self.normal(size=(int(bad.sum()), dim)))
@@ -249,3 +249,41 @@ def gaussian_sample_state(
     m = mean.shape[0]
     z = np.atleast_2d(rng.normal(size=(n, m)))
     return ParticleState(mean[None, :] + np.sqrt(var)[None, :] * z, time=0.0)
+
+
+def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:
+    """Snapshot times as an array, refused unless sorted and inside [t0, t_end]."""
+    if t_end < t0:
+        raise ValueError("t_end must not precede the start time")
+    snaps = np.asarray(snapshot_times, dtype=np.float64)
+    if snaps.size and np.any(np.diff(snaps) < 0):
+        raise ValueError("snapshot times must be sorted ascending")
+    if snaps.size and (snaps[0] < t0 - 1e-12 or snaps[-1] > t_end + 1e-12):
+        raise ValueError("snapshot times must lie in [start, t_end]")
+    return snaps
+
+
+def run_fixed_steps(x, step: Callable, emit: Callable, snapshot_times: Sequence[float],
+                    t0: float, t_end: float, dt: float) -> list:
+    """Fixed-step flow ``x = step(x, k)`` for k = 1, 2, ..., read at the snapshots.
+
+    The snapshots obey ``validate_snapshots`` and each lies on the grid
+    t0 + k dt; a repeated time is read once per repeat.  Returns
+    ``emit(x, k)`` at each snapshot's step k (k = 0 is the initial x) and
+    takes no step past the last snapshot.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    snaps = validate_snapshots(snapshot_times, t0, t_end)
+    steps = (snaps - t0) / dt
+    off = np.abs(steps - np.rint(steps)) > 1e-6
+    if off.any():
+        raise ValueError(f"snapshot {snaps[off][0]} is not a multiple of dt={dt}")
+    out = []
+    k = 0
+    for target in np.rint(steps).astype(int):
+        while k < target:
+            k += 1
+            x = step(x, k)
+        out.append(emit(x, k))
+    return out

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _events
-from .core import ParticleState, RngStream, SimulationError
+from .core import ParticleState, RngStream, SimulationError, validate_snapshots
 
 __all__ = [
     "AngularKernel",
@@ -162,17 +162,6 @@ def collide_elastic(v_i: np.ndarray, v_j: np.ndarray, sigma: np.ndarray) -> tupl
     return 0.5 * (w + u_star), 0.5 * (w - u_star)
 
 
-def _validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:
-    if t_end < t0:
-        raise ValueError("t_end must not precede the start time")
-    snaps = np.asarray(snapshot_times, dtype=np.float64)
-    if snaps.size and np.any(np.diff(snaps) < 0):
-        raise ValueError("snapshot times must be sorted ascending")
-    if snaps.size and (snaps[0] < t0 - 1e-12 or snaps[-1] > t_end + 1e-12):
-        raise ValueError("snapshot times must lie in [start, t_end]")
-    return snaps
-
-
 def _generate_events(
     n: int,
     dim: int,
@@ -213,7 +202,7 @@ def simulate_kac_replicas(
         raise SimulationError("need N >= 2")
     if kernel.dim != d:
         raise ValueError("kernel dimension must match the state")
-    snaps = _validate_snapshots(snapshot_times, t0, t_end)
+    snaps = validate_snapshots(snapshot_times, t0, t_end)
     records = [_generate_events(n, d, (n - 1) / 2.0, kernel, t0, t_end, rng) for rng in rngs]
     coords = np.concatenate([s.coords for s in initials])
     captured = _events.play_events(coords, records, snaps)
@@ -293,7 +282,9 @@ def simulate_kac_coupled(
         raise ValueError("coupled systems need matching shapes")
     if n < 2:
         raise SimulationError("need N >= 2")
-    snaps = _validate_snapshots(snapshot_times, initial_a.time, t_end)
+    if kernel.dim != d:
+        raise ValueError("kernel dimension must match the state")
+    snaps = validate_snapshots(snapshot_times, initial_a.time, t_end)
     record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial_a.time, t_end, rng)
     coords = np.hstack([initial_a.coords, initial_b.coords])
     captured = _events.play_events(coords, [record], snaps, apply=_apply_coupled)

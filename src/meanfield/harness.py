@@ -283,8 +283,6 @@ def rate_fit(
 class ContractionSeries:
     times: np.ndarray
     w2_mean: np.ndarray
-    w2_se: np.ndarray
-    estimator: str
     contraction_holds: bool
 
 
@@ -322,15 +320,12 @@ def tanaka_contraction_check(
     se = vals.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 else np.zeros_like(mean)
     pooled = np.sqrt(se**2 + se[0] ** 2)
     holds = bool(np.all(mean <= mean[0] + 2.0 * pooled + 1e-12))
-    return ContractionSeries(times=times, w2_mean=mean, w2_se=se,
-                             estimator="coupled-matched-atoms", contraction_holds=holds)
+    return ContractionSeries(times=times, w2_mean=mean, contraction_holds=holds)
 
 
 @dataclass
 class FourierContractionResult:
     times: np.ndarray
-    distances: np.ndarray
-    ratios: np.ndarray
     max_ratio: float
     identical_inputs: bool
 
@@ -348,8 +343,8 @@ def fourier_contraction_check(
     Evolves both spectra through the diffusive inelastic equation, as one
     batch of a single ``spectral_evolve`` loop, and returns
     max_t |f_t - g_t|_s / (e^{2t} |f_0 - g_0|_s) over ten checkpoints
-    evenly spaced up to t_end.  Identical inputs are flagged and return
-    ratio 0 by convention.
+    evenly spaced on the dt grid up to t_end.  Identical inputs are
+    flagged and return ratio 0 by convention.
     """
     if not np.array_equal(spec_a.xi_nodes, spec_b.xi_nodes):
         raise ValueError("spectra must share a grid")
@@ -361,15 +356,11 @@ def fourier_contraction_check(
     if snap_times[-1] != steps * dt:
         snap_times.append(steps * dt)
     if d0 == 0.0:
-        return FourierContractionResult(
-            times=np.asarray(snap_times), distances=np.zeros(len(snap_times)),
-            ratios=np.zeros(len(snap_times)), max_ratio=0.0, identical_inputs=True,
-        )
+        return FourierContractionResult(times=np.asarray(snap_times), max_ratio=0.0,
+                                        identical_inputs=True)
     snaps = spectral_evolve([spec_a, spec_b], alpha, True, t_end, dt=dt, snapshot_times=snap_times)
     times = np.array([t for t, _ in snaps])
     dists = np.array([toscani_norm(ga.values, gb.values, s, xi)[0] for _, (ga, gb) in snaps])
     ratios = dists / (np.exp(2.0 * times) * d0)
-    return FourierContractionResult(
-        times=times, distances=dists, ratios=ratios,
-        max_ratio=float(ratios.max()), identical_inputs=False,
-    )
+    return FourierContractionResult(times=times, max_ratio=float(ratios.max()),
+                                    identical_inputs=False)

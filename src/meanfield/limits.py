@@ -32,6 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import run_fixed_steps
+
 __all__ = [
     "GridSpectrum",
     "SpectralInstability",
@@ -245,35 +247,30 @@ class _BobylevOperator:
 
 
 def spectral_evolve(
-    spectrum: GridSpectrum | Sequence[GridSpectrum],
+    spectra: Sequence[GridSpectrum],
     alpha: float,
     with_diffusion: bool,
     t_end: float,
     dt: float = 1e-3,
     rate_factor: float = 1.0,
     snapshot_times: Sequence[float] | None = None,
-) -> GridSpectrum | list:
+) -> list[tuple[float, list[GridSpectrum]]]:
     """RK4 integration of the spectral equation, invariants checked per step.
 
     The equation weighs the two scattering directions of the 1-D sphere
     equally and, ``with_diffusion``, adds the unit-strength bath term
     -xi^2 F; ``rate_factor`` scales the collision part (0 leaves the
-    heat flow alone).  ``spectrum`` is one GridSpectrum or a sequence of
-    B spectra on one grid; a sequence is advanced as one ``(n_half, B)``
-    array through a single RK4 loop, each column exactly as it would be
-    alone.  With
-    ``snapshot_times`` a list of (t, spectrum) pairs is returned;
-    otherwise the terminal spectrum.  For a sequence input, each spectrum
-    in the result is a list with one GridSpectrum per input.  Aborts via
-    SpectralInstability when |F| of any column leaves the unit ball
-    beyond 1e-6.
+    heat flow alone).  The B ``spectra`` share one grid and advance as one
+    ``(n_half, B)`` array through a single RK4 loop, each column exactly
+    as it would be alone.  Returns one ``(k dt, [B spectra])`` pair per
+    snapshot: ``snapshot_times`` (default ``[t_end]``) are sorted times in
+    [0, t_end] on the grid k dt, as ``core.run_fixed_steps`` reads them.
+    Aborts via SpectralInstability when |F| of any column leaves the unit
+    ball beyond 1e-6.
     """
-    single = isinstance(spectrum, GridSpectrum)
-    spectra = [spectrum] if single else list(spectrum)
+    spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     xi_nodes = spectra[0].xi_nodes
     if any(not np.array_equal(g.xi_nodes, xi_nodes) for g in spectra[1:]):
         raise ValueError("spectra must share a grid")
@@ -292,26 +289,9 @@ def spectral_evolve(
             stacklevel=2,
         )
     op = _BobylevOperator(xi_half, alpha, with_diffusion, rate_factor)
-    f = np.stack([g.values[mid:] for g in spectra], axis=1)
-    n_steps = int(round(t_end / dt))
-    if abs(n_steps * dt - t_end) > 1e-9:
-        raise ValueError("t_end must be a multiple of dt")
-    snaps = list(snapshot_times) if snapshot_times is not None else None
-    if snaps is not None:
-        want = {int(round(s / dt)): s for s in snaps}
-        if any(abs(round(s / dt) * dt - s) > 1e-9 for s in snaps):
-            raise ValueError("snapshot times must be multiples of dt")
-
-    def columns() -> list[GridSpectrum]:
-        # GridSpectrum checks the invariants of every column as it is built
-        full = _mirror(f)
-        return [GridSpectrum(xi_nodes.copy(), full[:, j].copy()) for j in range(len(spectra))]
-
-    out: list = []
-    if snaps is not None and 0 in want:
-        out.append((want[0], columns()))
     half_dt, sixth_dt = 0.5 * dt, dt / 6.0
-    for k in range(1, n_steps + 1):
+
+    def step(f: np.ndarray, k: int) -> np.ndarray:
         k1 = op(f)
         k2 = op(f + half_dt * k1)
         k3 = op(f + half_dt * k2)
@@ -326,12 +306,17 @@ def spectral_evolve(
                 f"|F| = {amax[j]} at t = {k * dt:g} in spectrum {j} "
                 "(dt too large or grid too wide)"
             )
-        if snaps is not None and k in want:
-            out.append((want[k], columns()))
-    final = columns()
-    if snaps is None:
-        return final[0] if single else final
-    return [(t, gs[0]) for t, gs in out] if single else out
+        return f
+
+    def columns(f: np.ndarray, k: int) -> tuple[float, list[GridSpectrum]]:
+        # GridSpectrum checks the invariants of every column as it is built
+        full = _mirror(f)
+        return k * dt, [GridSpectrum(xi_nodes.copy(), full[:, j].copy())
+                        for j in range(len(spectra))]
+
+    f0 = np.stack([g.values[mid:] for g in spectra], axis=1)
+    snaps = [t_end] if snapshot_times is None else snapshot_times
+    return run_fixed_steps(f0, step, columns, snaps, 0.0, t_end, dt)
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ParticleState, RngStream, SimulationError
-from .elastic import _validate_snapshots
+from .core import ParticleState, RngStream, SimulationError, run_fixed_steps
 
 __all__ = [
     "InteractionKernel",
@@ -147,18 +146,6 @@ def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
     return ParticleState(new, time=state.time + dt)
 
 
-def _snapshot_steps(snapshot_times: Sequence[float], t0: float, dt: float,
-                    t_end: float) -> list[int]:
-    snaps = _validate_snapshots(snapshot_times, t0, t_end)
-    steps = []
-    for s in snaps:
-        k = (s - t0) / dt
-        if abs(k - round(k)) > 1e-6:
-            raise ValueError(f"snapshot {s} is not a multiple of dt={dt}")
-        steps.append(int(round(k)))
-    return steps
-
-
 def simulate_mkv(
     initial: ParticleState,
     spec: DriftDiffusionSpec,
@@ -169,22 +156,21 @@ def simulate_mkv(
 ) -> list[ParticleState]:
     """Fixed-step Euler-Maruyama trajectory; deterministic given (seed, dt).
 
+    Returns the states at ``snapshot_times``: sorted times in
+    [initial.time, t_end] on the grid initial.time + k dt, as
+    ``core.run_fixed_steps`` reads them; no step runs past the last one.
     Step k's state is stamped ``initial.time + k * dt``, not a running sum
     of dt, so snapshot times carry no accumulated rounding.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    want = _snapshot_steps(snapshot_times, initial.time, dt, t_end)
-    n_steps = max(want) if want else int(round((t_end - initial.time) / dt))
-    state = initial.copy()
-    out: list[ParticleState] = []
-    if 0 in want:
-        out.extend(state.copy() for _ in range(want.count(0)))
-    for k in range(1, n_steps + 1):
+    t0 = initial.time
+
+    def step(state: ParticleState, k: int) -> ParticleState:
         state = em_step(state, spec, dt, rng)
-        state.time = initial.time + k * dt
-        out.extend(state.copy() for _ in range(want.count(k)))
-    return out
+        state.time = t0 + k * dt
+        return state
+
+    return run_fixed_steps(initial, step, lambda state, k: state.copy(), snapshot_times,
+                           t0, t_end, dt)
 
 
 # --------------------------------------------------------------------------
@@ -253,27 +239,23 @@ def simulate_vlasov(
 ) -> list[ParticleState]:
     """Explicit-midpoint integration of the deterministic (x, v) system.
 
-    No randomness anywhere: repeated runs are bit-identical.
+    Snapshots follow the contract of ``simulate_mkv``.  No randomness
+    anywhere: repeated runs are bit-identical.
     """
     if initial.dim != 2 * spec.space_dim:
         raise ValueError("state must carry (x, v) pairs: dim = 2 * space_dim")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    want = _snapshot_steps(snapshot_times, initial.time, dt, t_end)
-    n_steps = max(want) if want else int(round((t_end - initial.time) / dt))
-    coords = initial.coords.copy()
-    t = initial.time
-    out: list[ParticleState] = []
-    if 0 in want:
-        out.extend(ParticleState(coords.copy(), t) for _ in range(want.count(0)))
-    for k in range(1, n_steps + 1):
+    t0 = initial.time
+
+    def step(coords: np.ndarray, k: int) -> np.ndarray:
         k1 = _vlasov_rhs(coords, spec)
         k2 = _vlasov_rhs(coords + 0.5 * dt * k1, spec)
         coords = coords + dt * k2
-        t = initial.time + k * dt
-        _check_finite(coords, f"t={t:g}")
-        out.extend(ParticleState(coords.copy(), t) for _ in range(want.count(k)))
-    return out
+        _check_finite(coords, f"t={t0 + k * dt:g}")
+        return coords
+
+    return run_fixed_steps(initial.coords, step,
+                           lambda coords, k: ParticleState(coords.copy(), t0 + k * dt),
+                           snapshot_times, t0, t_end, dt)
 
 
 # --------------------------------------------------------------------------

@@ -214,7 +214,6 @@ class SamplingErrorResult:
     mean: float
     standard_error: float
     estimator: str
-    reference_size: int
     per_replica: np.ndarray = field(repr=False)
 
 
@@ -287,10 +286,5 @@ def empirical_sampling_error(
             sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return SamplingErrorResult(
-        mean=mean,
-        standard_error=se,
-        estimator=estimator,
-        reference_size=reference_size,
-        per_replica=sq,
-    )
+    return SamplingErrorResult(mean=mean, standard_error=se, estimator=estimator,
+                               per_replica=sq)

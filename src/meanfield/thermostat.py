@@ -34,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _events
-from .core import ParticleState, RngStream, SimulationError
-from .elastic import AngularKernel, _generate_events, _validate_snapshots
+from .core import ParticleState, RngStream, SimulationError, validate_snapshots
+from .elastic import AngularKernel, _generate_events
 
 __all__ = [
     "RestitutionParams",
@@ -157,7 +157,7 @@ def simulate_thermostat(
         raise SimulationError("need N >= 2")
     if kernel.dim != d or params.dim != d:
         raise ValueError("kernel/params dimension must match the state")
-    snaps = _validate_snapshots(snapshot_times, initial.time, t_end)
+    snaps = validate_snapshots(snapshot_times, initial.time, t_end)
     rate = float(n - 1) if ordered_pair_rate else (n - 1) / 2.0
     record = _generate_events(n, d, rate, kernel, initial.time, t_end, rng)
 

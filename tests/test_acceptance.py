@@ -444,10 +444,10 @@ def test_c10_exactness_substitutes():
     # spectral invariants at every snapshot of a bath run (the evolver also
     # aborts on any per-step |F| violation, so completing is itself a check)
     snaps = spectral_evolve(
-        gaussian_spectrum(make_xi_grid(8.0, 2048), 2.0), 0.8, True, 10.0,
+        [gaussian_spectrum(make_xi_grid(8.0, 2048), 2.0)], 0.8, True, 10.0,
         dt=0.02, snapshot_times=np.arange(0.5, 10.5, 0.5),
     )
-    for _, g in snaps:
+    for _, [g] in snaps:
         g.check_invariants(atol=1e-8)
     _report(
         "C10 exactness substitutes", 600, t0,

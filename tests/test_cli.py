@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from meanfield import cli
 from meanfield.cli import cmd_chaos_curve, cmd_metric, cmd_omega_n, cmd_simulate, main
@@ -134,6 +135,27 @@ def test_cmd_simulate_models(tmp_path):
     out1 = cmd_simulate(vl, 3, 1, None)
     out2 = cmd_simulate(vl, 3, 1, None)
     assert out1 == out2  # fully deterministic model
+    # Gaussian quantiles: positions at F^{-1}((j - 1/2)/n), velocities at rest
+    out = tmp_path / "vl.csv"
+    cmd_simulate({**vl, "quantile_law": "gaussian", "quantile_variance": 4.0,
+                  "snapshot_times": [0.0], "dump_particles": True}, 3, 1, str(out))
+    x0 = load_particles(str(out) + ".particles.txt")
+    np.testing.assert_allclose(x0[:, 0], 2.0 * ndtri((np.arange(64) + 0.5) / 64), rtol=1e-15)
+    np.testing.assert_array_equal(x0[:, 1], 0.0)
+    # the d = 1 two-point kernel keeps the energy of every collision
+    two_point = {"model": "kac_elastic", "dimension": 1, "n": 16, "kernel": "two_point",
+                 "kernel_weights": [0.25, 0.75], "t_end": 0.5, "snapshot_times": [0.0, 0.5]}
+    text = cmd_simulate(two_point, 3, 1, None)
+    assert read_csv_header(text)["kernel_weights"] == [0.25, 0.75]
+    (_, temp0, _), (_, temp1, _) = [map(float, ln.split(",")) for ln in text.splitlines()[-2:]]
+    assert temp1 == pytest.approx(temp0, rel=1e-12)
+    # initial = file takes the first n particles of the file
+    parts = np.random.default_rng(4).normal(size=(12, 3))
+    dump_particles(tmp_path / "parts.txt", parts)
+    out = tmp_path / "file.csv"
+    cmd_simulate({**SIM_CFG, "n": 8, "initial": "file", "initial_file": str(tmp_path / "parts.txt"),
+                  "snapshot_times": [0.0], "dump_particles": True}, 3, 1, str(out))
+    np.testing.assert_array_equal(load_particles(str(out) + ".particles.txt"), parts[:8])
 
 
 def test_cmd_metric(tmp_path):
@@ -178,6 +200,27 @@ def test_cmd_chaos_curve_worker_independence():
     assert a == b
     assert "N,error,std_error" in a
     assert "fit_refused" in a or "fitted_slope" in a
+
+
+def test_cmd_chaos_curve_worker_pool_matches_serial(monkeypatch):
+    # N = 8192 fills a 16,384-particle block with 2 replicas, so 12 replicas
+    # make 6 blocks and --workers 2 hands them to the pool
+    cfg = {**CURVE_CFG, "n_list": [2048, 8192], "n_ref": 16 * 8192, "replicas": 12,
+           "replicas_ref": 1, "snapshot_times": [0.05]}
+    calls = []
+    ordered_map = cli.ordered_map
+
+    def spy(fn, tasks, workers=1):
+        calls.append((workers, len(tasks)))
+        return ordered_map(fn, tasks, workers)
+
+    monkeypatch.setattr(cli, "ordered_map", spy)
+    serial = cmd_chaos_curve(dict(cfg), 21, 1, None)
+    assert max(n for _, n in calls) >= 2
+    calls.clear()
+    pooled = cmd_chaos_curve(dict(cfg), 21, 2, None)
+    assert any(w >= 2 and n >= 2 for w, n in calls)
+    assert pooled == serial
 
 
 def test_chaos_curve_block_task_pickles():
@@ -274,8 +317,21 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     # quantile data fill one coordinate, so vlasov needs dimension = 1
     ("simulate", {"model": "vlasov", "dimension": 2, "n": 8, "initial": "quantile",
                   "snapshot_times": [0.5]}, "initial"),
+    # the center of a product observable is a per-coordinate list too
+    ("chaos-curve", {**CURVE_CFG, "observable_center": [0.0, 0.0]}, "observable_center"),
+    # the sampling-error reference holds at least 64 n points
+    ("omega-n", {**OMEGA_D3, "reference_factor": 32}, "reference_factor"),
+    ("simulate", {**KAC_D3, "kernel": "two_point", "kernel_weights": [0.5, 0.5]}, "kernel"),
+    # an initial_file entry is the particle array the test writes to that file
+    ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((8, 2))},
+     "initial_file"),
+    ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((4, 3))},
+     "initial_file"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
+    if "initial_file" in cfg:
+        dump_particles(tmp_path / "parts.txt", cfg["initial_file"])
+        cfg = {**cfg, "initial_file": str(tmp_path / "parts.txt")}
     with pytest.raises(cli.ConfigError) as err:
         cli._COMMANDS[command](dict(cfg), 0, 1, None)
     assert err.value.field == field

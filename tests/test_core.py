@@ -12,6 +12,7 @@ from meanfield.core import (
     gaussian_sample_state,
     moment,
     quantile_init_1d,
+    run_fixed_steps,
 )
 
 
@@ -179,6 +180,40 @@ def test_rng_stream_uniform_and_normal_equal_bounded_integer_formula(size):
 def test_rng_unit_vectors():
     v = RngStream(11, 0).unit_vectors(3, 200)
     np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)
+
+
+def test_rng_unit_vectors_redraws_zero_rows():
+    # k = 2**52 rounds to u = 0.5 exactly, whose normal is exactly 0
+    assert ndtri((np.float64(2**52) + 0.5) * 2.0**-53) == 0.0
+    r = RngStream(11, 0)
+    draws = iter([np.array([[0.0, 0.0], [3.0, 4.0]]), np.array([[0.0, -2.0]])])
+    r.normal = lambda size: next(draws)
+    np.testing.assert_array_equal(r.unit_vectors(2, 2), [[0.0, -1.0], [0.6, 0.8]])
+
+
+def test_rng_stream_counter_is_not_an_argument():
+    with pytest.raises(TypeError):
+        RngStream(1, 0, 5)
+    assert RngStream(1, 0).draw_counter == 0
+
+
+def test_run_fixed_steps_reads_each_snapshot_and_stops_at_the_last():
+    taken = []
+
+    def step(x, k):
+        taken.append(k)
+        return x + 1
+
+    out = run_fixed_steps(0, step, lambda x, k: (x, k), [0.0, 0.5, 0.5, 1.5], 0.0, 4.0, 0.5)
+    assert out == [(0, 0), (1, 1), (1, 1), (3, 3)] and taken == [1, 2, 3]
+    assert run_fixed_steps(0, step, lambda x, k: x, [], 0.0, 4.0, 0.5) == []
+    for times, dt, message in (([0.5], 0.0, "dt must be positive"),
+                               ([1.0, 0.5], 0.5, "sorted ascending"),
+                               ([0.5, 4.5], 0.5, r"\[start, t_end\]"),
+                               ([0.5, 0.75], 0.5, "0.75 is not a multiple of dt=0.5")):
+        with pytest.raises(ValueError, match=message):
+            run_fixed_steps(0, step, lambda x, k: x, times, 0.0, 4.0, dt)
+    assert taken == [1, 2, 3]  # refused before any step
 
 
 def test_particle_state_validation():

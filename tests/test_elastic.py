@@ -10,6 +10,7 @@ from meanfield.elastic import (
     collide_elastic,
     sample_sigma,
     simulate_kac,
+    simulate_kac_coupled,
     simulate_kac_replicas,
 )
 
@@ -381,6 +382,13 @@ def test_simulate_kac_replicas_validation():
         simulate_kac_replicas([a, b], kern, 1.0, [1.0], [RngStream(0, 2), RngStream(0, 3)])
     with pytest.raises(ValueError, match="one dynamics stream"):
         simulate_kac_replicas([a, a], kern, 1.0, [1.0], [RngStream(0, 2)])
+
+
+def test_simulate_kac_coupled_refuses_kernel_of_other_dimension():
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 8, RngStream(0, 0))
+    with pytest.raises(ValueError, match="kernel dimension"):
+        simulate_kac_coupled(a, a.copy(), AngularKernel.isotropic(2), 1.0, [1.0],
+                             RngStream(0, 1))
 
 
 def test_replay_coupled_identical_streams():

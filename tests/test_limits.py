@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from meanfield import limits, metrics
-from meanfield.core import EmpiricalMeasure, RngStream, gaussian_sample_state
+from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel, simulate_kac_replicas
 from meanfield.limits import (
     GridSpectrum,
@@ -13,6 +13,7 @@ from meanfield.limits import (
     make_xi_grid,
     spectral_evolve,
 )
+from meanfield.mckean import VlasovSpec, gradient_catalog, simulate_vlasov
 from meanfield.thermostat import RestitutionParams, steady_temperature
 
 XI = make_xi_grid(8.0, 512)
@@ -111,16 +112,16 @@ def test_bobylev_energy_derivative_matches_balance():
 
 def test_spectral_evolve_zero_time_and_stability_guard():
     g = gaussian_spectrum(XI, 1.0)
-    out = spectral_evolve(g, 0.8, True, 0.0, dt=1e-2)
+    [(_, [out])] = spectral_evolve([g], 0.8, True, 0.0, dt=1e-2)
     np.testing.assert_array_equal(out.values, g.values)
     with pytest.raises(ValueError, match="stability"):
-        spectral_evolve(g, 0.8, True, 1.0, dt=1.0)
+        spectral_evolve([g], 0.8, True, 1.0, dt=1.0)
 
 
 def test_spectral_evolve_pure_diffusion_heat_multiplier():
     g = gaussian_spectrum(XI, 1.0)
     t = 0.5
-    out = spectral_evolve(g, 0.8, True, t, dt=5e-3, rate_factor=0.0)
+    [(_, [out])] = spectral_evolve([g], 0.8, True, t, dt=5e-3, rate_factor=0.0)
     expect = g.values * np.exp(-XI**2 * t)
     keep = np.abs(expect) > 1e-12
     np.testing.assert_allclose(out.values[keep], expect[keep], rtol=1e-6, atol=1e-12)
@@ -129,9 +130,9 @@ def test_spectral_evolve_pure_diffusion_heat_multiplier():
 
 def test_spectral_evolve_cooling_without_bath():
     g = gaussian_spectrum(XI, 1.5)
-    snaps = spectral_evolve(g, 0.5, False, 2.0, dt=5e-3,
+    snaps = spectral_evolve([g], 0.5, False, 2.0, dt=5e-3,
                             snapshot_times=[0.5, 1.0, 1.5, 2.0])
-    energies = [s.second_moment() for _, s in snaps]
+    energies = [s.second_moment() for _, [s] in snaps]
     assert all(b < a for a, b in zip(energies[:-1], energies[1:]))
     # exact decay rate (1-a^2)/4 for b1=0: m2(t) = m2(0) exp(-0.1875 t)
     np.testing.assert_allclose(
@@ -149,7 +150,7 @@ def test_spectral_equilibrium_matches_unordered_balance():
     assert target == pytest.approx(8.0 / 0.36, rel=1e-12)
     grid = make_xi_grid(8.0, 2048)
     g = gaussian_spectrum(grid, 15.0)
-    out = spectral_evolve(g, 0.8, True, 40.0, dt=0.02)
+    [(_, [out])] = spectral_evolve([g], 0.8, True, 40.0, dt=0.02)
     assert out.second_moment() == pytest.approx(target, rel=0.02)
 
 
@@ -158,14 +159,14 @@ def test_spectral_evolve_refuses_dt_beyond_rk4_budget():
     # (an unstable column inside the budget is test_spectral_evolve_unstable_column_raises)
     g = gaussian_spectrum(make_xi_grid(40.0, 64), 1.0)
     with pytest.raises(ValueError, match="stability budget"):
-        spectral_evolve(g, 0.8, True, 5.0, dt=1.7e-3, rate_factor=600.0)
+        spectral_evolve([g], 0.8, True, 5.0, dt=1.7e-3, rate_factor=600.0)
 
 
 def test_boundary_truncation_warning():
     narrow = make_xi_grid(2.0, 64)
     g = gaussian_spectrum(narrow, 0.25)  # F(2) = e^{-0.5} far above 1e-6
     with pytest.warns(RuntimeWarning, match="boundary"):
-        spectral_evolve(g, 0.8, True, 0.01, dt=1e-3)
+        spectral_evolve([g], 0.8, True, 0.01, dt=1e-3)
 
 
 @pytest.mark.parametrize("n_nodes", [129, 2049])
@@ -191,14 +192,38 @@ def test_spectral_evolve_batch_equals_separate_runs():
     times = [0.05, 0.1]
     batch = spectral_evolve([a, b], 0.8, True, 0.1, dt=5e-3, snapshot_times=times)
     for j, g in enumerate((a, b)):
-        alone = spectral_evolve(g, 0.8, True, 0.1, dt=5e-3, snapshot_times=times)
-        for (tb, gb), (ta, ga) in zip(batch, alone):
+        alone = spectral_evolve([g], 0.8, True, 0.1, dt=5e-3, snapshot_times=times)
+        for (tb, gb), (ta, [ga]) in zip(batch, alone):
             assert tb == ta
             np.testing.assert_array_equal(gb[j].values, ga.values)
-    finals = spectral_evolve([a, b], 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
+    [(_, finals)] = spectral_evolve([a, b], 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
     for g, fin in zip((a, b), finals):
-        alone = spectral_evolve(g, 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
+        [(_, [alone])] = spectral_evolve([g], 0.6, False, 0.1, dt=5e-3, rate_factor=2.0)
         np.testing.assert_array_equal(fin.values, alone.values)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.05, 0.5], r"must lie in \[start, t_end\]"),
+    ([0.1, 0.05], "sorted ascending"),
+    ([0.0525], "not a multiple of dt"),
+])
+def test_spectral_evolve_refuses_snapshots_as_particle_integrators_do(times, message):
+    free = VlasovSpec(1, gradient_catalog("zero"))
+    with pytest.raises(ValueError, match=message):
+        simulate_vlasov(ParticleState(np.zeros((2, 2))), free, 0.1, 5e-3, times)
+    with pytest.raises(ValueError, match=message):
+        spectral_evolve([gaussian_spectrum(XI, 1.0)], 0.8, True, 0.1, dt=5e-3,
+                        snapshot_times=times)
+
+
+def test_spectral_evolve_repeats_snapshots_and_stops_at_the_last():
+    g = gaussian_spectrum(XI, 1.0)
+    twice = spectral_evolve([g], 0.8, True, 0.1, dt=5e-3, snapshot_times=[0.05, 0.05])
+    assert [t for t, _ in twice] == [10 * 5e-3] * 2
+    np.testing.assert_array_equal(twice[0][1][0].values, twice[1][1][0].values)
+    # t_end bounds the snapshots; the flow ends at the last one
+    [(_, [at_end])] = spectral_evolve([g], 0.8, True, 0.05, dt=5e-3)
+    np.testing.assert_array_equal(at_end.values, twice[0][1][0].values)
 
 
 def test_spectral_evolve_batch_validation():
