@@ -3,6 +3,8 @@
 # acceptance_log.txt at the repository root.  Exits with pytest's status:
 # /bin/sh has no pipefail, so the status leaves the pipe on fd 3.
 cd "$(dirname "$0")/.." || exit 1
+PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
 exec 4>&1
 status=$( { { python3 -m pytest tests/test_acceptance.py -v -s "$@" 2>&1; echo $? >&3; } \
     | tee acceptance_log.txt >&4; } 3>&1 )

@@ -2,6 +2,9 @@
 # Example end-to-end CLI runs producing CSV in ./results/
 set -e
 cd "$(dirname "$0")/.."
+# the package runs from this checkout's src/, installed or not
+PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+export PYTHONPATH
 mkdir -p results
 python3 -m meanfield.cli check
 python3 -m meanfield.cli simulate   --config scripts/configs/thermostat_plateau.cfg --out results/thermostat_plateau.csv

@@ -281,12 +281,12 @@ CHUNK_EVENTS = 16384
 
 
 def _chunks(spans, limit: int):
-    """Split ``(offset, record, lo, hi)`` spans into runs of at most limit events, in order."""
+    """Split ``(replica, record, lo, hi)`` spans into runs of at most limit events, in order."""
     chunk, size = [], 0
-    for off, rec, lo, hi in spans:
+    for r, rec, lo, hi in spans:
         while lo < hi:
             take = min(hi - lo, limit - size)
-            chunk.append((off, rec, lo, lo + take))
+            chunk.append((r, rec, lo, lo + take))
             size += take
             lo += take
             if size == limit:
@@ -326,11 +326,13 @@ def play_events(
     ``apply`` (default :func:`apply_pair_collisions`, looked up at call
     time) has that function's signature and gets the chunk's event arrays
     in play order with one ``(lo, hi)`` batch per level.
-    ``on_chunk(order, times)``, when given, is called before each chunk
-    with its play order (positions among the chunk's events in stream
-    order) and the event times in play order, and returns the chunk's
-    pre-batch hook.  ``on_snapshot(s)`` runs right before the state at
-    time s is copied.
+    ``on_chunk(order, times, owners)``, when given, is called before
+    each chunk with its play order (positions among the chunk's events in
+    stream order), the event times in play order and the chunk's owners:
+    one ``(r, count)`` per span, in stream order, for ``count``
+    consecutive events of record r.  It returns the chunk's pre-batch
+    hook.  ``on_snapshot(s)`` runs right before the state at time s is
+    copied.
     """
     if apply is None:
         apply = apply_pair_collisions
@@ -339,17 +341,18 @@ def play_events(
     out = []
     for s in snaps:
         uptos = [int(np.searchsorted(rec.times, s, side="right")) for rec in records]
-        spans = [(r * n, rec, lo, hi)
+        spans = [(r, rec, lo, hi)
                  for r, (rec, lo, hi) in enumerate(zip(records, cursors, uptos)) if hi > lo]
         for chunk in _chunks(spans, CHUNK_EVENTS):
-            pi = np.concatenate([rec.pair_i[lo:hi] + off for off, rec, lo, hi in chunk])
-            pj = np.concatenate([rec.pair_j[lo:hi] + off for off, rec, lo, hi in chunk])
+            pi = np.concatenate([rec.pair_i[lo:hi] + r * n for r, rec, lo, hi in chunk])
+            pj = np.concatenate([rec.pair_j[lo:hi] + r * n for r, rec, lo, hi in chunk])
             order, batches = level_schedule(pi, pj)
             costh = _in_play_order(chunk, "costh", order)
             frames = None if records[0].frames is None else _in_play_order(chunk, "frames", order)
             hook = None
             if on_chunk is not None:
-                hook = on_chunk(order, _in_play_order(chunk, "times", order))
+                hook = on_chunk(order, _in_play_order(chunk, "times", order),
+                                [(r, hi - lo) for r, _, lo, hi in chunk])
             apply(coords, pi[order], pj[order], costh, frames, restitution, batches, hook)
         cursors = uptos
         if on_snapshot is not None:

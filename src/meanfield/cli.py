@@ -37,6 +37,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
+from ._events import apply_pair_collisions
 from ._parallel import ordered_map
 from .config import dump_particles, load_particles, parse_config, write_csv
 from .core import (
@@ -74,7 +75,7 @@ from .metrics import (
     w2_sliced,
 )
 from .observables import ObservableProduct, observable_catalog
-from .thermostat import RestitutionParams, simulate_thermostat, temperature
+from .thermostat import RestitutionParams, simulate_thermostat_replicas, temperature
 
 RATE_CONVENTIONS = {
     "rate_convention_elastic": "unordered-pairs:(N-1)/2",
@@ -85,8 +86,8 @@ RATE_CONVENTIONS = {
 _MODELS = ("kac_elastic", "inelastic_thermostat", "mckean_vlasov", "vlasov")
 
 # chaos-curve replicas of one N run in blocks of at most this many particles
-# (kac_elastic blocks are played as one stacked system); larger blocks buy
-# little speed and cost memory
+# (a block of either collision model is played as one stacked system);
+# larger blocks buy little speed and cost memory
 REPLICA_BLOCK_PARTICLES = 16_384
 
 
@@ -275,8 +276,8 @@ def _model_kernel(cfg: dict) -> AngularKernel | None:
 def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKernel | None):
     """Trajectories of N particles, one per (initial, dynamics) stream-id pair.
 
-    Returns (times, states per run, draw items per run); kac_elastic runs
-    are played as one stacked system.
+    Returns (times, states per run, draw items per run); the runs of a
+    collision model are played as one stacked system.
     """
     model = _get(cfg, "model", required=True)
     if model not in _MODELS:
@@ -296,11 +297,8 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
             dim=dim,
         )
         ordered = bool(_get(cfg, "ordered_pair_rate", True))
-        runs = [
-            simulate_thermostat(init, kernel, params, t_end, times, dyn,
-                                ordered_pair_rate=ordered)
-            for init, dyn in zip(inits, dyn_streams)
-        ]
+        runs = simulate_thermostat_replicas(inits, kernel, params, t_end, times, dyn_streams,
+                                            ordered_pair_rate=ordered)
     elif model == "mckean_vlasov":
         spec = _build_mkv_spec(cfg, dim)
         dt = float(_get(cfg, "dt", 1e-3))
@@ -610,22 +608,20 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     except Exception as exc:  # pragma: no cover
         report("spectral-invariants", False, str(exc))
 
-    # pointwise inelastic contraction
-    from .thermostat import collide_inelastic
-
+    # pointwise inelastic contraction of the engine's collision rule: 500
+    # collisions, 50 disjoint pairs (k, k + 50) per restitution
     stream = RngStream(seed, 3)
     worst_ratio = 0.0
-    for _ in range(500):
-        vi = np.atleast_1d(stream.normal(size=3))
-        vj = np.atleast_1d(stream.normal(size=3))
+    kernel, pairs = AngularKernel.isotropic(3), np.arange(50)
+    for _ in range(10):
         alpha = 0.05 + 0.9 * float(stream.uniform())
-        u = vi - vj
-        uhat = u / np.linalg.norm(u)
-        from .elastic import sample_sigma
-
-        sig = sample_sigma(AngularKernel.isotropic(3), uhat, stream)
-        wi, wj = collide_inelastic(vi, vj, sig, alpha)
-        worst_ratio = max(worst_ratio, np.linalg.norm(wi - wj) / np.linalg.norm(u))
+        v = stream.normal(size=(100, 3))
+        u = v[:50] - v[50:]
+        costh = kernel.sample_costheta(50, stream)
+        apply_pair_collisions(v, pairs, pairs + 50, costh, stream.normal(size=(50, 3)), alpha,
+                              [(0, 50)])
+        ratio = np.linalg.norm(v[:50] - v[50:], axis=1) / np.linalg.norm(u, axis=1)
+        worst_ratio = max(worst_ratio, float(ratio.max()))
     report("inelastic-contraction", worst_ratio <= 1.0 + 1e-12,
            f"max |u*|/|u| = {worst_ratio:.12f}")
 

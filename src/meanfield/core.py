@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _INV_2_53 = 2.0 ** -53
+_BELOW_ONE = np.float64(1.0 - _INV_2_53)
 
 
 class SimulationError(RuntimeError):
@@ -47,10 +48,14 @@ class RngStream:
     Independent streams are obtained by varying ``stream_id`` under a fixed
     ``master_seed`` (Philox keyed through ``SeedSequence(master_seed,
     spawn_key=(stream_id,))``).  ``draw_counter`` counts scalar variates
-    handed out, for audit headers.  Uniforms are drawn as
-    ``(k + 0.5) * 2**-53`` with k a 53-bit integer, so they lie strictly
-    inside (0, 1); normals are inverse-transform (``ndtri``) so the whole
-    stream reduces to one documented uniform sequence.
+    handed out, for audit headers.  Uniforms are ``(k + 0.5) * 2**-53``
+    in float64, with k a 53-bit integer.  Below k = 2**52 that is exact;
+    above it the ``+ 0.5`` rounds away (ties to even), so k = 2**52 gives
+    exactly 0.5 and the upper half lies on the ``k * 2**-53`` grid.  The
+    one word that would round to 1.0, k = 2**53 - 1, is clamped to
+    ``1 - 2**-53``, so every uniform lies strictly inside (0, 1).  Normals
+    are inverse-transform (``ndtri``), hence finite, so the whole stream
+    reduces to one documented uniform sequence.
 
     k is ``bit_generator.random_raw(size) >> 11``, the top 53 bits of one
     raw 64-bit word.  For the range 2**53 numpy's Lemire method never
@@ -83,12 +88,12 @@ class RngStream:
         self.draw_counter += self._count(size)
         k = self._gen.bit_generator.random_raw(size)
         if size is None:
-            return (np.float64(k >> 11) + 0.5) * _INV_2_53
+            return min((np.float64(k >> 11) + 0.5) * _INV_2_53, _BELOW_ONE)
         k >>= 11
         u = k.view(np.float64)  # same buffer: each word is read before it is written
         np.add(k, 0.5, out=u)
         u *= _INV_2_53
-        return u
+        return np.minimum(u, _BELOW_ONE, out=u)
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normals via inverse transform of :meth:`uniform`."""

@@ -22,8 +22,6 @@ from .core import ParticleState, RngStream, SimulationError, validate_snapshots
 
 __all__ = [
     "AngularKernel",
-    "sample_sigma",
-    "collide_elastic",
     "simulate_kac",
     "simulate_kac_replicas",
     "simulate_kac_coupled",
@@ -132,36 +130,6 @@ class AngularKernel:
         return np.cos(np.interp(u, self._u_nodes, self._theta_of_u))
 
 
-def sample_sigma(kernel: AngularKernel, u_hat: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One deviation direction with cos(theta) = sigma·u_hat drawn from b."""
-    u_hat = np.asarray(u_hat, dtype=np.float64)
-    if abs(float(np.linalg.norm(u_hat)) - 1.0) > 1e-6:
-        raise ValueError("u_hat must be a unit vector (|u_hat| within 1e-6 of 1)")
-    c = kernel.sample_costheta(1, rng)
-    if kernel.dim == 1:
-        return c * u_hat
-    g = np.atleast_2d(rng.normal(size=(1, kernel.dim)))
-    sigma = _events.deviation_vectors(u_hat[None, :], np.array([1.0]), c, g)[0]
-    return sigma / np.linalg.norm(sigma)
-
-
-def collide_elastic(v_i: np.ndarray, v_j: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elastic pair update: w/2 ± u*/2 with u* = |u| sigma.
-
-    The u = 0 pair is returned unchanged (u* = 0 regardless of sigma; the
-    degenerate direction is fixed by this convention).
-    """
-    v_i = np.asarray(v_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    u = v_i - v_j
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return v_i.copy(), v_j.copy()
-    w = v_i + v_j
-    u_star = r * np.asarray(sigma, dtype=np.float64)
-    return 0.5 * (w + u_star), 0.5 * (w - u_star)
-
-
 def _generate_events(
     n: int,
     dim: int,
@@ -179,6 +147,38 @@ def _generate_events(
     return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
 
 
+def _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs, pair_rate,
+                      restitution=None, bath=None) -> list[list[ParticleState]]:
+    """Independent collision trajectories of R replicas, played as one stacked system.
+
+    Replica r starts from ``initials[r]`` and draws its events, at total
+    rate ``pair_rate * (N - 1)``, from ``rngs[r]``; all replicas share N,
+    the dimension and the start time.  ``restitution`` goes to the
+    collision rule (None: elastic).  ``bath(coords)``, when given, takes
+    the stacked ``(R N, d)`` coords and returns the ``on_chunk`` and
+    ``on_snapshot`` hooks of ``_events.play_events``.
+    """
+    if not initials or len(rngs) != len(initials):
+        raise ValueError("need one dynamics stream per initial state, and at least one")
+    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
+    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
+        raise ValueError("replicas need matching shapes and start times")
+    if n < 2:
+        raise SimulationError("need N >= 2")
+    if kernel.dim != d:
+        raise ValueError("kernel dimension must match the state")
+    snaps = validate_snapshots(snapshot_times, t0, t_end)
+    records = [_generate_events(n, d, pair_rate * (n - 1), kernel, t0, t_end, rng) for rng in rngs]
+    coords = np.concatenate([s.coords for s in initials])
+    on_chunk, on_snapshot = (None, None) if bath is None else bath(coords)
+    captured = _events.play_events(coords, records, snaps, restitution,
+                                   on_chunk=on_chunk, on_snapshot=on_snapshot)
+    return [
+        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
+        for r in range(len(initials))
+    ]
+
+
 def simulate_kac_replicas(
     initials: Sequence[ParticleState],
     kernel: AngularKernel,
@@ -193,23 +193,7 @@ def simulate_kac_replicas(
     ``simulate_kac(initials[r], kernel, t_end, snapshot_times, rngs[r])``.
     All replicas share N, the dimension and the start time.
     """
-    if not initials or len(rngs) != len(initials):
-        raise ValueError("need one dynamics stream per initial state, and at least one")
-    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
-    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
-        raise ValueError("replicas need matching shapes and start times")
-    if n < 2:
-        raise SimulationError("need N >= 2")
-    if kernel.dim != d:
-        raise ValueError("kernel dimension must match the state")
-    snaps = validate_snapshots(snapshot_times, t0, t_end)
-    records = [_generate_events(n, d, (n - 1) / 2.0, kernel, t0, t_end, rng) for rng in rngs]
-    coords = np.concatenate([s.coords for s in initials])
-    captured = _events.play_events(coords, records, snaps)
-    return [
-        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
-        for r in range(len(initials))
-    ]
+    return _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs, 0.5)
 
 
 def simulate_kac(

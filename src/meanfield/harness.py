@@ -316,8 +316,8 @@ def tanaka_contraction_check(
         out_a, out_b = simulate_kac_coupled(state_a, state_b, kernel, t_end, times, stream)
         for k, (sa, sb) in enumerate(zip(out_a, out_b)):
             vals[r, k] = math.sqrt(float(np.mean(np.sum((sa.coords - sb.coords) ** 2, axis=1))))
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / math.sqrt(replicas) if replicas > 1 else np.zeros_like(mean)
+    est = OracleEstimate.from_replicas(times, vals)
+    mean, se = est.mean, est.standard_error
     pooled = np.sqrt(se**2 + se[0] ** 2)
     holds = bool(np.all(mean <= mean[0] + 2.0 * pooled + 1e-12))
     return ContractionSeries(times=times, w2_mean=mean, contraction_holds=holds)

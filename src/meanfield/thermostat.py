@@ -9,14 +9,15 @@ particle was last touched (increments over disjoint intervals are
 independent Gaussians, so deferred aggregation is exact in law and O(1)
 per event instead of O(N)).
 
-The bath is drawn in event order, never in batch order: before each
-chunk of consecutive events is played, every event of the chunk gets 2 d
-normals up front (d for each particle of the pair, the increment since
-that particle was last touched), and at each snapshot every particle is
-synced with d more.  A particle's increments therefore follow its own events in
-stream order, and the trajectory is the same bit for bit under any
-schedule of the event engine, the dependency levels or one event per
-batch.
+The bath is drawn per replica, in event order, never in batch order:
+before each chunk of consecutive events is played, every event of the
+chunk gets 2 d normals up front from its own replica's stream (d for each
+particle of the pair, the increment since that particle was last
+touched), and at each snapshot every particle is synced with d more from
+the same stream.  Each stream therefore hands out its events and then its
+increments in the order of a lone run, and a replica's trajectory is the
+same bit for bit under any schedule of the event engine: the dependency
+levels, one event per batch, or many replicas stacked into one system.
 
 Rate convention: the generator used here sums over ordered pairs, total
 jump rate N-1.  The halved convention (unordered pairs, rate (N-1)/2,
@@ -33,14 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _events
-from .core import ParticleState, RngStream, SimulationError, validate_snapshots
-from .elastic import AngularKernel, _generate_events
+from .core import ParticleState, RngStream
+from .elastic import AngularKernel, _simulate_stacked
 
 __all__ = [
     "RestitutionParams",
-    "collide_inelastic",
     "simulate_thermostat",
+    "simulate_thermostat_replicas",
     "steady_temperature",
     "temperature",
 ]
@@ -65,28 +65,6 @@ class RestitutionParams:
             raise ValueError("nu must be nonnegative (0 disables the bath)")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-
-
-def collide_inelastic(
-    v_i: np.ndarray, v_j: np.ndarray, sigma: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inelastic pair update: w/2 ± u*/2, u* = (1-a)/2 u + (1+a)/2 |u| sigma.
-
-    Momentum is conserved exactly; |u*| <= |u| pointwise with equality only
-    at sigma = u/|u|, so the pair kinetic energy never increases.  The
-    u = 0 pair returns unchanged (same convention as the elastic rule).
-    """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must lie in (0, 1]")
-    v_i = np.asarray(v_i, dtype=np.float64)
-    v_j = np.asarray(v_j, dtype=np.float64)
-    u = v_i - v_j
-    r = float(np.linalg.norm(u))
-    if r == 0.0:
-        return v_i.copy(), v_j.copy()
-    w = v_i + v_j
-    u_star = 0.5 * (1.0 - alpha) * u + 0.5 * (1.0 + alpha) * r * np.asarray(sigma, float)
-    return 0.5 * (w + u_star), 0.5 * (w - u_star)
 
 
 def temperature(state: ParticleState) -> float:
@@ -138,6 +116,61 @@ def _diffuse(coords, idx, last_sync, now, nu, z) -> None:
     last_sync[idx] = now
 
 
+def simulate_thermostat_replicas(
+    initials: Sequence[ParticleState],
+    kernel: AngularKernel,
+    params: RestitutionParams,
+    t_end: float,
+    snapshot_times: Sequence[float],
+    rngs: Sequence[RngStream],
+    ordered_pair_rate: bool = True,
+) -> list[list[ParticleState]]:
+    """Independent trajectories of R replicas, played as one stacked system.
+
+    Replica r starts from ``initials[r]`` and draws its events, then its
+    bath normals, from ``rngs[r]``; its snapshot states are bitwise those
+    of ``simulate_thermostat`` on ``initials[r]`` and ``rngs[r]``.  All
+    replicas share N, the dimension and the start time.
+    """
+    if params.dim != kernel.dim:
+        raise ValueError("kernel/params dimension must match the state")
+    bath = None
+    if params.nu > 0.0:
+        nu, d = params.nu, params.dim
+
+        def bath(coords: np.ndarray):
+            n = len(coords) // len(rngs)
+            last_sync = np.full(len(coords), initials[0].time)
+
+            def normals(owners, width: int) -> np.ndarray:
+                # one draw per replica span; a lone draw is used as is (no
+                # concatenated copy of a one-span chunk)
+                parts = [rngs[r].normal(size=(k, width)) for r, k in owners]
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+            def on_chunk(order: np.ndarray, now: np.ndarray, owners):
+                # drawn in event order, then taken in play order batch by
+                # batch (no chunk-sized reordered copy)
+                z = normals(owners, 2 * d)
+
+                def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
+                    both = np.concatenate([ii, jj])
+                    t = np.tile(now[lo:hi], 2)
+                    zb = z.take(order[lo:hi], axis=0)
+                    _diffuse(coords, both, last_sync, t, nu, np.concatenate([zb[:, :d], zb[:, d:]]))
+
+                return hook
+
+            def on_snapshot(s: float) -> None:
+                z = normals([(r, n) for r in range(len(rngs))], d)
+                _diffuse(coords, np.arange(len(coords)), last_sync, s, nu, z)
+
+            return on_chunk, on_snapshot
+
+    return _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs,
+                             1.0 if ordered_pair_rate else 0.5, params.alpha, bath)
+
+
 def simulate_thermostat(
     initial: ParticleState,
     kernel: AngularKernel,
@@ -152,38 +185,5 @@ def simulate_thermostat(
     At ``params.nu == 0`` there is no bath: the run is the pure inelastic
     collision process, and ``rng`` draws only the event stream.
     """
-    n, d = initial.n_particles, initial.dim
-    if n < 2:
-        raise SimulationError("need N >= 2")
-    if kernel.dim != d or params.dim != d:
-        raise ValueError("kernel/params dimension must match the state")
-    snaps = validate_snapshots(snapshot_times, initial.time, t_end)
-    rate = float(n - 1) if ordered_pair_rate else (n - 1) / 2.0
-    record = _generate_events(n, d, rate, kernel, initial.time, t_end, rng)
-
-    coords = initial.coords.copy()
-    on_chunk = on_snapshot = None
-    if params.nu > 0.0:
-        last_sync = np.full(n, initial.time)
-        nu = params.nu
-
-        def on_chunk(order: np.ndarray, now: np.ndarray):
-            # drawn in event order, then taken in play order batch by batch
-            # (no chunk-sized reordered copy)
-            z = rng.normal(size=(len(order), 2 * d))
-
-            def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
-                both = np.concatenate([ii, jj])
-                t = np.tile(now[lo:hi], 2)
-                zb = z.take(order[lo:hi], axis=0)
-                normals = np.concatenate([zb[:, :d], zb[:, d:]])
-                _diffuse(coords, both, last_sync, t, nu, normals)
-
-            return hook
-
-        def on_snapshot(s: float) -> None:
-            _diffuse(coords, np.arange(n), last_sync, s, nu, rng.normal(size=(n, d)))
-
-    captured = _events.play_events(coords, [record], snaps, params.alpha,
-                                   on_chunk=on_chunk, on_snapshot=on_snapshot)
-    return [ParticleState(c, time=float(s)) for s, c in zip(snaps, captured)]
+    return simulate_thermostat_replicas([initial], kernel, params, t_end, snapshot_times, [rng],
+                                        ordered_pair_rate)[0]

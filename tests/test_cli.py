@@ -202,11 +202,8 @@ def test_cmd_chaos_curve_worker_independence():
     assert "fit_refused" in a or "fitted_slope" in a
 
 
-def test_cmd_chaos_curve_worker_pool_matches_serial(monkeypatch):
-    # N = 8192 fills a 16,384-particle block with 2 replicas, so 12 replicas
-    # make 6 blocks and --workers 2 hands them to the pool
-    cfg = {**CURVE_CFG, "n_list": [2048, 8192], "n_ref": 16 * 8192, "replicas": 12,
-           "replicas_ref": 1, "snapshot_times": [0.05]}
+def _pool_matches_serial(monkeypatch, cfg):
+    """The chaos-curve CSV of cfg at --workers 1 and 2, with the pool seen to run."""
     calls = []
     ordered_map = cli.ordered_map
 
@@ -221,6 +218,23 @@ def test_cmd_chaos_curve_worker_pool_matches_serial(monkeypatch):
     pooled = cmd_chaos_curve(dict(cfg), 21, 2, None)
     assert any(w >= 2 and n >= 2 for w, n in calls)
     assert pooled == serial
+
+
+def test_cmd_chaos_curve_worker_pool_matches_serial(monkeypatch):
+    # N = 8192 fills a 16,384-particle block with 2 replicas, so 12 replicas
+    # make 6 blocks and --workers 2 hands them to the pool
+    _pool_matches_serial(monkeypatch, {**CURVE_CFG, "n_list": [2048, 8192], "n_ref": 16 * 8192,
+                                       "replicas": 12, "replicas_ref": 1,
+                                       "snapshot_times": [0.05]})
+
+
+def test_cmd_chaos_curve_thermostat_blocks_match_across_workers(monkeypatch):
+    # N = 4096 fills a block with 4 replicas: 12 replicas make 3 stacked
+    # thermostat blocks, each replica drawing its bath from its own stream
+    _pool_matches_serial(monkeypatch, {**CURVE_CFG, "model": "inelastic_thermostat",
+                                       "alpha": 0.8, "n_list": [1024, 4096],
+                                       "n_ref": 16 * 4096, "replicas": 12, "replicas_ref": 1,
+                                       "snapshot_times": [0.02, 0.05]})
 
 
 def test_chaos_curve_block_task_pickles():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,25 @@ def test_rng_stream_uniform_and_normal_equal_bounded_integer_formula(size):
     # the generator ends in the same state
     np.testing.assert_array_equal(r._gen.bit_generator.random_raw(4),
                                   gen.bit_generator.random_raw(4))
+
+
+def test_rng_stream_top_words_stay_inside_the_unit_interval():
+    # raw words whose top 53 bits are k = 2**52 (u = 0.5 once the + 0.5
+    # rounds away) and k = 2**53 - 1 (which would round to u = 1.0)
+    words = [2**52 << 11, (2**53 - 1) << 11]
+
+    class Raw:
+        @staticmethod
+        def random_raw(size=None):
+            return words[1] if size is None else np.array(words, dtype=np.uint64)
+
+    r = RngStream(0, 0)
+    r._gen = SimpleNamespace(bit_generator=Raw())
+    u = r.uniform(size=2)
+    assert u[0] == 0.5 and u[1] == 1.0 - 2.0**-53
+    assert r.uniform() == u[1] and type(r.uniform()) is np.float64
+    assert np.all(np.isfinite(r.normal(size=2))) and np.isfinite(r.normal())
+    assert r.normal(size=2)[0] == 0.0
 
 
 def test_rng_unit_vectors():

@@ -7,8 +7,6 @@ from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
     _generate_events,
-    collide_elastic,
-    sample_sigma,
     simulate_kac,
     simulate_kac_coupled,
     simulate_kac_replicas,
@@ -36,14 +34,14 @@ def test_isotropic_b1_zero():
     assert AngularKernel.isotropic(2).b1() == pytest.approx(0.0, abs=1e-10)
 
 
-def test_sample_sigma_unit_norm_and_validation():
-    k = AngularKernel.isotropic(3)
-    rng = RngStream(1, 0)
-    for _ in range(50):
-        s = sample_sigma(k, np.array([0.0, 0.0, 1.0]), rng)
-        assert abs(np.linalg.norm(s) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        sample_sigma(k, np.array([0.0, 0.0, 1.1]), rng)
+def collide(vi, vj, costh, frames=None, restitution=None):
+    """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
+    coords = np.concatenate([vi, vj]).astype(np.float64)
+    k = len(vi)
+    pairs = np.arange(k)
+    _events.apply_pair_collisions(coords, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
+                                  frames, restitution, [(0, k)])
+    return coords[:k], coords[k:]
 
 
 def test_sample_sigma_isotropic_costheta_uniform_ks():
@@ -60,11 +58,14 @@ def test_sample_sigma_isotropic_costheta_uniform_ks():
 
 
 def test_sample_sigma_spiked_kernel_aligns():
+    # a spiked kernel barely deflects: the new relative velocity stays near u
     spike = AngularKernel(dim=3, density=lambda c: np.exp(400.0 * (c - 1.0)), name="spike")
     rng = RngStream(7, 0)
     uhat = np.array([0.0, 1.0, 0.0])
-    draws = np.array([sample_sigma(spike, uhat, rng) for _ in range(64)])
-    assert np.all(draws @ uhat > 0.97)
+    vi, vj = collide(np.tile(uhat, (64, 1)), np.tile(-uhat, (64, 1)),
+                     spike.sample_costheta(64, rng), np.atleast_2d(rng.normal(size=(64, 3))))
+    sigma = (vi - vj) / 2.0
+    assert np.all(sigma @ uhat > 0.97)
 
 
 def test_sample_costheta_tabulated_matches_density():
@@ -80,42 +81,42 @@ def test_sample_costheta_tabulated_matches_density():
 
 
 def test_collide_elastic_headon():
-    vi, vj = collide_elastic(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), np.array([0.0, 1.0]))
-    np.testing.assert_allclose(vi, [0.0, 1.0], atol=0)
-    np.testing.assert_allclose(vj, [0.0, -1.0], atol=0)
+    # u = (2, 0) turned onto sigma = (0, 1): cos theta 0, frame along sigma
+    vi, vj = collide([[1.0, 0.0]], [[-1.0, 0.0]], [0.0], np.array([[0.0, 1.0]]))
+    np.testing.assert_array_equal(vi, [[0.0, 1.0]])
+    np.testing.assert_array_equal(vj, [[0.0, -1.0]])
 
 
 def test_collide_elastic_identity_when_sigma_parallel():
-    vi0 = np.array([2.0, 1.0, -1.0])
-    vj0 = np.array([0.5, 1.0, 3.0])
-    u = vi0 - vj0
-    sigma = u / np.linalg.norm(u)
-    vi, vj = collide_elastic(vi0, vj0, sigma)
+    vi0 = np.array([[2.0, 1.0, -1.0]])
+    vj0 = np.array([[0.5, 1.0, 3.0]])
+    vi, vj = collide(vi0, vj0, [1.0], np.array([[0.3, -1.2, 0.7]]))
     np.testing.assert_allclose(vi, vi0, atol=1e-14)
     np.testing.assert_allclose(vj, vj0, atol=1e-14)
 
 
 def test_collide_elastic_zero_relative_velocity():
-    v = np.array([1.0, 2.0])
-    vi, vj = collide_elastic(v, v, np.array([0.0, 1.0]))
+    v = np.array([[1.0, 2.0]])
+    vi, vj = collide(v, v, [0.3], np.array([[0.0, 1.0]]))
     np.testing.assert_array_equal(vi, v)
     np.testing.assert_array_equal(vj, v)
 
 
 def test_collide_elastic_conservation_random():
     rng = RngStream(13, 0)
-    k = AngularKernel.isotropic(3)
-    for _ in range(200):
-        vi0 = np.atleast_1d(rng.normal(size=3))
-        vj0 = np.atleast_1d(rng.normal(size=3))
-        u = vi0 - vj0
-        sigma = sample_sigma(k, u / np.linalg.norm(u), rng)
-        vi, vj = collide_elastic(vi0, vj0, sigma)
-        p0, p1 = vi0 + vj0, vi + vj
-        e0 = np.sum(vi0**2) + np.sum(vj0**2)
-        e1 = np.sum(vi**2) + np.sum(vj**2)
-        assert np.linalg.norm(p1 - p0) <= 1e-12 * max(1.0, np.linalg.norm(p0))
-        assert abs(e1 - e0) <= 1e-12 * e0
+    vi0 = np.atleast_2d(rng.normal(size=(200, 3)))
+    vj0 = np.atleast_2d(rng.normal(size=(200, 3)))
+    costh = AngularKernel.isotropic(3).sample_costheta(200, rng)
+    vi, vj = collide(vi0, vj0, costh, np.atleast_2d(rng.normal(size=(200, 3))))
+    p0, p1 = vi0 + vj0, vi + vj
+    e0 = np.sum(vi0**2 + vj0**2, axis=1)
+    e1 = np.sum(vi**2 + vj**2, axis=1)
+    assert np.all(np.linalg.norm(p1 - p0, axis=1)
+                  <= 1e-12 * np.maximum(1.0, np.linalg.norm(p0, axis=1)))
+    assert np.all(np.abs(e1 - e0) <= 1e-12 * e0)
+    # sigma is a unit vector: the relative speed is kept
+    np.testing.assert_allclose(np.linalg.norm(vi - vj, axis=1),
+                               np.linalg.norm(vi0 - vj0, axis=1), rtol=1e-12)
 
 
 def test_next_collision_rate_and_mean_wait():

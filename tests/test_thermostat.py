@@ -5,17 +5,11 @@ import pytest
 
 from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import (
-    AngularKernel,
-    _generate_events,
-    collide_elastic,
-    sample_sigma,
-    simulate_kac,
-)
+from meanfield.elastic import AngularKernel, _generate_events, simulate_kac
 from meanfield.thermostat import (
     RestitutionParams,
-    collide_inelastic,
     simulate_thermostat,
+    simulate_thermostat_replicas,
     steady_temperature,
     temperature,
 )
@@ -31,48 +25,51 @@ def test_restitution_validation():
     RestitutionParams(alpha=0.5, nu=0.0, dim=1)  # bath-off limit allowed
 
 
+def collide(vi, vj, costh, frames, restitution):
+    """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
+    coords = np.concatenate([vi, vj]).astype(np.float64)
+    k = len(vi)
+    pairs = np.arange(k)
+    _events.apply_pair_collisions(coords, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
+                                  frames, restitution, [(0, k)])
+    return coords[:k], coords[k:]
+
+
+def random_pairs(rng, k):
+    """k random 3-D pairs with isotropic deviation cosines and frames."""
+    vi, vj, frames = (np.atleast_2d(rng.normal(size=(k, 3))) for _ in range(3))
+    return vi, vj, AngularKernel.isotropic(3).sample_costheta(k, rng), frames
+
+
 def test_collide_inelastic_sigma_parallel_identity():
-    vi, vj = collide_inelastic(np.array([1.0]), np.array([-1.0]), np.array([1.0]), 0.5)
-    assert vi[0] == 1.0 and vj[0] == -1.0
+    vi, vj = collide([[1.0]], [[-1.0]], [1.0], None, 0.5)
+    assert vi[0, 0] == 1.0 and vj[0, 0] == -1.0
 
 
 def test_collide_inelastic_hand_example():
     # d=1, v=(1,-1), sigma=-1, alpha=1/2: u*=-1, outputs -1/2 and +1/2
-    vi, vj = collide_inelastic(np.array([1.0]), np.array([-1.0]), np.array([-1.0]), 0.5)
-    assert vi[0] == pytest.approx(-0.5, abs=1e-15)
-    assert vj[0] == pytest.approx(0.5, abs=1e-15)
-    assert vi[0] ** 2 + vj[0] ** 2 == pytest.approx(0.5, abs=1e-15)  # 2 -> 1/2
+    vi, vj = collide([[1.0]], [[-1.0]], [-1.0], None, 0.5)
+    assert vi[0, 0] == -0.5 and vj[0, 0] == 0.5  # energy 2 -> 1/2
 
 
 def test_collide_inelastic_alpha_one_matches_elastic():
-    rng = RngStream(3, 0)
-    k = AngularKernel.isotropic(3)
-    for _ in range(100):
-        vi0 = np.atleast_1d(rng.normal(size=3))
-        vj0 = np.atleast_1d(rng.normal(size=3))
-        u = vi0 - vj0
-        sigma = sample_sigma(k, u / np.linalg.norm(u), rng)
-        a = collide_inelastic(vi0, vj0, sigma, 1.0)
-        b = collide_elastic(vi0, vj0, sigma)
-        np.testing.assert_allclose(a[0], b[0], atol=1e-12)
-        np.testing.assert_allclose(a[1], b[1], atol=1e-12)
+    vi0, vj0, costh, frames = random_pairs(RngStream(3, 0), 100)
+    a = collide(vi0, vj0, costh, frames, 1.0)
+    b = collide(vi0, vj0, costh, frames, None)
+    assert a[0].tobytes() == b[0].tobytes() and a[1].tobytes() == b[1].tobytes()
 
 
 def test_collide_inelastic_contraction_and_momentum():
     rng = RngStream(5, 0)
-    k = AngularKernel.isotropic(3)
-    for _ in range(300):
+    for _ in range(10):
         alpha = float(0.05 + 0.9 * rng.uniform())
-        vi0 = np.atleast_1d(rng.normal(size=3))
-        vj0 = np.atleast_1d(rng.normal(size=3))
-        u0 = vi0 - vj0
-        sigma = sample_sigma(k, u0 / np.linalg.norm(u0), rng)
-        vi, vj = collide_inelastic(vi0, vj0, sigma, alpha)
-        assert np.linalg.norm((vi + vj) - (vi0 + vj0)) < 1e-12
-        assert np.linalg.norm(vi - vj) <= np.linalg.norm(u0) * (1 + 1e-12)
-        e0 = np.sum(vi0**2) + np.sum(vj0**2)
-        e1 = np.sum(vi**2) + np.sum(vj**2)
-        assert e1 <= e0 * (1 + 1e-12)
+        vi0, vj0, costh, frames = random_pairs(rng, 30)
+        vi, vj = collide(vi0, vj0, costh, frames, alpha)
+        assert np.all(np.linalg.norm((vi + vj) - (vi0 + vj0), axis=1) < 1e-12)
+        u0 = np.linalg.norm(vi0 - vj0, axis=1)
+        assert np.all(np.linalg.norm(vi - vj, axis=1) <= u0 * (1 + 1e-12))
+        e0 = np.sum(vi0**2 + vj0**2, axis=1)
+        assert np.all(np.sum(vi**2 + vj**2, axis=1) <= e0 * (1 + 1e-12))
 
 
 def test_mean_energy_loss_single_collision_mc():
@@ -205,6 +202,54 @@ def test_trajectory_independent_of_batching(monkeypatch, nu):
     for a, b, c in zip(levels, singles, chunked):
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_array_equal(a.coords, c.coords)
+
+
+@pytest.mark.parametrize("nu", [1.0, 0.0])
+def test_simulate_thermostat_replicas_equal_separate_runs(monkeypatch, nu):
+    # each replica draws its events, then its bath normals, from its own
+    # stream in its own event order: stacked runs, chunks cut through
+    # replicas, and lone runs agree bit for bit with equal draw counts
+    p = RestitutionParams(alpha=0.7, nu=nu, dim=3)
+    kern = AngularKernel.isotropic(3)
+    inits = [gaussian_sample_state(np.zeros(3), np.ones(3), 9, RngStream(62, 2 * r))
+             for r in range(5)]
+    inits[1].coords[1] = inits[1].coords[0]  # a pair at zero relative velocity
+    snaps = [0.0, 0.7, 2.0]
+
+    def stacked():
+        rngs = [RngStream(62, 2 * r + 1) for r in range(5)]
+        out = simulate_thermostat_replicas(inits, kern, p, 2.5, snaps, rngs)
+        return out, [rng.draw_counter for rng in rngs]
+
+    default, draws = stacked()
+    monkeypatch.setattr(_events, "CHUNK_EVENTS", 7)
+    chunked, draws_chunked = stacked()
+    monkeypatch.undo()
+    assert len(default) == 5 and draws == draws_chunked
+    for r, init in enumerate(inits):
+        rng = RngStream(62, 2 * r + 1)
+        alone = simulate_thermostat(init, kern, p, 2.5, snaps, rng)
+        assert rng.draw_counter == draws[r]
+        assert [s.time for s in default[r]] == [s.time for s in alone] == snaps
+        for a, b, c in zip(default[r], alone, chunked[r]):
+            np.testing.assert_array_equal(a.coords, b.coords)
+            np.testing.assert_array_equal(c.coords, b.coords)
+
+
+def test_simulate_thermostat_replicas_validation():
+    p = RestitutionParams(alpha=0.5, nu=1.0, dim=3)
+    kern = AngularKernel.isotropic(3)
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 4, RngStream(0, 0))
+    b = gaussian_sample_state(np.zeros(3), np.ones(3), 5, RngStream(0, 1))
+    late = ParticleState(a.coords, time=1.0)
+    for initials in ([a, b], [a, late]):
+        with pytest.raises(ValueError, match="matching shapes and start times"):
+            simulate_thermostat_replicas(initials, kern, p, 2.0, [2.0],
+                                         [RngStream(0, 2), RngStream(0, 3)])
+    with pytest.raises(ValueError, match="one dynamics stream"):
+        simulate_thermostat_replicas([a, a], kern, p, 2.0, [2.0], [RngStream(0, 2)])
+    with pytest.raises(ValueError, match="one dynamics stream"):
+        simulate_thermostat_replicas([], kern, p, 2.0, [2.0], [])
 
 
 def test_step_mixed_rejects_past():
