@@ -48,7 +48,7 @@ from .core import (
     gaussian_sample_state,
     quantile_init_1d,
 )
-from .elastic import AngularKernel, simulate_kac, simulate_kac_replicas
+from .elastic import AngularKernel, simulate_kac
 from .harness import (
     DegenerateFit,
     chaos_error_curve,
@@ -75,7 +75,7 @@ from .metrics import (
     w2_sliced,
 )
 from .observables import ObservableProduct, observable_catalog
-from .thermostat import RestitutionParams, simulate_thermostat_replicas, temperature
+from .thermostat import RestitutionParams, simulate_thermostat, temperature
 
 RATE_CONVENTIONS = {
     "rate_convention_elastic": "unordered-pairs:(N-1)/2",
@@ -85,9 +85,11 @@ RATE_CONVENTIONS = {
 
 _MODELS = ("kac_elastic", "inelastic_thermostat", "mckean_vlasov", "vlasov")
 
-# chaos-curve replicas of one N run in blocks of at most this many particles
-# (a block of either collision model is played as one stacked system);
-# larger blocks buy little speed and cost memory
+# chaos-curve replicas of one N run in blocks of at most this many particles,
+# each block one stacked system of whichever stochastic model (elastic,
+# thermostat or McKean-Vlasov); larger stacks buy little speed and cost
+# cache and memory (24 McKean replicas of 10^4 particles ran 35-40 % slower
+# as one 240k-row stack than as 24 lone runs)
 REPLICA_BLOCK_PARTICLES = 16_384
 
 
@@ -274,10 +276,9 @@ def _model_kernel(cfg: dict) -> AngularKernel | None:
 
 
 def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKernel | None):
-    """Trajectories of N particles, one per (initial, dynamics) stream-id pair.
+    """Trajectories of N particles, one replica per (initial, dynamics) stream-id pair.
 
-    Returns (times, states per run, draw items per run); the runs of a
-    collision model are played as one stacked system.
+    Returns (times, the replica stack at each time, draw items per replica).
     """
     model = _get(cfg, "model", required=True)
     if model not in _MODELS:
@@ -285,11 +286,12 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
     times = _as_floats(_get(cfg, "snapshot_times", required=True))
     t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
     init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
-    inits = [_initial_state(cfg, n, stream) for stream in init_streams]
+    initial = ParticleState(np.concatenate([_initial_state(cfg, n, stream).coords
+                                            for stream in init_streams]))
     dim = int(_get(cfg, "dimension", required=True))
     dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
     if model == "kac_elastic":
-        runs = simulate_kac_replicas(inits, kernel, t_end, times, dyn_streams)
+        states = simulate_kac(initial, kernel, t_end, times, dyn_streams)
     elif model == "inelastic_thermostat":
         params = RestitutionParams(
             alpha=float(_get(cfg, "alpha", required=True)),
@@ -297,22 +299,21 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
             dim=dim,
         )
         ordered = bool(_get(cfg, "ordered_pair_rate", True))
-        runs = simulate_thermostat_replicas(inits, kernel, params, t_end, times, dyn_streams,
-                                            ordered_pair_rate=ordered)
+        states = simulate_thermostat(initial, kernel, params, t_end, times, dyn_streams,
+                                     ordered_pair_rate=ordered)
     elif model == "mckean_vlasov":
         spec = _build_mkv_spec(cfg, dim)
         dt = float(_get(cfg, "dt", 1e-3))
-        runs = [simulate_mkv(init, spec, t_end, dt, times, dyn)
-                for init, dyn in zip(inits, dyn_streams)]
-    else:  # vlasov
+        states = simulate_mkv(initial, spec, t_end, dt, times, dyn_streams)
+    else:  # vlasov: deterministic, so every caller asks for one run
         spec = _build_vlasov_spec(cfg, dim)
         dt = float(_get(cfg, "dt", 1e-3))
-        runs = [simulate_vlasov(init, spec, t_end, dt, times) for init in inits]
+        states = simulate_vlasov(initial, spec, t_end, dt, times)
     draws = [
         [(a, init.draw_counter), (b, dyn.draw_counter)]
         for (a, b), init, dyn in zip(stream_ids, init_streams, dyn_streams)
     ]
-    return times, runs, draws
+    return times, states, draws
 
 
 # --------------------------------------------------------------------------
@@ -368,7 +369,7 @@ def _fit_footers(n_values, errors, std_errors) -> list[tuple[str, object]]:
 def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     n = int(_get(cfg, "n", required=True))
-    times, (states,), (draws,) = _simulate_runs(cfg, n, seed, [(1, 2)], _model_kernel(cfg))
+    times, states, (draws,) = _simulate_runs(cfg, n, seed, [(1, 2)], _model_kernel(cfg))
     m = states[0].dim if states else 0
     columns = ["time", "temperature"] + [f"mom_{k}" for k in range(m)]
     rows = []
@@ -429,11 +430,11 @@ def _curve_block(cfg, seed, obs, estimator, kernel, block) -> list[tuple[np.ndar
     """Replicas of one N: per replica (per-time values, stream_id, draws)."""
     n, sids = block
     # even/odd split keeps the two per-replica streams disjoint for every replica
-    times, runs, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids],
-                                        kernel)
-    # one (replicas, N, d) stack per snapshot: the observable runs once per block
-    snapshots = [np.stack([states[t].coords for states in runs]) for t in range(len(times))]
-    values = observable_series(snapshots, obs, estimator)
+    _, states, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids],
+                                      kernel)
+    # one (replicas, N, d) view per snapshot: the observable runs once per block
+    values = observable_series([s.coords.reshape(len(sids), n, -1) for s in states], obs,
+                               estimator)
     return [(v, sid, sum(c for _, c in items)) for v, sid, items in zip(values, sids, draws)]
 
 
@@ -550,7 +551,7 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     p0 = init.coords.sum(axis=0)
     e0 = float(np.sum(init.coords**2))
     out_states = simulate_kac(init, AngularKernel.isotropic(3), 1.0, [0.5, 1.0],
-                              RngStream(seed, 2))
+                              [RngStream(seed, 2)])
     drift = max(
         max(abs(np.sum(s.coords**2) - e0) / e0 for s in out_states),
         max(

@@ -29,6 +29,8 @@ __all__ = [
     "quantile_init_1d",
     "gaussian_sample_state",
     "canonical_atom_order",
+    "replica_size",
+    "replica_normals",
     "validate_snapshots",
     "run_fixed_steps",
 ]
@@ -130,7 +132,10 @@ class ParticleState:
     """Configuration of N particles in R^m plus the simulation clock.
 
     ``coords`` is an (N, m) contiguous float64 array (the hot loops index
-    rows).  For position-velocity models the row layout is ``x ⊕ v``.
+    rows).  For position-velocity models the row layout is ``x ⊕ v``.  A
+    stack of R independent replicas of n particles is one state of R n
+    rows: replica r owns rows r n .. r n + n - 1, so ``coords.reshape(R,
+    n, m)`` is a view with one replica per leading index.
     """
 
     coords: np.ndarray
@@ -254,6 +259,23 @@ def gaussian_sample_state(
     m = mean.shape[0]
     z = np.atleast_2d(rng.normal(size=(n, m)))
     return ParticleState(mean[None, :] + np.sqrt(var)[None, :] * z, time=0.0)
+
+
+def replica_size(state: ParticleState, rngs: Sequence[RngStream]) -> int:
+    """Particles per replica of a stack driven by one stream per replica."""
+    if not rngs or state.n_particles % len(rngs):
+        raise ValueError(f"need at least one stream and a row count divisible by the stream "
+                         f"count; got {state.n_particles} rows and {len(rngs)} streams")
+    return state.n_particles // len(rngs)
+
+
+def replica_normals(rngs: Sequence[RngStream], owners, width: int) -> np.ndarray:
+    """Rows of ``width`` normals: ``count`` from ``rngs[r]`` for each ``(r, count)`` of owners.
+
+    One draw per owner; a lone draw is used as is (no concatenated copy).
+    """
+    parts = [rngs[r].normal(size=(k, width)) for r, k in owners]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:

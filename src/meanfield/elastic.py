@@ -4,7 +4,8 @@ Binary collisions at pair-independent rate: the N-particle generator sums
 over unordered pairs with weight 1/N, so the total jump rate is (N-1)/2
 and each event rotates the relative velocity of a uniformly chosen pair
 onto a fresh direction sigma drawn from the angular kernel.  Momentum and
-kinetic energy are conserved collision by collision.
+kinetic energy are conserved collision by collision.  ``simulate_kac``
+plays a replica stack, one dynamics stream per replica, as one system.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _events
-from .core import ParticleState, RngStream, SimulationError, validate_snapshots
+from .core import ParticleState, RngStream, SimulationError, replica_size, validate_snapshots
 
 __all__ = [
     "AngularKernel",
     "simulate_kac",
-    "simulate_kac_replicas",
     "simulate_kac_coupled",
 ]
 
@@ -147,53 +147,29 @@ def _generate_events(
     return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
 
 
-def _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs, pair_rate,
-                      restitution=None, bath=None) -> list[list[ParticleState]]:
-    """Independent collision trajectories of R replicas, played as one stacked system.
+def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
+                      restitution=None, bath=None) -> list[ParticleState]:
+    """Independent collision trajectories of a replica stack, played as one system.
 
-    Replica r starts from ``initials[r]`` and draws its events, at total
-    rate ``pair_rate * (N - 1)``, from ``rngs[r]``; all replicas share N,
-    the dimension and the start time.  ``restitution`` goes to the
-    collision rule (None: elastic).  ``bath(coords)``, when given, takes
-    the stacked ``(R N, d)`` coords and returns the ``on_chunk`` and
+    ``initial`` stacks R = len(rngs) replicas of N particles (the
+    ``ParticleState`` row layout); replica r draws its events, at total
+    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``restitution`` goes
+    to the collision rule (None: elastic).  ``bath(coords)``, when given,
+    takes the stacked ``(R N, d)`` coords and returns the ``on_chunk`` and
     ``on_snapshot`` hooks of ``_events.play_events``.
     """
-    if not initials or len(rngs) != len(initials):
-        raise ValueError("need one dynamics stream per initial state, and at least one")
-    n, d, t0 = initials[0].n_particles, initials[0].dim, initials[0].time
-    if any(s.coords.shape != (n, d) or s.time != t0 for s in initials):
-        raise ValueError("replicas need matching shapes and start times")
+    n, d, t0 = replica_size(initial, rngs), initial.dim, initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
     if kernel.dim != d:
         raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
     records = [_generate_events(n, d, pair_rate * (n - 1), kernel, t0, t_end, rng) for rng in rngs]
-    coords = np.concatenate([s.coords for s in initials])
+    coords = initial.coords.copy()
     on_chunk, on_snapshot = (None, None) if bath is None else bath(coords)
     captured = _events.play_events(coords, records, snaps, restitution,
                                    on_chunk=on_chunk, on_snapshot=on_snapshot)
-    return [
-        [ParticleState(c[r * n:(r + 1) * n], time=float(t)) for t, c in zip(snaps, captured)]
-        for r in range(len(initials))
-    ]
-
-
-def simulate_kac_replicas(
-    initials: Sequence[ParticleState],
-    kernel: AngularKernel,
-    t_end: float,
-    snapshot_times: Sequence[float],
-    rngs: Sequence[RngStream],
-) -> list[list[ParticleState]]:
-    """Independent trajectories of R replicas, played as one stacked system.
-
-    Replica r starts from ``initials[r]`` and draws its events from
-    ``rngs[r]``; its snapshot states are bitwise those of
-    ``simulate_kac(initials[r], kernel, t_end, snapshot_times, rngs[r])``.
-    All replicas share N, the dimension and the start time.
-    """
-    return _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs, 0.5)
+    return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
 
 def simulate_kac(
@@ -201,10 +177,14 @@ def simulate_kac(
     kernel: AngularKernel,
     t_end: float,
     snapshot_times: Sequence[float],
-    rng: RngStream,
+    rngs: Sequence[RngStream],
 ) -> list[ParticleState]:
-    """Exact event-driven trajectory; returns states at the snapshot times."""
-    return simulate_kac_replicas([initial], kernel, t_end, snapshot_times, [rng])[0]
+    """Exact event-driven trajectories of a replica stack; its snapshot states.
+
+    Replica r of ``initial`` draws its events from ``rngs[r]`` and is
+    bitwise the run it would be alone; one stream is one run.
+    """
+    return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, 0.5)
 
 
 def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:

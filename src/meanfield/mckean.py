@@ -4,10 +4,11 @@ position-velocity specialization.
 The stochastic system couples a linear drift, a mean-field pairwise force
 (1/N) Σ_{j≠i} U(z_i - z_j) and additive Gaussian noise, integrated by
 fixed-step Euler-Maruyama (weak order one is enough: the mean-field error
-dominates at desk scale).  The zero-diffusion specialization carries
-(x, v) coordinates, a velocity-only force through a potential gradient,
-and a second-order explicit midpoint integrator, bit-reproducible run to
-run.
+dominates at desk scale).  ``simulate_mkv`` and ``em_step`` advance a
+replica stack, one stream per replica, each system feeling only its own
+mean field.  The zero-diffusion specialization carries (x, v)
+coordinates, a velocity-only force through a potential gradient, and a
+second-order explicit midpoint integrator, bit-reproducible run to run.
 
 Interaction kernels come from a small named catalog; every entry vanishes
 at the origin, so the self-pair term of the full double sum is harmless
@@ -22,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ParticleState, RngStream, SimulationError, run_fixed_steps
+from .core import (ParticleState, RngStream, SimulationError, replica_normals, replica_size,
+                   run_fixed_steps)
 
 __all__ = [
     "InteractionKernel",
@@ -56,7 +58,7 @@ def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
         kappa = float(params.get("kappa", 1.0))
 
         def fast(coords: np.ndarray) -> np.ndarray:
-            return -kappa * (coords - coords.mean(axis=0))
+            return -kappa * (coords - coords.mean(axis=-2, keepdims=True))
 
         return InteractionKernel(lambda z: -kappa * z, fast_force=fast)
     if name == "gaussian_derivative":
@@ -106,16 +108,21 @@ class DriftDiffusionSpec:
 
 def _mean_field_forces(coords: np.ndarray, kernel: InteractionKernel,
                        n_minus_one: bool = False) -> np.ndarray:
-    """(1/N) Σ_j U(z_i - z_j) for every i (diagonal vanishes by contract)."""
-    n = coords.shape[0]
+    """(1/N) Σ_j U(z_i - z_j) for every i of each system in (..., N, m).
+
+    The diagonal vanishes by contract.  Pairwise rows go in chunks of
+    ``_FORCE_CHUNK`` shared among the systems, as large as one system's.
+    """
+    n = coords.shape[-2]
     if kernel.fast_force is not None:
         out = kernel.fast_force(coords)
     else:
         out = np.zeros_like(coords)
-        for lo in range(0, n, _FORCE_CHUNK):
-            hi = min(lo + _FORCE_CHUNK, n)
-            diffs = coords[lo:hi, None, :] - coords[None, :, :]
-            out[lo:hi] = kernel.fn(diffs).sum(axis=1) / n
+        step = max(1, _FORCE_CHUNK // math.prod(coords.shape[:-2]))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            diffs = coords[..., lo:hi, None, :] - coords[..., None, :, :]
+            out[..., lo:hi, :] = kernel.fn(diffs).sum(axis=-2) / n
     if n_minus_one and n > 1:
         out *= n / (n - 1.0)
     return out
@@ -127,19 +134,23 @@ def _check_finite(coords: np.ndarray, when: str) -> None:
 
 
 def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
-            rng: RngStream) -> ParticleState:
-    """One Euler-Maruyama step of the interacting system."""
+            rngs: Sequence[RngStream]) -> ParticleState:
+    """One Euler-Maruyama step of a replica stack, replica r driven by ``rngs[r]``."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    n = replica_size(state, rngs)
     coords = state.coords
     # coords + dt * (coords L^T + F) + sqrt(dt) * (z S^T), combined in place
     # in that operation order, so bitwise equal to the expression.  np.dot,
     # not @: at (N, 1) x (1, 1) a matmul call costs ~7x an np.dot call.
     new = np.dot(coords, spec.linear_drift.T)
-    new += _mean_field_forces(coords, spec.interaction, spec.n_minus_one_prefactor)
+    forces = _mean_field_forces(coords.reshape(len(rngs), n, -1), spec.interaction,
+                                spec.n_minus_one_prefactor)
+    new += forces.reshape(coords.shape)
     new *= dt
     new += coords
-    noise = np.dot(rng.normal(size=coords.shape), spec.diffusion_matrix.T)
+    z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim)
+    noise = np.dot(z, spec.diffusion_matrix.T)
     noise *= math.sqrt(dt)
     new += noise
     _check_finite(new, f"t={state.time + dt:g}")
@@ -152,20 +163,21 @@ def simulate_mkv(
     t_end: float,
     dt: float,
     snapshot_times: Sequence[float],
-    rng: RngStream,
+    rngs: Sequence[RngStream],
 ) -> list[ParticleState]:
-    """Fixed-step Euler-Maruyama trajectory; deterministic given (seed, dt).
+    """Fixed-step Euler-Maruyama trajectories of a replica stack.
 
-    Returns the states at ``snapshot_times``: sorted times in
+    Replica r of ``initial`` is driven by ``rngs[r]`` and is bitwise its
+    lone run, deterministic given (seed, dt).  Snapshots: sorted times in
     [initial.time, t_end] on the grid initial.time + k dt, as
     ``core.run_fixed_steps`` reads them; no step runs past the last one.
-    Step k's state is stamped ``initial.time + k * dt``, not a running sum
-    of dt, so snapshot times carry no accumulated rounding.
+    Step k is stamped ``initial.time + k * dt``, not a running sum of dt.
     """
+    replica_size(initial, rngs)
     t0 = initial.time
 
     def step(state: ParticleState, k: int) -> ParticleState:
-        state = em_step(state, spec, dt, rng)
+        state = em_step(state, spec, dt, rngs)
         state.time = t0 + k * dt
         return state
 

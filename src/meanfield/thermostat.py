@@ -18,6 +18,8 @@ the same stream.  Each stream therefore hands out its events and then its
 increments in the order of a lone run, and a replica's trajectory is the
 same bit for bit under any schedule of the event engine: the dependency
 levels, one event per batch, or many replicas stacked into one system.
+``simulate_thermostat`` takes such a stack (one state of R N rows, one
+stream per replica); a single run is R = 1.
 
 Rate convention: the generator used here sums over ordered pairs, total
 jump rate N-1.  The halved convention (unordered pairs, rate (N-1)/2,
@@ -34,13 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ParticleState, RngStream
+from .core import ParticleState, RngStream, replica_normals
 from .elastic import AngularKernel, _simulate_stacked
 
 __all__ = [
     "RestitutionParams",
     "simulate_thermostat",
-    "simulate_thermostat_replicas",
     "steady_temperature",
     "temperature",
 ]
@@ -116,21 +117,22 @@ def _diffuse(coords, idx, last_sync, now, nu, z) -> None:
     last_sync[idx] = now
 
 
-def simulate_thermostat_replicas(
-    initials: Sequence[ParticleState],
+def simulate_thermostat(
+    initial: ParticleState,
     kernel: AngularKernel,
     params: RestitutionParams,
     t_end: float,
     snapshot_times: Sequence[float],
     rngs: Sequence[RngStream],
     ordered_pair_rate: bool = True,
-) -> list[list[ParticleState]]:
-    """Independent trajectories of R replicas, played as one stacked system.
+) -> list[ParticleState]:
+    """Exact trajectories of the collision + bath process of a replica stack.
 
-    Replica r starts from ``initials[r]`` and draws its events, then its
-    bath normals, from ``rngs[r]``; its snapshot states are bitwise those
-    of ``simulate_thermostat`` on ``initials[r]`` and ``rngs[r]``.  All
-    replicas share N, the dimension and the start time.
+    Replica r of ``initial`` (the ``ParticleState`` row layout) draws its
+    events, then its bath normals, from ``rngs[r]`` and is bitwise the run
+    it would be alone; one stream is one run.  At ``params.nu == 0`` there
+    is no bath: the run is the pure inelastic collision process, and the
+    streams draw only the events.
     """
     if params.dim != kernel.dim:
         raise ValueError("kernel/params dimension must match the state")
@@ -140,18 +142,12 @@ def simulate_thermostat_replicas(
 
         def bath(coords: np.ndarray):
             n = len(coords) // len(rngs)
-            last_sync = np.full(len(coords), initials[0].time)
-
-            def normals(owners, width: int) -> np.ndarray:
-                # one draw per replica span; a lone draw is used as is (no
-                # concatenated copy of a one-span chunk)
-                parts = [rngs[r].normal(size=(k, width)) for r, k in owners]
-                return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            last_sync = np.full(len(coords), initial.time)
 
             def on_chunk(order: np.ndarray, now: np.ndarray, owners):
                 # drawn in event order, then taken in play order batch by
                 # batch (no chunk-sized reordered copy)
-                z = normals(owners, 2 * d)
+                z = replica_normals(rngs, owners, 2 * d)
 
                 def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
                     both = np.concatenate([ii, jj])
@@ -162,28 +158,10 @@ def simulate_thermostat_replicas(
                 return hook
 
             def on_snapshot(s: float) -> None:
-                z = normals([(r, n) for r in range(len(rngs))], d)
+                z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], d)
                 _diffuse(coords, np.arange(len(coords)), last_sync, s, nu, z)
 
             return on_chunk, on_snapshot
 
-    return _simulate_stacked(initials, kernel, t_end, snapshot_times, rngs,
+    return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs,
                              1.0 if ordered_pair_rate else 0.5, params.alpha, bath)
-
-
-def simulate_thermostat(
-    initial: ParticleState,
-    kernel: AngularKernel,
-    params: RestitutionParams,
-    t_end: float,
-    snapshot_times: Sequence[float],
-    rng: RngStream,
-    ordered_pair_rate: bool = True,
-) -> list[ParticleState]:
-    """Exact trajectory of the collision + bath process; snapshot states.
-
-    At ``params.nu == 0`` there is no bath: the run is the pure inelastic
-    collision process, and ``rng`` draws only the event stream.
-    """
-    return simulate_thermostat_replicas([initial], kernel, params, t_end, snapshot_times, [rng],
-                                        ordered_pair_rate)[0]

@@ -32,7 +32,6 @@ from meanfield.elastic import (
     AngularKernel,
     _generate_events,
     simulate_kac,
-    simulate_kac_replicas,
 )
 from meanfield.harness import (
     fourier_contraction_check,
@@ -85,7 +84,7 @@ def test_c01_elastic_conservation():
     t_end = 1.0e6 / 499.5  # rate (N-1)/2
     snaps = np.linspace(t_end / 8, t_end, 8)
     dyn = RngStream(SEED, 2)
-    out = simulate_kac(init, kern, t_end, snaps, dyn)
+    out = simulate_kac(init, kern, t_end, snaps, [dyn])
     # the run's events, drawn again from a stream with the same key
     alone = RngStream(SEED, 2)
     record = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, alone)
@@ -196,13 +195,13 @@ def _c4_block(n: int, base: int, reps: int) -> dict:
     size = max(1, REPLICA_BLOCK_PARTICLES // n)
     for lo in range(0, reps, size):
         rs = range(lo, min(reps, lo + size))
-        inits = [gaussian_sample_state(np.zeros(3), _C4_VAR, n, RngStream(SEED, 2 * (base + r)))
-                 for r in rs]
-        runs = simulate_kac_replicas(inits, kern, float(_C4_TIMES[-1]), _C4_TIMES,
-                                     [RngStream(SEED, 2 * (base + r) + 1) for r in rs])
-        # one (replicas, N, 3) stack per snapshot, sorted once for both observables
-        snapshots = [canonical_atom_order(np.stack([states[t].coords for states in runs]))
-                     for t in range(len(_C4_TIMES))]
+        init = ParticleState(np.concatenate([
+            gaussian_sample_state(np.zeros(3), _C4_VAR, n, RngStream(SEED, 2 * (base + r))).coords
+            for r in rs]))
+        states = simulate_kac(init, kern, float(_C4_TIMES[-1]), _C4_TIMES,
+                              [RngStream(SEED, 2 * (base + r) + 1) for r in rs])
+        # one (replicas, N, 3) view per snapshot, sorted once for both observables
+        snapshots = [canonical_atom_order(s.coords.reshape(len(rs), n, 3)) for s in states]
         for key, obs in _C4_OBS.items():
             out[key][rs.start:rs.stop] = observable_series(snapshots, obs, "empirical-mean")
     return out
@@ -315,7 +314,7 @@ def test_c06_thermostat_energy_balance():
     init = gaussian_sample_state(np.zeros(3), np.full(3, 0.7 * target), n,
                                  RngStream(SEED, 12))
     snaps = np.linspace(2.0, 40.0, 20)
-    out = simulate_thermostat(init, kern, params, 40.0, snaps, RngStream(SEED, 13))
+    out = simulate_thermostat(init, kern, params, 40.0, snaps, [RngStream(SEED, 13)])
     temps = np.array([temperature(s) for s in out])
     plateau = float(temps[10:].mean())
     rel = abs(plateau - target) / target
@@ -370,7 +369,7 @@ def test_c08_mckean_vlasov_moments():
     variances = np.empty((reps, len(times)))
     for r in range(reps):
         init = gaussian_sample_state([mean0], [var0], n, RngStream(SEED, 30_000 + 2 * r))
-        out = simulate_mkv(init, spec, 2.0, dt, times, RngStream(SEED, 30_001 + 2 * r))
+        out = simulate_mkv(init, spec, 2.0, dt, times, [RngStream(SEED, 30_001 + 2 * r)])
         means[r] = [s.coords.mean() for s in out]
         variances[r] = [s.coords.var() for s in out]
     om, ov = linear_moment_flow(kappa, lam, [sigma], [mean0], [var0], times)

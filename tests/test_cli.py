@@ -237,6 +237,17 @@ def test_cmd_chaos_curve_thermostat_blocks_match_across_workers(monkeypatch):
                                        "snapshot_times": [0.02, 0.05]})
 
 
+def test_cmd_chaos_curve_mckean_blocks_match_across_workers(monkeypatch):
+    # 12 McKean-Vlasov replicas make 2 stacked blocks at N = 2048 and 6 at
+    # N = 8192, each replica drawing its noise from its own stream
+    _pool_matches_serial(monkeypatch, {**CURVE_CFG, "model": "mckean_vlasov", "dimension": 1,
+                                       "interaction": "linear", "drift_lambda": 0.5,
+                                       "sigma": 1.0, "dt": 0.01, "observable_center": [0.0],
+                                       "n_list": [2048, 8192], "n_ref": 16 * 8192,
+                                       "replicas": 12, "replicas_ref": 1,
+                                       "snapshot_times": [0.02, 0.05]})
+
+
 def test_chaos_curve_block_task_pickles():
     # tasks carry their context, so they run under any start method
     cfg = cli._Cfg(dict(CURVE_CFG))

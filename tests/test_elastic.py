@@ -9,7 +9,6 @@ from meanfield.elastic import (
     _generate_events,
     simulate_kac,
     simulate_kac_coupled,
-    simulate_kac_replicas,
 )
 
 
@@ -130,7 +129,7 @@ def test_next_collision_rate_and_mean_wait():
     st100 = gaussian_sample_state(np.zeros(3), np.ones(3), 100, RngStream(3, 1))
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
-    simulate_kac(st100, kern, 10.0, [10.0], dyn)
+    simulate_kac(st100, kern, 10.0, [10.0], [dyn])
     rec = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, alone)
     assert dyn.draw_counter == alone.draw_counter  # the run drew exactly this record
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
@@ -152,7 +151,7 @@ def test_pair_marginal_uniform():
 
 def test_simulate_t_end_zero_returns_initial():
     st0 = gaussian_sample_state(np.zeros(2), np.ones(2), 8, RngStream(0, 0))
-    out = simulate_kac(st0, AngularKernel.isotropic(2), 0.0, [0.0], RngStream(0, 1))
+    out = simulate_kac(st0, AngularKernel.isotropic(2), 0.0, [0.0], [RngStream(0, 1)])
     np.testing.assert_array_equal(out[0].coords, st0.coords)
     assert out[0].time == 0.0
 
@@ -160,7 +159,7 @@ def test_simulate_t_end_zero_returns_initial():
 def test_simulate_identical_velocities_frozen():
     coords = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
     out = simulate_kac(ParticleState(coords), AngularKernel.isotropic(3), 5.0,
-                       [1.0, 5.0], RngStream(8, 0))
+                       [1.0, 5.0], [RngStream(8, 0)])
     for s in out:
         np.testing.assert_array_equal(s.coords, coords)
 
@@ -170,7 +169,7 @@ def test_simulate_conservation_and_snapshots():
     p0 = st0.coords.sum(axis=0)
     e0 = np.sum(st0.coords**2)
     snaps = [0.5, 1.0, 1.5, 2.0]
-    out = simulate_kac(st0, AngularKernel.isotropic(3), 2.0, snaps, RngStream(17, 1))
+    out = simulate_kac(st0, AngularKernel.isotropic(3), 2.0, snaps, [RngStream(17, 1)])
     assert [s.time for s in out] == snaps
     for s in out:
         assert np.linalg.norm(s.coords.sum(axis=0) - p0) <= 1e-8 * np.sqrt(e0)
@@ -180,7 +179,7 @@ def test_simulate_conservation_and_snapshots():
 def test_simulate_rejects_unsorted_snapshots():
     st0 = gaussian_sample_state(np.zeros(2), np.ones(2), 4, RngStream(0, 0))
     with pytest.raises(ValueError, match="sorted"):
-        simulate_kac(st0, AngularKernel.isotropic(2), 2.0, [1.5, 0.5], RngStream(0, 1))
+        simulate_kac(st0, AngularKernel.isotropic(2), 2.0, [1.5, 0.5], [RngStream(0, 1)])
 
 
 def test_batched_apply_equals_sequential_oracle():
@@ -356,33 +355,31 @@ def test_simulate_kac_replicas_equal_separate_runs(monkeypatch, n, d, frozen_pai
              for r in range(5)]
     if frozen_pair:  # a pair at zero relative velocity
         inits[1].coords[1] = inits[1].coords[0]
+    stack = ParticleState(np.concatenate([s.coords for s in inits]))
     snaps = [0.0, 0.7, 2.0]
-    stacked = simulate_kac_replicas(inits, kern, 2.5, snaps,
-                                    [RngStream(61, 2 * r + 1) for r in range(5)])
+    stacked = simulate_kac(stack, kern, 2.5, snaps, [RngStream(61, 2 * r + 1) for r in range(5)])
     monkeypatch.setattr(_events, "CHUNK_EVENTS", 3)  # chunks cut through replicas
-    chunked = simulate_kac_replicas(inits, kern, 2.5, snaps,
-                                    [RngStream(61, 2 * r + 1) for r in range(5)])
+    chunked = simulate_kac(stack, kern, 2.5, snaps, [RngStream(61, 2 * r + 1) for r in range(5)])
     monkeypatch.undo()
-    assert len(stacked) == 5
+    assert [s.coords.shape for s in stacked] == [(5 * n, d)] * len(snaps)
     for r, init in enumerate(inits):
-        alone = simulate_kac(init, kern, 2.5, snaps, RngStream(61, 2 * r + 1))
-        assert [s.time for s in stacked[r]] == [s.time for s in alone] == snaps
-        for a, b, c in zip(stacked[r], alone, chunked[r]):
-            np.testing.assert_array_equal(a.coords, b.coords)
-            np.testing.assert_array_equal(c.coords, b.coords)
+        alone = simulate_kac(init, kern, 2.5, snaps, [RngStream(61, 2 * r + 1)])
+        assert [s.time for s in stacked] == [s.time for s in alone] == snaps
+        for a, b, c in zip(stacked, alone, chunked):
+            np.testing.assert_array_equal(a.coords[r * n:(r + 1) * n], b.coords)
+            np.testing.assert_array_equal(c.coords[r * n:(r + 1) * n], b.coords)
     if frozen_pair and n == 2:
-        for s in stacked[1]:
-            np.testing.assert_array_equal(s.coords, inits[1].coords)
+        for s in stacked:
+            np.testing.assert_array_equal(s.coords[n:2 * n], inits[1].coords)
 
 
 def test_simulate_kac_replicas_validation():
+    # a stack needs one stream per replica: rows a multiple of the streams
     kern = AngularKernel.isotropic(3)
-    a = gaussian_sample_state(np.zeros(3), np.ones(3), 4, RngStream(0, 0))
-    b = gaussian_sample_state(np.zeros(3), np.ones(3), 5, RngStream(0, 1))
-    with pytest.raises(ValueError, match="matching"):
-        simulate_kac_replicas([a, b], kern, 1.0, [1.0], [RngStream(0, 2), RngStream(0, 3)])
-    with pytest.raises(ValueError, match="one dynamics stream"):
-        simulate_kac_replicas([a, a], kern, 1.0, [1.0], [RngStream(0, 2)])
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 9, RngStream(0, 0))
+    for rngs in ([RngStream(0, 2), RngStream(0, 3)], []):
+        with pytest.raises(ValueError, match="divisible by the stream count"):
+            simulate_kac(a, kern, 1.0, [1.0], rngs)
 
 
 def test_simulate_kac_coupled_refuses_kernel_of_other_dimension():
@@ -396,7 +393,7 @@ def test_replay_coupled_identical_streams():
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 32, RngStream(4, 0))
     snaps = [1.0, 2.0]
     kern = AngularKernel.isotropic(3)
-    out1 = simulate_kac(st0, kern, 2.0, snaps, RngStream(4, 1))
+    out1 = simulate_kac(st0, kern, 2.0, snaps, [RngStream(4, 1)])
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
     rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, RngStream(4, 1))
@@ -412,7 +409,7 @@ def test_exchangeability_two_sample_ks():
     first, last = [], []
     for r in range(1500):
         st0 = gaussian_sample_state(np.zeros(3), [2.0, 0.5, 1.0], 8, RngStream(600, 2 * r))
-        out = simulate_kac(st0, kern, 1.0, [1.0], RngStream(600, 2 * r + 1))
+        out = simulate_kac(st0, kern, 1.0, [1.0], [RngStream(600, 2 * r + 1)])
         first.append(out[0].coords[0, 0])
         last.append(out[0].coords[-1, 0])
     ks = stats.ks_2samp(first, last)
@@ -423,7 +420,8 @@ def test_exchangeability_two_sample_ks():
 def test_gaussian_equilibrium_variance_constant():
     # centered Gaussian is stationary for elastic Maxwell molecules
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 2000, RngStream(71, 0))
-    out = simulate_kac(st0, AngularKernel.isotropic(3), 3.0, [1.0, 2.0, 3.0], RngStream(71, 1))
+    out = simulate_kac(st0, AngularKernel.isotropic(3), 3.0, [1.0, 2.0, 3.0],
+                       [RngStream(71, 1)])
     for s in out:
         v = s.coords.var(axis=0).mean()
         assert abs(v - 1.0) < 4.0 / np.sqrt(2000)

@@ -311,7 +311,7 @@ def _kac_values(obs, times, n, replicas, seed, estimator="empirical-mean"):
     for r in range(replicas):
         stream = RngStream(seed, r)
         init = gaussian_sample_state(np.zeros(3), np.ones(3), n, stream)
-        states = simulate_kac(init, kern, float(max(times)), times, stream)
+        states = simulate_kac(init, kern, float(max(times)), times, [stream])
         rows.append(observable_series([s.coords[None] for s in states], obs, estimator)[0])
     return np.stack(rows)
 

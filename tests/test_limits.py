@@ -4,7 +4,7 @@ from scipy.interpolate import CubicSpline
 
 from meanfield import limits, metrics
 from meanfield.core import EmpiricalMeasure, ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import AngularKernel, simulate_kac_replicas
+from meanfield.elastic import AngularKernel, simulate_kac
 from meanfield.limits import (
     GridSpectrum,
     OracleEstimate,
@@ -260,9 +260,12 @@ def test_particle_oracle_mass_and_energy():
 
     def oracle(fn, replicas, seed):
         streams = [RngStream(seed, r) for r in range(replicas)]
-        inits = [gaussian_sample_state(np.zeros(3), np.ones(3), 256, s) for s in streams]
-        runs = simulate_kac_replicas(inits, kern, 1.0, times, streams)
-        return OracleEstimate.from_replicas(times, [[fn(s) for s in run] for run in runs])
+        init = ParticleState(np.concatenate(
+            [gaussian_sample_state(np.zeros(3), np.ones(3), 256, s).coords for s in streams]))
+        states = simulate_kac(init, kern, 1.0, times, streams)
+        runs = [s.coords.reshape(replicas, 256, 3) for s in states]
+        return OracleEstimate.from_replicas(times, [[fn(ParticleState(c[r])) for c in runs]
+                                                    for r in range(replicas)])
 
     mass = oracle(lambda s: 1.0, 8, 70)
     np.testing.assert_array_equal(mass.mean, [1.0, 1.0])

@@ -100,21 +100,21 @@ def test_catalog_kernels_vanish_at_origin():
 
 def test_em_step_null_dynamics():
     s = ParticleState(np.array([[1.0], [2.0]]))
-    out = em_step(s, _spec(), 0.1, RngStream(0, 0))
+    out = em_step(s, _spec(), 0.1, [RngStream(0, 0)])
     np.testing.assert_array_equal(out.coords, s.coords)
     assert out.time == pytest.approx(0.1)
 
 
 def test_em_step_linear_decay():
     s = ParticleState(np.array([[1.0]]))
-    out = em_step(s, _spec(lam=1.0), 0.1, RngStream(0, 0))
+    out = em_step(s, _spec(lam=1.0), 0.1, [RngStream(0, 0)])
     assert out.coords[0, 0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_em_step_noise_variance():
     s = ParticleState(np.zeros((100_000, 1)))
     dt = 0.04
-    out = em_step(s, _spec(sigma=1.0), dt, RngStream(6, 0))
+    out = em_step(s, _spec(sigma=1.0), dt, [RngStream(6, 0)])
     assert out.coords.var() == pytest.approx(dt, rel=0.03)
 
 
@@ -122,15 +122,15 @@ def test_em_step_blowup_detection():
     s = ParticleState(np.array([[1e308]]))
     spec = _spec(lam=-10.0)  # unstable drift; overflow in a step
     with np.errstate(over="ignore"), pytest.raises(SimulationError):
-        em_step(s, spec, 1e6, RngStream(0, 0))
+        em_step(s, spec, 1e6, [RngStream(0, 0)])
 
 
 def test_simulate_mkv_snapshots_and_t0():
     s = ParticleState(np.ones((4, 1)))
-    out = simulate_mkv(s, _spec(), 0.0, 0.1, [0.0], RngStream(0, 0))
+    out = simulate_mkv(s, _spec(), 0.0, 0.1, [0.0], [RngStream(0, 0)])
     np.testing.assert_array_equal(out[0].coords, s.coords)
     with pytest.raises(ValueError, match="multiple"):
-        simulate_mkv(s, _spec(), 1.0, 0.3, [0.5], RngStream(0, 0))
+        simulate_mkv(s, _spec(), 1.0, 0.3, [0.5], [RngStream(0, 0)])
 
 
 def _oracle_mkv(initial, spec, n_steps, dt, rng):
@@ -157,7 +157,7 @@ def test_simulate_mkv_equals_matmul_oracle(case):
                                   n_minus_one_prefactor=case == "n-minus-one")
     init = ParticleState(rng.normal(size=(300, spec.dim)))
     dt, n_steps = 0.01, 20
-    got = simulate_mkv(init, spec, n_steps * dt, dt, [0.05, 0.2], RngStream(4, 1))
+    got = simulate_mkv(init, spec, n_steps * dt, dt, [0.05, 0.2], [RngStream(4, 1)])
     want = _oracle_mkv(init, spec, n_steps, dt, RngStream(4, 1))
     for snap, k in zip(got, (5, 20)):
         np.testing.assert_array_equal(snap.coords.view(np.uint64), want[k - 1].view(np.uint64))
@@ -168,14 +168,14 @@ def test_simulate_mkv_blowup_names_the_time():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(SimulationError, match=r"t=5\.5\)"):
         simulate_mkv(ParticleState(np.full((3, 1), 1e300)), spec, 10.0, 0.5, [10.0],
-                     RngStream(0, 0))
+                     [RngStream(0, 0)])
 
 
 def test_simulate_mkv_snapshot_times_are_not_a_running_sum():
     spec = _spec(lam=0.5, sigma=1.0)
     times = [0.125 * k for k in range(1, 9)]
     out = simulate_mkv(ParticleState(np.zeros((2, 1))), spec, 1.0, 5e-4, times,
-                       RngStream(0, 0))
+                       [RngStream(0, 0)])
     assert [s.time for s in out] == times  # exact: a running sum gives 0.12500000000000008
 
 
@@ -183,10 +183,48 @@ def test_simulate_mkv_ou_stationary_variance():
     # T=-I, sigma=sqrt(2): stationary variance 1
     s = gaussian_sample_state([0.0], [1.0], 50_000, RngStream(9, 0))
     spec = _spec(lam=1.0, sigma=math.sqrt(2.0))
-    out = simulate_mkv(s, spec, 2.0, 1e-3, [1.0, 2.0], RngStream(9, 1))
+    out = simulate_mkv(s, spec, 2.0, 1e-3, [1.0, 2.0], [RngStream(9, 1)])
     for st in out:
         assert st.coords.var() == pytest.approx(1.0, rel=0.03)
 
+
+
+@pytest.mark.parametrize("name", ["linear", "zero", "gaussian_derivative", "screened_coulomb"])
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("prefactor", [False, True])
+def test_simulate_mkv_replicas_equal_separate_runs(name, dim, prefactor):
+    # each system feels only its own mean field and draws its own noise, so
+    # a stack is its lone runs bit for bit with equal draw counts; N exceeds
+    # the per-system chunk of the pairwise sum, so a chunk ends inside one
+    reps = 3
+    n = mckean._FORCE_CHUNK // reps + 5
+    spec = _spec(dim=dim, lam=0.3, sigma=0.8, interaction=interaction_catalog(name, dim),
+                 n_minus_one_prefactor=prefactor)
+    inits = [gaussian_sample_state(np.zeros(dim), np.ones(dim), n, RngStream(63, 2 * r))
+             for r in range(reps)]
+    stack = ParticleState(np.concatenate([s.coords for s in inits]))
+    rngs = [RngStream(63, 2 * r + 1) for r in range(reps)]
+    snaps = [0.0, 0.02, 0.05]
+    stacked = simulate_mkv(stack, spec, 0.05, 0.01, snaps, rngs)
+    assert [s.coords.shape for s in stacked] == [(reps * n, dim)] * len(snaps)
+    for r, init in enumerate(inits):
+        rng = RngStream(63, 2 * r + 1)
+        alone = simulate_mkv(init, spec, 0.05, 0.01, snaps, [rng])
+        assert rng.draw_counter == rngs[r].draw_counter
+        assert [s.time for s in stacked] == [s.time for s in alone] == snaps
+        for a, b in zip(stacked, alone):
+            np.testing.assert_array_equal(a.coords[r * n:(r + 1) * n].view(np.uint64),
+                                          b.coords.view(np.uint64))
+
+
+def test_simulate_mkv_replicas_validation():
+    # a stack needs one stream per replica: rows a multiple of the streams
+    s = ParticleState(np.zeros((9, 1)))
+    for rngs in ([RngStream(0, 2), RngStream(0, 3)], []):
+        with pytest.raises(ValueError, match="divisible by the stream count"):
+            simulate_mkv(s, _spec(), 1.0, 0.5, [1.0], rngs)
+        with pytest.raises(ValueError, match="divisible by the stream count"):
+            em_step(s, _spec(), 0.5, rngs)
 
 @pytest.mark.slow
 def test_em_weak_self_consistency_order_one():
@@ -197,7 +235,7 @@ def test_em_weak_self_consistency_order_one():
 
     def terminal_second_moment(dt, sid):
         s = gaussian_sample_state([1.0], [1.0], n, RngStream(500, sid))
-        out = simulate_mkv(s, spec, 1.0, dt, [1.0], RngStream(501, sid))
+        out = simulate_mkv(s, spec, 1.0, dt, [1.0], [RngStream(501, sid)])
         return float((out[0].coords**2).mean())
 
     m1 = terminal_second_moment(0.1, 0)
@@ -235,7 +273,7 @@ def test_moment_flow_large_n_cross_check():
     n = 100_000
     s = gaussian_sample_state([1.0], [0.25], n, RngStream(15, 0))
     times = [0.5, 1.0, 2.0]
-    out = simulate_mkv(s, spec, 2.0, 1e-3, times, RngStream(15, 1))
+    out = simulate_mkv(s, spec, 2.0, 1e-3, times, [RngStream(15, 1)])
     means, variances = linear_moment_flow(kappa, lam, [sig], [1.0], [0.25], times)
     for st, m_ref, c_ref in zip(out, means[:, 0], variances[:, 0]):
         se_m = math.sqrt(c_ref / n)

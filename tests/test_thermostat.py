@@ -9,7 +9,6 @@ from meanfield.elastic import AngularKernel, _generate_events, simulate_kac
 from meanfield.thermostat import (
     RestitutionParams,
     simulate_thermostat,
-    simulate_thermostat_replicas,
     steady_temperature,
     temperature,
 )
@@ -103,7 +102,7 @@ def test_bath_off_energy_nonincreasing_pathwise():
     p = RestitutionParams(alpha=0.6, nu=0.0, dim=2)
     st0 = gaussian_sample_state(np.zeros(2), np.ones(2), 64, RngStream(8, 0))
     snaps = np.linspace(0.25, 4.0, 16)
-    out = simulate_thermostat(st0, AngularKernel.isotropic(2), p, 4.0, snaps, RngStream(8, 1))
+    out = simulate_thermostat(st0, AngularKernel.isotropic(2), p, 4.0, snaps, [RngStream(8, 1)])
     temps = [temperature(st0)] + [temperature(s) for s in out]
     assert all(b <= a + 1e-12 for a, b in zip(temps[:-1], temps[1:]))
     assert temps[-1] < 0.5 * temps[0]  # actually cools
@@ -117,7 +116,7 @@ def test_bath_off_draws_only_the_event_stream():
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 40, RngStream(23, 0))
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
-    out = simulate_thermostat(st0, kern, p, 2.0, snaps, dyn)
+    out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
     rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, alone)
     assert dyn.draw_counter == alone.draw_counter
     replay = _events.play_events(st0.coords.copy(), [rec], np.asarray(snaps), p.alpha)
@@ -136,7 +135,7 @@ def test_halved_rate_runs_collisions_at_half_speed():
     for r in range(32):
         st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 256, RngStream(31, 2 * r))
         for rate_ordered, out in ((True, ordered), (False, halved)):
-            states = simulate_thermostat(st0, kern, p, 2.0, [1.0, 2.0], RngStream(31, 2 * r + 1),
+            states = simulate_thermostat(st0, kern, p, 2.0, [1.0, 2.0], [RngStream(31, 2 * r + 1)],
                                          ordered_pair_rate=rate_ordered)
             out.append([temperature(s) for s in states])
     ordered, halved = np.array(ordered), np.array(halved)
@@ -157,7 +156,7 @@ def test_momentum_random_walk_variance():
     sums = []
     for r in range(1024):
         st0 = ParticleState(np.zeros((n, 1)))
-        out = simulate_thermostat(st0, kern, p, t, [t], RngStream(1002, r))
+        out = simulate_thermostat(st0, kern, p, t, [t], [RngStream(1002, r)])
         sums.append(out[0].coords.sum())
     var = np.var(sums, ddof=1)
     assert var == pytest.approx(2.0 * p.nu * n * t, rel=0.10)
@@ -171,7 +170,7 @@ def test_momentum_martingale_band():
     for r in range(64):
         st0 = gaussian_sample_state([1.0, -2.0], [1.0, 1.0], n, RngStream(41, 2 * r))
         p0 = st0.coords.sum(axis=0)
-        out = simulate_thermostat(st0, kern, p, 1.0, [1.0], RngStream(41, 2 * r + 1))
+        out = simulate_thermostat(st0, kern, p, 1.0, [1.0], [RngStream(41, 2 * r + 1)])
         means.append(out[0].coords.sum(axis=0) - p0)
     drift = np.mean(means, axis=0)
     se = np.std(means, axis=0, ddof=1) / math.sqrt(len(means))
@@ -189,7 +188,7 @@ def test_trajectory_independent_of_batching(monkeypatch, nu):
 
     def run():
         rng = RngStream(19, 1)
-        out = simulate_thermostat(st0, kern, p, 2.5, snaps, rng)
+        out = simulate_thermostat(st0, kern, p, 2.5, snaps, [rng])
         return out, rng.draw_counter
 
     levels, draws = run()
@@ -214,42 +213,38 @@ def test_simulate_thermostat_replicas_equal_separate_runs(monkeypatch, nu):
     inits = [gaussian_sample_state(np.zeros(3), np.ones(3), 9, RngStream(62, 2 * r))
              for r in range(5)]
     inits[1].coords[1] = inits[1].coords[0]  # a pair at zero relative velocity
+    stack = ParticleState(np.concatenate([s.coords for s in inits]))
     snaps = [0.0, 0.7, 2.0]
 
     def stacked():
         rngs = [RngStream(62, 2 * r + 1) for r in range(5)]
-        out = simulate_thermostat_replicas(inits, kern, p, 2.5, snaps, rngs)
+        out = simulate_thermostat(stack, kern, p, 2.5, snaps, rngs)
         return out, [rng.draw_counter for rng in rngs]
 
     default, draws = stacked()
     monkeypatch.setattr(_events, "CHUNK_EVENTS", 7)
     chunked, draws_chunked = stacked()
     monkeypatch.undo()
-    assert len(default) == 5 and draws == draws_chunked
+    assert [s.coords.shape for s in default] == [(45, 3)] * len(snaps)
+    assert draws == draws_chunked
     for r, init in enumerate(inits):
         rng = RngStream(62, 2 * r + 1)
-        alone = simulate_thermostat(init, kern, p, 2.5, snaps, rng)
+        alone = simulate_thermostat(init, kern, p, 2.5, snaps, [rng])
         assert rng.draw_counter == draws[r]
-        assert [s.time for s in default[r]] == [s.time for s in alone] == snaps
-        for a, b, c in zip(default[r], alone, chunked[r]):
-            np.testing.assert_array_equal(a.coords, b.coords)
-            np.testing.assert_array_equal(c.coords, b.coords)
+        assert [s.time for s in default] == [s.time for s in alone] == snaps
+        for a, b, c in zip(default, alone, chunked):
+            np.testing.assert_array_equal(a.coords[9 * r:9 * r + 9], b.coords)
+            np.testing.assert_array_equal(c.coords[9 * r:9 * r + 9], b.coords)
 
 
 def test_simulate_thermostat_replicas_validation():
+    # a stack needs one stream per replica: rows a multiple of the streams
     p = RestitutionParams(alpha=0.5, nu=1.0, dim=3)
     kern = AngularKernel.isotropic(3)
-    a = gaussian_sample_state(np.zeros(3), np.ones(3), 4, RngStream(0, 0))
-    b = gaussian_sample_state(np.zeros(3), np.ones(3), 5, RngStream(0, 1))
-    late = ParticleState(a.coords, time=1.0)
-    for initials in ([a, b], [a, late]):
-        with pytest.raises(ValueError, match="matching shapes and start times"):
-            simulate_thermostat_replicas(initials, kern, p, 2.0, [2.0],
-                                         [RngStream(0, 2), RngStream(0, 3)])
-    with pytest.raises(ValueError, match="one dynamics stream"):
-        simulate_thermostat_replicas([a, a], kern, p, 2.0, [2.0], [RngStream(0, 2)])
-    with pytest.raises(ValueError, match="one dynamics stream"):
-        simulate_thermostat_replicas([], kern, p, 2.0, [2.0], [])
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 9, RngStream(0, 0))
+    for rngs in ([RngStream(0, 2), RngStream(0, 3)], []):
+        with pytest.raises(ValueError, match="divisible by the stream count"):
+            simulate_thermostat(a, kern, p, 2.0, [2.0], rngs)
 
 
 def test_step_mixed_rejects_past():
@@ -258,17 +253,17 @@ def test_step_mixed_rejects_past():
     kern = AngularKernel.two_point(0.5, 0.5)
     st0 = ParticleState(np.zeros((4, 1)), time=2.0)
     with pytest.raises(ValueError, match="t_end must not precede"):
-        simulate_thermostat(st0, kern, p, 1.5, [], RngStream(0, 0))
+        simulate_thermostat(st0, kern, p, 1.5, [], [RngStream(0, 0)])
     with pytest.raises(ValueError, match="t_end must not precede"):
-        simulate_kac(st0, kern, 1.5, [], RngStream(0, 0))
-    assert simulate_thermostat(st0, kern, p, 2.0, [], RngStream(0, 0)) == []
+        simulate_kac(st0, kern, 1.5, [], [RngStream(0, 0)])
+    assert simulate_thermostat(st0, kern, p, 2.0, [], [RngStream(0, 0)]) == []
 
 
 def test_simulate_t_end_zero():
     p = RestitutionParams(alpha=0.5, nu=1.0, dim=1)
     st0 = ParticleState(np.ones((4, 1)))
     out = simulate_thermostat(st0, AngularKernel.two_point(0.5, 0.5), p, 0.0, [0.0],
-                              RngStream(0, 0))
+                              [RngStream(0, 0)])
     np.testing.assert_array_equal(out[0].coords, st0.coords)
 
 
@@ -280,7 +275,7 @@ def test_stationary_plateau_matches_balance_small():
     target = steady_temperature(p, kern, n_particles=2000)
     st0 = gaussian_sample_state(np.zeros(3), np.full(3, target), 2000, RngStream(55, 0))
     snaps = np.linspace(5.0, 30.0, 11)
-    out = simulate_thermostat(st0, kern, p, 30.0, snaps, RngStream(55, 1))
+    out = simulate_thermostat(st0, kern, p, 30.0, snaps, [RngStream(55, 1)])
     temps = np.array([temperature(s) for s in out])
     plateau = temps[len(temps) // 2 :].mean()
     assert plateau == pytest.approx(target, rel=0.08)
