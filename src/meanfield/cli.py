@@ -130,6 +130,14 @@ def _count(cfg: dict, key: str, default: int) -> int:
     return value
 
 
+def _replica_count(cfg: dict, default: int) -> int:
+    """Replicas of a Monte Carlo estimate: one would report a standard error of 0."""
+    value = _count(cfg, "replicas", default)
+    if value < 2:
+        raise ConfigError("replicas", f"must be at least 2 for a standard error, got {value}")
+    return value
+
+
 def _as_list(v) -> list:
     if isinstance(v, (list, tuple)):
         return list(v)
@@ -457,7 +465,7 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     if n_ref < 16 * max(n_values):
         raise ConfigError("n_ref", "must be at least 16x the largest N")
     deterministic = model == "vlasov"
-    replicas = 1 if deterministic else _count(cfg, "replicas", 64)
+    replicas = 1 if deterministic else _replica_count(cfg, 64)
     replicas_ref = 1 if deterministic else _count(cfg, "replicas_ref", 32)
     task = functools.partial(_curve_block, cfg, seed, obs, estimator, _model_kernel(cfg))
 
@@ -492,11 +500,16 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     dim = int(_get(cfg, "dimension", required=True))
     n_values = _n_list(cfg)
-    replicas = _count(cfg, "replicas", 200)
+    replicas = _replica_count(cfg, 200)
     factor = int(_get(cfg, "reference_factor", 64))
     if factor < 64:
         raise ConfigError("reference_factor", f"must be at least 64, got {factor}")
     estimator = str(_get(cfg, "estimator", "auto"))
+    if estimator not in ("auto", "exact-1d", "sliced"):
+        raise ConfigError("estimator", f"unknown estimator '{estimator}' "
+                          "(auto, exact-1d or sliced)")
+    if estimator == "exact-1d" and dim != 1:
+        raise ConfigError("estimator", f"exact-1d needs dimension = 1, got {dim}")
     n_proj = _count(cfg, "n_projections", 64)
     law = str(_get(cfg, "law", "gaussian"))
     if law != "gaussian":

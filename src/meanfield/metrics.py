@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 ASSIGNMENT_BUDGET = 4096
+# projection columns of the sliced sampling-error reference sorted and
+# reduced at a time (see empirical_sampling_error)
+PROJECTION_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,25 @@ def w1_exact_1d(a: EmpiricalMeasure, b: EmpiricalMeasure) -> float:
     return _quantile_coupling_cost(_atoms_1d(a), _atoms_1d(b), power=1)
 
 
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(N, M) squared distances, bit for bit ``((x[:, None] - y[None]) ** 2).sum(axis=2)``.
+
+    numpy adds fewer than 8 squares left to right, which adding the
+    squared coordinate differences in turn reproduces without the
+    (N, M, d) tensor; more it sums pairwise, so those go to numpy.
+    """
+    if x.shape[1] >= 8:
+        return ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    d2 = np.subtract.outer(x[:, 0], y[:, 0])
+    d2 *= d2
+    diff = np.empty_like(d2) if x.shape[1] > 1 else None
+    for c in range(1, x.shape[1]):
+        np.subtract.outer(x[:, c], y[:, c], out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
 def w2_exact_matching(a: EmpiricalMeasure, b: EmpiricalMeasure) -> TransportPlanResult:
     """Globally optimal squared-cost matching of two equal-size clouds.
 
@@ -93,7 +115,7 @@ def w2_exact_matching(a: EmpiricalMeasure, b: EmpiricalMeasure) -> TransportPlan
         raise ValueError("dimension mismatch")
     from scipy.optimize import linear_sum_assignment
 
-    d2 = ((a.atoms[:, None, :] - b.atoms[None, :, :]) ** 2).sum(axis=2)
+    d2 = _squared_distances(a.atoms, b.atoms)
     rows, cols = linear_sum_assignment(d2)
     sigma = np.empty(n, dtype=np.int64)
     sigma[rows] = cols
@@ -207,6 +229,14 @@ def tv_histogram(a: EmpiricalMeasure, b: EmpiricalMeasure, bin_edges: np.ndarray
     return float(np.abs(pa - pb).sum())
 
 
+def _projection_blocks(n_projections: int) -> list[tuple[int, int]]:
+    """Column ranges of PROJECTION_BLOCK, a lone last column joined to the one before."""
+    starts = list(range(0, n_projections, PROJECTION_BLOCK))
+    if len(starts) > 1 and n_projections - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_projections]))
+
+
 @dataclass
 class SamplingErrorResult:
     """Mean squared distance between N-sample empirical measures and their law."""
@@ -239,7 +269,14 @@ def empirical_sampling_error(
     estimator: 'exact-1d' (quantile coupling; 1-D only), 'sliced'
     (Monte Carlo sliced W2, any d), or 'auto'; any other name is refused.
     The sliced route costs O(n * n_projections) per replica: the sorted
-    reference projections are reduced once to per-block moments.
+    reference projections are reduced once to per-block moments, taking
+    ``PROJECTION_BLOCK`` projection columns at a time, so the reference
+    holds ``reference_size * (d + PROJECTION_BLOCK)`` floats at most, not
+    ``reference_size * (d + n_projections)``.  No column block is one
+    column wide unless ``n_projections == 1`` (a lone last column joins
+    the block before it): the within-block mean of a one-column block
+    runs along a contiguous axis, where numpy sums pairwise instead of
+    left to right, and the moments would change in the last bits.
     """
     if estimator not in ("auto", "exact-1d", "sliced"):
         raise ValueError(f"unknown estimator '{estimator}' (auto, exact-1d or sliced)")
@@ -265,13 +302,16 @@ def empirical_sampling_error(
         # reference, so the reference enters only through each block's
         # mean and (centered, cancellation-free) variance:
         # mean_b (r_b - p)^2 = var + (mean - p)^2
-        blocks = ref @ dirs.T  # (M, n_projections)
-        blocks.sort(axis=0)
-        blocks = blocks.reshape(n, reference_size // n, n_projections)
-        block_mean = blocks.mean(axis=1)
-        blocks -= block_mean[:, None, :]
-        block_var = np.square(blocks, out=blocks).mean(axis=1)
-        del blocks
+        block_mean = np.empty((n, n_projections))
+        block_var = np.empty((n, n_projections))
+        for lo, hi in _projection_blocks(n_projections):
+            blocks = ref @ dirs[lo:hi].T  # (M, hi - lo)
+            blocks.sort(axis=0)
+            blocks = blocks.reshape(n, reference_size // n, hi - lo)
+            block_mean[:, lo:hi] = blocks.mean(axis=1)
+            blocks -= block_mean[:, None, lo:hi]
+            block_var[:, lo:hi] = np.square(blocks, out=blocks).mean(axis=1)
+            del blocks
 
     sq = np.empty(replicas)
     for r in range(replicas):

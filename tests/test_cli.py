@@ -352,6 +352,12 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
      "initial_file"),
     ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((4, 3))},
      "initial_file"),
+    # one replica gives every row a standard error of 0 and the fit a zero-width CI
+    ("omega-n", {"dimension": 2, "n_list": [16, 64, 256, 1024], "replicas": 1}, "replicas"),
+    ("chaos-curve", {**CURVE_CFG, "replicas": 1}, "replicas"),
+    # the estimator is refused before the reference is drawn
+    ("omega-n", {**OMEGA_D3, "estimator": "exact"}, "estimator"),
+    ("omega-n", {**OMEGA_D3, "estimator": "exact-1d"}, "estimator"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     if "initial_file" in cfg:

@@ -91,6 +91,22 @@ def test_w2_matching_bruteforce_property(n, seed):
     assert res.cost <= ident + 1e-12
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_w2_matching_cost_matrix_bitwise(d):
+    # the cost matrix is built a coordinate at a time; cost and assignment
+    # must be those of the (N, N, d) difference-tensor formula, bit for bit
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(70 + d)
+    a = rng.normal(size=(96, d)) * 10.0 ** rng.uniform(-3, 3, size=(1, d))
+    b = 0.5 + rng.normal(size=(96, d))
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    rows, cols = linear_sum_assignment(d2)
+    res = w2_exact_matching(E(a), E(b))
+    assert res.cost == math.fsum(d2[rows, cols].tolist()) / 96
+    np.testing.assert_array_equal(res.assignment[rows], cols)
+
+
 def test_w2_matching_rejections():
     with pytest.raises(ValueError):
         w2_exact_matching(E([0.0]), E([0.0, 1.0]))
@@ -288,6 +304,59 @@ def test_sampling_error_block_moments_match_block_tensor(d):
         oracle = _block_tensor_sampling_error(sampler, n, 6, 64 * n, factory, 16)
         assert res.estimator == "sliced"
         np.testing.assert_allclose(res.per_replica, oracle, rtol=1e-13, atol=0.0)
+
+
+def _unblocked_sampling_error(f_sampler, n, replicas, reference_size, rng_factory,
+                              n_projections):
+    """The sliced estimate with every reference projection column reduced at once."""
+    ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
+    ref = ref.reshape(reference_size, -1)
+    dirs = rng_factory(1).unit_vectors(ref.shape[1], n_projections)
+    blocks = ref @ dirs.T
+    blocks.sort(axis=0)
+    blocks = blocks.reshape(n, reference_size // n, n_projections)
+    block_mean = blocks.mean(axis=1)
+    blocks -= block_mean[:, None, :]
+    block_var = np.square(blocks, out=blocks).mean(axis=1)
+    sq = np.empty(replicas)
+    for r in range(replicas):
+        sample = np.asarray(f_sampler(n, rng_factory(2 + r)), dtype=np.float64).reshape(n, -1)
+        proj = np.sort(sample @ dirs.T, axis=0)
+        sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
+    return sq, float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("n_projections", [1, 2, 9, 64, 65])
+def test_sampling_error_projection_blocks_bitwise(d, n_projections):
+    # 9 and 65 end in a lone column, which joins the block before it
+    def sampler(n, rng):
+        return -1.0 + rng.normal(size=(n, d)) * np.arange(1, d + 1)
+
+    factory = lambda sid: RngStream(60 + d, 1000 * n_projections + sid)
+    res = empirical_sampling_error(sampler, 16, 5, 64 * 16, factory,
+                                   estimator="sliced", n_projections=n_projections)
+    sq, mean, se = _unblocked_sampling_error(sampler, 16, 5, 64 * 16, factory, n_projections)
+    assert res.per_replica.tobytes() == sq.tobytes()
+    assert (res.mean, res.standard_error) == (mean, se)
+
+
+def test_sampling_error_reference_memory():
+    # the sorted projections of a 64 N reference are held a column block at
+    # a time: 64 projections at N = 1024 would otherwise take 32 MiB alone
+    import tracemalloc
+
+    def sampler(n, rng):
+        return rng.normal(size=(n, 3))
+
+    tracemalloc.start()
+    try:
+        empirical_sampling_error(sampler, 1024, 2, 64 * 1024, lambda sid: RngStream(9, sid),
+                                 estimator="sliced", n_projections=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_sampling_error_rejects_unknown_estimator():
