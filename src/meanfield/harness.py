@@ -343,14 +343,19 @@ def fourier_contraction_check(
     Evolves both spectra through the diffusive inelastic equation, as one
     batch of a single ``spectral_evolve`` loop, and returns
     max_t |f_t - g_t|_s / (e^{2t} |f_0 - g_0|_s) over ten checkpoints
-    evenly spaced on the dt grid up to t_end.  Identical inputs are
-    flagged and return ratio 0 by convention.
+    evenly spaced on the dt grid up to t_end.  ``t_end`` must be k dt for a
+    whole k >= 1, to within 1e-6 steps.  Identical inputs are flagged and
+    return ratio 0 by convention.
     """
     if not np.array_equal(spec_a.xi_nodes, spec_b.xi_nodes):
         raise ValueError("spectra must share a grid")
+    # run_fixed_steps's grid tolerance, checked before the first step
+    steps = t_end / dt if dt > 0 else 0.0
+    if not (np.rint(steps) >= 1 and abs(steps - np.rint(steps)) <= 1e-6):
+        raise ValueError(f"t_end={t_end} must be a whole number k >= 1 of steps dt={dt}")
+    steps = int(np.rint(steps))
     xi = spec_a.xi_nodes
     d0, _ = toscani_norm(spec_a.values, spec_b.values, s, xi)
-    steps = int(round(t_end / dt))
     snap_every = max(1, steps // 10)
     snap_times = [k * dt for k in range(snap_every, steps + 1, snap_every)]
     if snap_times[-1] != steps * dt:
@@ -358,7 +363,8 @@ def fourier_contraction_check(
     if d0 == 0.0:
         return FourierContractionResult(times=np.asarray(snap_times), max_ratio=0.0,
                                         identical_inputs=True)
-    snaps = spectral_evolve([spec_a, spec_b], alpha, True, t_end, dt=dt, snapshot_times=snap_times)
+    snaps = spectral_evolve([spec_a, spec_b], alpha, True, steps * dt, dt=dt,
+                            snapshot_times=snap_times)
     times = np.array([t for t, _ in snaps])
     dists = np.array([toscani_norm(ga.values, gb.values, s, xi)[0] for _, (ga, gb) in snaps])
     ratios = dists / (np.exp(2.0 * times) * d0)

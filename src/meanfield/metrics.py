@@ -280,6 +280,8 @@ def empirical_sampling_error(
     """
     if estimator not in ("auto", "exact-1d", "sliced"):
         raise ValueError(f"unknown estimator '{estimator}' (auto, exact-1d or sliced)")
+    if n_projections < 1:
+        raise ValueError("n_projections must be >= 1")
     if reference_size < 64 * n:
         raise ValueError("reference_size must be at least 64*n")
     if reference_size % n != 0:

@@ -13,7 +13,7 @@ from meanfield.core import (
     gaussian_sample_state,
 )
 from meanfield.elastic import AngularKernel, simulate_kac
-from meanfield import cli
+from meanfield import cli, harness
 from meanfield.harness import (
     DegenerateFit,
     chaos_error_curve,
@@ -464,6 +464,26 @@ def test_fourier_contraction_identical_flagged():
     a = gaussian_spectrum(xi, 1.0)
     res = fourier_contraction_check(a, a.copy(), 0.8, 3.0, 0.05, dt=0.01)
     assert res.identical_inputs and res.max_ratio == 0.0
+
+
+@pytest.mark.parametrize("t_end", [0.0, 0.0004, 0.2506])
+def test_fourier_contraction_refuses_t_end_off_the_step_grid(t_end, monkeypatch):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolved before refusing t_end")
+
+    monkeypatch.setattr(harness, "spectral_evolve", no_evolve)
+    xi = make_xi_grid(8.0, 128)
+    a, b = gaussian_spectrum(xi, 0.8), gaussian_spectrum(xi, 1.6)
+    with pytest.raises(ValueError, match=rf"t_end={t_end}.*dt=0\.001"):
+        fourier_contraction_check(a, b, 0.8, 3.0, t_end, dt=1e-3)
+
+
+def test_fourier_contraction_reads_t_end_within_the_grid_tolerance():
+    # 1e-7 steps short of 5 steps: run_fixed_steps reads it as step 5
+    xi = make_xi_grid(8.0, 128)
+    a, b = gaussian_spectrum(xi, 0.8), gaussian_spectrum(xi, 1.6)
+    res = fourier_contraction_check(a, b, 0.8, 3.0, 0.05 - 1e-9, dt=0.01)
+    assert res.times[-1] == 5 * 0.01 and not res.identical_inputs
 
 
 def test_fourier_contraction_gaussian_pair_under_envelope():

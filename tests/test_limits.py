@@ -187,6 +187,46 @@ def test_query_spline_matches_scipy_cubic_spline(n_nodes):
         limits._QuerySpline(xi, [6.0 + 1e-9])
 
 
+@pytest.mark.parametrize("n_nodes", [129, 2049])
+def test_query_spline_matches_scipy_on_nonuniform_grids(n_nodes):
+    rng = np.random.default_rng(n_nodes + 1)
+    for _ in range(5):
+        x = np.cumsum(rng.uniform(0.5, 1.5, n_nodes))
+        x = -6.0 + 12.0 * (x - x[0]) / (x[-1] - x[0])
+        y = rng.normal(size=(n_nodes, 3)) + 1j * rng.normal(size=(n_nodes, 3))
+        q = np.concatenate([rng.uniform(x[0], x[-1], 300), x])
+        got = limits._QuerySpline(x, q)(y)
+        assert np.max(np.abs(got - CubicSpline(x, y, extrapolate=False)(q))) <= 1e-14
+
+
+@pytest.mark.parametrize("n_nodes", [4, 5, 33])
+def test_query_spline_reproduces_cubics(n_nodes):
+    # a cubic has no jump in its third derivative, so not-a-knot returns it
+    rng = np.random.default_rng(n_nodes)
+    x = np.cumsum(rng.uniform(0.5, 1.5, n_nodes))
+    q = np.concatenate([rng.uniform(x[0], x[-1], 200), x])
+    cubic = np.polynomial.Polynomial([0.3, -1.2, 0.7, -0.25])
+    y = np.stack([cubic(x), 1j * cubic.deriv()(x)], axis=1)
+    want = np.stack([cubic(q), 1j * cubic.deriv()(q)], axis=1)
+    got = limits._QuerySpline(x, q)(y)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_query_spline_of_complex_data_is_its_parts_bitwise():
+    # real and imaginary parts are separate rows of one real array
+    x = make_xi_grid(6.0, 65)
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(65, 3)) + 1j * rng.normal(size=(65, 3))
+    spline = limits._QuerySpline(x, rng.uniform(-6.0, 6.0, 40))
+    both = spline(y)
+    re, im = spline(y.real + 0j), spline(y.imag + 0j)
+    assert not re.imag.any() and not im.imag.any()
+    assert both.real.tobytes() == re.real.tobytes()
+    assert both.imag.tobytes() == im.real.tobytes()
+    for j in range(3):
+        assert spline(y[:, j:j + 1]).tobytes() == both[:, j:j + 1].copy().tobytes()
+
+
 def test_spectral_evolve_batch_equals_separate_runs():
     a, b = gaussian_spectrum(XI, 0.7), gaussian_spectrum(XI, 1.9, mean=0.3)
     times = [0.05, 0.1]

@@ -275,6 +275,19 @@ def test_sampling_error_validations():
     sampler = lambda n, rng: np.zeros((n, 1))
     with pytest.raises(ValueError, match="64"):
         empirical_sampling_error(sampler, 16, 2, 100, lambda sid: RngStream(0, sid))
+    # no projections is refused before any stream is made, let alone drawn from
+    streams = []
+
+    def factory(sid):
+        streams.append(sid)
+        return RngStream(0, sid)
+
+    plane = lambda n, rng: rng.normal(size=(n, 2))
+    for estimator in ("sliced", "auto"):
+        with pytest.raises(ValueError, match="n_projections must be >= 1"):
+            empirical_sampling_error(plane, 4, 2, 256, factory, estimator=estimator,
+                                     n_projections=0)
+    assert streams == []
 
 
 def _block_tensor_sampling_error(f_sampler, n, replicas, reference_size, rng_factory,
