@@ -18,8 +18,8 @@ Stream-id allocation: simulate uses 1 (initial data) and 2 (dynamics);
 chaos-curve replicas carry base id 1_000_000 (k+1) + r for replica r of the
 k-th N (oracle replicas 900_000_000 + r) and split each base b into 2b
 (initial data) and 2b + 1 (dynamics), and its bootstrap draws from 977
-under the master seed; omega-n uses 10_000 (k+1) plus 0 (reference), 1
-(projection directions), 2 + r (replicas); the rate fit of chaos-curve and
+under the master seed; omega-n uses 10_000 (k+1) plus 1 (projection
+directions) and 2 + r (replicas); the rate fit of chaos-curve and
 omega-n draws its slope CI from 1331 under the fixed seed 7; check uses
 ids below 1000.
 """
@@ -501,9 +501,6 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     dim = int(_get(cfg, "dimension", required=True))
     n_values = _n_list(cfg)
     replicas = _replica_count(cfg, 200)
-    factor = int(_get(cfg, "reference_factor", 64))
-    if factor < 64:
-        raise ConfigError("reference_factor", f"must be at least 64, got {factor}")
     estimator = str(_get(cfg, "estimator", "auto"))
     if estimator not in ("auto", "exact-1d", "sliced"):
         raise ConfigError("estimator", f"unknown estimator '{estimator}' "
@@ -515,10 +512,11 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     if law != "gaussian":
         raise ConfigError("law", "only the gaussian law is built in")
     mean = _per_coordinate(cfg, "law_mean", [0.0], dim)
+    if not np.all(np.isfinite(mean)):
+        raise ConfigError("law_mean", f"must be finite, got {mean.tolist()}")
     var = _per_coordinate(cfg, "law_variance", [1.0], dim)
-
-    def sampler(n, stream):
-        return gaussian_sample_state(mean, var, n, stream).coords
+    if not np.all(np.isfinite(var) & (var >= 0)):
+        raise ConfigError("law_variance", f"must be finite and nonnegative, got {var.tolist()}")
 
     rows = []
     errors = []
@@ -533,10 +531,8 @@ def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
             streams[10_000 * (_k + 1) + sid] = s
             return s
 
-        res = empirical_sampling_error(
-            sampler, n, replicas, factor * n, factory,
-            estimator=estimator, n_projections=n_proj,
-        )
+        res = empirical_sampling_error(mean, var, n, replicas, factory,
+                                       estimator=estimator, n_projections=n_proj)
         est_used = res.estimator
         rows.append([n, res.mean, res.standard_error])
         errors.append(res.mean)

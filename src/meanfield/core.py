@@ -25,7 +25,6 @@ __all__ = [
     "ParticleState",
     "EmpiricalMeasure",
     "RngStream",
-    "moment",
     "quantile_init_1d",
     "gaussian_sample_state",
     "canonical_atom_order",
@@ -37,6 +36,7 @@ __all__ = [
 
 _INV_2_53 = 2.0 ** -53
 _BELOW_ONE = np.float64(1.0 - _INV_2_53)
+_TOP_WORD = 2**53 - 1  # the one 53-bit word whose uniform rounds to 1.0
 
 
 class SimulationError(RuntimeError):
@@ -92,10 +92,12 @@ class RngStream:
         if size is None:
             return min((np.float64(k >> 11) + 0.5) * _INV_2_53, _BELOW_ONE)
         k >>= 11
+        # a read-only scan is cheaper than a clamp pass, and the top word is rare
+        clamp = k.max(initial=0) == _TOP_WORD
         u = k.view(np.float64)  # same buffer: each word is read before it is written
         np.add(k, 0.5, out=u)
         u *= _INV_2_53
-        return np.minimum(u, _BELOW_ONE, out=u)
+        return np.minimum(u, _BELOW_ONE, out=u) if clamp else u
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normals via inverse transform of :meth:`uniform`."""
@@ -212,15 +214,6 @@ def canonical_atom_order(atoms: np.ndarray) -> np.ndarray:
     for r in np.flatnonzero(~_ascending_rows(out[..., 0])):
         out[r] = flat[r][np.lexsort(flat[r].T[::-1])]
     return out.reshape(atoms.shape)
-
-
-def moment(mu: EmpiricalMeasure, q: float) -> float:
-    """Moment of order q: (1/N) Σ_j (1 + |z_j|^2)^(q/2)."""
-    if q < 0:
-        raise ValueError("moment order q must be nonnegative")
-    z2 = np.einsum("ij,ij->i", mu.atoms, mu.atoms)
-    terms = np.sort((1.0 + z2) ** (q / 2.0))
-    return float(terms.sum() / mu.n_atoms)
 
 
 def quantile_init_1d(target_cdf_inverse: Callable[[float], float], n: int) -> ParticleState:

@@ -15,8 +15,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtri
 
-from .core import EmpiricalMeasure, RngStream, canonical_atom_order
+from .core import EmpiricalMeasure, RngStream, canonical_atom_order, gaussian_sample_state
 
 __all__ = [
     "TransportPlanResult",
@@ -30,9 +32,7 @@ __all__ = [
 ]
 
 ASSIGNMENT_BUDGET = 4096
-# projection columns of the sliced sampling-error reference sorted and
-# reduced at a time (see empirical_sampling_error)
-PROJECTION_BLOCK = 8
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -229,12 +229,28 @@ def tv_histogram(a: EmpiricalMeasure, b: EmpiricalMeasure, bin_edges: np.ndarray
     return float(np.abs(pa - pb).sum())
 
 
-def _projection_blocks(n_projections: int) -> list[tuple[int, int]]:
-    """Column ranges of PROJECTION_BLOCK, a lone last column joined to the one before."""
-    starts = list(range(0, n_projections, PROJECTION_BLOCK))
-    if len(starts) > 1 and n_projections - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n_projections]))
+def _normal_quantile_blocks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q_mean, q_var): the standard normal's moments on each quantile block.
+
+    Interior variances integrate in z by 16-node Gauss-Legendre: the closed
+    form n (G(z_i) - G(z_{i-1})) - q_mean², G = Φ - zφ, cancels on narrow
+    blocks.  The two tail blocks keep it, as 1 - n z_1 φ(z_1) - q_mean[0]².
+    """
+    if n == 1:
+        return np.zeros(1), np.ones(1)
+    z = ndtri(np.arange(1, n) / n)
+    phi = np.exp(-0.5 * z * z) * _INV_SQRT_2PI
+    q_mean = n * (np.append(0.0, phi) - np.append(phi, 0.0))
+    q_var = np.empty(n)
+    q_var[0] = q_var[-1] = 1.0 - n * z[0] * phi[0] - q_mean[0] ** 2
+    # per call, not at import: its eigensolver costs 0.9 MB of resident memory
+    x, w = leggauss(16)
+    half = 0.5 * (z[1:] - z[:-1])
+    nodes = 0.5 * (z[:-1] + z[1:])[:, None] + half[:, None] * x
+    dev = nodes - q_mean[1:-1, None]
+    density = np.exp(-0.5 * nodes * nodes) * _INV_SQRT_2PI
+    q_var[1:-1] = n * half * ((dev * dev * density) @ w)
+    return q_mean, q_var
 
 
 @dataclass
@@ -248,85 +264,64 @@ class SamplingErrorResult:
 
 
 def empirical_sampling_error(
-    f_sampler,
+    law_mean,
+    law_variance,
     n: int,
     replicas: int,
-    reference_size: int,
     rng_factory,
     estimator: str = "auto",
     n_projections: int = 64,
 ) -> SamplingErrorResult:
-    """Monte Carlo estimate of E[W2(empirical_N, law)^2].
+    """Monte Carlo estimate of E[W2(empirical_N, law)^2], law N(m, diag v).
 
-    The continuous law is proxied by a one-time reference sample of
-    ``reference_size`` i.i.d. points (``>= 64*n`` enforced); the reported
-    quantity is then the squared distance between two empirical measures,
-    and the residual proxy bias scales like the estimate at the reference
-    size.  ``f_sampler(n, rng) -> (n, d) array``;  ``rng_factory(stream_id)
-    -> RngStream`` assigns one stream per replica (stream 0 builds the
-    reference).
+    Replica r draws its N atoms by ``gaussian_sample_state`` from
+    ``rng_factory(2 + r)``.  The quantile coupling pairs the i-th smallest
+    projection p_(i) on θ with the law's quantile block [(i-1)/N, i/N], at
+    cost mean_i [s² q_var[i] + (μ + s q_mean[i] - p_(i))²], where
+    N(μ, s²), μ = θ·m, s² = Σ θ_j² v_j, is the projected law and, with
+    z_i = ndtri(i/N) and the standard normal density φ,
 
-    estimator: 'exact-1d' (quantile coupling; 1-D only), 'sliced'
-    (Monte Carlo sliced W2, any d), or 'auto'; any other name is refused.
-    The sliced route costs O(n * n_projections) per replica: the sorted
-    reference projections are reduced once to per-block moments, taking
-    ``PROJECTION_BLOCK`` projection columns at a time, so the reference
-    holds ``reference_size * (d + PROJECTION_BLOCK)`` floats at most, not
-    ``reference_size * (d + n_projections)``.  No column block is one
-    column wide unless ``n_projections == 1`` (a lone last column joins
-    the block before it): the within-block mean of a one-column block
-    runs along a contiguous axis, where numpy sums pairwise instead of
-    left to right, and the moments would change in the last bits.
+        q_mean[i] = N (φ(z_{i-1}) - φ(z_i)),
+        q_var[i] = N ∫ (z - q_mean[i])² φ(z) dz over [z_{i-1}, z_i].
+
+    estimator: 'exact-1d' (θ = 1, the exact coupling; 1-D only), 'sliced'
+    (the mean over ``n_projections`` directions from ``rng_factory(1)``,
+    any d), or 'auto'; any other name is refused.  A replica holds one
+    (n_projections, N) array.
     """
     if estimator not in ("auto", "exact-1d", "sliced"):
         raise ValueError(f"unknown estimator '{estimator}' (auto, exact-1d or sliced)")
     if n_projections < 1:
         raise ValueError("n_projections must be >= 1")
-    if reference_size < 64 * n:
-        raise ValueError("reference_size must be at least 64*n")
-    if reference_size % n != 0:
-        raise ValueError("reference_size must be a multiple of n (block coupling)")
-    ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
-    if ref.ndim == 1:
-        ref = ref[:, None]
-    d = ref.shape[1]
+    m = np.asarray(law_mean, dtype=np.float64).ravel()
+    v = np.asarray(law_variance, dtype=np.float64).ravel()
+    if m.size == 0 or m.shape != v.shape:
+        raise ValueError("law_mean and law_variance need one equal, nonzero length")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"law_mean must be finite, got {m.tolist()}")
+    if not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValueError(f"law_variance must be finite and nonnegative, got {v.tolist()}")
     if estimator == "auto":
-        estimator = "exact-1d" if d == 1 else "sliced"
-    if estimator == "exact-1d" and d != 1:
-        raise ValueError("exact-1d estimator requires 1-D samples")
+        estimator = "exact-1d" if m.size == 1 else "sliced"
+    if estimator == "exact-1d" and m.size != 1:
+        raise ValueError("exact-1d estimator requires a 1-D law")
 
     if estimator == "exact-1d":
-        ref_sorted = np.sort(ref[:, 0])
+        dirs = np.ones((1, 1))
     else:
-        dir_rng = rng_factory(1)
-        dirs = dir_rng.unit_vectors(d, n_projections)
-        # the coupling pairs sample atom i with block i of the sorted
-        # reference, so the reference enters only through each block's
-        # mean and (centered, cancellation-free) variance:
-        # mean_b (r_b - p)^2 = var + (mean - p)^2
-        block_mean = np.empty((n, n_projections))
-        block_var = np.empty((n, n_projections))
-        for lo, hi in _projection_blocks(n_projections):
-            blocks = ref @ dirs[lo:hi].T  # (M, hi - lo)
-            blocks.sort(axis=0)
-            blocks = blocks.reshape(n, reference_size // n, hi - lo)
-            block_mean[:, lo:hi] = blocks.mean(axis=1)
-            blocks -= block_mean[:, None, lo:hi]
-            block_var[:, lo:hi] = np.square(blocks, out=blocks).mean(axis=1)
-            del blocks
-
+        dirs = rng_factory(1).unit_vectors(m.size, n_projections)
+    q_mean, q_var = _normal_quantile_blocks(n)
+    s2 = np.square(dirs) @ v
+    block_mean = (dirs @ m)[:, None] + np.sqrt(s2)[:, None] * q_mean
+    block_var = s2[:, None] * q_var
     sq = np.empty(replicas)
     for r in range(replicas):
-        rng = rng_factory(2 + r)
-        sample = np.asarray(f_sampler(n, rng), dtype=np.float64)
-        if sample.ndim == 1:
-            sample = sample[:, None]
-        if estimator == "exact-1d":
-            sq[r] = _quantile_coupling_cost(np.sort(sample[:, 0]), ref_sorted, 2)
-        else:
-            proj = np.sort(sample @ dirs.T, axis=0)  # (n, n_projections)
-            sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
-    mean = float(sq.mean())
+        proj = dirs @ gaussian_sample_state(m, v, n, rng_factory(2 + r)).coords.T
+        proj.sort(axis=1)  # one row per projection
+        proj -= block_mean
+        np.square(proj, out=proj)
+        proj += block_var
+        sq[r] = proj.mean()
     se = float(sq.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return SamplingErrorResult(mean=mean, standard_error=se, estimator=estimator,
+    return SamplingErrorResult(mean=float(sq.mean()), standard_error=se, estimator=estimator,
                                per_replica=sq)

@@ -344,8 +344,9 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
                   "snapshot_times": [0.5]}, "initial"),
     # the center of a product observable is a per-coordinate list too
     ("chaos-curve", {**CURVE_CFG, "observable_center": [0.0, 0.0]}, "observable_center"),
-    # the sampling-error reference holds at least 64 n points
-    ("omega-n", {**OMEGA_D3, "reference_factor": 32}, "reference_factor"),
+    # the law's parameters are refused before any sampling, where a NaN
+    # variance would give a CSV of NaN
+    ("omega-n", {**OMEGA_D3, "law_variance": np.nan}, "law_variance"),
     ("simulate", {**KAC_D3, "kernel": "two_point", "kernel_weights": [0.5, 0.5]}, "kernel"),
     # an initial_file entry is the particle array the test writes to that file
     ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((8, 2))},
@@ -358,6 +359,10 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     # the estimator is refused before the reference is drawn
     ("omega-n", {**OMEGA_D3, "estimator": "exact"}, "estimator"),
     ("omega-n", {**OMEGA_D3, "estimator": "exact-1d"}, "estimator"),
+    ("omega-n", {**OMEGA_D3, "law_mean": np.inf}, "law_mean"),
+    ("omega-n", {**OMEGA_D3, "law_mean": [0.0, np.nan, 0.0]}, "law_mean"),
+    ("omega-n", {**OMEGA_D3, "law_variance": [1.0, np.inf, 1.0]}, "law_variance"),
+    ("omega-n", {**OMEGA_D3, "law_variance": -1.0}, "law_variance"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     if "initial_file" in cfg:
@@ -373,6 +378,8 @@ def test_config_field_refused(tmp_path, capsys, command, cfg, field):
 
 
 def test_cmd_omega_n_small():
+    # reference_factor is not read (no reference sample is drawn), but a
+    # config that sets it still runs and echoes it like any other key
     cfg = {
         "dimension": 1, "n_list": [8, 16], "replicas": 8,
         "reference_factor": 64, "law": "gaussian",
@@ -381,6 +388,7 @@ def test_cmd_omega_n_small():
     b = cmd_omega_n(dict(cfg), 7, 2, None)
     assert a == b
     assert "omega_mean" in a and "estimator_used = exact-1d" in a
+    assert "# reference_factor = 64" in a
 
 
 def test_main_check_exits_zero(capsys):

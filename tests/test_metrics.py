@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meanfield.core import EmpiricalMeasure, RngStream
+from meanfield.core import EmpiricalMeasure, RngStream, gaussian_sample_state
 from meanfield.metrics import (
+    _normal_quantile_blocks,
     empirical_sampling_error,
     h_neg_sobolev_norm,
     toscani_norm,
@@ -243,137 +244,180 @@ def test_tv_histogram_cases():
 
 
 def test_sampling_error_dirac_zero():
-    sampler = lambda n, rng: np.zeros((n, 1))
-    res = empirical_sampling_error(sampler, 8, 4, 512, lambda sid: RngStream(1, sid))
-    assert res.mean == 0.0 and res.estimator == "exact-1d"
+    # a zero-variance law is a point mass: every atom sits on it, and so does
+    # every quantile block, whatever the mean
+    for mean in (0.0, 0.37):
+        res = empirical_sampling_error([mean], [0.0], 8, 4, lambda sid: RngStream(1, sid))
+        assert res.mean == 0.0 and res.estimator == "exact-1d"
 
 
 def test_sampling_error_self_reference_zero():
-    # the reference repeats each sample atom 64 times: every sorted block of
-    # 64 reference atoms sits on its sample atom, so the coupling cost is 0
-    base = np.linspace(-1, 1, 256)
-    sampler = lambda n, rng: np.repeat(base, n // 256)[:, None]
-    res = empirical_sampling_error(sampler, 256, 2, 64 * 256, lambda sid: RngStream(2, sid))
-    assert res.mean == 0.0 and res.estimator == "exact-1d"
+    # the sliced route in d = 3: a point mass off the origin and its own
+    # samples project to the same points on every direction
+    res = empirical_sampling_error([0.5, -2.0, 3.0], [0.0, 0.0, 0.0], 256, 2,
+                                   lambda sid: RngStream(2, sid), n_projections=16)
+    assert res.mean == 0.0 and res.estimator == "sliced"
+    assert res.per_replica.tolist() == [0.0, 0.0]
 
 
 def test_sampling_error_gaussian_1d_decay():
-    def sampler(n, rng):
-        return rng.normal(size=(n, 1))
-
-    res_small = empirical_sampling_error(
-        sampler, 16, 32, 16 * 64, lambda sid: RngStream(3, sid)
-    )
-    res_big = empirical_sampling_error(
-        sampler, 256, 32, 256 * 64, lambda sid: RngStream(4, sid)
-    )
+    res_small = empirical_sampling_error([1.5], [4.0], 16, 32, lambda sid: RngStream(3, sid))
+    res_big = empirical_sampling_error([1.5], [4.0], 256, 32, lambda sid: RngStream(4, sid))
     assert res_small.mean > res_big.mean > 0
     assert res_small.standard_error > 0
 
 
 def test_sampling_error_validations():
-    sampler = lambda n, rng: np.zeros((n, 1))
-    with pytest.raises(ValueError, match="64"):
-        empirical_sampling_error(sampler, 16, 2, 100, lambda sid: RngStream(0, sid))
-    # no projections is refused before any stream is made, let alone drawn from
+    # bad arguments are refused before any stream is made, let alone drawn from
     streams = []
 
     def factory(sid):
         streams.append(sid)
         return RngStream(0, sid)
 
-    plane = lambda n, rng: rng.normal(size=(n, 2))
     for estimator in ("sliced", "auto"):
         with pytest.raises(ValueError, match="n_projections must be >= 1"):
-            empirical_sampling_error(plane, 4, 2, 256, factory, estimator=estimator,
-                                     n_projections=0)
+            empirical_sampling_error([0.0, 0.0], [1.0, 1.0], 4, 2, factory,
+                                     estimator=estimator, n_projections=0)
+    bad_laws = [
+        ([0.0, np.inf], [1.0, 1.0], "law_mean must be finite"),
+        ([np.nan], [1.0], "law_mean must be finite"),
+        ([0.0], [np.nan], "law_variance must be finite and nonnegative"),
+        ([0.0], [np.inf], "law_variance must be finite and nonnegative"),
+        ([0.0, 0.0], [1.0, -1.0], "law_variance must be finite and nonnegative"),
+        ([0.0, 0.0], [1.0], "equal, nonzero length"),
+        ([], [], "equal, nonzero length"),
+    ]
+    for mean, var, message in bad_laws:
+        with pytest.raises(ValueError, match=message):
+            empirical_sampling_error(mean, var, 4, 2, factory)
+    with pytest.raises(ValueError, match="exact-1d estimator requires a 1-D law"):
+        empirical_sampling_error([0.0, 0.0], [1.0, 1.0], 4, 2, factory, estimator="exact-1d")
     assert streams == []
 
 
-def _block_tensor_sampling_error(f_sampler, n, replicas, reference_size, rng_factory,
-                                 n_projections):
-    """The sliced estimate formed from the full (n, M/n, P) block tensor."""
-    ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
-    ref = ref.reshape(reference_size, -1)
+def _mp_quantile_block(n, i):
+    """Mean and variance of the standard normal on its quantile block [i/n, (i+1)/n]."""
+    import mpmath as mp
+
+    edge = lambda j: mp.sqrt(2) * mp.erfinv(2 * mp.mpf(j) / n - 1)  # the quantile at j/n
+    a = -mp.inf if i == 0 else edge(i)
+    b = mp.inf if i == n - 1 else edge(i + 1)
+    phi = lambda z: mp.exp(-z * z / 2) / mp.sqrt(2 * mp.pi)
+    mean = n * mp.quad(lambda z: z * phi(z), [a, b])
+    return mean, n * mp.quad(lambda z: (z - mean) ** 2 * phi(z), [a, b])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 1024, 4096])
+def test_normal_quantile_blocks_match_mpmath(n):
+    import mpmath as mp
+
+    q_mean, q_var = _normal_quantile_blocks(n)
+    assert q_mean.shape == q_var.shape == (n,)
+    # every block up to 16; beyond, both tails, the middle and a stride of n/16
+    blocks = set(range(n)) if n <= 16 else (
+        {0, 1, 2, n // 2 - 1, n // 2, n - 3, n - 2, n - 1} | set(range(5, n, n // 16)))
+    with mp.workdps(30):
+        for i in sorted(blocks):
+            mean, var = _mp_quantile_block(n, i)
+            assert abs(q_mean[i] - float(mean)) <= 1e-12, i
+            assert abs(q_var[i] / float(var) - 1.0) <= 1e-11, i
+
+
+def test_sampling_error_exact_1d_equals_sliced_in_one_dimension():
+    # in 1-D a direction is +1 or -1, and either reproduces the exact coupling
+    factory = lambda sid: RngStream(5, sid)
+    exact = empirical_sampling_error([0.7], [2.5], 64, 8, factory, estimator="exact-1d")
+    sliced = empirical_sampling_error([0.7], [2.5], 64, 8, factory, estimator="sliced",
+                                      n_projections=16)
+    assert (exact.estimator, sliced.estimator) == ("exact-1d", "sliced")
+    np.testing.assert_allclose(sliced.per_replica, exact.per_replica, rtol=1e-14, atol=0.0)
+
+
+def _reference_sampling_error(law_mean, law_variance, n, replicas, reference_size,
+                              rng_factory, n_projections):
+    """The sliced estimate against a sorted i.i.d. reference sample of the law.
+
+    The law is proxied by ``reference_size`` points from stream 0, and each
+    sample atom is coupled with its block of reference_size / n sorted
+    reference projections; as the reference grows this tends to the
+    estimate against the exact block moments.
+    """
+    draw = lambda size, sid: gaussian_sample_state(law_mean, law_variance, size,
+                                                   rng_factory(sid)).coords
+    ref = draw(reference_size, 0)
     dirs = rng_factory(1).unit_vectors(ref.shape[1], n_projections)
     blocks = np.sort(ref @ dirs.T, axis=0).reshape(n, reference_size // n, n_projections)
+    block_mean = blocks.mean(axis=1)
+    block_var = ((blocks - block_mean[:, None, :]) ** 2).mean(axis=1)
     sq = np.empty(replicas)
     for r in range(replicas):
-        sample = np.asarray(f_sampler(n, rng_factory(2 + r)), dtype=np.float64).reshape(n, -1)
-        proj = np.sort(sample @ dirs.T, axis=0)
-        sq[r] = float(np.mean((blocks - proj[:, None, :]) ** 2))
+        proj = np.sort(draw(n, 2 + r) @ dirs.T, axis=0)
+        sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
     return sq
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_sampling_error_block_moments_match_block_tensor(d):
-    def sampler(n, rng):
-        return 2.0 + rng.normal(size=(n, d)) * np.arange(1, d + 1)
-
+    # the reference estimate's distance to the law estimate falls like
+    # reference_size^(-1/2) (its sorted blocks' fluctuation): a 16-fold
+    # reference should cut it about 4-fold, here averaged over 16 references
+    mean, var = np.full(d, 2.0), np.arange(1.0, d + 1) ** 2
     for n in (4, 32):
-        factory = lambda sid, _n=n: RngStream(40 + d, 100 * _n + sid)
-        res = empirical_sampling_error(sampler, n, 6, 64 * n, factory,
-                                       estimator="sliced", n_projections=16)
-        oracle = _block_tensor_sampling_error(sampler, n, 6, 64 * n, factory, 16)
-        assert res.estimator == "sliced"
-        np.testing.assert_allclose(res.per_replica, oracle, rtol=1e-13, atol=0.0)
-
-
-def _unblocked_sampling_error(f_sampler, n, replicas, reference_size, rng_factory,
-                              n_projections):
-    """The sliced estimate with every reference projection column reduced at once."""
-    ref = np.asarray(f_sampler(reference_size, rng_factory(0)), dtype=np.float64)
-    ref = ref.reshape(reference_size, -1)
-    dirs = rng_factory(1).unit_vectors(ref.shape[1], n_projections)
-    blocks = ref @ dirs.T
-    blocks.sort(axis=0)
-    blocks = blocks.reshape(n, reference_size // n, n_projections)
-    block_mean = blocks.mean(axis=1)
-    blocks -= block_mean[:, None, :]
-    block_var = np.square(blocks, out=blocks).mean(axis=1)
-    sq = np.empty(replicas)
-    for r in range(replicas):
-        sample = np.asarray(f_sampler(n, rng_factory(2 + r)), dtype=np.float64).reshape(n, -1)
-        proj = np.sort(sample @ dirs.T, axis=0)
-        sq[r] = float(np.mean(block_var + (block_mean - proj) ** 2))
-    return sq, float(sq.mean()), float(sq.std(ddof=1) / math.sqrt(replicas))
+        gaps = np.zeros(2)
+        for seed in range(16):
+            factory = lambda sid: RngStream(100 * d + seed, 1000 * n + sid)
+            law = empirical_sampling_error(mean, var, n, 8, factory, estimator="sliced",
+                                           n_projections=16)
+            assert law.estimator == "sliced"
+            for j, factor in enumerate((64, 1024)):
+                ref = _reference_sampling_error(mean, var, n, 8, factor * n, factory, 16)
+                gaps[j] += abs(ref.mean() / law.mean - 1.0) / 16
+        assert gaps[0] < 0.1, (n, gaps)
+        assert gaps[1] < 0.5 * gaps[0], (n, gaps)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("n_projections", [1, 2, 9, 64, 65])
 def test_sampling_error_projection_blocks_bitwise(d, n_projections):
-    # 9 and 65 end in a lone column, which joins the block before it
-    def sampler(n, rng):
-        return -1.0 + rng.normal(size=(n, d)) * np.arange(1, d + 1)
-
+    # each row of the (n_projections, n) array holds one projection's coupling
+    # against that projection's own block moments; checked one row at a time
+    mean, var = np.full(d, -1.0), np.arange(1.0, d + 1) ** 2
     factory = lambda sid: RngStream(60 + d, 1000 * n_projections + sid)
-    res = empirical_sampling_error(sampler, 16, 5, 64 * 16, factory,
-                                   estimator="sliced", n_projections=n_projections)
-    sq, mean, se = _unblocked_sampling_error(sampler, 16, 5, 64 * 16, factory, n_projections)
+    res = empirical_sampling_error(mean, var, 16, 5, factory, estimator="sliced",
+                                   n_projections=n_projections)
+    dirs = factory(1).unit_vectors(d, n_projections)
+    q_mean, q_var = _normal_quantile_blocks(16)
+    sq = np.empty(5)
+    for r in range(5):
+        proj = dirs @ gaussian_sample_state(mean, var, 16, factory(2 + r)).coords.T
+        costs = np.empty_like(proj)
+        for k, row in enumerate(proj):
+            s2 = float(np.square(dirs[k]) @ var)
+            mu = float(dirs[k] @ mean)
+            costs[k] = (np.sort(row) - (mu + math.sqrt(s2) * q_mean)) ** 2 + s2 * q_var
+        sq[r] = costs.mean()
     assert res.per_replica.tobytes() == sq.tobytes()
-    assert (res.mean, res.standard_error) == (mean, se)
+    se = float(sq.std(ddof=1) / math.sqrt(5))
+    assert (res.mean, res.standard_error) == (float(sq.mean()), se)
 
 
-def test_sampling_error_reference_memory():
-    # the sorted projections of a 64 N reference are held a column block at
-    # a time: 64 projections at N = 1024 would otherwise take 32 MiB alone
+def test_sampling_error_memory():
+    # a replica holds one (n_projections, N) array and the block-moment
+    # tables two more: 0.5 MiB each at N = 1024 with 64 projections
     import tracemalloc
-
-    def sampler(n, rng):
-        return rng.normal(size=(n, 3))
 
     tracemalloc.start()
     try:
-        empirical_sampling_error(sampler, 1024, 2, 64 * 1024, lambda sid: RngStream(9, sid),
+        empirical_sampling_error(np.zeros(3), np.ones(3), 1024, 2, lambda sid: RngStream(9, sid),
                                  estimator="sliced", n_projections=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_sampling_error_rejects_unknown_estimator():
-    sampler = lambda n, rng: np.zeros((n, 1))
     with pytest.raises(ValueError, match="unknown estimator 'exact'"):
-        empirical_sampling_error(sampler, 8, 2, 512, lambda sid: RngStream(0, sid),
+        empirical_sampling_error([0.0], [1.0], 8, 2, lambda sid: RngStream(0, sid),
                                  estimator="exact")
