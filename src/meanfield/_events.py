@@ -20,17 +20,25 @@ disjoint particles.  Levels are few (11-13 for a chunk of 12,000-16,000
 events on 16,384 or 32,768 particles), so the per-batch numpy overhead
 is paid about a dozen times per chunk instead of once per ~sqrt(N)
 events.
-Replicas stack into one system: replica r owns rows r N .. r N + N - 1
-and its pair indices are offset by r N.  Their events never share a
-particle and each replica keeps its own streams, so a stacked block
-plays every replica exactly as it would play alone, in as many batches
-as its deepest replica needs.
+Replicas stack into one system: replica r owns particles r N .. r N +
+N - 1, and one ``EventRecord`` holds the whole block's events, replica
+after replica, with pair indices offset by r N.  Their events never
+share a particle and each replica keeps its own streams, so a stacked
+block plays every replica exactly as it would play alone, in as many
+batches as its deepest replica needs.
+
+The collision kernel works coordinate-major: the block is played on a
+``(d, R N)`` copy whose row c holds coordinate c of every particle, so
+each per-pair scalar (relative speed, cosine, sine) broadcasts along the
+long axis, and a batch gathers and scatters whole columns.  Dot products
+and norms add their d terms in the order numpy's row-wise einsum and
+``np.linalg.norm`` use (``column_dot``, ``column_norms``), so the
+trajectory is bit for bit the row-major one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,48 +47,40 @@ from .core import RngStream
 
 @dataclass
 class EventRecord:
-    """Realized event stream: enough to replay the same collisions elsewhere."""
+    """Realized event streams of a replica block: enough to replay its collisions.
+
+    The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
+    1]``, in its stream order, and its pair indices are rows of the
+    stacked state (offset by r N).  ``frames`` holds one raw frame vector
+    per event, row-major ``(K, d)``, or is None for d = 1.
+    """
 
     times: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     costh: np.ndarray
     frames: np.ndarray | None
+    bounds: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
 
 
-def sample_event_times(rate: float, t0: float, t1: float, rng: RngStream) -> np.ndarray:
-    """Jump times of a Poisson clock of the given rate on (t0, t1]."""
-    if rate <= 0.0 or t1 <= t0:
-        return np.empty(0)
-    out = []
-    t = t0
-    expected = max(64, int(1.2 * rate * (t1 - t0)) + 16)
-    while True:
-        gaps = rng.exponential(scale=1.0 / rate, size=expected)
-        times = t + np.cumsum(gaps)
-        if times[-1] >= t1:
-            out.append(times[times < t1])
-            break
-        out.append(times)
-        t = float(times[-1])
-        expected = max(64, int(0.25 * expected))
-    return np.concatenate(out) if out else np.empty(0)
+def extend_times(times: np.ndarray, rate: float, t1: float, expected: int,
+                 rng: RngStream) -> np.ndarray:
+    """A Poisson clock's jump times on (t0, t1) from its first draw ``times``.
 
-
-def sample_pairs(n: int, k: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """k uniform pairs (i, j), i != j, canonicalized to i < j.
-
-    The collision laws are orientation-free (swapping the pair and
-    reflecting sigma preserves the update law), so the canonical order
-    loses nothing.
+    ``times`` are the first ``expected`` jumps; while the last lies before
+    t1 the clock draws ``max(64, expected // 4)`` more gaps from ``rng``
+    (shrinking the batch each time), and the jumps before t1 are returned.
     """
-    a = rng.integers(0, n, size=k)
-    b = rng.integers(0, n - 1, size=k)
-    b = b + (b >= a)
-    return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
+    out = []
+    while times[-1] < t1:
+        out.append(times)
+        expected = max(64, int(0.25 * expected))
+        times = times[-1] + np.cumsum(rng.exponential(scale=1.0 / rate, size=expected))
+    out.append(times[times < t1])
+    return np.concatenate(out)
 
 
 def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -106,8 +106,9 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
         by_particle = np.argsort(ends * (2 * k) + np.arange(2 * k))
     sorted_ends = ends[by_particle]
     prev = np.full(2 * k, k, dtype=np.int64)  # event k stands for "none", always placed
-    follows = sorted_ends[1:] == sorted_ends[:-1]
-    prev[by_particle[1:][follows]] = by_particle[:-1][follows] // 2
+    src = by_particle[:-1] >> 1  # the event of the slot before, unless another particle's
+    src[sorted_ends[1:] != sorted_ends[:-1]] = k
+    prev[by_particle[1:]] = src
     dep_i, dep_j = prev[0::2], prev[1::2]
     placed = np.zeros(k + 1, dtype=bool)
     placed[k] = True
@@ -126,18 +127,41 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
     return order, list(zip(edges[:-1], edges[1:]))
 
 
-def row_norms(u: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of u, bit for bit ``np.linalg.norm(u, axis=1)``.
+def column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the columns of coordinate-major (d, k) arrays.
 
-    numpy adds the squares of a row shorter than 8 left to right, which
-    adding the squared columns in turn reproduces at a fraction of the
-    cost; longer rows it sums pairwise, so those go to numpy.
+    Bit for bit ``np.einsum("ij,ij->i", a.T, b.T)`` on row-major copies:
+    below d = 8 numpy's einsum keeps two running sums, the even and the
+    odd coordinates, and adds them last; that order is written out here,
+    so it also holds whatever SIMD loop numpy dispatches.
     """
-    if u.shape[1] >= 8:
-        return np.linalg.norm(u, axis=1)
-    s = u[:, 0] * u[:, 0]
-    for c in range(1, u.shape[1]):
-        s += u[:, c] * u[:, c]
+    d = a.shape[0]
+    if d >= 8:
+        return np.einsum("ij,ij->i", np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    even = a[0] * b[0]
+    for c in range(2, d, 2):
+        even += a[c] * b[c]
+    if d == 1:
+        return even
+    odd = a[1] * b[1]
+    for c in range(3, d, 2):
+        odd += a[c] * b[c]
+    return np.add(even, odd, out=even)
+
+
+def column_norms(u: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of a coordinate-major (d, k) array.
+
+    Bit for bit ``np.linalg.norm`` over the rows of a row-major copy:
+    numpy adds the squares of a row shorter than 8 left to right, which
+    adding the squared coordinates in turn reproduces; longer rows it sums
+    pairwise, so those go to numpy.
+    """
+    if u.shape[0] >= 8:
+        return np.linalg.norm(np.ascontiguousarray(u.T), axis=1)
+    s = u[0] * u[0]
+    for c in range(1, u.shape[0]):
+        s += u[c] * u[c]
     return np.sqrt(s, out=s)
 
 
@@ -147,20 +171,21 @@ def sine_of(costh: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_to(uhat: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Unit vectors orthogonal to the rows of uhat, azimuth carried by g."""
-    e = g - np.einsum("ij,ij->i", g, uhat)[:, None] * uhat
-    norms = row_norms(e)
+    """Unit columns orthogonal to the columns of uhat, azimuth carried by g."""
+    e = g - column_dot(g, uhat) * uhat
+    norms = column_norms(e)
     bad = norms < 1e-12
     if np.any(bad):
         # g (anti)parallel to uhat: deterministic completion via the axis
         # least aligned with uhat
-        for row in np.nonzero(bad)[0]:
-            axis = np.zeros(uhat.shape[1])
-            axis[int(np.argmin(np.abs(uhat[row])))] = 1.0
-            v = axis - (axis @ uhat[row]) * uhat[row]
-            e[row] = v
-            norms[row] = np.linalg.norm(v)
-    e /= norms[:, None]
+        for col in np.nonzero(bad)[0]:
+            u = uhat[:, col].copy()
+            axis = np.zeros(len(u))
+            axis[int(np.argmin(np.abs(u)))] = 1.0
+            v = axis - (axis @ u) * u
+            e[:, col] = v
+            norms[col] = np.linalg.norm(v)
+    e /= norms
     return e
 
 
@@ -171,60 +196,80 @@ def deviation_vectors(
     frames: np.ndarray | None,
     sinth: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unit vectors sigma with sigma·(u/r) = costh, azimuth uniform via frames.
+    """Unit columns sigma with sigma·(u/r) = costh, azimuth uniform via frames.
 
-    Rows with r == 0 return an arbitrary placeholder (the caller must mask
-    them; the collision update leaves such pairs unchanged anyway).
-    ``sinth`` is ``sine_of(costh)``, passed by a caller that computes it
-    once for many batches.
+    u and frames are coordinate-major (d, k).  Columns with r == 0 return
+    an arbitrary placeholder (the caller must mask them; the collision
+    update leaves such pairs unchanged anyway).  ``sinth`` is
+    ``sine_of(costh)``, passed by a caller that computes it once for many
+    batches.
     """
-    d = u.shape[1]
-    safe_r = np.where(r > 0.0, r, 1.0)
-    uhat = u / safe_r[:, None]
-    if d == 1:
-        return costh[:, None] * uhat
+    uhat = u / np.where(r > 0.0, r, 1.0)
+    if u.shape[0] == 1:
+        return costh * uhat
     ehat = _orthonormal_to(uhat, frames)
-    ehat *= (sine_of(costh) if sinth is None else sinth)[:, None]
-    uhat *= costh[:, None]
+    ehat *= sine_of(costh) if sinth is None else sinth
+    uhat *= costh
     uhat += ehat
     return uhat
 
 
 def rotate_between(p: np.ndarray, q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply, rowwise, the rotation taking unit p onto unit q to x.
+    """Apply, columnwise, the rotation taking unit p onto unit q to x.
 
-    The minimal rotation in span(p, q); for antipodal rows (measure zero)
-    the deterministic fallback is the reflection across the plane normal
-    to p, which also maps p to q = -p and preserves angles to the axis.
+    The minimal rotation in span(p, q); for antipodal columns (measure
+    zero) the deterministic fallback is the reflection across the plane
+    normal to p, which also maps p to q = -p and preserves angles to the
+    axis.
     """
-    pq = np.einsum("ij,ij->i", p, q)
+    pq = column_dot(p, q)
     out = np.empty_like(x)
-    same = np.all(p == q, axis=1)  # identical geometry: exact identity
+    same = np.all(p == q, axis=0)  # identical geometry: exact identity
     ok = (pq > -1.0 + 1e-12) & ~same
-    out[same] = x[same]
+    out[:, same] = x[:, same]
     if np.any(ok):
-        s = p[ok] + q[ok]
-        coef = np.einsum("ij,ij->i", s, x[ok]) / (1.0 + pq[ok])
-        px = np.einsum("ij,ij->i", p[ok], x[ok])
-        out[ok] = x[ok] - coef[:, None] * s + 2.0 * px[:, None] * q[ok]
-    rows = ~ok & ~same
-    if np.any(rows):
-        px = np.einsum("ij,ij->i", p[rows], x[rows])
-        out[rows] = x[rows] - 2.0 * px[:, None] * p[rows]
+        s = p[:, ok] + q[:, ok]
+        coef = column_dot(s, x[:, ok]) / (1.0 + pq[ok])
+        px = column_dot(p[:, ok], x[:, ok])
+        out[:, ok] = x[:, ok] - coef * s + 2.0 * px * q[:, ok]
+    cols = ~ok & ~same
+    if np.any(cols):
+        px = column_dot(p[:, cols], x[:, cols])
+        out[:, cols] = x[:, cols] - 2.0 * px * p[:, cols]
     return out
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-D array as one opaque record each (a view; rows must be contiguous).
+def put_columns(x: np.ndarray, idx: np.ndarray, v: np.ndarray) -> None:
+    """``x[:, idx] = v`` for a C-contiguous (d, M) x, as one flat scatter."""
+    if not x.flags.c_contiguous:  # a flat copy would take the writes
+        raise ValueError("the coordinate-major array must be C-contiguous")
+    x.reshape(-1)[idx + np.arange(0, x.size, x.shape[1])[:, None]] = v
 
-    Scattering records copies whole rows, far cheaper than a 2-D fancy
-    assignment that walks every element.
-    """
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))[:, 0]
+
+def pair_geometry(x: np.ndarray, ii: np.ndarray, jj: np.ndarray):
+    """Sums w, differences u and relative speeds r of the column pairs (ii, jj) of x."""
+    vi = x.take(ii, axis=1)
+    vj = x.take(jj, axis=1)
+    w = vi + vj
+    u = np.subtract(vi, vj, out=vi)  # in place: same arithmetic, fewer temporaries
+    return w, u, column_norms(u)
+
+
+def put_pairs(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, u_star: np.ndarray,
+              moving: np.ndarray) -> None:
+    """Write (w ± u_star) / 2 to the columns ii and jj of x; pairs not moving stay put."""
+    vi_new = w + u_star
+    vi_new *= 0.5
+    vj_new = np.subtract(w, u_star, out=w)
+    vj_new *= 0.5
+    if not moving.all():  # pairs at zero relative velocity stay put
+        ii, jj, vi_new, vj_new = ii[moving], jj[moving], vi_new[:, moving], vj_new[:, moving]
+    put_columns(x, ii, vi_new)
+    put_columns(x, jj, vj_new)
 
 
 def apply_pair_collisions(
-    coords: np.ndarray,
+    x: np.ndarray,
     pi: np.ndarray,
     pj: np.ndarray,
     costh: np.ndarray,
@@ -233,41 +278,30 @@ def apply_pair_collisions(
     batches: list[tuple[int, int]],
     pre_batch_hook=None,
 ) -> None:
-    """Apply the collision sequence to coords (rows contiguous) in place.
+    """Apply the collision sequence to the C-contiguous coordinate-major (d, M) x in place.
 
-    restitution None means the elastic rule (relative speed preserved);
-    otherwise the inelastic rule with that coefficient.  pre_batch_hook,
-    when given, is called as hook(lo, hi, idx_i, idx_j) before each batch
-    (the thermostat uses it to bring colliding particles up to date with
-    their diffusion).
+    Event e collides columns pi[e] and pj[e] with deviation cosine
+    costh[e] and frame column frames[:, e] (frames is (d, K), None for
+    d = 1).  restitution None means the elastic rule (relative speed
+    preserved); otherwise the inelastic rule with that coefficient.
+    pre_batch_hook, when given, is called as hook(lo, hi, idx_i, idx_j)
+    before each batch (the thermostat uses it to bring colliding particles
+    up to date with their diffusion).
     """
-    rows = _rows(coords)
     sinth = None if frames is None else sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
         if pre_batch_hook is not None:
             pre_batch_hook(lo, hi, ii, jj)
-        vi = coords.take(ii, axis=0)
-        vj = coords.take(jj, axis=0)
-        w = vi + vj
-        u = np.subtract(vi, vj, out=vi)  # in place: same arithmetic, fewer temporaries
-        r = row_norms(u)
-        sigma = deviation_vectors(u, r, costh[lo:hi], None if frames is None else frames[lo:hi],
+        w, u, r = pair_geometry(x, ii, jj)
+        sigma = deviation_vectors(u, r, costh[lo:hi], None if frames is None else frames[:, lo:hi],
                                   None if sinth is None else sinth[lo:hi])
         if restitution is None:
-            u_star = np.multiply(r[:, None], sigma, out=sigma)
+            u_star = np.multiply(r, sigma, out=sigma)
         else:
-            u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r[:, None] * sigma
-        vi_new = w + u_star
-        vi_new *= 0.5
-        vj_new = np.subtract(w, u_star, out=w)
-        vj_new *= 0.5
-        moving = r > 0.0
-        if not moving.all():  # pairs at zero relative velocity stay put
-            ii, jj, vi_new, vj_new = ii[moving], jj[moving], vi_new[moving], vj_new[moving]
-        rows[ii] = _rows(vi_new)
-        rows[jj] = _rows(vj_new)
+            u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r * sigma
+        put_pairs(x, ii, jj, w, u_star, r > 0.0)
 
 
 # a segment is played in chunks of at most this many events: one chunk per
@@ -276,86 +310,97 @@ def apply_pair_collisions(
 # thermostat at N = 32768 takes 11 levels per chunk; over repeated
 # thermostat and McKean runs in one process its peak RSS stayed at
 # 124-126 MB, as with 4,096-event chunks, once chunk fields are gathered
-# without extra copies (``_in_play_order``)
+# without extra copies (one gather per field, a slice where the chunk is
+# one run of the record)
 CHUNK_EVENTS = 16384
 
 
-def _chunks(spans, limit: int):
-    """Split ``(replica, record, lo, hi)`` spans into runs of at most limit events, in order."""
-    chunk, size = [], 0
-    for r, rec, lo, hi in spans:
-        while lo < hi:
-            take = min(hi - lo, limit - size)
-            chunk.append((r, rec, lo, lo + take))
-            size += take
-            lo += take
-            if size == limit:
-                yield chunk
-                chunk, size = [], 0
-    if chunk:
-        yield chunk
+def _segment_ends(record: EventRecord, snaps: np.ndarray) -> np.ndarray:
+    """Per snapshot and replica, one past the replica's last event at or before the snapshot."""
+    bounds = record.bounds
+    if len(bounds) == 2:
+        return np.searchsorted(record.times, snaps, side="right")[:, None]
+    # sort key: replica, then the first snapshot at or after the event;
+    # each replica's times ascend, so the keys do too
+    s = len(snaps) + 1
+    key = np.searchsorted(snaps, record.times)
+    key += np.repeat(np.arange(0, s * (len(bounds) - 1), s), np.diff(bounds))
+    queries = np.arange(0, s * (len(bounds) - 1), s) + np.arange(len(snaps))[:, None]
+    return np.searchsorted(key, queries, side="right")
 
 
-def _in_play_order(chunk, field: str, order: np.ndarray) -> np.ndarray:
-    """One event field of a chunk's spans, gathered into play order.
+def _chunks(lo: np.ndarray, hi: np.ndarray, limit: int, with_owners: bool):
+    """Runs of at most limit events of the spans lo[r]:hi[r], replica by replica.
 
-    A one-span chunk is gathered straight from its record: chunk-sized
-    copies fragment the heap of a long run (with them, a second
-    thermostat run at N = 32768 peaked ~5 MB higher).
+    Yields each run's event indices (a slice where they are consecutive)
+    and, if asked, its owners: one ``(r, count)`` per span piece, in order.
     """
-    parts = [getattr(rec, field)[lo:hi] for _, rec, lo, hi in chunk]
-    return (parts[0] if len(parts) == 1 else np.concatenate(parts)).take(order, axis=0)
+    live = np.flatnonzero(hi > lo)
+    lens = hi[live] - lo[live]
+    ends = np.cumsum(lens)  # each span's end in the segment's run of events
+    starts = ends - lens
+    index = np.repeat(lo[live] - starts, lens) + np.arange(ends[-1] if len(live) else 0)
+    for c0 in range(0, len(index), limit):
+        c1 = min(c0 + limit, len(index))
+        idx = index[c0:c1]
+        if idx[-1] - idx[0] == c1 - c0 - 1:
+            idx = slice(int(idx[0]), int(idx[-1]) + 1)
+        owners = None
+        if with_owners:
+            k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
+            counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
+            owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
+        yield idx, owners
 
 
 def play_events(
-    coords: np.ndarray,
-    records: Sequence[EventRecord],
+    x: np.ndarray,
+    record: EventRecord,
     snaps: np.ndarray,
     restitution: float | None = None,
     apply=None,
     on_chunk=None,
     on_snapshot=None,
 ) -> list[np.ndarray]:
-    """Play event streams on coords in place; copies of coords at the snapshots.
+    """Play a stacked event record on x in place; row copies of x at the snapshots.
 
-    Record r drives rows r*n .. r*n + n - 1 of coords, n = len(coords) //
-    len(records).  The events up to each snapshot time form a segment;
-    events after the last snapshot are never observed and are left out.
-    A segment is played in chunks of consecutive events (record by
-    record, each in stream order), each chunk in its level schedule.
-    ``apply`` (default :func:`apply_pair_collisions`, looked up at call
-    time) has that function's signature and gets the chunk's event arrays
-    in play order with one ``(lo, hi)`` batch per level.
+    x is the C-contiguous coordinate-major ``(d, R n)`` working copy of a
+    stacked state; each snapshot is a ``(R n, d)`` copy of its rows.  The
+    events up to each snapshot time form a segment, whose per-replica
+    bounds come from one vectorised search; events after the last
+    snapshot are never observed and are left out.  A segment is played in
+    chunks of consecutive events (replica by replica, each in stream
+    order), each chunk in its level schedule, and each field of a chunk is
+    one slice or one gather of the record.  ``apply`` (default
+    :func:`apply_pair_collisions`, looked up at call time) has that
+    function's signature and gets the chunk's event fields in play order
+    with one ``(lo, hi)`` batch per level.
     ``on_chunk(order, times, owners)``, when given, is called before
     each chunk with its play order (positions among the chunk's events in
     stream order), the event times in play order and the chunk's owners:
     one ``(r, count)`` per span, in stream order, for ``count``
-    consecutive events of record r.  It returns the chunk's pre-batch
+    consecutive events of replica r.  It returns the chunk's pre-batch
     hook.  ``on_snapshot(s)`` runs right before the state at time s is
     copied.
     """
     if apply is None:
         apply = apply_pair_collisions
-    n = len(coords) // len(records)
-    cursors = [0] * len(records)
+    cursors = record.bounds[:-1]
     out = []
-    for s in snaps:
-        uptos = [int(np.searchsorted(rec.times, s, side="right")) for rec in records]
-        spans = [(r, rec, lo, hi)
-                 for r, (rec, lo, hi) in enumerate(zip(records, cursors, uptos)) if hi > lo]
-        for chunk in _chunks(spans, CHUNK_EVENTS):
-            pi = np.concatenate([rec.pair_i[lo:hi] + r * n for r, rec, lo, hi in chunk])
-            pj = np.concatenate([rec.pair_j[lo:hi] + r * n for r, rec, lo, hi in chunk])
+    for s, uptos in zip(snaps, _segment_ends(record, snaps)):
+        for idx, owners in _chunks(cursors, uptos, CHUNK_EVENTS, on_chunk is not None):
+            pi, pj = record.pair_i[idx], record.pair_j[idx]
             order, batches = level_schedule(pi, pj)
-            costh = _in_play_order(chunk, "costh", order)
-            frames = None if records[0].frames is None else _in_play_order(chunk, "frames", order)
+            play = order + idx.start if isinstance(idx, slice) else idx[order]
+            frames = (None if record.frames is None
+                      else np.ascontiguousarray(record.frames.take(play, axis=0).T))
             hook = None
             if on_chunk is not None:
-                hook = on_chunk(order, _in_play_order(chunk, "times", order),
-                                [(r, hi - lo) for r, _, lo, hi in chunk])
-            apply(coords, pi[order], pj[order], costh, frames, restitution, batches, hook)
+                hook = on_chunk(order, record.times.take(play), owners)
+            apply(x, pi.take(order), pj.take(order), record.costh.take(play), frames,
+                  restitution, batches, hook)
         cursors = uptos
         if on_snapshot is not None:
             on_snapshot(float(s))
-        out.append(coords.copy())
+        out.append(x.T.copy())
     return out

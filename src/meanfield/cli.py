@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from ._events import apply_pair_collisions
+from ._events import apply_pair_collisions, column_norms
 from ._parallel import ordered_map
 from .config import dump_particles, load_particles, parse_config, write_csv
 from .core import (
@@ -206,13 +206,18 @@ def _state_dim(cfg: dict) -> int:
     return d
 
 
-def _initial_state(cfg: dict, n: int, stream: RngStream) -> ParticleState:
+def _initial_state(cfg: dict, n: int, streams: list[RngStream]) -> ParticleState:
+    """Initial data of a replica stack, replica r drawing from ``streams[r]``."""
     kind = _get(cfg, "initial", "gaussian")
     m = _state_dim(cfg)
     if kind == "gaussian":
         mean = _per_coordinate(cfg, "initial_mean", [0.0], m)
         var = _per_coordinate(cfg, "initial_variance", [1.0], m)
-        return gaussian_sample_state(mean, var, n, stream)
+        if not np.all(np.isfinite(mean)):
+            raise ConfigError("initial_mean", "must be finite")
+        if not np.all(np.isfinite(var)) or np.any(var < 0):
+            raise ConfigError("initial_variance", "must be finite and nonnegative")
+        return gaussian_sample_state(mean, var, n, streams)
     if kind == "quantile":
         vlasov = _get(cfg, "model") == "vlasov"
         if m != (2 if vlasov else 1):
@@ -228,20 +233,19 @@ def _initial_state(cfg: dict, n: int, stream: RngStream) -> ParticleState:
             inv = lambda u: mu + sd * ndtri(u)
         else:
             raise ConfigError("quantile_law", f"unknown law '{law}'")
-        base = quantile_init_1d(inv, n)
-        if vlasov:
-            coords = np.zeros((n, m))
-            coords[:, 0] = base.coords[:, 0]  # positions; velocities start at rest
-            return ParticleState(coords)
-        return base
-    if kind == "file":
+        coords = np.zeros((n, m))
+        coords[:, :1] = quantile_init_1d(inv, n).coords  # vlasov velocities start at rest
+    elif kind == "file":
         coords = load_particles(_get(cfg, "initial_file", required=True))
         if coords.shape[1] != m:
             raise ConfigError("initial_file", f"particles must have {m} coordinates")
         if len(coords) < n:
             raise ConfigError("initial_file", f"needs {n} particles, found {len(coords)}")
-        return ParticleState(coords[:n])
-    raise ConfigError("initial", f"unknown initial law '{kind}'")
+        coords = coords[:n]
+    else:
+        raise ConfigError("initial", f"unknown initial law '{kind}'")
+    # these laws draw nothing: every replica starts from the same data
+    return ParticleState(np.tile(coords, (len(streams), 1)))
 
 
 def _build_mkv_spec(cfg: dict, dim: int) -> DriftDiffusionSpec:
@@ -294,8 +298,7 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
     times = _as_floats(_get(cfg, "snapshot_times", required=True))
     t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
     init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
-    initial = ParticleState(np.concatenate([_initial_state(cfg, n, stream).coords
-                                            for stream in init_streams]))
+    initial = _initial_state(cfg, n, init_streams)
     dim = int(_get(cfg, "dimension", required=True))
     dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
     if model == "kac_elastic":
@@ -625,12 +628,12 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     kernel, pairs = AngularKernel.isotropic(3), np.arange(50)
     for _ in range(10):
         alpha = 0.05 + 0.9 * float(stream.uniform())
-        v = stream.normal(size=(100, 3))
-        u = v[:50] - v[50:]
+        x = stream.normal(size=(100, 3)).T.copy()  # coordinate-major, as the engine plays
+        u = x[:, :50] - x[:, 50:]
         costh = kernel.sample_costheta(50, stream)
-        apply_pair_collisions(v, pairs, pairs + 50, costh, stream.normal(size=(50, 3)), alpha,
+        apply_pair_collisions(x, pairs, pairs + 50, costh, stream.normal(size=(50, 3)).T, alpha,
                               [(0, 50)])
-        ratio = np.linalg.norm(v[:50] - v[50:], axis=1) / np.linalg.norm(u, axis=1)
+        ratio = column_norms(x[:, :50] - x[:, 50:]) / column_norms(u)
         worst_ratio = max(worst_ratio, float(ratio.max()))
     report("inelastic-contraction", worst_ratio <= 1.0 + 1e-12,
            f"max |u*|/|u| = {worst_ratio:.12f}")

@@ -34,9 +34,8 @@ __all__ = [
     "run_fixed_steps",
 ]
 
-_INV_2_53 = 2.0 ** -53
-_BELOW_ONE = np.float64(1.0 - _INV_2_53)
-_TOP_WORD = 2**53 - 1  # the one 53-bit word whose uniform rounds to 1.0
+_HALF_STEP = 2.0 ** -54  # half the spacing of the 53-bit uniform grid
+_BELOW_ONE = np.float64(1.0 - 2.0 ** -53)
 
 
 class SimulationError(RuntimeError):
@@ -51,20 +50,19 @@ class RngStream:
     ``master_seed`` (Philox keyed through ``SeedSequence(master_seed,
     spawn_key=(stream_id,))``).  ``draw_counter`` counts scalar variates
     handed out, for audit headers.  Uniforms are ``(k + 0.5) * 2**-53``
-    in float64, with k a 53-bit integer.  Below k = 2**52 that is exact;
-    above it the ``+ 0.5`` rounds away (ties to even), so k = 2**52 gives
-    exactly 0.5 and the upper half lies on the ``k * 2**-53`` grid.  The
-    one word that would round to 1.0, k = 2**53 - 1, is clamped to
-    ``1 - 2**-53``, so every uniform lies strictly inside (0, 1).  Normals
-    are inverse-transform (``ndtri``), hence finite, so the whole stream
-    reduces to one documented uniform sequence.
+    in float64, with k the top 53 bits of one raw 64-bit word.  Below
+    k = 2**52 that is exact; above it the ``+ 0.5`` rounds away (ties to
+    even), so k = 2**52 gives exactly 0.5 and the upper half lies on the
+    ``k * 2**-53`` grid.  The one word that would round to 1.0,
+    k = 2**53 - 1, is clamped to ``1 - 2**-53``, so every uniform lies
+    strictly inside (0, 1).  Normals are inverse-transform (``ndtri``),
+    hence finite, so the whole stream reduces to one documented uniform
+    sequence.
 
-    k is ``bit_generator.random_raw(size) >> 11``, the top 53 bits of one
-    raw 64-bit word.  For the range 2**53 numpy's Lemire method never
-    rejects and returns exactly that shift, so k equals
-    ``integers(0, 2**53, dtype=uint64)`` word for word and the generator
-    ends in the same state; the raw path only skips the bounded-integer
-    machinery and converts in place.
+    numpy's ``Generator.random`` returns exactly ``k * 2**-53`` from one
+    word, and adding ``2**-54`` rounds as ``(k + 0.5) * 2**-53`` does
+    (scaling by a power of two commutes with rounding), so the uniforms
+    are filled in place with no integer pass.
     """
 
     master_seed: int
@@ -85,19 +83,24 @@ class RngStream:
             return int(size)
         return int(math.prod(size))
 
-    def uniform(self, size=None) -> np.ndarray | float:
-        """Uniform variates on the open interval (0, 1)."""
-        self.draw_counter += self._count(size)
-        k = self._gen.bit_generator.random_raw(size)
-        if size is None:
-            return min((np.float64(k >> 11) + 0.5) * _INV_2_53, _BELOW_ONE)
-        k >>= 11
+    def uniform(self, size=None, out=None) -> np.ndarray | float:
+        """Uniform variates on the open interval (0, 1), into ``out`` when given.
+
+        ``out`` is a C-contiguous float64 array; its size is the draw size.
+        """
+        if out is None:
+            if size is None:
+                self.draw_counter += 1
+                return min(np.float64(self._gen.random()) + _HALF_STEP, _BELOW_ONE)
+            out = self._gen.random(size)
+        else:
+            self._gen.random(out=out)
+        self.draw_counter += out.size
+        out += _HALF_STEP
         # a read-only scan is cheaper than a clamp pass, and the top word is rare
-        clamp = k.max(initial=0) == _TOP_WORD
-        u = k.view(np.float64)  # same buffer: each word is read before it is written
-        np.add(k, 0.5, out=u)
-        u *= _INV_2_53
-        return np.minimum(u, _BELOW_ONE, out=u) if clamp else u
+        if np.maximum.reduce(out, axis=None, initial=0.0) == 1.0:
+            np.minimum(out, _BELOW_ONE, out=out)
+        return out
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normals via inverse transform of :meth:`uniform`."""
@@ -240,18 +243,27 @@ def gaussian_sample_state(
     mean: Sequence[float],
     covariance_diagonal: Sequence[float],
     n: int,
-    rng: RngStream,
+    rng: RngStream | Sequence[RngStream],
 ) -> ParticleState:
-    """N i.i.d. draws from a diagonal Gaussian on R^m."""
+    """N i.i.d. draws from a diagonal Gaussian on R^m.
+
+    A sequence of streams gives a replica stack: replica r's N rows are
+    drawn from ``rng[r]``, each bitwise its lone draw.
+    """
     mean = np.asarray(mean, dtype=np.float64).ravel()
     var = np.asarray(covariance_diagonal, dtype=np.float64).ravel()
     if mean.shape != var.shape:
         raise ValueError("mean and covariance_diagonal must have equal length")
-    if np.any(var < 0):
-        raise ValueError("variances must be nonnegative")
-    m = mean.shape[0]
-    z = np.atleast_2d(rng.normal(size=(n, m)))
-    return ParticleState(mean[None, :] + np.sqrt(var)[None, :] * z, time=0.0)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("means must be finite")
+    if not np.all(np.isfinite(var)) or np.any(var < 0):
+        raise ValueError("variances must be finite and nonnegative")
+    rngs = [rng] if isinstance(rng, RngStream) else rng
+    z = np.empty((len(rngs), n, mean.shape[0]))
+    for stream, rows in zip(rngs, z):
+        stream.uniform(out=rows)
+    ndtri(z, out=z)
+    return ParticleState((mean + np.sqrt(var) * z).reshape(-1, mean.shape[0]), time=0.0)
 
 
 def replica_size(state: ParticleState, rngs: Sequence[RngStream]) -> int:

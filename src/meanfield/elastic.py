@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtri
 
 from . import _events
 from .core import ParticleState, RngStream, SimulationError, replica_size, validate_snapshots
@@ -118,8 +118,8 @@ class AngularKernel:
         )
         return float(np.trapezoid(vals, t) / self.raw_norm)
 
-    def sample_costheta(self, k: int, rng: RngStream) -> np.ndarray:
-        u = np.atleast_1d(rng.uniform(size=k))
+    def cosines(self, u: np.ndarray) -> np.ndarray:
+        """Deviation-angle cosines of uniforms u on (0, 1), by inverse transform."""
         if self.dim == 1:
             wp, _ = self.weights
             return np.where(u < wp, 1.0, -1.0)
@@ -129,6 +129,9 @@ class AngularKernel:
             return np.cos(math.pi * u)
         return np.cos(np.interp(u, self._u_nodes, self._theta_of_u))
 
+    def sample_costheta(self, k: int, rng: RngStream) -> np.ndarray:
+        return self.cosines(np.atleast_1d(rng.uniform(size=k)))
+
 
 def _generate_events(
     n: int,
@@ -137,14 +140,66 @@ def _generate_events(
     kernel: AngularKernel,
     t0: float,
     t_end: float,
-    rng: RngStream,
+    rngs: Sequence[RngStream],
 ) -> _events.EventRecord:
-    times = _events.sample_event_times(rate, t0, t_end, rng)
-    k = len(times)
-    pi, pj = _events.sample_pairs(n, k, rng)
-    costh = kernel.sample_costheta(k, rng)
-    frames = rng.normal(size=(k, dim)) if dim >= 2 else None
-    return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh, frames=frames)
+    """The stacked event record of R = len(rngs) replicas of n particles.
+
+    Stream r draws, in this order: ``expected`` exponential gaps (and, if
+    its clock has not passed t_end, more of them as
+    ``_events.extend_times`` does), the first and the second pair index of
+    its k events, k cosine uniforms and k d frame uniforms.  Each draw
+    fills a row or a slice of a block buffer; the transforms run once per
+    block.
+    """
+    reps = len(rngs)
+    expected = max(64, int(1.2 * rate * (t_end - t0)) + 16) if rate > 0.0 and t_end > t0 else 0
+    clock = np.empty((reps, expected))
+    for rng, row in zip(rngs, clock):
+        rng.uniform(out=row)
+    if expected:  # exponential gaps -log(u) / rate, then their running sums from t0
+        np.log(clock, out=clock)
+        clock *= -(1.0 / rate)
+    np.cumsum(clock, axis=1, out=clock)
+    clock += t0
+    keep = clock < t_end
+    counts = keep.sum(axis=1)
+    short = np.flatnonzero(keep[:, -1]) if expected else []
+    if len(short):  # a clock that has not passed t_end refills on its own
+        extended = {r: _events.extend_times(clock[r], rate, t_end, expected, rngs[r])
+                    for r in short.tolist()}
+        parts = [extended.get(r, clock[r, :c]) for r, c in enumerate(counts.tolist())]
+        times = np.concatenate(parts)
+        counts = np.array([len(t) for t in parts])
+    else:
+        times = clock[keep]
+    del clock, keep
+    bounds = np.zeros(reps + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    a = np.empty(len(times), dtype=np.int64)
+    b = np.empty(len(times), dtype=np.int64)
+    u = np.empty(len(times))
+    raw = np.empty((len(times), dim)) if dim >= 2 else None
+    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        a[lo:hi] = rng.integers(0, n, size=hi - lo)
+        b[lo:hi] = rng.integers(0, n - 1, size=hi - lo)
+        rng.uniform(out=u[lo:hi])
+        if raw is not None:
+            rng.uniform(out=raw[lo:hi])
+    costh = kernel.cosines(u)
+    del u
+    # uniform pairs i != j, canonicalized to i < j: the collision laws are
+    # orientation-free (swapping the pair and reflecting sigma preserves the
+    # update law), so the canonical order loses nothing
+    b += b >= a
+    pj = np.maximum(a, b)
+    pi = np.minimum(a, b, out=a)
+    del b
+    if reps > 1:  # replica r's particles are rows r n .. r n + n - 1
+        offset = np.repeat(np.arange(0, reps * n, n), counts)
+        pi += offset
+        pj += offset
+    return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh,
+                               frames=None if raw is None else ndtri(raw, out=raw), bounds=bounds)
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
@@ -154,9 +209,10 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
     ``initial`` stacks R = len(rngs) replicas of N particles (the
     ``ParticleState`` row layout); replica r draws its events, at total
     rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``restitution`` goes
-    to the collision rule (None: elastic).  ``bath(coords)``, when given,
-    takes the stacked ``(R N, d)`` coords and returns the ``on_chunk`` and
-    ``on_snapshot`` hooks of ``_events.play_events``.
+    to the collision rule (None: elastic).  ``bath(x)``, when given, takes
+    the coordinate-major ``(d, R N)`` working copy that the events play on
+    and returns the ``on_chunk`` and ``on_snapshot`` hooks of
+    ``_events.play_events``.
     """
     n, d, t0 = replica_size(initial, rngs), initial.dim, initial.time
     if n < 2:
@@ -164,10 +220,10 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
     if kernel.dim != d:
         raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
-    records = [_generate_events(n, d, pair_rate * (n - 1), kernel, t0, t_end, rng) for rng in rngs]
-    coords = initial.coords.copy()
-    on_chunk, on_snapshot = (None, None) if bath is None else bath(coords)
-    captured = _events.play_events(coords, records, snaps, restitution,
+    record = _generate_events(n, d, pair_rate * (n - 1), kernel, t0, t_end, rngs)
+    x = initial.coords.T.copy()  # coordinate-major working copy
+    on_chunk, on_snapshot = (None, None) if bath is None else bath(x)
+    captured = _events.play_events(x, record, snaps, restitution,
                                    on_chunk=on_chunk, on_snapshot=on_snapshot)
     return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
@@ -187,38 +243,32 @@ def simulate_kac(
     return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, 0.5)
 
 
-def _apply_coupled(coords, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:
-    """Elastic collisions of two systems side by side in coords = [v_a | v_b].
+def _apply_coupled(x, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:
+    """Elastic collisions of two systems stacked in the coordinate rows x = [v_a; v_b].
 
     Takes the arguments of ``_events.apply_pair_collisions`` (restitution
-    and hook are unused: the coupling is elastic and has no bath).
+    and hook are unused: the coupling is elastic and has no bath) and
+    shares its pair gather and scatter.
     """
-    d = coords.shape[1] // 2
-    va, vb = coords[:, :d], coords[:, d:]
+    d = len(x) // 2
+    va, vb = x[:d], x[d:]
     sinth = None if frames is None else _events.sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
-        ua = va.take(ii, axis=0) - va.take(jj, axis=0)
-        ub = vb.take(ii, axis=0) - vb.take(jj, axis=0)
-        ra = _events.row_norms(ua)
-        rb = _events.row_norms(ub)
-        fr = None if frames is None else frames[lo:hi]
+        wa, ua, ra = _events.pair_geometry(va, ii, jj)
+        wb, ub, rb = _events.pair_geometry(vb, ii, jj)
+        fr = None if frames is None else frames[:, lo:hi]
         sn = None if sinth is None else sinth[lo:hi]
         sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr, sn)
         # transport onto the second geometry where both are defined;
         # a degenerate first pair falls back to the direct construction
-        safe_a = np.where(ra > 0.0, ra, 1.0)[:, None]
-        safe_b = np.where(rb > 0.0, rb, 1.0)[:, None]
-        sigma_b = _events.rotate_between(ua / safe_a, ub / safe_b, sigma_a)
+        sigma_b = _events.rotate_between(ua / np.where(ra > 0.0, ra, 1.0),
+                                         ub / np.where(rb > 0.0, rb, 1.0), sigma_a)
         direct_b = _events.deviation_vectors(ub, rb, costh[lo:hi], fr, sn)
-        sigma_b = np.where((ra > 0.0)[:, None], sigma_b, direct_b)
-        for v, r, sigma in ((va, ra, sigma_a), (vb, rb, sigma_b)):
-            moving = r > 0.0
-            w = v.take(ii, axis=0) + v.take(jj, axis=0)
-            u_star = r[:, None] * sigma
-            v[ii[moving]] = 0.5 * (w + u_star)[moving]
-            v[jj[moving]] = 0.5 * (w - u_star)[moving]
+        sigma_b = np.where(ra > 0.0, sigma_b, direct_b)
+        _events.put_pairs(va, ii, jj, wa, np.multiply(ra, sigma_a, out=sigma_a), ra > 0.0)
+        _events.put_pairs(vb, ii, jj, wb, np.multiply(rb, sigma_b, out=sigma_b), rb > 0.0)
 
 
 def simulate_kac_coupled(
@@ -249,9 +299,9 @@ def simulate_kac_coupled(
     if kernel.dim != d:
         raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, initial_a.time, t_end)
-    record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial_a.time, t_end, rng)
-    coords = np.hstack([initial_a.coords, initial_b.coords])
-    captured = _events.play_events(coords, [record], snaps, apply=_apply_coupled)
+    record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial_a.time, t_end, [rng])
+    x = np.hstack([initial_a.coords, initial_b.coords]).T.copy()  # coordinate-major
+    captured = _events.play_events(x, record, snaps, apply=_apply_coupled)
     out_a = [ParticleState(c[:, :d], time=float(t)) for t, c in zip(snaps, captured)]
     out_b = [ParticleState(c[:, d:], time=float(t)) for t, c in zip(snaps, captured)]
     return out_a, out_b

@@ -150,6 +150,9 @@ def symmetrization_gap(state: ParticleState, obs: ObservableProduct) -> tuple[fl
 # observable error curves
 
 BOOTSTRAP_RESAMPLES = 200
+# the bootstrap gathers its resampled values at most this many at a time
+# (512 KB), so its peak memory does not grow with the replica count
+_GATHER_VALUES = 2**16
 
 
 @dataclass
@@ -212,16 +215,18 @@ def chaos_error_curve(
         reps = len(vals)
         errors[k] = float(np.abs(vals.mean(axis=0) - o_mean).max())
         if reps > 1:
-            bs = np.empty(BOOTSTRAP_RESAMPLES)
+            # the picks interleave on the stream; the means take one gather each
+            picks = np.empty((BOOTSTRAP_RESAMPLES, reps), dtype=np.int64)
+            opicks = np.empty((BOOTSTRAP_RESAMPLES, len(o_raw)), dtype=np.int64)
             for b in range(BOOTSTRAP_RESAMPLES):
-                pick = np.asarray(boot_rng.integers(0, reps, size=reps))
-                mean_b = vals[pick].mean(axis=0)
+                picks[b] = boot_rng.integers(0, reps, size=reps)
                 if len(o_raw) > 1:
-                    opick = np.asarray(boot_rng.integers(0, len(o_raw), size=len(o_raw)))
-                    oracle_b = o_raw[opick].mean(axis=0)
-                else:
-                    oracle_b = o_mean
-                bs[b] = float(np.abs(mean_b - oracle_b).max())
+                    opicks[b] = boot_rng.integers(0, len(o_raw), size=len(o_raw))
+            oracle_b = o_raw[opicks].mean(axis=1) if len(o_raw) > 1 else o_mean
+            step = max(1, _GATHER_VALUES // vals.size)  # resamples per gather
+            means = np.concatenate([vals[picks[b:b + step]].mean(axis=1)
+                                    for b in range(0, BOOTSTRAP_RESAMPLES, step)])
+            bs = np.abs(means - oracle_b).max(axis=1)
             std_errors[k] = float(bs.std(ddof=1))
 
     smallest = float(errors.min())
@@ -234,6 +239,20 @@ def chaos_error_curve(
         )
     return ChaosCurve(n_values=n_values, errors=errors, std_errors=std_errors,
                       oracle_se_max=o_se)
+
+
+def _line_fits(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and intercepts of ``np.polyfit(x, y, 1)`` for each row y of ys, bit for bit.
+
+    The rows share polyfit's scaled Vandermonde matrix; each keeps its own
+    least-squares solve, since a many-column solve rounds differently.
+    """
+    lhs = np.vander(x, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    rcond = len(x) * np.finfo(x.dtype).eps
+    coef = np.array([np.linalg.lstsq(lhs, y, rcond)[0] for y in ys]) / scale
+    return coef[:, 0], coef[:, 1]
 
 
 def rate_fit(
@@ -261,16 +280,12 @@ def rate_fit(
     if np.any(errors <= 2.0 * std_errors):
         raise DegenerateFit("some errors are within 2 standard errors of zero")
     x = np.log(n_values)
-    y = np.log(errors)
-    slope, intercept = np.polyfit(x, y, 1)
+    (slope,), (intercept,) = _line_fits(x, np.log(errors)[None])
     if np.all(std_errors == 0.0):
         return float(slope), float(intercept), (float(slope), float(slope))
-    rng = RngStream(seed, 1331)
-    slopes = np.empty(n_bootstrap)
-    for b in range(n_bootstrap):
-        noise = np.atleast_1d(rng.normal(size=len(errors)))
-        pert = np.maximum(errors + std_errors * noise, 1e-300)
-        slopes[b] = np.polyfit(x, np.log(pert), 1)[0]
+    # one resample per row, drawn in the order of one draw per resample
+    noise = RngStream(seed, 1331).normal(size=(n_bootstrap, len(errors)))
+    slopes, _ = _line_fits(x, np.log(np.maximum(errors + std_errors * noise, 1e-300)))
     lo, hi = np.quantile(slopes, [0.025, 0.975])
     return float(slope), float(intercept), (float(lo), float(hi))
 

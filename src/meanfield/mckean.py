@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtri
 
 from .core import (ParticleState, RngStream, SimulationError, replica_normals, replica_size,
                    run_fixed_steps)
@@ -139,22 +140,34 @@ def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = replica_size(state, rngs)
+    return _em_step(state, spec, dt, len(rngs),
+                    replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim))
+
+
+def _em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float, reps: int,
+             z: np.ndarray) -> ParticleState:
+    """``em_step`` of a stack of ``reps`` replicas with its (R N, m) normals z given."""
     coords = state.coords
     # coords + dt * (coords L^T + F) + sqrt(dt) * (z S^T), combined in place
     # in that operation order, so bitwise equal to the expression.  np.dot,
     # not @: at (N, 1) x (1, 1) a matmul call costs ~7x an np.dot call.
     new = np.dot(coords, spec.linear_drift.T)
-    forces = _mean_field_forces(coords.reshape(len(rngs), n, -1), spec.interaction,
+    forces = _mean_field_forces(coords.reshape(reps, -1, state.dim), spec.interaction,
                                 spec.n_minus_one_prefactor)
     new += forces.reshape(coords.shape)
     new *= dt
     new += coords
-    z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim)
     noise = np.dot(z, spec.diffusion_matrix.T)
     noise *= math.sqrt(dt)
     new += noise
     _check_finite(new, f"t={state.time + dt:g}")
     return ParticleState(new, time=state.time + dt)
+
+
+# Euler-Maruyama draws each replica's normals for K steps in one call, K
+# as large as keeps a block of all replicas' K steps within this many
+# variates (2 MB), and at least 1
+_NOISE_BLOCK = 2**18
 
 
 def simulate_mkv(
@@ -172,12 +185,25 @@ def simulate_mkv(
     [initial.time, t_end] on the grid initial.time + k dt, as
     ``core.run_fixed_steps`` reads them; no step runs past the last one.
     Step k is stamped ``initial.time + k * dt``, not a running sum of dt.
+    Each stream hands out its normals in ``em_step``'s order, K steps per
+    call, and draws none past the last step.
     """
-    replica_size(initial, rngs)
-    t0 = initial.time
+    n = replica_size(initial, rngs)
+    t0, m = initial.time, initial.dim
+    per_call = max(1, _NOISE_BLOCK // initial.coords.size)
+    noise = None
 
     def step(state: ParticleState, k: int) -> ParticleState:
-        state = em_step(state, spec, dt, rngs)
+        nonlocal noise
+        j = (k - 1) % per_call
+        if j == 0:  # the snapshots are validated by now; the last one ends the run
+            last = int(np.rint((np.asarray(snapshot_times, dtype=np.float64)[-1] - t0) / dt))
+            noise = np.empty((len(rngs), min(per_call, last - k + 1), n, m))
+            for rng, steps in zip(rngs, noise):
+                rng.uniform(out=steps)
+            ndtri(noise, out=noise)
+        z = np.ascontiguousarray(noise[:, j]).reshape(-1, m)
+        state = _em_step(state, spec, dt, len(rngs), z)
         state.time = t0 + k * dt
         return state
 

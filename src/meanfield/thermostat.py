@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._events import put_columns
 from .core import ParticleState, RngStream, replica_normals
 from .elastic import AngularKernel, _simulate_stacked
 
@@ -110,10 +111,13 @@ def steady_temperature(
     return 2.0 * params.nu * finite_n / dissipation
 
 
-def _diffuse(coords, idx, last_sync, now, nu, z) -> None:
-    """Bring particles idx up to their exact Brownian state at time now."""
+def _diffuse(x, idx, last_sync, now, nu, z) -> None:
+    """Bring the columns idx of x up to their exact Brownian state at time now.
+
+    z holds one normal per coordinate and particle, coordinate-major.
+    """
     dt = now - last_sync[idx]
-    coords[idx] += np.sqrt(np.maximum(2.0 * nu * dt, 0.0))[:, None] * z
+    put_columns(x, idx, x.take(idx, axis=1) + np.sqrt(np.maximum(2.0 * nu * dt, 0.0)) * z)
     last_sync[idx] = now
 
 
@@ -140,9 +144,9 @@ def simulate_thermostat(
     if params.nu > 0.0:
         nu, d = params.nu, params.dim
 
-        def bath(coords: np.ndarray):
-            n = len(coords) // len(rngs)
-            last_sync = np.full(len(coords), initial.time)
+        def bath(x: np.ndarray):
+            n = x.shape[1] // len(rngs)
+            last_sync = np.full(x.shape[1], initial.time)
 
             def on_chunk(order: np.ndarray, now: np.ndarray, owners):
                 # drawn in event order, then taken in play order batch by
@@ -150,16 +154,16 @@ def simulate_thermostat(
                 z = replica_normals(rngs, owners, 2 * d)
 
                 def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
-                    both = np.concatenate([ii, jj])
-                    t = np.tile(now[lo:hi], 2)
-                    zb = z.take(order[lo:hi], axis=0)
-                    _diffuse(coords, both, last_sync, t, nu, np.concatenate([zb[:, :d], zb[:, d:]]))
+                    zb = z.take(order[lo:hi], axis=0).T
+                    _diffuse(x, ii, last_sync, now[lo:hi], nu, zb[:d])
+                    _diffuse(x, jj, last_sync, now[lo:hi], nu, zb[d:])
 
                 return hook
 
             def on_snapshot(s: float) -> None:
                 z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], d)
-                _diffuse(coords, np.arange(len(coords)), last_sync, s, nu, z)
+                np.add(x, np.sqrt(np.maximum(2.0 * nu * (s - last_sync), 0.0)) * z.T, out=x)
+                last_sync[:] = s
 
             return on_chunk, on_snapshot
 

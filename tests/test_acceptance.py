@@ -87,7 +87,7 @@ def test_c01_elastic_conservation():
     out = simulate_kac(init, kern, t_end, snaps, [dyn])
     # the run's events, drawn again from a stream with the same key
     alone = RngStream(SEED, 2)
-    record = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, alone)
+    record = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, [alone])
     assert dyn.draw_counter == alone.draw_counter
     assert len(record) >= 1_000_000
     drift_e = max(abs(np.sum(s.coords**2) - e0) / e0 for s in out)
@@ -102,9 +102,10 @@ def test_c01_elastic_conservation():
     v = np.atleast_2d(rng.normal(size=(2000, 3)))
     vi, vj = v[:1000].copy(), v[1000:].copy()
     pairs = np.arange(1000)
-    _events.apply_pair_collisions(v, pairs, pairs + 1000, kern.sample_costheta(1000, rng),
-                                  np.atleast_2d(rng.normal(size=(1000, 3))), None, [(0, 1000)])
-    wi, wj = v[:1000], v[1000:]
+    x = v.T.copy()  # the engine plays coordinate-major columns
+    _events.apply_pair_collisions(x, pairs, pairs + 1000, kern.sample_costheta(1000, rng),
+                                  np.atleast_2d(rng.normal(size=(1000, 3))).T, None, [(0, 1000)])
+    wi, wj = x.T[:1000], x.T[1000:]
     e_before = np.sum(vi**2 + vj**2, axis=1)
     worst = max(
         float(np.max(np.linalg.norm((wi + wj) - (vi + vj), axis=1)
@@ -300,7 +301,7 @@ def test_c06_thermostat_energy_balance():
     r = np.linalg.norm(u, axis=1)
     costh = kern.sample_costheta(m, rng)
     frames = np.atleast_2d(rng.normal(size=(m, 3)))
-    sigma = _events.deviation_vectors(u, r, costh, frames)
+    sigma = _events.deviation_vectors(u.T, r, costh, frames.T).T
     u_star = 0.5 * (1 - params.alpha) * u + 0.5 * (1 + params.alpha) * r[:, None] * sigma
     d_energy = 0.5 * (np.einsum("ij,ij->i", u_star, u_star) - r**2)
     predicted = -(1 - params.alpha**2) * (1 - kern.b1()) / 4.0 * float(np.mean(r**2))

@@ -363,6 +363,14 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     ("omega-n", {**OMEGA_D3, "law_mean": [0.0, np.nan, 0.0]}, "law_mean"),
     ("omega-n", {**OMEGA_D3, "law_variance": [1.0, np.inf, 1.0]}, "law_variance"),
     ("omega-n", {**OMEGA_D3, "law_variance": -1.0}, "law_variance"),
+    # the initial law's parameters likewise: a NaN variance wrote NaN moments
+    # and an infinite mean ended in a blow-up that named no field
+    ("simulate", {**KAC_D3, "initial_variance": np.nan}, "initial_variance"),
+    ("simulate", {**KAC_D3, "initial_variance": [1.0, -1.0, 1.0]}, "initial_variance"),
+    ("simulate", {**KAC_D3, "initial_mean": [0.0, np.nan, 0.0]}, "initial_mean"),
+    ("simulate", {"model": "mckean_vlasov", "dimension": 1, "n": 8, "dt": 0.01,
+                  "snapshot_times": [0.01], "initial_mean": np.inf}, "initial_mean"),
+    ("chaos-curve", {**CURVE_CFG, "initial_variance": np.inf}, "initial_variance"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     if "initial_file" in cfg:

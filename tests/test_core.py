@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -130,6 +131,29 @@ def test_gaussian_sample_rejects_negative_variance():
         gaussian_sample_state([0.0], [-1.0], 3, RngStream(0, 0))
 
 
+@pytest.mark.parametrize("mean, var, what", [
+    ([np.inf], [1.0], "means"), ([0.0, np.nan], [1.0, 1.0], "means"),
+    ([0.0], [np.nan], "variances"), ([0.0], [np.inf], "variances"),
+])
+def test_gaussian_sample_rejects_non_finite_parameters(mean, var, what):
+    with pytest.raises(ValueError, match=what):
+        gaussian_sample_state(mean, var, 3, RngStream(0, 0))
+
+
+def test_gaussian_sample_stack_equals_lone_draws():
+    # one stream per replica: each replica's rows and draw count are its lone draw's
+    mean, var = [1.0, -2.0, 0.5], [4.0, 0.25, 1.0]
+    streams = [RngStream(8, r) for r in range(3)]
+    stack = gaussian_sample_state(mean, var, 5, streams)
+    assert stack.coords.shape == (15, 3)
+    for r, stream in enumerate(streams):
+        alone = RngStream(8, r)
+        want = mean + np.sqrt(var) * alone.normal(size=(5, 3))
+        assert stack.coords[5 * r:5 * r + 5].tobytes() == want.tobytes()
+        assert gaussian_sample_state(mean, var, 5, RngStream(8, r)).coords.tobytes() == want.tobytes()
+        assert stream.draw_counter == alone.draw_counter == 15
+
+
 def test_rng_stream_purity_and_independence():
     x = RngStream(99, 7).uniform(size=10)
     y = RngStream(99, 7).uniform(size=10)
@@ -185,23 +209,70 @@ def test_rng_stream_uniform_and_normal_equal_bounded_integer_formula(size):
                                   gen.bit_generator.random_raw(4))
 
 
+def _words_generator(words):
+    """A stand-in for the stream's numpy Generator handing out the given raw words.
+
+    ``random`` converts each word as numpy's does, ``(word >> 11) * 2**-53``,
+    which ``test_rng_uniform_fill_equals_the_raw_word_formula`` checks on a
+    real generator.
+    """
+    k = np.array(words, dtype=np.uint64) >> np.uint64(11)
+
+    def random(size=None, out=None):
+        size = size if out is None else out.shape
+        if size is None:
+            return float(k[-1]) * 2.0**-53
+        u = k[:math.prod(np.atleast_1d(size))].astype(np.float64) * 2.0**-53
+        if out is None:
+            return u.reshape(size)
+        out[...] = u.reshape(out.shape)
+        return out
+
+    return SimpleNamespace(random=random)
+
+
 def test_rng_stream_top_words_stay_inside_the_unit_interval():
     # raw words whose top 53 bits are k = 2**52 (u = 0.5 once the + 0.5
     # rounds away) and k = 2**53 - 1 (which would round to u = 1.0)
-    words = [2**52 << 11, (2**53 - 1) << 11]
-
-    class Raw:
-        @staticmethod
-        def random_raw(size=None):
-            return words[1] if size is None else np.array(words, dtype=np.uint64)
-
     r = RngStream(0, 0)
-    r._gen = SimpleNamespace(bit_generator=Raw())
+    r._gen = _words_generator([2**52 << 11, (2**53 - 1) << 11])
     u = r.uniform(size=2)
     assert u[0] == 0.5 and u[1] == 1.0 - 2.0**-53
     assert r.uniform() == u[1] and type(r.uniform()) is np.float64
     assert np.all(np.isfinite(r.normal(size=2))) and np.isfinite(r.normal())
     assert r.normal(size=2)[0] == 0.0
+
+
+@pytest.mark.parametrize("k", [0, 2**52 - 1, 2**52, 2**53 - 1])
+def test_rng_uniform_out_equals_the_formula_at_edge_words(k):
+    # (k + 0.5) 2**-53, with the one word that rounds to 1.0 clamped below it
+    want = min((np.float64(k) + 0.5) * 2.0**-53, 1.0 - 2.0**-53)
+    r = RngStream(0, 0)
+    r._gen = _words_generator([5 << 11, k << 11, 7 << 11])
+    out = np.full(3, np.nan)
+    assert r.uniform(out=out) is out and r.draw_counter == 3
+    assert out[1] == want and out[0] == 5.5 * 2.0**-53 and out[2] == 7.5 * 2.0**-53
+
+
+def test_rng_uniform_fill_equals_the_raw_word_formula():
+    # the fill path against (k + 0.5) 2**-53 on the raw words of a twin
+    # stream, in one call, into slices of one buffer and as scalars; both
+    # generators end in the same state
+    a, b = RngStream(3, 9), RngStream(3, 9)
+    k = b._gen.bit_generator.random_raw(10_007) >> np.uint64(11)
+    assert k.max() >= 2**52  # both halves of the grid are covered
+    want = (k + 0.5) * 2.0**-53
+    buf = np.empty((2, 5_000))
+    a.uniform(out=buf[0])
+    a.uniform(out=buf[1])
+    got = np.concatenate([buf.ravel(), a.uniform(size=(2,)),
+                          [a.uniform() for _ in range(5)]])
+    assert got.tobytes() == want.tobytes()
+    assert a.draw_counter == 10_007
+    assert str(a._gen.bit_generator.state) == str(b._gen.bit_generator.state)
+    # numpy's own conversion, which the stand-in generator above copies
+    raw = RngStream(4, 1)._gen.bit_generator.random_raw(1000)
+    np.testing.assert_array_equal(RngStream(4, 1)._gen.random(1000), (raw >> 11) * 2.0**-53)
 
 
 def test_rng_unit_vectors():

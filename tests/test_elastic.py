@@ -6,9 +6,16 @@ from meanfield import _events
 from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
+    _apply_coupled,
     _generate_events,
     simulate_kac,
     simulate_kac_coupled,
+)
+from oracles import (
+    generate_events_alone,
+    reference_apply,
+    reference_apply_coupled,
+    sample_pairs,
 )
 
 
@@ -35,12 +42,13 @@ def test_isotropic_b1_zero():
 
 def collide(vi, vj, costh, frames=None, restitution=None):
     """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
-    coords = np.concatenate([vi, vj]).astype(np.float64)
+    x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
     k = len(vi)
     pairs = np.arange(k)
-    _events.apply_pair_collisions(coords, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
-                                  frames, restitution, [(0, k)])
-    return coords[:k], coords[k:]
+    _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
+                                  None if frames is None else np.asarray(frames).T,
+                                  restitution, [(0, k)])
+    return x.T[:k], x.T[k:]
 
 
 def test_sample_sigma_isotropic_costheta_uniform_ks():
@@ -52,7 +60,7 @@ def test_sample_sigma_isotropic_costheta_uniform_ks():
     assert ks.statistic < 0.01
     # the assembled sigma has the same cosine against uhat
     g = np.atleast_2d(rng.normal(size=(5000, 3)))
-    sig = _events.deviation_vectors(np.tile(uhat, (5000, 1)), np.ones(5000), c[:5000], g)
+    sig = _events.deviation_vectors(np.tile(uhat, (5000, 1)).T, np.ones(5000), c[:5000], g.T).T
     np.testing.assert_allclose(sig @ uhat, c[:5000], atol=1e-12)
 
 
@@ -120,7 +128,8 @@ def test_collide_elastic_conservation_random():
 
 def test_next_collision_rate_and_mean_wait():
     # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
-    times = _events.sample_event_times(0.5, 0.0, 200_000.0, RngStream(21, 0))
+    times = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, 200_000.0,
+                             [RngStream(21, 0)]).times
     waits = np.diff(times, prepend=0.0)
     assert len(waits) > 99_000
     assert 1.98 <= waits.mean() <= 2.02
@@ -130,7 +139,7 @@ def test_next_collision_rate_and_mean_wait():
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
     simulate_kac(st100, kern, 10.0, [10.0], [dyn])
-    rec = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, alone)
+    rec = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [alone])
     assert dyn.draw_counter == alone.draw_counter  # the run drew exactly this record
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
@@ -138,8 +147,10 @@ def test_next_collision_rate_and_mean_wait():
 @pytest.mark.slow
 def test_pair_marginal_uniform():
     n = 10
+    # the engine draws its pairs as this oracle does
+    # (test_generate_events_block_equals_per_stream_generator)
     rng = RngStream(5, 0)
-    pi, pj = _events.sample_pairs(n, 1_000_000, rng)
+    pi, pj = sample_pairs(n, 1_000_000, rng)
     counts = np.zeros((n, n))
     np.add.at(counts, (pi, pj), 1)
     p = 2.0 / (n * (n - 1))
@@ -186,18 +197,18 @@ def test_batched_apply_equals_sequential_oracle():
     # the level schedule must reproduce one-event-at-a-time application
     rng = RngStream(33, 0)
     n, d, k = 12, 3, 400
-    coords0 = np.atleast_2d(rng.normal(size=(n, d)))
-    pi, pj = _events.sample_pairs(n, k, rng)
+    x0 = np.atleast_2d(rng.normal(size=(n, d))).T.copy()
+    pi, pj = sample_pairs(n, k, rng)
     costh = AngularKernel.isotropic(3).sample_costheta(k, rng)
-    frames = np.atleast_2d(rng.normal(size=(k, d)))
+    frames = np.atleast_2d(rng.normal(size=(k, d))).T.copy()
 
-    a = coords0.copy()
+    a = x0.copy()
     order, batches = _events.level_schedule(pi, pj)
     assert len(batches) < k // 2  # the schedule really batches
-    _events.apply_pair_collisions(a, pi[order], pj[order], costh[order], frames[order], None,
+    _events.apply_pair_collisions(a, pi[order], pj[order], costh[order], frames[:, order], None,
                                   batches)
 
-    b = coords0.copy()
+    b = x0.copy()
     one_by_one = [(e, e + 1) for e in range(k)]
     _events.apply_pair_collisions(b, pi, pj, costh, frames, None, one_by_one)
 
@@ -207,7 +218,7 @@ def test_batched_apply_equals_sequential_oracle():
 def test_level_schedule_properties():
     rng = RngStream(2, 0)
     n, k = 30, 500
-    pi, pj = _events.sample_pairs(n, k, rng)
+    pi, pj = sample_pairs(n, k, rng)
     order, batches = _events.level_schedule(pi, pj)
     assert sorted(order.tolist()) == list(range(k))
     assert [lo for lo, _ in batches[1:]] == [hi for _, hi in batches[:-1]]
@@ -258,7 +269,7 @@ def test_level_schedule_equals_keyed_argsort(n, top):
     # particle indices below 2**16 take the radix sort, the rest the keyed one
     rng = RngStream(8, n)
     k = 0 if top == "empty" else 6_000
-    pi, pj = _events.sample_pairs(n, k, rng)
+    pi, pj = sample_pairs(n, k, rng)
     if isinstance(top, int):  # the largest index sits right at the boundary
         pi, pj = np.minimum(pi, top - 1), np.minimum(pj, top)  # still pi < pj
         pi[:50] = 0  # particle 0 shares its 16-bit residue with particle 65536
@@ -277,53 +288,14 @@ def test_level_schedule_refuses_self_pair():
         _events.level_schedule(np.array([0, 1, 2]), np.array([1, 1, 3]))
 
 
-def _reference_orthonormal_to(uhat, g):
-    e = g - np.einsum("ij,ij->i", g, uhat)[:, None] * uhat
-    norms = np.linalg.norm(e, axis=1)
-    for row in np.nonzero(norms < 1e-12)[0]:
-        axis = np.zeros(uhat.shape[1])
-        axis[int(np.argmin(np.abs(uhat[row])))] = 1.0
-        e[row] = axis - (axis @ uhat[row]) * uhat[row]
-        norms[row] = np.linalg.norm(e[row])
-    e /= norms[:, None]
-    return e
-
-
-def reference_apply(coords, pi, pj, costh, frames, restitution, batches):
-    """Oracle: the collision loop as first written (row fancy indexing,
-    np.linalg.norm, the deviation-angle sine per batch)."""
-    for lo, hi in batches:
-        ii, jj = pi[lo:hi], pj[lo:hi]
-        vi, vj = coords[ii], coords[jj]
-        w = vi + vj
-        u = vi - vj
-        r = np.linalg.norm(u, axis=1)
-        c = costh[lo:hi]
-        uhat = u / np.where(r > 0.0, r, 1.0)[:, None]
-        if frames is None:
-            sigma = c[:, None] * uhat
-        else:
-            ehat = _reference_orthonormal_to(uhat, frames[lo:hi])
-            ehat *= np.sqrt(np.maximum(0.0, 1.0 - c**2))[:, None]
-            uhat *= c[:, None]
-            uhat += ehat
-            sigma = uhat
-        if restitution is None:
-            u_star = r[:, None] * sigma
-        else:
-            u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r[:, None] * sigma
-        moving = r > 0.0
-        coords[ii[moving]] = (0.5 * (w + u_star))[moving]
-        coords[jj[moving]] = (0.5 * (w - u_star))[moving]
-
-
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("restitution", [None, 0.8])
 def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
+    # the coordinate-major kernel against the row-major loop as first written
     rng = RngStream(44, d)
     n, k = 60, 3_000
     coords0 = np.atleast_2d(rng.normal(size=(n, d)))
-    pi, pj = _events.sample_pairs(n, k, rng)
+    pi, pj = sample_pairs(n, k, rng)
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
     costh = kern.sample_costheta(k, rng)
     frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
@@ -336,12 +308,125 @@ def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
     if frames is not None:
         frames = frames[order]
         frames[0] = 2.5 * (coords0[pi[0]] - coords0[pj[0]])
-    got = coords0.copy()
-    _events.apply_pair_collisions(got, pi, pj, costh, frames, restitution, batches)
+    got = coords0.T.copy()
+    _events.apply_pair_collisions(got, pi, pj, costh, None if frames is None else frames.T.copy(),
+                                  restitution, batches)
     want = coords0.copy()
     reference_apply(want, pi, pj, costh, frames, restitution, batches)
-    assert got.tobytes() == want.tobytes()
-    assert not np.array_equal(got, coords0)
+    assert got.T.tobytes() == want.tobytes()
+    assert not np.array_equal(got.T, coords0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_coupled_bitwise_equals_reference(d):
+    # the coupled gas on the engine's gather and scatter, against its
+    # row-major form: pairs at zero relative velocity in either system or
+    # both, a frame parallel to u-hat, equal and opposite geometries
+    rng = RngStream(45, d)
+    n, k = 40, 2_000
+    a0 = np.atleast_2d(rng.normal(size=(n, d)))
+    b0 = np.atleast_2d(rng.normal(size=(n, d)))
+    pi, pj = sample_pairs(n, k, rng)
+    kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
+    costh = kern.sample_costheta(k, rng)
+    frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
+    order, batches = _events.level_schedule(pi, pj)
+    assert batches[0][1] >= 6
+    pi, pj, costh = pi[order], pj[order], costh[order]
+    a0[pj[0]] = a0[pi[0]]  # first system at rest relative to itself
+    b0[pj[1]] = b0[pi[1]]  # second system at rest
+    a0[pj[2]], b0[pj[2]] = a0[pi[2]], b0[pi[2]]  # both at rest
+    b0[[pi[3], pj[3]]] = a0[[pi[3], pj[3]]]  # identical geometries
+    b0[pi[4]], b0[pj[4]] = a0[pj[4]], a0[pi[4]]  # opposite relative velocities
+    if frames is not None:
+        frames = frames[order]
+        frames[5] = -3.0 * (a0[pi[5]] - a0[pj[5]])
+    rows = np.hstack([a0, b0])
+    got = rows.T.copy()
+    _apply_coupled(got, pi, pj, costh, None if frames is None else frames.T.copy(), None,
+                   batches, None)
+    want = rows.copy()
+    reference_apply_coupled(want, pi, pj, costh, frames, batches)
+    assert got.T.tobytes() == want.tobytes()
+    assert not np.array_equal(got.T, rows)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_simulate_kac_coupled_equals_sequential_reference(d):
+    # the whole coupled run against the stream's events applied one at a
+    # time, in stream order, by the row-major rule
+    kern = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
+    a = gaussian_sample_state(np.zeros(d), np.ones(d), 12, RngStream(47, 0))
+    b = ParticleState(a.coords * np.linspace(2.0, 1.0, d) + 0.5)
+    snaps = [0.5, 3.0]
+    out_a, out_b = simulate_kac_coupled(a, b, kern, 3.0, snaps, RngStream(47, 1))
+    times, pi, pj, costh, frames = generate_events_alone(12, d, 5.5, kern, 0.0, 3.0,
+                                                         RngStream(47, 1))
+    rows = np.hstack([a.coords, b.coords])
+    done = 0
+    for s, sa, sb in zip(snaps, out_a, out_b):
+        upto = int(np.searchsorted(times, s, side="right"))
+        reference_apply_coupled(rows, pi, pj, costh, frames,
+                                [(e, e + 1) for e in range(done, upto)])
+        done = upto
+        assert sa.coords.tobytes() == np.ascontiguousarray(rows[:, :d]).tobytes()
+        assert sb.coords.tobytes() == np.ascontiguousarray(rows[:, d:]).tobytes()
+    assert not np.array_equal(out_a[-1].coords, a.coords)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+def test_column_helpers_equal_numpy_sums(d):
+    # the written-out summation orders against np.einsum and np.linalg.norm
+    # on row-major copies, for short and long runs of columns
+    rng = np.random.default_rng(d)
+    for k in (1, 2, 3, 7, 1_001):
+        a = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-8, 8, (k, d))
+        b = rng.standard_normal((k, d))
+        got = _events.column_dot(a.T.copy(), b.T.copy())
+        assert got.tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
+        assert _events.column_norms(a.T.copy()).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+
+class _HalfGaps(RngStream):
+    """A stream whose uniforms are square roots, so its exponential gaps halve:
+    its first clock draw ends before t_end and the clock refills."""
+
+    def uniform(self, size=None, out=None):
+        u = super().uniform(size, out)
+        return np.sqrt(u) if np.ndim(u) == 0 else np.sqrt(u, out=u)
+
+
+@pytest.mark.parametrize("d, kernel", [
+    (1, AngularKernel.two_point(0.3, 0.7)),
+    (1, AngularKernel.isotropic(1)),
+    (2, AngularKernel.isotropic(2)),
+    (3, AngularKernel.isotropic(3)),
+    (3, AngularKernel(dim=3, density=lambda c: 1.0 + 0.5 * c, name="tilted")),
+    (2, AngularKernel(dim=2, density=lambda c: np.exp(c), name="forward")),
+])
+def test_generate_events_block_equals_per_stream_generator(d, kernel):
+    # the block record against each stream generating alone: every field,
+    # the replica bounds and the draw counts; stream 1 refills its clock
+    n, rate, t0, t_end = 7, 3.0 * 6, 0.5, 5.5
+    block = [RngStream(70, r) for r in range(4)]
+    block[1] = _HalfGaps(70, 1)
+    alone = [type(s)(70, s.stream_id) for s in block]
+    rec = _generate_events(n, d, rate, kernel, t0, t_end, block)
+    parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
+    counts = [len(p[0]) for p in parts]
+    assert counts[1] > max(64, int(1.2 * rate * (t_end - t0)) + 16) // 2  # refilled
+    np.testing.assert_array_equal(rec.bounds, np.cumsum([0] + counts))
+    offsets = np.repeat(np.arange(4) * n, counts)
+    for field, got in enumerate([rec.times, rec.pair_i - offsets, rec.pair_j - offsets,
+                                 rec.costh, rec.frames]):
+        if got is None:
+            assert d == 1 and all(p[4] is None for p in parts)
+            continue
+        want = np.concatenate([p[field] for p in parts])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
+    empty = _generate_events(n, d, rate, kernel, t0, t0, [RngStream(70, 9)])
+    assert len(empty) == 0 and empty.bounds.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -396,8 +481,8 @@ def test_replay_coupled_identical_streams():
     out1 = simulate_kac(st0, kern, 2.0, snaps, [RngStream(4, 1)])
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
-    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, RngStream(4, 1))
-    out2 = _events.play_events(st0.coords.copy(), [rec], np.asarray(snaps))
+    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, [RngStream(4, 1)])
+    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps))
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b)
 

@@ -290,6 +290,39 @@ def test_rate_fit_recovers_planted_slopes():
         assert ci[0] <= target <= ci[1]
 
 
+def _rate_fit_reference(n_values, errors, std_errors, n_bootstrap=400, seed=7):
+    """The fit as first written: np.polyfit, one normal draw and one fit per resample."""
+    x, y = np.log(n_values), np.log(errors)
+    slope, intercept = np.polyfit(x, y, 1)
+    if np.all(std_errors == 0.0):
+        return float(slope), float(intercept), (float(slope), float(slope))
+    rng = RngStream(seed, 1331)
+    slopes = np.empty(n_bootstrap)
+    for b in range(n_bootstrap):
+        noise = np.atleast_1d(rng.normal(size=len(errors)))
+        pert = np.maximum(errors + std_errors * noise, 1e-300)
+        slopes[b] = np.polyfit(x, np.log(pert), 1)[0]
+    lo, hi = np.quantile(slopes, [0.025, 0.975])
+    return float(slope), float(intercept), (float(lo), float(hi))
+
+
+def test_rate_fit_equals_per_resample_reference_bitwise():
+    # 4-8 values of N over 1.5-4 decades, standard errors up to 45 % of the
+    # errors (some resamples clip at 1e-300), and all-zero standard errors;
+    # a many-column least-squares solve differs from these in a last bit
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        n = np.unique((10 ** rng.uniform(0.0, 4.0, int(rng.integers(4, 9)))).astype(int) + 1)
+        if len(n) < 4 or np.log10(n.max() / n.min()) < 1.5:
+            continue
+        err = 3.0 / n * np.exp(rng.normal(0.0, 0.3, len(n)))
+        se = err * rng.uniform(0.01, 0.45, len(n))
+        seed = int(rng.integers(0, 50))
+        assert rate_fit(n, err, se, seed=seed) == _rate_fit_reference(n, err, se, seed=seed)
+    n = np.array([16, 64, 256, 1024])
+    assert rate_fit(n, 2.0 / n, np.zeros(4)) == _rate_fit_reference(n, 2.0 / n, np.zeros(4))
+
+
 def test_rate_fit_guards():
     n = np.array([16, 64, 256, 1024])
     errs = 1.0 / n.astype(float)
@@ -367,6 +400,15 @@ def test_chaos_curve_equals_cli_bootstrap_bitwise():
         np.testing.assert_array_equal(curve.n_values, n_values)
         assert curve.oracle_se_max == float(np.max(oracle.standard_error))
     assert np.all(curve.std_errors == 0.0)  # one replica per N: no spread
+    # one snapshot time makes every replica mean a reduction along memory,
+    # which numpy sums pairwise from 8 terms on: 200 and 33 replicas
+    vals = [rng.normal(size=(reps, 1)) for reps in (200, 33, 9)]
+    for o_vals in (rng.normal(size=(17, 1)), rng.normal(size=(1, 1))):
+        curve = chaos_error_curve(n_values, vals, OracleEstimate.from_replicas(times[:1], o_vals),
+                                  seed=14)
+        errors, std_errors = _bootstrap_reference(vals, o_vals, 14)
+        assert curve.errors.tobytes() == errors.tobytes()
+        assert curve.std_errors.tobytes() == std_errors.tobytes()
     exact = OracleEstimate.from_replicas(times, oracle_values[:1])
     with pytest.raises(ValueError, match="one value array per N"):
         chaos_error_curve(n_values, values[:2], exact, seed=13)

@@ -217,6 +217,32 @@ def test_simulate_mkv_replicas_equal_separate_runs(name, dim, prefactor):
                                           b.coords.view(np.uint64))
 
 
+@pytest.mark.parametrize("block_steps, reps", [(3, 2), (1, 3), (40, 1)])
+def test_simulate_mkv_noise_blocks_equal_step_by_step_draws(monkeypatch, block_steps, reps):
+    # the run draws each replica's normals several steps per call; a loop
+    # of em_step calls, one draw per replica and step, is the oracle: equal
+    # coordinates, times and draw counts, and no normal drawn past the last
+    # step (11 steps: blocks of 3 leave a block of 2, and 40 covers them all)
+    n, dim, dt = 6, 2, 0.01
+    spec = _spec(dim=dim, lam=0.3, sigma=0.8, interaction=interaction_catalog("linear", dim))
+    stack = gaussian_sample_state(np.zeros(dim), np.ones(dim), n,
+                                  [RngStream(64, 2 * r) for r in range(reps)])
+    monkeypatch.setattr(mckean, "_NOISE_BLOCK", block_steps * reps * n * dim + 1)
+    rngs = [RngStream(64, 2 * r + 1) for r in range(reps)]
+    snaps = [0.0, 0.03, 0.03, 0.11]
+    got = simulate_mkv(stack, spec, 0.2, dt, snaps, rngs)
+    oracle = [RngStream(64, 2 * r + 1) for r in range(reps)]
+    state, want = stack, {0: stack.copy()}
+    for k in range(1, 12):
+        state = em_step(state, spec, dt, oracle)
+        state.time = k * dt
+        want[k] = state.copy()
+    for s, k in zip(got, [0, 3, 3, 11]):
+        assert s.time == want[k].time
+        assert s.coords.tobytes() == want[k].coords.tobytes()
+    assert [r.draw_counter for r in rngs] == [r.draw_counter for r in oracle] == [11 * n * dim] * reps
+
+
 def test_simulate_mkv_replicas_validation():
     # a stack needs one stream per replica: rows a multiple of the streams
     s = ParticleState(np.zeros((9, 1)))

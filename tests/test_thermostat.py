@@ -8,10 +8,12 @@ from meanfield.core import ParticleState, RngStream, gaussian_sample_state
 from meanfield.elastic import AngularKernel, _generate_events, simulate_kac
 from meanfield.thermostat import (
     RestitutionParams,
+    _diffuse,
     simulate_thermostat,
     steady_temperature,
     temperature,
 )
+from oracles import reference_apply, reference_diffuse, sample_pairs
 
 
 def test_restitution_validation():
@@ -26,12 +28,12 @@ def test_restitution_validation():
 
 def collide(vi, vj, costh, frames, restitution):
     """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
-    coords = np.concatenate([vi, vj]).astype(np.float64)
+    x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
     k = len(vi)
     pairs = np.arange(k)
-    _events.apply_pair_collisions(coords, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
-                                  frames, restitution, [(0, k)])
-    return coords[:k], coords[k:]
+    _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
+                                  None if frames is None else frames.T, restitution, [(0, k)])
+    return x.T[:k], x.T[k:]
 
 
 def random_pairs(rng, k):
@@ -69,6 +71,49 @@ def test_collide_inelastic_contraction_and_momentum():
         assert np.all(np.linalg.norm(vi - vj, axis=1) <= u0 * (1 + 1e-12))
         e0 = np.sum(vi0**2 + vj0**2, axis=1)
         assert np.all(np.sum(vi**2 + vj**2, axis=1) <= e0 * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_inelastic_apply_with_bath_hook_equals_reference(d):
+    # the inelastic rule with the bath's catch-up before each batch, on the
+    # coordinate-major kernel and on the row-major loop as first written;
+    # includes a pair at zero relative velocity and a frame parallel to u-hat
+    rng = RngStream(46, d)
+    n, k, nu = 30, 1_500, 0.7
+    coords0 = np.atleast_2d(rng.normal(size=(n, d)))
+    pi, pj = sample_pairs(n, k, rng)
+    kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
+    costh = kern.sample_costheta(k, rng)
+    frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
+    now = np.sort(rng.uniform(size=k)) * 3.0
+    z = np.atleast_2d(rng.normal(size=(k, 2 * d)))
+    order, batches = _events.level_schedule(pi, pj)
+    pi, pj, costh, now, z = pi[order], pj[order], costh[order], now[order], z[order]
+    coords0[pj[1]] = coords0[pi[1]]
+    if frames is not None:
+        frames = frames[order]
+        frames[0] = -0.5 * (coords0[pi[0]] - coords0[pj[0]])
+
+    got, got_sync = coords0.T.copy(), np.zeros(n)
+
+    def hook(lo, hi, ii, jj):
+        zt = z[lo:hi].T
+        _diffuse(got, ii, got_sync, now[lo:hi], nu, zt[:d])
+        _diffuse(got, jj, got_sync, now[lo:hi], nu, zt[d:])
+
+    _events.apply_pair_collisions(got, pi, pj, costh, None if frames is None else frames.T,
+                                  0.6, batches, hook)
+    want, want_sync = coords0.copy(), np.zeros(n)
+
+    def reference_hook(lo, hi, ii, jj):
+        both = np.concatenate([ii, jj])
+        zb = z[lo:hi]
+        reference_diffuse(want, both, want_sync, np.tile(now[lo:hi], 2), nu,
+                          np.concatenate([zb[:, :d], zb[:, d:]]))
+
+    reference_apply(want, pi, pj, costh, frames, 0.6, batches, reference_hook)
+    assert got.T.tobytes() == want.tobytes()
+    assert got_sync.tobytes() == want_sync.tobytes()
 
 
 def test_mean_energy_loss_single_collision_mc():
@@ -117,9 +162,9 @@ def test_bath_off_draws_only_the_event_stream():
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
-    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, alone)
+    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, [alone])
     assert dyn.draw_counter == alone.draw_counter
-    replay = _events.play_events(st0.coords.copy(), [rec], np.asarray(snaps), p.alpha)
+    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), p.alpha)
     for a, b in zip(out, replay):
         np.testing.assert_array_equal(a.coords, b)
 
