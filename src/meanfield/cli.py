@@ -415,7 +415,7 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         extra.append(("estimator_used", "exact-assignment"))
     elif name == "w2_sliced":
         stream = RngStream(seed, 1)
-        value, se = w2_sliced(a, b, int(_get(cfg, "n_projections", 64)), stream)
+        value, se = w2_sliced(a, b, _count(cfg, "n_projections", 64), stream)
         draws.append((1, stream.draw_counter))
         extra.append(("estimator_used", "sliced-monte-carlo"))
     elif name in ("toscani", "h_sobolev"):

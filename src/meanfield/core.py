@@ -259,11 +259,8 @@ def gaussian_sample_state(
     if not np.all(np.isfinite(var)) or np.any(var < 0):
         raise ValueError("variances must be finite and nonnegative")
     rngs = [rng] if isinstance(rng, RngStream) else rng
-    z = np.empty((len(rngs), n, mean.shape[0]))
-    for stream, rows in zip(rngs, z):
-        stream.uniform(out=rows)
-    ndtri(z, out=z)
-    return ParticleState((mean + np.sqrt(var) * z).reshape(-1, mean.shape[0]), time=0.0)
+    z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], mean.shape[0])
+    return ParticleState(mean + np.sqrt(var) * z, time=0.0)
 
 
 def replica_size(state: ParticleState, rngs: Sequence[RngStream]) -> int:
@@ -277,10 +274,16 @@ def replica_size(state: ParticleState, rngs: Sequence[RngStream]) -> int:
 def replica_normals(rngs: Sequence[RngStream], owners, width: int) -> np.ndarray:
     """Rows of ``width`` normals: ``count`` from ``rngs[r]`` for each ``(r, count)`` of owners.
 
-    One draw per owner; a lone draw is used as is (no concatenated copy).
+    The package's one block normal draw: each owner's stream fills its
+    rows of one buffer with uniforms, as ``RngStream.normal`` would draw
+    them, and one ``ndtri`` pass transforms the block.
     """
-    parts = [rngs[r].normal(size=(k, width)) for r, k in owners]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    z = np.empty((sum(k for _, k in owners), width))
+    lo = 0
+    for r, k in owners:
+        rngs[r].uniform(out=z[lo:lo + k])
+        lo += k
+    return ndtri(z, out=z)
 
 
 def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:

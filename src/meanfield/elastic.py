@@ -5,7 +5,8 @@ over unordered pairs with weight 1/N, so the total jump rate is (N-1)/2
 and each event rotates the relative velocity of a uniformly chosen pair
 onto a fresh direction sigma drawn from the angular kernel.  Momentum and
 kinetic energy are conserved collision by collision.  ``simulate_kac``
-plays a replica stack, one dynamics stream per replica, as one system.
+and ``simulate_kac_coupled`` (Tanaka's coupling of two systems) play a
+replica stack, one dynamics stream per replica, as one system.
 """
 
 from __future__ import annotations
@@ -203,27 +204,27 @@ def _generate_events(
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
-                      restitution=None, bath=None) -> list[ParticleState]:
+                      restitution=None, bath=None, apply=None) -> list[ParticleState]:
     """Independent collision trajectories of a replica stack, played as one system.
 
     ``initial`` stacks R = len(rngs) replicas of N particles (the
     ``ParticleState`` row layout); replica r draws its events, at total
-    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``restitution`` goes
-    to the collision rule (None: elastic).  ``bath(x)``, when given, takes
-    the coordinate-major ``(d, R N)`` working copy that the events play on
-    and returns the ``on_chunk`` and ``on_snapshot`` hooks of
-    ``_events.play_events``.
+    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``restitution`` and
+    ``apply`` go to ``_events.play_events``; under ``_apply_coupled`` a
+    row holds two systems of the kernel's dimension side by side.
+    ``bath(x)``, when given, takes the coordinate-major ``(d, R N)`` copy
+    the events play on and returns ``play_events``'s ``(on_chunk, on_snapshot)``.
     """
-    n, d, t0 = replica_size(initial, rngs), initial.dim, initial.time
+    n, t0 = replica_size(initial, rngs), initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
-    if kernel.dim != d:
+    if kernel.dim * (2 if apply is _apply_coupled else 1) != initial.dim:
         raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
-    record = _generate_events(n, d, pair_rate * (n - 1), kernel, t0, t_end, rngs)
+    record = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end, rngs)
     x = initial.coords.T.copy()  # coordinate-major working copy
     on_chunk, on_snapshot = (None, None) if bath is None else bath(x)
-    captured = _events.play_events(x, record, snaps, restitution,
+    captured = _events.play_events(x, record, snaps, restitution, apply,
                                    on_chunk=on_chunk, on_snapshot=on_snapshot)
     return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
@@ -277,7 +278,7 @@ def simulate_kac_coupled(
     kernel: AngularKernel,
     t_end: float,
     snapshot_times: Sequence[float],
-    rng: RngStream,
+    rngs: Sequence[RngStream],
 ) -> tuple[list[ParticleState], list[ParticleState]]:
     """Two elastic systems under one event stream, directions coupled.
 
@@ -289,19 +290,15 @@ def simulate_kac_coupled(
     collision contracts the expected matched-atom cost: with gamma the
     angle between the two relative directions, the coupled cross term
     gains (1 - cos gamma) (1 - cos^2 theta) / 2 >= 0 for every deviation
-    angle theta, whatever the kernel.
+    angle theta, whatever the kernel.  ``initial_a`` and ``initial_b`` are
+    replica stacks of one shape and start time; replica r of both draws
+    its events from ``rngs[r]`` and is bitwise the pair it would be alone.
     """
-    n, d = initial_a.n_particles, initial_a.dim
-    if initial_b.n_particles != n or initial_b.dim != d:
+    if initial_b.coords.shape != initial_a.coords.shape:
         raise ValueError("coupled systems need matching shapes")
-    if n < 2:
-        raise SimulationError("need N >= 2")
-    if kernel.dim != d:
-        raise ValueError("kernel dimension must match the state")
-    snaps = validate_snapshots(snapshot_times, initial_a.time, t_end)
-    record = _generate_events(n, d, (n - 1) / 2.0, kernel, initial_a.time, t_end, [rng])
-    x = np.hstack([initial_a.coords, initial_b.coords]).T.copy()  # coordinate-major
-    captured = _events.play_events(x, record, snaps, apply=_apply_coupled)
-    out_a = [ParticleState(c[:, :d], time=float(t)) for t, c in zip(snaps, captured)]
-    out_b = [ParticleState(c[:, d:], time=float(t)) for t, c in zip(snaps, captured)]
-    return out_a, out_b
+    if initial_b.time != initial_a.time:
+        raise ValueError("coupled systems need equal start times")
+    both = ParticleState(np.hstack([initial_a.coords, initial_b.coords]), initial_a.time)
+    out = _simulate_stacked(both, kernel, t_end, snapshot_times, rngs, 0.5, apply=_apply_coupled)
+    return ([ParticleState(s.coords[:, :initial_a.dim], s.time) for s in out],
+            [ParticleState(s.coords[:, initial_a.dim:], s.time) for s in out])

@@ -305,32 +305,33 @@ def tanaka_contraction_check(
     initial_pair_sampler: Callable[[RngStream], tuple[ParticleState, ParticleState]],
     kernel: AngularKernel,
     time_grid: Sequence[float],
-    replicas: int,
-    rng_factory: Callable[[int], RngStream],
+    rngs: Sequence[RngStream],
 ) -> ContractionSeries:
     """Coupled-stream quadratic-distance series for two elastic flows.
 
-    Both systems consume identical (time, pair) event streams with
-    parallel-transported scattering directions (the quadratic coupling);
-    the matched-atom cost sqrt((1/N) Σ |v_i - w_i|^2) is an admissible
-    coupling, hence an upper bound on W2 of the empirical flows, and
-    every collision contracts its expectation.  The check flags any rise
-    of the mean above its t = 0 value by more than two pooled standard
-    errors.
+    Replica r's pair, of one shape and start time for all r, is
+    ``initial_pair_sampler(rngs[r])``; the pairs are stacked and played by
+    one ``simulate_kac_coupled`` call, which draws replica r's events from
+    ``rngs[r]`` after its initial data.  Both systems consume identical
+    (time, pair) event streams with parallel-transported scattering
+    directions (the quadratic coupling); the matched-atom cost
+    sqrt((1/N) Σ |v_i - w_i|^2) is an admissible coupling, hence an upper
+    bound on W2 of the empirical flows, and every collision contracts its
+    expectation.  The check flags any rise of the mean above its t = 0
+    value by more than two pooled standard errors.
     """
     times = np.asarray(time_grid, dtype=np.float64)
-    if times[0] != 0.0:
+    if not times.size or times[0] != 0.0:
         raise ValueError("the time grid must start at 0 (reference value)")
-    t_end = float(times[-1])
-    vals = np.empty((replicas, len(times)))
-    for r in range(replicas):
-        stream = rng_factory(r)
-        state_a, state_b = initial_pair_sampler(stream)
-        if state_a.n_particles != state_b.n_particles:
-            raise ValueError("coupled systems need equal particle counts")
-        out_a, out_b = simulate_kac_coupled(state_a, state_b, kernel, t_end, times, stream)
-        for k, (sa, sb) in enumerate(zip(out_a, out_b)):
-            vals[r, k] = math.sqrt(float(np.mean(np.sum((sa.coords - sb.coords) ** 2, axis=1))))
+    pairs = [initial_pair_sampler(stream) for stream in rngs]
+    if len({(st.coords.shape, st.time) for pair in pairs for st in pair}) != 1:
+        raise ValueError("need a stream, and sampled systems of one N, dimension and start time")
+    state_a, state_b = (ParticleState(np.concatenate([st.coords for st in side]), side[0].time)
+                        for side in zip(*pairs))
+    out_a, out_b = simulate_kac_coupled(state_a, state_b, kernel, float(times[-1]), times, rngs)
+    costs = [np.sum((sa.coords - sb.coords) ** 2, axis=1).reshape(len(rngs), -1)
+             for sa, sb in zip(out_a, out_b)]
+    vals = np.sqrt(np.stack([c.mean(axis=1) for c in costs], axis=1))  # (R, T), C order
     est = OracleEstimate.from_replicas(times, vals)
     mean, se = est.mean, est.standard_error
     pooled = np.sqrt(se**2 + se[0] ** 2)

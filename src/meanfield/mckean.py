@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (ParticleState, RngStream, SimulationError, replica_normals, replica_size,
                    run_fixed_steps)
@@ -198,10 +197,9 @@ def simulate_mkv(
         j = (k - 1) % per_call
         if j == 0:  # the snapshots are validated by now; the last one ends the run
             last = int(np.rint((np.asarray(snapshot_times, dtype=np.float64)[-1] - t0) / dt))
-            noise = np.empty((len(rngs), min(per_call, last - k + 1), n, m))
-            for rng, steps in zip(rngs, noise):
-                rng.uniform(out=steps)
-            ndtri(noise, out=noise)
+            steps = min(per_call, last - k + 1)
+            noise = replica_normals(rngs, [(r, steps * n) for r in range(len(rngs))],
+                                    m).reshape(len(rngs), steps, n, m)
         z = np.ascontiguousarray(noise[:, j]).reshape(-1, m)
         state = _em_step(state, spec, dt, len(rngs), z)
         state.time = t0 + k * dt

@@ -2,12 +2,16 @@
 
 These are the per-stream event generator and the row-major collision
 rules the engine used before it played each replica block as one
-coordinate-major system; the engine must reproduce them bit for bit.
+coordinate-major system, and the per-replica loop of the coupled
+contraction check; the engine must reproduce them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from meanfield.core import RngStream
+from meanfield.elastic import simulate_kac_coupled
 
 
 def sample_event_times(rate: float, t0: float, t1: float, rng: RngStream) -> np.ndarray:
@@ -140,3 +144,20 @@ def reference_diffuse(coords, idx, last_sync, now, nu, z) -> None:
     dt = now - last_sync[idx]
     coords[idx] += np.sqrt(np.maximum(2.0 * nu * dt, 0.0))[:, None] * z
     last_sync[idx] = now
+
+
+def tanaka_per_replica(initial_pair_sampler, kernel, time_grid, rngs):
+    """``harness.tanaka_contraction_check``'s W2 table, one coupled run per replica.
+
+    Replica r samples its pair from ``rngs[r]``, then plays it alone; row r
+    holds its matched-atom costs at the times of the grid.
+    """
+    times = np.asarray(time_grid, dtype=np.float64)
+    vals = np.empty((len(rngs), len(times)))
+    for r, stream in enumerate(rngs):
+        state_a, state_b = initial_pair_sampler(stream)
+        out_a, out_b = simulate_kac_coupled(state_a, state_b, kernel, float(times[-1]), times,
+                                            [stream])
+        for k, (sa, sb) in enumerate(zip(out_a, out_b)):
+            vals[r, k] = math.sqrt(float(np.mean(np.sum((sa.coords - sb.coords) ** 2, axis=1))))
+    return vals

@@ -271,10 +271,10 @@ def test_c05_tanaka_contraction():
         st = gaussian_sample_state(np.zeros(3), np.ones(3), 10_000, stream)
         return st, ParticleState(st.coords * np.array([2.0, 1.0, 1.0]))
 
-    res_shift = tanaka_contraction_check(shifted, kern, times, 24,
-                                         lambda r: RngStream(SEED, 5_000 + r))
-    res_sq = tanaka_contraction_check(squeezed, kern, times, 24,
-                                      lambda r: RngStream(SEED, 6_000 + r))
+    res_shift = tanaka_contraction_check(shifted, kern, times,
+                                         [RngStream(SEED, 5_000 + r) for r in range(24)])
+    res_sq = tanaka_contraction_check(squeezed, kern, times,
+                                      [RngStream(SEED, 6_000 + r) for r in range(24)])
     assert res_shift.contraction_holds and res_sq.contraction_holds
     assert res_shift.w2_mean[0] == pytest.approx(1.0, abs=1e-10)  # translate distance
     assert res_sq.w2_mean[-1] < res_sq.w2_mean[0]  # strict decrease here

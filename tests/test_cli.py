@@ -348,7 +348,7 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     # variance would give a CSV of NaN
     ("omega-n", {**OMEGA_D3, "law_variance": np.nan}, "law_variance"),
     ("simulate", {**KAC_D3, "kernel": "two_point", "kernel_weights": [0.5, 0.5]}, "kernel"),
-    # an initial_file entry is the particle array the test writes to that file
+    # an initial_file entry is the particle array the test writes to a file
     ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((8, 2))},
      "initial_file"),
     ("simulate", {**KAC_D3, "initial": "file", "initial_file": np.zeros((4, 3))},
@@ -371,11 +371,16 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     ("simulate", {"model": "mckean_vlasov", "dimension": 1, "n": 8, "dt": 0.01,
                   "snapshot_times": [0.01], "initial_mean": np.inf}, "initial_mean"),
     ("chaos-curve", {**CURVE_CFG, "initial_variance": np.inf}, "initial_variance"),
+    # a projection count below 1 is refused on its field, as omega-n refuses it;
+    # input_a and input_b entries are particle arrays written to files
+    ("metric", {"metric": "w2_sliced", "input_a": np.zeros((4, 2)), "input_b": np.ones((4, 2)),
+                "n_projections": 0}, "n_projections"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
-    if "initial_file" in cfg:
-        dump_particles(tmp_path / "parts.txt", cfg["initial_file"])
-        cfg = {**cfg, "initial_file": str(tmp_path / "parts.txt")}
+    for key in ("initial_file", "input_a", "input_b"):
+        if key in cfg:
+            dump_particles(tmp_path / f"{key}.txt", cfg[key])
+            cfg = {**cfg, key: str(tmp_path / f"{key}.txt")}
     with pytest.raises(cli.ConfigError) as err:
         cli._COMMANDS[command](dict(cfg), 0, 1, None)
     assert err.value.field == field

@@ -14,6 +14,7 @@ from meanfield.core import (
     canonical_atom_order,
     gaussian_sample_state,
     quantile_init_1d,
+    replica_normals,
     run_fixed_steps,
 )
 
@@ -152,6 +153,23 @@ def test_gaussian_sample_stack_equals_lone_draws():
         assert stack.coords[5 * r:5 * r + 5].tobytes() == want.tobytes()
         assert gaussian_sample_state(mean, var, 5, RngStream(8, r)).coords.tobytes() == want.tobytes()
         assert stream.draw_counter == alone.draw_counter == 15
+
+
+def test_replica_normals_equal_per_owner_normal_draws():
+    # uneven owners, a stream twice and one not at all: each owner's rows
+    # are its stream's next normals, and each stream ends where the
+    # per-owner draws leave it
+    owners = [(1, 3), (0, 5), (3, 1), (1, 4)]
+    got = [RngStream(12, r) for r in range(4)]
+    z = replica_normals(got, owners, 2)
+    want = [RngStream(12, r) for r in range(4)]
+    parts = [want[r].normal(size=(k, 2)) for r, k in owners]
+    assert z.shape == (13, 2)
+    assert z.tobytes() == np.concatenate(parts).tobytes()
+    for a, b in zip(got, want):
+        assert a.draw_counter == b.draw_counter
+        assert str(a._gen.bit_generator.state) == str(b._gen.bit_generator.state)
+    assert [s.draw_counter for s in got] == [10, 14, 0, 2]
 
 
 def test_rng_stream_purity_and_independence():

@@ -11,6 +11,7 @@ from meanfield.elastic import (
     simulate_kac,
     simulate_kac_coupled,
 )
+from meanfield.thermostat import RestitutionParams, simulate_thermostat
 from oracles import (
     generate_events_alone,
     reference_apply,
@@ -144,20 +145,44 @@ def test_next_collision_rate_and_mean_wait():
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
 
+def pair_chi_square(pi: np.ndarray, pj: np.ndarray, n: int) -> float:
+    """Pearson's statistic of the pairs i < j against the uniform law on the n(n-1)/2 cells."""
+    counts = np.bincount(pi * n + pj, minlength=n * n).reshape(n, n)[np.triu_indices(n, 1)]
+    expect = len(pi) / len(counts)
+    return float(np.sum((counts - expect) ** 2) / expect)
+
+
+# level 1e-3 over the 45 pair cells at N = 10: chi-square with 44 dof
+PAIR_CELLS_CRITICAL = stats.chi2.ppf(1.0 - 1e-3, 44)  # 78.75
+
+
 @pytest.mark.slow
 def test_pair_marginal_uniform():
+    # one goodness-of-fit test over all 45 cells: a correct sampler fails
+    # it with probability 1e-3 (this stream reads 45.9, p = 0.39)
     n = 10
     # the engine draws its pairs as this oracle does
     # (test_generate_events_block_equals_per_stream_generator)
-    rng = RngStream(5, 0)
-    pi, pj = sample_pairs(n, 1_000_000, rng)
-    counts = np.zeros((n, n))
-    np.add.at(counts, (pi, pj), 1)
+    pi, pj = sample_pairs(n, 1_000_000, RngStream(5, 0))
+    assert pair_chi_square(pi, pj, n) < PAIR_CELLS_CRITICAL
+
+
+@pytest.mark.slow
+def test_pair_chi_square_rejects_one_heavier_cell():
+    # the same sampler, with each draw moved to cell (0, 1) with probability
+    # eps, so that cell is 5 % heavier: p (1 - eps) + eps = 1.05 p.  Over K
+    # draws the statistic's noncentrality is 0.0025 p K (1 + 1/44): 56.8 at
+    # K = 10**6, rejected with probability 0.90, and 227 at 4 * 10**6,
+    # rejected except with probability 4e-16
+    n, k = 10, 4_000_000
     p = 2.0 / (n * (n - 1))
-    expect = 1_000_000 * p
-    sd = np.sqrt(1_000_000 * p * (1 - p))
-    upper = np.array([counts[i, j] for i in range(n) for j in range(i + 1, n)])
-    assert np.all(np.abs(upper - expect) < 3.0 * sd)
+    rng = RngStream(5, 1)
+    pi, pj = sample_pairs(n, k, rng)
+    moved = rng.uniform(size=k) < 0.05 * p / (1.0 - p)
+    pi[moved], pj[moved] = 0, 1
+    assert pair_chi_square(pi, pj, n) > PAIR_CELLS_CRITICAL
+    pi, pj = sample_pairs(n, k, RngStream(5, 2))  # the uniform law at this size passes
+    assert pair_chi_square(pi, pj, n) < PAIR_CELLS_CRITICAL
 
 
 def test_simulate_t_end_zero_returns_initial():
@@ -359,7 +384,7 @@ def test_simulate_kac_coupled_equals_sequential_reference(d):
     a = gaussian_sample_state(np.zeros(d), np.ones(d), 12, RngStream(47, 0))
     b = ParticleState(a.coords * np.linspace(2.0, 1.0, d) + 0.5)
     snaps = [0.5, 3.0]
-    out_a, out_b = simulate_kac_coupled(a, b, kern, 3.0, snaps, RngStream(47, 1))
+    out_a, out_b = simulate_kac_coupled(a, b, kern, 3.0, snaps, [RngStream(47, 1)])
     times, pi, pj, costh, frames = generate_events_alone(12, d, 5.5, kern, 0.0, 3.0,
                                                          RngStream(47, 1))
     rows = np.hstack([a.coords, b.coords])
@@ -471,7 +496,59 @@ def test_simulate_kac_coupled_refuses_kernel_of_other_dimension():
     a = gaussian_sample_state(np.zeros(3), np.ones(3), 8, RngStream(0, 0))
     with pytest.raises(ValueError, match="kernel dimension"):
         simulate_kac_coupled(a, a.copy(), AngularKernel.isotropic(2), 1.0, [1.0],
-                             RngStream(0, 1))
+                             [RngStream(0, 1)])
+    # the coupled state is 2 d wide, and a kernel of that width is refused too
+    with pytest.raises(ValueError, match="kernel dimension"):
+        simulate_kac_coupled(a, a.copy(), AngularKernel.isotropic(6), 1.0, [1.0],
+                             [RngStream(0, 1)])
+
+
+@pytest.mark.parametrize("simulate", ["kac", "thermostat"])
+def test_simulators_refuse_kernel_of_other_dimension(simulate):
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 8, RngStream(0, 0))
+    kern = AngularKernel.isotropic(2)
+    with pytest.raises(ValueError, match="kernel dimension must match the state"):
+        if simulate == "kac":
+            simulate_kac(a, kern, 1.0, [1.0], [RngStream(0, 1)])
+        else:  # the bath's dimension agrees with the kernel, not with the state
+            simulate_thermostat(a, kern, RestitutionParams(alpha=0.5, dim=2), 1.0, [1.0],
+                                [RngStream(0, 1)])
+
+
+def test_simulate_kac_coupled_refuses_unmatched_systems():
+    a = gaussian_sample_state(np.zeros(3), np.ones(3), 8, RngStream(0, 0))
+    kern = AngularKernel.isotropic(3)
+    for b in (ParticleState(a.coords[:6]), ParticleState(a.coords[:, :2])):
+        with pytest.raises(ValueError, match="matching shapes"):
+            simulate_kac_coupled(a, b, kern, 1.0, [1.0], [RngStream(0, 1)])
+    with pytest.raises(ValueError, match="equal start times"):
+        simulate_kac_coupled(a, ParticleState(a.coords, time=0.5), kern, 1.0, [1.0],
+                             [RngStream(0, 1)])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_simulate_kac_coupled_stack_equals_lone_runs(d):
+    # three stacked replicas, each bitwise its lone run; replica 1 starts
+    # from identical systems and its coupling keeps them identical
+    kern = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
+    a = gaussian_sample_state(np.zeros(d), np.ones(d), 10,
+                              [RngStream(53, 10 + r) for r in range(3)])
+    b = ParticleState(a.coords * np.linspace(2.0, 1.0, d) - 0.25)
+    b.coords[10:20] = a.coords[10:20]
+    snaps = [0.0, 0.7, 2.5]
+    out_a, out_b = simulate_kac_coupled(a, b, kern, 2.5, snaps,
+                                        [RngStream(53, r) for r in range(3)])
+    for r in range(3):
+        rows = slice(10 * r, 10 * r + 10)
+        lone_a, lone_b = simulate_kac_coupled(ParticleState(a.coords[rows]),
+                                              ParticleState(b.coords[rows]), kern, 2.5, snaps,
+                                              [RngStream(53, r)])
+        for sa, sb, la, lb in zip(out_a, out_b, lone_a, lone_b):
+            assert sa.time == la.time and sb.time == lb.time
+            assert sa.coords[rows].tobytes() == la.coords.tobytes()
+            assert sb.coords[rows].tobytes() == lb.coords.tobytes()
+    np.testing.assert_array_equal(out_a[-1].coords[10:20], out_b[-1].coords[10:20])
+    assert not np.array_equal(out_a[-1].coords, a.coords)
 
 
 def test_replay_coupled_identical_streams():

@@ -31,6 +31,7 @@ from meanfield.observables import (
     marginal_observable,
     observable_catalog,
 )
+from oracles import tanaka_per_replica
 
 CONST_ONE = Observable("one", lambda a: np.ones(a.shape[:-1]), 1.0, 0.0)
 IDENTITY = Observable("id01", lambda a: a[..., 0], 1.0, 1.0)
@@ -480,8 +481,8 @@ def test_tanaka_identical_initial_data_zero():
         st = gaussian_sample_state(np.zeros(3), np.ones(3), 32, stream)
         return st, st.copy()
 
-    res = tanaka_contraction_check(sampler, kern, [0.0, 0.5, 1.0], 4,
-                                   lambda r: RngStream(31, r))
+    res = tanaka_contraction_check(sampler, kern, [0.0, 0.5, 1.0],
+                                   [RngStream(31, r) for r in range(4)])
     np.testing.assert_array_equal(res.w2_mean, 0.0)
     assert res.contraction_holds
 
@@ -494,11 +495,44 @@ def test_tanaka_shifted_gaussians_contract():
         st = gaussian_sample_state(np.zeros(3), np.ones(3), 256, stream)
         return st, ParticleState(st.coords + shift)
 
-    res = tanaka_contraction_check(sampler, kern, [0.0, 0.5, 1.0, 2.0], 8,
-                                   lambda r: RngStream(37, r))
+    res = tanaka_contraction_check(sampler, kern, [0.0, 0.5, 1.0, 2.0],
+                                   [RngStream(37, r) for r in range(8)])
     assert res.w2_mean[0] == pytest.approx(1.0, abs=1e-12)  # exact at t = 0
     assert np.all(np.diff(res.w2_mean) <= 1e-12)  # pathwise non-increase
     assert res.contraction_holds
+
+
+def test_tanaka_equals_per_replica_loop_bitwise():
+    # the stacked check against one coupled run per replica, each replica
+    # drawing its initial data and then its events from its stream
+    kern = AngularKernel.isotropic(3)
+    times = [0.0, 0.5, 1.0, 2.0]
+
+    def sampler(stream):
+        st = gaussian_sample_state(np.zeros(3), np.ones(3), 40, stream)
+        return st, ParticleState(st.coords * np.array([2.0, 1.0, 1.0]))
+
+    res = tanaka_contraction_check(sampler, kern, times, [RngStream(41, r) for r in range(9)])
+    want = OracleEstimate.from_replicas(
+        times, tanaka_per_replica(sampler, kern, times, [RngStream(41, r) for r in range(9)]))
+    assert res.w2_mean.tobytes() == want.mean.tobytes()
+    assert res.contraction_holds
+    assert res.w2_mean[-1] < res.w2_mean[0]
+
+
+def test_tanaka_refuses_empty_grid_mixed_particle_counts_and_no_streams():
+    kern = AngularKernel.isotropic(3)
+
+    def sampler(stream):  # the particle count depends on the stream
+        st = gaussian_sample_state(np.zeros(3), np.ones(3), 8 + 2 * stream.stream_id, stream)
+        return st, st.copy()
+
+    with pytest.raises(ValueError, match="must start at 0"):
+        tanaka_contraction_check(sampler, kern, [], [RngStream(3, 0)])
+    with pytest.raises(ValueError, match="of one N, dimension and start time"):
+        tanaka_contraction_check(sampler, kern, [0.0, 1.0], [RngStream(3, r) for r in range(2)])
+    with pytest.raises(ValueError, match="need a stream"):
+        tanaka_contraction_check(sampler, kern, [0.0, 1.0], [])
 
 
 def test_fourier_contraction_identical_flagged():
