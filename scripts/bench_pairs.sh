@@ -11,7 +11,9 @@
 # passed on as --seconds (default: BENCHMARK.json's run_seconds).  From each
 # run's last JSON line it prints, for every end-to-end metric of
 # BENCHMARK.json, each side's median and quartiles and how many pairs the
-# working tree won, plus each side's failed operations.
+# working tree won, plus each side's failed operations.  It exits 1 after
+# the table when either side failed an operation or reported a result that
+# is not correct.
 set -eu
 if [ $# -lt 3 ] || [ $# -gt 4 ]; then
     echo "usage: $0 PARENT_REV WORKLOAD PAIRS [SECONDS]" >&2
@@ -79,9 +81,12 @@ for metric in spec["end_to_end"]:
     base = statistics.median(vals["parent"])
     rel = statistics.median(vals["change"]) / base - 1.0 if base else float("nan")
     print(f"{name:<12} {cells[0]:>30} {cells[1]:>30} {rel:>+8.1%} {won:>3}/{pairs}")
+clean = True
 for side, rs in runs.items():
     failed = sum(r["failed"] for r in rs)
     attempted = sum(r["attempted"] for r in rs)
     correct = all(r["correct"] for r in rs)
     print(f"{side}: {failed} of {attempted} operations failed, all correct: {correct}")
+    clean = clean and failed == 0 and correct
+sys.exit(0 if clean else 1)
 EOF

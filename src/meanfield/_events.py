@@ -12,8 +12,11 @@ per event).  Exactness under vectorization rests on two facts:
   is drawn up front in event order, so nothing random depends on the
   schedule.
 
-``play_events`` is the one snapshot/batch loop.  The events up to each
-snapshot form a segment, played in chunks of consecutive events; within
+``play_events`` is the one snapshot/batch loop.  The record is cut at
+the snapshots when it is drawn: one ``EventSegment`` per snapshot holds
+the events since the previous one, and ``play_events`` consumes the
+record, releasing each segment once it is played, before the snapshot
+is copied.  A segment is played in chunks of consecutive events; within
 a chunk every event gets the ASAP level of its per-particle dependency
 DAG (``level_schedule``), and each level is one batch of events on
 disjoint particles.  Levels are few (11-13 for a chunk of 12,000-16,000
@@ -21,11 +24,11 @@ events on 16,384 or 32,768 particles), so the per-batch numpy overhead
 is paid about a dozen times per chunk instead of once per ~sqrt(N)
 events.
 Replicas stack into one system: replica r owns particles r N .. r N +
-N - 1, and one ``EventRecord`` holds the whole block's events, replica
-after replica, with pair indices offset by r N.  Their events never
-share a particle and each replica keeps its own streams, so a stacked
-block plays every replica exactly as it would play alone, in as many
-batches as its deepest replica needs.
+N - 1, and each segment holds the whole block's events of its interval,
+replica after replica, with pair indices offset by r N.  Their events
+never share a particle and each replica keeps its own streams, so a
+stacked block plays every replica exactly as it would play alone, in as
+many batches as its deepest replica needs.
 
 The collision kernel works coordinate-major: the block is played on a
 ``(d, R N)`` copy whose row c holds coordinate c of every particle, so
@@ -46,13 +49,13 @@ from .core import RngStream
 
 
 @dataclass
-class EventRecord:
-    """Realized event streams of a replica block: enough to replay its collisions.
+class EventSegment:
+    """The events of a replica block between two snapshots: enough to replay them.
 
     The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
-    1]``, in its stream order, and its pair indices are rows of the
-    stacked state (offset by r N).  ``frames`` holds one raw frame vector
-    per event, row-major ``(K, d)``, or is None for d = 1.
+    1]``, in its stream order, and its pair indices (int32) are rows of
+    the stacked state (offset by r N).  ``frames`` holds one raw frame
+    vector per event, row-major ``(K, d)``, or is None for d = 1.
     """
 
     times: np.ndarray
@@ -102,8 +105,8 @@ def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tup
         # keeps each particle's slots in stream order
         by_particle = np.argsort(ends.astype(np.uint16), kind="stable")
     else:
-        # unique keys: any sort is stable
-        by_particle = np.argsort(ends * (2 * k) + np.arange(2 * k))
+        # unique keys: any sort is stable; int64, as int32 pairs would overflow
+        by_particle = np.argsort(np.multiply(ends, 2 * k, dtype=np.int64) + np.arange(2 * k))
     sorted_ends = ends[by_particle]
     prev = np.full(2 * k, k, dtype=np.int64)  # event k stands for "none", always placed
     src = by_particle[:-1] >> 1  # the event of the slot before, unless another particle's
@@ -307,55 +310,33 @@ def apply_pair_collisions(
 # a segment is played in chunks of at most this many events: one chunk per
 # snapshot segment of a 16,384-particle chaos-curve block (11-13 levels
 # for its ~12,500 events, against ~12 levels per 4,096-event chunk).  The
-# thermostat at N = 32768 takes 11 levels per chunk; over repeated
-# thermostat and McKean runs in one process its peak RSS stayed at
-# 124-126 MB, as with 4,096-event chunks, once chunk fields are gathered
-# without extra copies (one gather per field, a slice where the chunk is
-# one run of the record)
+# thermostat at N = 32768 takes 11 levels per chunk
 CHUNK_EVENTS = 16384
 
 
-def _segment_ends(record: EventRecord, snaps: np.ndarray) -> np.ndarray:
-    """Per snapshot and replica, one past the replica's last event at or before the snapshot."""
-    bounds = record.bounds
-    if len(bounds) == 2:
-        return np.searchsorted(record.times, snaps, side="right")[:, None]
-    # sort key: replica, then the first snapshot at or after the event;
-    # each replica's times ascend, so the keys do too
-    s = len(snaps) + 1
-    key = np.searchsorted(snaps, record.times)
-    key += np.repeat(np.arange(0, s * (len(bounds) - 1), s), np.diff(bounds))
-    queries = np.arange(0, s * (len(bounds) - 1), s) + np.arange(len(snaps))[:, None]
-    return np.searchsorted(key, queries, side="right")
-
-
-def _chunks(lo: np.ndarray, hi: np.ndarray, limit: int, with_owners: bool):
-    """Runs of at most limit events of the spans lo[r]:hi[r], replica by replica.
-
-    Yields each run's event indices (a slice where they are consecutive)
-    and, if asked, its owners: one ``(r, count)`` per span piece, in order.
-    """
-    live = np.flatnonzero(hi > lo)
-    lens = hi[live] - lo[live]
-    ends = np.cumsum(lens)  # each span's end in the segment's run of events
-    starts = ends - lens
-    index = np.repeat(lo[live] - starts, lens) + np.arange(ends[-1] if len(live) else 0)
-    for c0 in range(0, len(index), limit):
-        c1 = min(c0 + limit, len(index))
-        idx = index[c0:c1]
-        if idx[-1] - idx[0] == c1 - c0 - 1:
-            idx = slice(int(idx[0]), int(idx[-1]) + 1)
-        owners = None
-        if with_owners:
+def _play_segment(x, seg: EventSegment, restitution, apply, on_chunk) -> None:
+    """Play one segment on x, in chunks of at most ``CHUNK_EVENTS`` consecutive events."""
+    live = np.flatnonzero(np.diff(seg.bounds))  # replicas with events in the segment
+    starts, ends = seg.bounds[live], seg.bounds[live + 1]
+    for c0 in range(0, len(seg), CHUNK_EVENTS):
+        c1 = min(c0 + CHUNK_EVENTS, len(seg))
+        pi, pj = seg.pair_i[c0:c1], seg.pair_j[c0:c1]
+        order, batches = level_schedule(pi, pj)
+        frames = (None if seg.frames is None
+                  else np.ascontiguousarray(seg.frames[c0:c1].take(order, axis=0).T))
+        hook = None
+        if on_chunk is not None:
             k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
             counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
-            owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
-        yield idx, owners
+            hook = on_chunk(order, seg.times[c0:c1].take(order),
+                            list(zip(live[k0:k1].tolist(), counts.tolist())))
+        apply(x, pi.take(order), pj.take(order), seg.costh[c0:c1].take(order), frames,
+              restitution, batches, hook)
 
 
 def play_events(
     x: np.ndarray,
-    record: EventRecord,
+    record: list[EventSegment],
     snaps: np.ndarray,
     restitution: float | None = None,
     apply=None,
@@ -365,13 +346,13 @@ def play_events(
     """Play a stacked event record on x in place; row copies of x at the snapshots.
 
     x is the C-contiguous coordinate-major ``(d, R n)`` working copy of a
-    stacked state; each snapshot is a ``(R n, d)`` copy of its rows.  The
-    events up to each snapshot time form a segment, whose per-replica
-    bounds come from one vectorised search; events after the last
-    snapshot are never observed and are left out.  A segment is played in
-    chunks of consecutive events (replica by replica, each in stream
-    order), each chunk in its level schedule, and each field of a chunk is
-    one slice or one gather of the record.  ``apply`` (default
+    stacked state; each snapshot is a ``(R n, d)`` copy of its rows.
+    ``record`` holds one segment per snapshot, the events since the
+    previous snapshot, and is consumed: each segment leaves the list and
+    is released once played, before its snapshot is copied.  A segment is
+    played in chunks of consecutive events (replica by replica, each in
+    stream order), each chunk in its level schedule, and each field of a
+    chunk is one slice of the segment.  ``apply`` (default
     :func:`apply_pair_collisions`, looked up at call time) has that
     function's signature and gets the chunk's event fields in play order
     with one ``(lo, hi)`` batch per level.
@@ -385,21 +366,11 @@ def play_events(
     """
     if apply is None:
         apply = apply_pair_collisions
-    cursors = record.bounds[:-1]
     out = []
-    for s, uptos in zip(snaps, _segment_ends(record, snaps)):
-        for idx, owners in _chunks(cursors, uptos, CHUNK_EVENTS, on_chunk is not None):
-            pi, pj = record.pair_i[idx], record.pair_j[idx]
-            order, batches = level_schedule(pi, pj)
-            play = order + idx.start if isinstance(idx, slice) else idx[order]
-            frames = (None if record.frames is None
-                      else np.ascontiguousarray(record.frames.take(play, axis=0).T))
-            hook = None
-            if on_chunk is not None:
-                hook = on_chunk(order, record.times.take(play), owners)
-            apply(x, pi.take(order), pj.take(order), record.costh.take(play), frames,
-                  restitution, batches, hook)
-        cursors = uptos
+    for s in snaps:
+        # the call holds the segment's last reference, and its chunk views
+        # end with it: the segment is freed before the snapshot copy
+        _play_segment(x, record.pop(0), restitution, apply, on_chunk)
         if on_snapshot is not None:
             on_snapshot(float(s))
         out.append(x.T.copy())

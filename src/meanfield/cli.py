@@ -122,9 +122,22 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _integer(key: str, value) -> int:
+    """A config value that must be a whole number: an int or an integral float."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(key, f"must be an integer, got {value!r}")
+
+
+def _int(cfg: dict, key: str, default: int | None = None, required: bool = False) -> int:
+    return _integer(key, _get(cfg, key, default, required))
+
+
 def _count(cfg: dict, key: str, default: int) -> int:
     """A replica or projection count, refused below 1."""
-    value = int(_get(cfg, key, default))
+    value = _int(cfg, key, default)
     if value < 1:
         raise ConfigError(key, f"must be at least 1, got {value}")
     return value
@@ -144,13 +157,18 @@ def _as_list(v) -> list:
     return [v]
 
 
-def _as_floats(v) -> np.ndarray:
-    return np.asarray([float(x) for x in _as_list(v)], dtype=np.float64)
+def _floats(cfg: dict, key: str, default=None, required: bool = False) -> np.ndarray:
+    """A number or a list of numbers, as a float array."""
+    values = _as_list(_get(cfg, key, default, required))
+    try:
+        return np.asarray([float(x) for x in values], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"must be a number or a list of numbers, got {values!r}") from None
 
 
 def _n_list(cfg: dict) -> list[int]:
     """The particle counts of a curve, each refused below 1."""
-    n_values = [int(x) for x in _as_list(_get(cfg, "n_list", required=True))]
+    n_values = [_integer("n_list", x) for x in _as_list(_get(cfg, "n_list", required=True))]
     if min(n_values) < 1:
         raise ConfigError("n_list", f"must be at least 1, got {min(n_values)}")
     return n_values
@@ -158,7 +176,7 @@ def _n_list(cfg: dict) -> list[int]:
 
 def _per_coordinate(cfg: dict, key: str, default: list, m: int) -> np.ndarray:
     """A per-coordinate list of m values; a single value is broadcast."""
-    values = _as_floats(_get(cfg, key, default))
+    values = _floats(cfg, key, default)
     if len(values) == 1:
         return np.full(m, values[0])
     if len(values) != m:
@@ -177,7 +195,7 @@ def _build_kernel(cfg: dict, dim: int) -> AngularKernel:
     if name == "two_point":
         if dim != 1:
             raise ConfigError("kernel", "two_point kernels are one-dimensional")
-        w = _as_floats(_get(cfg, "kernel_weights", [0.5, 0.5]))
+        w = _floats(cfg, "kernel_weights", [0.5, 0.5])
         return AngularKernel.two_point(float(w[0]), float(w[1]))
     raise ConfigError("kernel", f"unknown kernel '{name}'")
 
@@ -188,7 +206,7 @@ def _build_observable(cfg: dict) -> ObservableProduct:
     if "observable_center" in cfg:
         # checked per coordinate, passed as given: the tag echoes the config
         _per_coordinate(cfg, "observable_center", None, _state_dim(cfg))
-        params["center"] = _as_floats(cfg["observable_center"])
+        params["center"] = _floats(cfg, "observable_center")
     for key, tgt in (
         ("observable_width", "width"),
         ("observable_scale", "scale"),
@@ -200,7 +218,7 @@ def _build_observable(cfg: dict) -> ObservableProduct:
 
 
 def _state_dim(cfg: dict) -> int:
-    d = int(_get(cfg, "dimension", required=True))
+    d = _int(cfg, "dimension", required=True)
     if _get(cfg, "model", required=True) == "vlasov":
         return 2 * d
     return d
@@ -283,7 +301,7 @@ def _build_vlasov_spec(cfg: dict, dim: int) -> VlasovSpec:
 def _model_kernel(cfg: dict) -> AngularKernel | None:
     """The angular kernel of a collision model, built once per command."""
     if _get(cfg, "model", required=True) in ("kac_elastic", "inelastic_thermostat"):
-        return _build_kernel(cfg, int(_get(cfg, "dimension", required=True)))
+        return _build_kernel(cfg, _int(cfg, "dimension", required=True))
     return None
 
 
@@ -295,11 +313,11 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
     model = _get(cfg, "model", required=True)
     if model not in _MODELS:
         raise ConfigError("model", f"must be one of {_MODELS}")
-    times = _as_floats(_get(cfg, "snapshot_times", required=True))
+    times = _floats(cfg, "snapshot_times", required=True)
     t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
     init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
     initial = _initial_state(cfg, n, init_streams)
-    dim = int(_get(cfg, "dimension", required=True))
+    dim = _int(cfg, "dimension", required=True)
     dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
     if model == "kac_elastic":
         states = simulate_kac(initial, kernel, t_end, times, dyn_streams)
@@ -379,7 +397,7 @@ def _fit_footers(n_values, errors, std_errors) -> list[tuple[str, object]]:
 
 def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
-    n = int(_get(cfg, "n", required=True))
+    n = _int(cfg, "n", required=True)
     times, states, (draws,) = _simulate_runs(cfg, n, seed, [(1, 2)], _model_kernel(cfg))
     m = states[0].dim if states else 0
     columns = ["time", "temperature"] + [f"mom_{k}" for k in range(m)]
@@ -420,7 +438,7 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         extra.append(("estimator_used", "sliced-monte-carlo"))
     elif name in ("toscani", "h_sobolev"):
         xi_max = float(_get(cfg, "xi_max", 40.0))
-        n_nodes = int(_get(cfg, "xi_nodes", 4096))
+        n_nodes = _int(cfg, "xi_nodes", 4096)
         xi = np.linspace(-xi_max, xi_max, n_nodes)
         s_order = float(_get(cfg, "s", 3.0 if name == "toscani" else 1.0))
         if name == "toscani":
@@ -430,7 +448,7 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
             value = h_neg_sobolev_norm(a, b, s_order, xi)
             extra.append(("estimator_used", "grid-trapezoid"))
     else:
-        edges = _as_floats(_get(cfg, "bin_edges", required=True))
+        edges = _floats(cfg, "bin_edges", required=True)
         value = tv_histogram(a, b, edges)
         extra.append(("estimator_used", "binned-tv-lower-bound"))
     header = _header(cfg, seed, extra + _accounting_items(draws))
@@ -457,14 +475,14 @@ def _replica_blocks(n: int, sids: list[int]) -> list[tuple[int, list[int]]]:
 def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
     model = _get(cfg, "model", required=True)
-    times = _as_floats(_get(cfg, "snapshot_times", required=True))
+    times = _floats(cfg, "snapshot_times", required=True)
     n_values = _n_list(cfg)
     obs = _build_observable(cfg)
     estimator = str(_get(cfg, "estimator", "empirical-mean"))
     if estimator not in ("empirical-mean", "marginal"):
         raise ConfigError("estimator", f"unknown estimator '{estimator}' "
                           "(empirical-mean or marginal)")
-    n_ref = int(_get(cfg, "n_ref", required=True))
+    n_ref = _int(cfg, "n_ref", required=True)
     if n_ref < 16 * max(n_values):
         raise ConfigError("n_ref", "must be at least 16x the largest N")
     deterministic = model == "vlasov"
@@ -501,7 +519,7 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
 
 def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
-    dim = int(_get(cfg, "dimension", required=True))
+    dim = _int(cfg, "dimension", required=True)
     n_values = _n_list(cfg)
     replicas = _replica_count(cfg, 200)
     estimator = str(_get(cfg, "estimator", "auto"))
@@ -682,6 +700,9 @@ def main(argv: list[str] | None = None) -> int:
         _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers), out)
     except (ValueError, SimulationError, SpectralInstability) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        sys.stderr.write(f"error: out of memory: {str(exc) or 'an allocation failed'}\n")
         return 2
     return 0
 

@@ -92,14 +92,18 @@ class RngStream:
             if size is None:
                 self.draw_counter += 1
                 return min(np.float64(self._gen.random()) + _HALF_STEP, _BELOW_ONE)
-            out = self._gen.random(size)
-        else:
-            self._gen.random(out=out)
+            out = np.empty(size)
+        return open_unit(self.uniform_words(out))
+
+    def uniform_words(self, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with the words ``k * 2**-53`` that ``uniform(out=out)`` draws, unshifted.
+
+        ``open_unit`` turns them into those uniforms element by element, so
+        a caller can fill many small pieces of one buffer and shift the
+        buffer once.
+        """
+        self._gen.random(out=out)
         self.draw_counter += out.size
-        out += _HALF_STEP
-        # a read-only scan is cheaper than a clamp pass, and the top word is rare
-        if np.maximum.reduce(out, axis=None, initial=0.0) == 1.0:
-            np.minimum(out, _BELOW_ONE, out=out)
         return out
 
     def normal(self, size=None) -> np.ndarray | float:
@@ -112,10 +116,10 @@ class RngStream:
     def exponential(self, scale: float = 1.0, size=None) -> np.ndarray | float:
         return -scale * np.log(self.uniform(size=size))
 
-    def integers(self, low: int, high: int, size=None) -> np.ndarray | int:
-        """Uniform integers in [low, high)."""
+    def integers(self, low: int, high: int, size=None, dtype=np.int64) -> np.ndarray | int:
+        """Uniform integers in [low, high), of the given numpy integer dtype."""
         self.draw_counter += self._count(size)
-        return self._gen.integers(low, high, size=size)
+        return self._gen.integers(low, high, size=size, dtype=dtype)
 
     def unit_vectors(self, dim: int, n: int) -> np.ndarray:
         """n independent uniform directions on the (dim-1)-sphere."""
@@ -130,6 +134,15 @@ class RngStream:
             norms = np.linalg.norm(g, axis=1, keepdims=True)
             bad = norms[:, 0] < 1e-300
         return g / norms
+
+
+def open_unit(words: np.ndarray) -> np.ndarray:
+    """Shift ``RngStream.uniform_words`` in place onto (0, 1), as ``RngStream.uniform`` does."""
+    words += _HALF_STEP
+    # a read-only scan is cheaper than a clamp pass, and the top word is rare
+    if np.maximum.reduce(words, axis=None, initial=0.0) == 1.0:
+        np.minimum(words, _BELOW_ONE, out=words)
+    return words
 
 
 @dataclass
@@ -275,15 +288,15 @@ def replica_normals(rngs: Sequence[RngStream], owners, width: int) -> np.ndarray
     """Rows of ``width`` normals: ``count`` from ``rngs[r]`` for each ``(r, count)`` of owners.
 
     The package's one block normal draw: each owner's stream fills its
-    rows of one buffer with uniforms, as ``RngStream.normal`` would draw
-    them, and one ``ndtri`` pass transforms the block.
+    rows of one buffer with the words of the uniforms ``RngStream.normal``
+    would draw, and one shift and one ``ndtri`` pass transform the block.
     """
     z = np.empty((sum(k for _, k in owners), width))
     lo = 0
     for r, k in owners:
-        rngs[r].uniform(out=z[lo:lo + k])
+        rngs[r].uniform_words(z[lo:lo + k])
         lo += k
-    return ndtri(z, out=z)
+    return ndtri(open_unit(z), out=z)
 
 
 def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:

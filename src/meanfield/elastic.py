@@ -20,7 +20,8 @@ import numpy as np
 from scipy.special import gammaln, ndtri
 
 from . import _events
-from .core import ParticleState, RngStream, SimulationError, replica_size, validate_snapshots
+from .core import (ParticleState, RngStream, SimulationError, open_unit, replica_size,
+                   validate_snapshots)
 
 __all__ = [
     "AngularKernel",
@@ -119,38 +120,40 @@ class AngularKernel:
         )
         return float(np.trapezoid(vals, t) / self.raw_norm)
 
-    def cosines(self, u: np.ndarray) -> np.ndarray:
-        """Deviation-angle cosines of uniforms u on (0, 1), by inverse transform."""
+    def cosines(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Deviation-angle cosines of uniforms u on (0, 1), by inverse transform.
+
+        Written into ``out`` when given, which may be u itself.
+        """
+        if out is None:
+            out = np.empty(np.shape(u))
         if self.dim == 1:
-            wp, _ = self.weights
-            return np.where(u < wp, 1.0, -1.0)
-        if self._exact == "isotropic-3d":
-            return 1.0 - 2.0 * u
-        if self._exact == "isotropic-2d":
-            return np.cos(math.pi * u)
-        return np.cos(np.interp(u, self._u_nodes, self._theta_of_u))
+            np.copyto(out, np.where(u < self.weights[0], 1.0, -1.0))
+        elif self._exact == "isotropic-3d":
+            np.multiply(u, -2.0, out=out)
+            out += 1.0  # 1 - 2 u, rounded once as written
+        elif self._exact == "isotropic-2d":
+            np.cos(np.multiply(u, math.pi, out=out), out=out)
+        else:
+            np.cos(np.interp(u, self._u_nodes, self._theta_of_u), out=out)
+        return out
 
     def sample_costheta(self, k: int, rng: RngStream) -> np.ndarray:
         return self.cosines(np.atleast_1d(rng.uniform(size=k)))
 
 
-def _generate_events(
-    n: int,
-    dim: int,
-    rate: float,
-    kernel: AngularKernel,
-    t0: float,
-    t_end: float,
-    rngs: Sequence[RngStream],
-) -> _events.EventRecord:
-    """The stacked event record of R = len(rngs) replicas of n particles.
+def _segment_times(rate, t0, t_end, snaps, rngs):
+    """Each stream's Poisson clock on (t0, t_end), cut at the snapshots into segments.
 
-    Stream r draws, in this order: ``expected`` exponential gaps (and, if
-    its clock has not passed t_end, more of them as
-    ``_events.extend_times`` does), the first and the second pair index of
-    its k events, k cosine uniforms and k d frame uniforms.  Each draw
-    fills a row or a slice of a block buffer; the transforms run once per
-    block.
+    Stream r draws ``expected`` exponential gaps (and, if its clock has
+    not passed t_end, more of them as ``_events.extend_times`` does) into
+    a row of one block buffer.  Returns the per-segment times, the
+    per-segment replica bounds, and each stream's plan: one ``(segment,
+    start in it, first event, one past its last)`` per nonempty piece of
+    its events, in stream order.  The last segment holds the events after
+    the last snapshot, every stream's piece at its start.  A function of
+    its own, so that the clock buffer, which the per-stream times view, is
+    freed before the record's other fields are allocated.
     """
     reps = len(rngs)
     expected = max(64, int(1.2 * rate * (t_end - t0)) + 16) if rate > 0.0 and t_end > t0 else 0
@@ -163,44 +166,88 @@ def _generate_events(
     np.cumsum(clock, axis=1, out=clock)
     clock += t0
     keep = clock < t_end
-    counts = keep.sum(axis=1)
-    short = np.flatnonzero(keep[:, -1]) if expected else []
-    if len(short):  # a clock that has not passed t_end refills on its own
-        extended = {r: _events.extend_times(clock[r], rate, t_end, expected, rngs[r])
-                    for r in short.tolist()}
-        parts = [extended.get(r, clock[r, :c]) for r, c in enumerate(counts.tolist())]
-        times = np.concatenate(parts)
-        counts = np.array([len(t) for t in parts])
-    else:
-        times = clock[keep]
-    del clock, keep
-    bounds = np.zeros(reps + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    a = np.empty(len(times), dtype=np.int64)
-    b = np.empty(len(times), dtype=np.int64)
-    u = np.empty(len(times))
-    raw = np.empty((len(times), dim)) if dim >= 2 else None
-    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
-        a[lo:hi] = rng.integers(0, n, size=hi - lo)
-        b[lo:hi] = rng.integers(0, n - 1, size=hi - lo)
-        rng.uniform(out=u[lo:hi])
-        if raw is not None:
-            rng.uniform(out=raw[lo:hi])
-    costh = kernel.cosines(u)
-    del u
-    # uniform pairs i != j, canonicalized to i < j: the collision laws are
-    # orientation-free (swapping the pair and reflecting sigma preserves the
-    # update law), so the canonical order loses nothing
-    b += b >= a
-    pj = np.maximum(a, b)
-    pi = np.minimum(a, b, out=a)
-    del b
-    if reps > 1:  # replica r's particles are rows r n .. r n + n - 1
-        offset = np.repeat(np.arange(0, reps * n, n), counts)
-        pi += offset
-        pj += offset
-    return _events.EventRecord(times=times, pair_i=pi, pair_j=pj, costh=costh,
-                               frames=None if raw is None else ndtri(raw, out=raw), bounds=bounds)
+    times = [clock[r, :c] for r, c in enumerate(keep.sum(axis=1).tolist())]
+    short = np.flatnonzero(keep[:, -1]).tolist() if expected else []
+    for r in short:  # a clock that has not passed t_end refills on its own
+        times[r] = _events.extend_times(clock[r], rate, t_end, expected, rngs[r])
+    # stream r's events edges[r, s]:edges[r, s + 1] fall in segment s
+    edges = np.zeros((reps, len(snaps) + 2), dtype=np.int64)
+    for t, row in zip(times, edges):
+        row[1:-1] = np.searchsorted(t, snaps, side="right")
+        row[-1] = len(t)
+    pieces = np.diff(edges, axis=1)
+    starts = np.cumsum(pieces, axis=0) - pieces
+    starts[:, -1] = 0
+    sizes = pieces.sum(axis=0)
+    sizes[-1] = pieces[:, -1].max(initial=0)
+    bounds = np.zeros((len(snaps) + 1, reps + 1), dtype=np.int64)
+    np.cumsum(pieces.T, axis=1, out=bounds[:, 1:])
+    plan = [[(s, lo, e0, e1) for s, (lo, e0, e1) in enumerate(zip(lo_r, e_r, e_r[1:])) if e1 > e0]
+            for lo_r, e_r in zip(starts.tolist(), edges.tolist())]
+    seg_times = [np.empty(m) for m in sizes.tolist()]
+    for t, plan_r in zip(times, plan):
+        for s, lo, e0, e1 in plan_r:
+            seg_times[s][lo:lo + e1 - e0] = t[e0:e1]
+    return seg_times, bounds, plan
+
+
+def _generate_events(
+    n: int,
+    dim: int,
+    rate: float,
+    kernel: AngularKernel,
+    t0: float,
+    t_end: float,
+    snaps: np.ndarray,
+    rngs: Sequence[RngStream],
+) -> list[_events.EventSegment]:
+    """The stacked event record of R = len(rngs) replicas of n particles, cut at the snapshots.
+
+    Segment s holds the events in (snaps[s - 1], snaps[s]] (from t0 for
+    s = 0), replica after replica.  Stream r draws, in this order: its
+    clock gaps (``_segment_times``), the first and the second int32 pair
+    index of its k events (one call each), k cosine uniforms and k d
+    frame uniforms.  The uniforms go, piece by piece in stream order,
+    straight into the segments, and the events after the last snapshot,
+    which nothing plays, into scratch that is dropped.  The transforms
+    run once per segment, in place.
+    """
+    if len(rngs) * n > np.iinfo(np.int32).max:
+        raise SimulationError("a replica stack indexes at most 2**31 - 1 particles")
+    seg_times, bounds, plan = _segment_times(rate, t0, t_end, snaps, rngs)
+    sizes = [len(t) for t in seg_times]
+    pair_i, pair_j = ([np.empty(m, dtype=np.int32) for m in sizes] for _ in range(2))
+    costh = [np.empty(m) for m in sizes]
+    frames = [np.empty((m, dim)) for m in sizes] if dim >= 2 else None
+    for rng, plan_r in zip(rngs, plan):
+        k = plan_r[-1][3] if plan_r else 0  # the stream's events: its last piece ends there
+        for high, dst in ((n, pair_i), (n - 1, pair_j)):
+            drawn = rng.integers(0, high, size=k, dtype=np.int32)
+            for s, lo, e0, e1 in plan_r:
+                dst[s][lo:lo + e1 - e0] = drawn[e0:e1]
+            del drawn  # before the next draw: one stream's indices held at a time
+        for dst in (costh,) if frames is None else (costh, frames):
+            for s, lo, e0, e1 in plan_r:
+                rng.uniform_words(dst[s][lo:lo + e1 - e0])
+    offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)
+    for s in range(len(snaps)):  # the last segment, after the last snapshot, is dropped
+        # replica r's particles are rows r n .. r n + n - 1; uniform pairs
+        # i != j, canonicalized to i < j: the collision laws are
+        # orientation-free (swapping the pair and reflecting sigma preserves
+        # the update law), so the canonical order loses nothing
+        a, b = pair_i[s], pair_j[s]
+        b += b >= a
+        pair_j[s] = np.maximum(a, b)
+        np.minimum(a, b, out=a)
+        offset = np.repeat(offsets, np.diff(bounds[s]))
+        a += offset
+        pair_j[s] += offset
+        kernel.cosines(open_unit(costh[s]), out=costh[s])
+        if frames is not None:
+            ndtri(open_unit(frames[s]), out=frames[s])
+    return [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s],
+                                 None if frames is None else frames[s], bounds[s])
+            for s in range(len(snaps))]
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
@@ -221,7 +268,7 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
     if kernel.dim * (2 if apply is _apply_coupled else 1) != initial.dim:
         raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
-    record = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end, rngs)
+    record = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end, snaps, rngs)
     x = initial.coords.T.copy()  # coordinate-major working copy
     on_chunk, on_snapshot = (None, None) if bath is None else bath(x)
     captured = _events.play_events(x, record, snaps, restitution, apply,

@@ -375,6 +375,23 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     # input_a and input_b entries are particle arrays written to files
     ("metric", {"metric": "w2_sliced", "input_a": np.zeros((4, 2)), "input_b": np.ones((4, 2)),
                 "n_projections": 0}, "n_projections"),
+    # counts are whole numbers: a fraction or a boolean is refused, not truncated
+    ("simulate", {**KAC_D3, "n": 2.5}, "n"),
+    ("simulate", {**KAC_D3, "dimension": 3.5}, "dimension"),
+    ("omega-n", {**OMEGA_D3, "dimension": True}, "dimension"),
+    ("omega-n", {**OMEGA_D3, "dimension": "three"}, "dimension"),
+    ("chaos-curve", {**CURVE_CFG, "n_ref": 256.5}, "n_ref"),
+    ("chaos-curve", {**CURVE_CFG, "n_list": [8, 16.5]}, "n_list"),
+    ("omega-n", {**OMEGA_D3, "n_list": [8, True]}, "n_list"),
+    ("chaos-curve", {**CURVE_CFG, "replicas": 6.5}, "replicas"),
+    ("chaos-curve", {**CURVE_CFG, "replicas_ref": True}, "replicas_ref"),
+    ("omega-n", {**OMEGA_D3, "n_projections": 1.5}, "n_projections"),
+    ("metric", {"metric": "toscani", "input_a": np.zeros((4, 1)), "input_b": np.ones((4, 1)),
+                "xi_nodes": 64.5}, "xi_nodes"),
+    # an empty or non-numeric snapshot time is refused on its field
+    ("simulate", {**KAC_D3, "snapshot_times": ""}, "snapshot_times"),
+    ("simulate", {**KAC_D3, "snapshot_times": [0.5, "later"]}, "snapshot_times"),
+    ("chaos-curve", {**CURVE_CFG, "snapshot_times": "soon"}, "snapshot_times"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     for key in ("initial_file", "input_a", "input_b"):
@@ -388,6 +405,34 @@ def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     path.write_text(format_config(cfg))
     assert main([command, "--config", str(path)]) == 2
     assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_config_integral_float_count_accepted():
+    # a whole number written as a float is the count it names, echoed alike
+    got = cli.cmd_simulate({**KAC_D3, "n": 8.0, "dimension": 3.0}, 0, 1, None)
+    assert got == cli.cmd_simulate(dict(KAC_D3), 0, 1, None)
+
+
+def test_main_reports_memory_error_as_one_line(monkeypatch, tmp_path, capsys):
+    # an allocation too large for the machine is a refusal, exit 2, not a traceback
+    def oversize(cfg, seed, workers, out):
+        raise MemoryError("Unable to allocate 1.40 TiB for an array with shape "
+                          "(64000000000, 3) and data type float64")
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", oversize)
+    path = tmp_path / "big.cfg"
+    path.write_text(format_config({**KAC_D3, "n": 64_000_000_000}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 1.40 TiB")
+    assert err.count("\n") == 1
+
+    def bare(cfg, seed, workers, out):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "simulate", bare)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
 
 
 def test_cmd_omega_n_small():

@@ -293,6 +293,27 @@ def test_rng_uniform_fill_equals_the_raw_word_formula():
     np.testing.assert_array_equal(RngStream(4, 1)._gen.random(1000), (raw >> 11) * 2.0**-53)
 
 
+@pytest.mark.parametrize("n", [2, 7, 1024, 32768, 2**31 - 1])
+def test_int32_integers_equal_int64_draws(n):
+    # the event engine draws its pair indices as int32: the values and the
+    # generator state are those of the int64 draw, also after odd sizes that
+    # leave half a raw word buffered
+    a, b = (np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(7,))))
+            for _ in range(2))
+    for size in (1, 5, 1000, 0, 3):
+        x = a.integers(0, n, size=size, dtype=np.int32)
+        y = b.integers(0, n, size=size)
+        assert x.dtype == np.int32 and y.dtype == np.int64
+        np.testing.assert_array_equal(x, y)
+        assert str(a.bit_generator.state) == str(b.bit_generator.state)
+    assert a.random() == b.random()
+    # and through the stream, which counts the draws either way
+    r32, r64 = RngStream(13, 8), RngStream(13, 8)
+    np.testing.assert_array_equal(r32.integers(0, n, size=9, dtype=np.int32),
+                                  r64.integers(0, n, size=9))
+    assert r32.draw_counter == r64.draw_counter == 9
+
+
 def test_rng_unit_vectors():
     v = RngStream(11, 0).unit_vectors(3, 200)
     np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)

@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from meanfield import _events
-from meanfield.core import ParticleState, RngStream, gaussian_sample_state
+from meanfield.core import ParticleState, RngStream, SimulationError, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
     _apply_coupled,
@@ -129,8 +129,9 @@ def test_collide_elastic_conservation_random():
 
 def test_next_collision_rate_and_mean_wait():
     # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
-    times = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, 200_000.0,
-                             [RngStream(21, 0)]).times
+    (segment,) = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, 200_000.0,
+                                  [200_000.0], [RngStream(21, 0)])
+    times = segment.times
     waits = np.diff(times, prepend=0.0)
     assert len(waits) > 99_000
     assert 1.98 <= waits.mean() <= 2.02
@@ -140,7 +141,7 @@ def test_next_collision_rate_and_mean_wait():
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
     simulate_kac(st100, kern, 10.0, [10.0], [dyn])
-    rec = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [alone])
+    (rec,) = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [10.0], [alone])
     assert dyn.draw_counter == alone.draw_counter  # the run drew exactly this record
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
@@ -307,6 +308,26 @@ def test_level_schedule_equals_keyed_argsort(n, top):
         assert order.size == 0 and batches == []
 
 
+def test_level_schedule_int32_pairs_past_the_int32_key():
+    # from 2**16 particles on, slots are ordered by the key ends * 2k + slot,
+    # which passes 2**31 here.  Built from the engine's int32 pairs it must
+    # be int64: wrapped to 32 bits, with 2k = 2**15, particles p and p + 2**17
+    # share their keys, their slots interleave, and events 1 and 2 would
+    # lose their dependency on event 0
+    n, k = 200_000, 2**14
+    pi, pj = sample_pairs(n, k, RngStream(9, 1))
+    pi[:3], pj[:3] = [5, 5, 12], [5 + 2**17, 9, 5 + 2**17]
+    assert int(pj.max()) * 2 * k > 2**32
+    order, batches = _events.level_schedule(pi.astype(np.int32), pj.astype(np.int32))
+    want_order, want_batches = keyed_level_schedule(pi, pj)
+    np.testing.assert_array_equal(order, want_order)
+    assert batches == want_batches
+    level = np.empty(k, dtype=np.int64)
+    for lv, (lo, hi) in enumerate(batches):
+        level[order[lo:hi]] = lv
+    assert level[0] == 0 and level[1] > 0 and level[2] > 0
+
+
 def test_level_schedule_refuses_self_pair():
     # an event on (p, p) would wait on itself; refused instead of spinning
     with pytest.raises(ValueError, match="itself"):
@@ -413,12 +434,13 @@ def test_column_helpers_equal_numpy_sums(d):
 
 
 class _HalfGaps(RngStream):
-    """A stream whose uniforms are square roots, so its exponential gaps halve:
-    its first clock draw ends before t_end and the clock refills."""
+    """A stream whose uniform words are square roots, so its exponential gaps
+    halve: its first clock draw ends before t_end and the clock refills.
+    Every array of uniforms, whole or filled piece by piece, passes through
+    ``uniform_words``."""
 
-    def uniform(self, size=None, out=None):
-        u = super().uniform(size, out)
-        return np.sqrt(u) if np.ndim(u) == 0 else np.sqrt(u, out=u)
+    def uniform_words(self, out):
+        return np.sqrt(super().uniform_words(out), out=out)
 
 
 @pytest.mark.parametrize("d, kernel", [
@@ -430,28 +452,72 @@ class _HalfGaps(RngStream):
     (2, AngularKernel(dim=2, density=lambda c: np.exp(c), name="forward")),
 ])
 def test_generate_events_block_equals_per_stream_generator(d, kernel):
-    # the block record against each stream generating alone: every field,
-    # the replica bounds and the draw counts; stream 1 refills its clock
+    # the segmented block record, reassembled per replica, against each
+    # stream generating alone: every field, the replica bounds and the draw
+    # counts; stream 1 refills its clock.  The snapshots cut at t0 (an empty
+    # first segment), twice at one time (an empty segment) and at t_end
     n, rate, t0, t_end = 7, 3.0 * 6, 0.5, 5.5
+    snaps = np.array([t0, 1.25, 1.25, 3.0, t_end])
     block = [RngStream(70, r) for r in range(4)]
     block[1] = _HalfGaps(70, 1)
     alone = [type(s)(70, s.stream_id) for s in block]
-    rec = _generate_events(n, d, rate, kernel, t0, t_end, block)
+    rec = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
     parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
     counts = [len(p[0]) for p in parts]
     assert counts[1] > max(64, int(1.2 * rate * (t_end - t0)) + 16) // 2  # refilled
-    np.testing.assert_array_equal(rec.bounds, np.cumsum([0] + counts))
-    offsets = np.repeat(np.arange(4) * n, counts)
-    for field, got in enumerate([rec.times, rec.pair_i - offsets, rec.pair_j - offsets,
-                                 rec.costh, rec.frames]):
-        if got is None:
-            assert d == 1 and all(p[4] is None for p in parts)
-            continue
-        want = np.concatenate([p[field] for p in parts])
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert len(rec) == len(snaps) and len(rec[0]) == len(rec[2]) == 0
+    for seg, lo, hi in zip(rec, np.concatenate(([-np.inf], snaps[:-1])), snaps):
+        assert np.all((seg.times > lo) & (seg.times <= hi))
+    for r, p in enumerate(parts):
+        assert sum(seg.bounds[r + 1] - seg.bounds[r] for seg in rec) == counts[r]
+        for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "frames"]):
+            got = [getattr(seg, name) for seg in rec]
+            if p[field] is None:
+                assert d == 1 and all(g is None for g in got)
+                continue
+            got = np.concatenate([g[seg.bounds[r]:seg.bounds[r + 1]] for g, seg in zip(got, rec)])
+            if name.startswith("pair"):  # rows of the stack, drawn and kept as int32
+                assert got.dtype == np.int32
+                np.testing.assert_array_equal(got - r * n, p[field])
+            else:
+                assert got.dtype == p[field].dtype and got.tobytes() == p[field].tobytes()
     assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-    empty = _generate_events(n, d, rate, kernel, t0, t0, [RngStream(70, 9)])
-    assert len(empty) == 0 and empty.bounds.tolist() == [0, 0]
+    empty = _generate_events(n, d, rate, kernel, t0, t0, np.array([t0]), [RngStream(70, 9)])
+    assert len(empty) == 1 and len(empty[0]) == 0 and empty[0].bounds.tolist() == [0, 0]
+
+
+def test_generate_events_drops_events_after_the_last_snapshot():
+    # the events after the last snapshot are drawn, so the streams end where
+    # a lone generator's do, and dropped; without snapshots none is kept
+    n, d, rate, t0, t_end = 9, 3, 4.0 * 8, 0.0, 3.0
+    kernel = AngularKernel.isotropic(d)
+    for snaps in (np.array([0.4, 1.0]), np.array([])):
+        block = [RngStream(71, r) for r in range(3)]
+        alone = [RngStream(71, r) for r in range(3)]
+        rec = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
+        parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
+        assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
+        if not len(snaps):
+            assert rec == []
+            continue
+        assert len(rec) == len(snaps)
+        for r, p in enumerate(parts):
+            kept = int(np.searchsorted(p[0], snaps[-1], side="right"))
+            assert 0 < kept < len(p[0])
+            for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "frames"]):
+                got = np.concatenate([getattr(seg, name)[seg.bounds[r]:seg.bounds[r + 1]]
+                                      for seg in rec])
+                np.testing.assert_array_equal(got - (r * n if name.startswith("pair") else 0),
+                                              p[field][:kept])
+
+
+def test_generate_events_refuses_stacks_past_int32_indices():
+    # pair indices are int32 rows of the stack; no event is drawn before the refusal
+    rngs = [RngStream(72, 0), RngStream(72, 1)]
+    with pytest.raises(SimulationError, match="2\\*\\*31 - 1 particles"):
+        _generate_events(2**30, 1, 1.0, AngularKernel.isotropic(1), 0.0, 1.0, np.array([1.0]),
+                         rngs)
+    assert [s.draw_counter for s in rngs] == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -558,8 +624,9 @@ def test_replay_coupled_identical_streams():
     out1 = simulate_kac(st0, kern, 2.0, snaps, [RngStream(4, 1)])
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
-    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, [RngStream(4, 1)])
+    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, np.asarray(snaps), [RngStream(4, 1)])
     out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps))
+    assert rec == []  # each segment leaves the record once played
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b)
 

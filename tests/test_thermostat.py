@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,11 +163,36 @@ def test_bath_off_draws_only_the_event_stream():
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
-    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, [alone])
+    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, np.asarray(snaps), [alone])
     assert dyn.draw_counter == alone.draw_counter
     replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), p.alpha)
     for a, b in zip(out, replay):
         np.testing.assert_array_equal(a.coords, b)
+
+
+def test_run_peak_memory_below_record_plus_snapshots():
+    # each segment of the event record is released once played, before its
+    # snapshot is copied, so a run's traced peak stays below its record and
+    # all its snapshots side by side, where a record kept whole to the end
+    # puts it
+    n, d, t_end = 4096, 3, 10.0
+    snaps = np.arange(0.5, t_end + 0.25, 0.5)
+    kern = AngularKernel.isotropic(d)
+    p = RestitutionParams(alpha=0.8, nu=1.0, dim=d)
+    st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(24, 0))
+    rec = _generate_events(n, d, n - 1.0, kern, 0.0, t_end, snaps, [RngStream(24, 1)])
+    record_bytes = sum(a.nbytes for s in rec for a in (s.times, s.pair_i, s.pair_j, s.costh,
+                                                         s.frames))
+    del rec
+    snapshot_bytes = len(snaps) * n * d * 8
+    tracemalloc.start()
+    try:
+        out = simulate_thermostat(st0, kern, p, t_end, snaps, [RngStream(24, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == len(snaps)
+    assert peak < record_bytes + snapshot_bytes
 
 
 def test_halved_rate_runs_collisions_at_half_speed():
