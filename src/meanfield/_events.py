@@ -45,8 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream
-
 
 @dataclass
 class EventSegment:
@@ -55,35 +53,19 @@ class EventSegment:
     The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
     1]``, in its stream order, and its pair indices (int32) are rows of
     the stacked state (offset by r N).  ``frames`` holds one raw frame
-    vector per event, row-major ``(K, d)``, or is None for d = 1.
+    vector per event, row-major ``(K, d)``; at d = 1, which has no
+    azimuth, it is ``(K, 0)``.
     """
 
     times: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     costh: np.ndarray
-    frames: np.ndarray | None
+    frames: np.ndarray
     bounds: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-def extend_times(times: np.ndarray, rate: float, t1: float, expected: int,
-                 rng: RngStream) -> np.ndarray:
-    """A Poisson clock's jump times on (t0, t1) from its first draw ``times``.
-
-    ``times`` are the first ``expected`` jumps; while the last lies before
-    t1 the clock draws ``max(64, expected // 4)`` more gaps from ``rng``
-    (shrinking the batch each time), and the jumps before t1 are returned.
-    """
-    out = []
-    while times[-1] < t1:
-        out.append(times)
-        expected = max(64, int(0.25 * expected))
-        times = times[-1] + np.cumsum(rng.exponential(scale=1.0 / rate, size=expected))
-    out.append(times[times < t1])
-    return np.concatenate(out)
 
 
 def level_schedule(pi: np.ndarray, pj: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -192,26 +174,21 @@ def _orthonormal_to(uhat: np.ndarray, g: np.ndarray) -> np.ndarray:
     return e
 
 
-def deviation_vectors(
-    u: np.ndarray,
-    r: np.ndarray,
-    costh: np.ndarray,
-    frames: np.ndarray | None,
-    sinth: np.ndarray | None = None,
-) -> np.ndarray:
+def deviation_vectors(u: np.ndarray, r: np.ndarray, costh: np.ndarray, frames: np.ndarray,
+                      sinth: np.ndarray) -> np.ndarray:
     """Unit columns sigma with sigma·(u/r) = costh, azimuth uniform via frames.
 
-    u and frames are coordinate-major (d, k).  Columns with r == 0 return
-    an arbitrary placeholder (the caller must mask them; the collision
-    update leaves such pairs unchanged anyway).  ``sinth`` is
-    ``sine_of(costh)``, passed by a caller that computes it once for many
-    batches.
+    u and frames are coordinate-major (d, k); at d = 1 frames (0, k) is
+    unused.  Columns with r == 0 return an arbitrary placeholder (the
+    caller must mask them; the collision update leaves such pairs
+    unchanged anyway).  ``sinth`` is ``sine_of(costh)``, which a caller
+    computes once for many batches.
     """
     uhat = u / np.where(r > 0.0, r, 1.0)
     if u.shape[0] == 1:
         return costh * uhat
     ehat = _orthonormal_to(uhat, frames)
-    ehat *= sine_of(costh) if sinth is None else sinth
+    ehat *= sinth
     uhat *= costh
     uhat += ehat
     return uhat
@@ -276,7 +253,7 @@ def apply_pair_collisions(
     pi: np.ndarray,
     pj: np.ndarray,
     costh: np.ndarray,
-    frames: np.ndarray | None,
+    frames: np.ndarray,
     restitution: float | None,
     batches: list[tuple[int, int]],
     pre_batch_hook=None,
@@ -284,22 +261,21 @@ def apply_pair_collisions(
     """Apply the collision sequence to the C-contiguous coordinate-major (d, M) x in place.
 
     Event e collides columns pi[e] and pj[e] with deviation cosine
-    costh[e] and frame column frames[:, e] (frames is (d, K), None for
-    d = 1).  restitution None means the elastic rule (relative speed
+    costh[e] and frame column frames[:, e] of the (d, K) frames, (0, K)
+    at d = 1.  restitution None means the elastic rule (relative speed
     preserved); otherwise the inelastic rule with that coefficient.
     pre_batch_hook, when given, is called as hook(lo, hi, idx_i, idx_j)
     before each batch (the thermostat uses it to bring colliding particles
     up to date with their diffusion).
     """
-    sinth = None if frames is None else sine_of(costh)
+    sinth = sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
         if pre_batch_hook is not None:
             pre_batch_hook(lo, hi, ii, jj)
         w, u, r = pair_geometry(x, ii, jj)
-        sigma = deviation_vectors(u, r, costh[lo:hi], None if frames is None else frames[:, lo:hi],
-                                  None if sinth is None else sinth[lo:hi])
+        sigma = deviation_vectors(u, r, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
         if restitution is None:
             u_star = np.multiply(r, sigma, out=sigma)
         else:
@@ -322,8 +298,7 @@ def _play_segment(x, seg: EventSegment, restitution, apply, on_chunk) -> None:
         c1 = min(c0 + CHUNK_EVENTS, len(seg))
         pi, pj = seg.pair_i[c0:c1], seg.pair_j[c0:c1]
         order, batches = level_schedule(pi, pj)
-        frames = (None if seg.frames is None
-                  else np.ascontiguousarray(seg.frames[c0:c1].take(order, axis=0).T))
+        frames = np.ascontiguousarray(seg.frames[c0:c1].take(order, axis=0).T)
         hook = None
         if on_chunk is not None:
             k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)

@@ -135,9 +135,9 @@ def _int(cfg: dict, key: str, default: int | None = None, required: bool = False
     return _integer(key, _get(cfg, key, default, required))
 
 
-def _count(cfg: dict, key: str, default: int) -> int:
-    """A replica or projection count, refused below 1."""
-    value = _int(cfg, key, default)
+def _count(cfg: dict, key: str, default: int | None = None, required: bool = False) -> int:
+    """A replica or projection count or a dimension, refused below 1."""
+    value = _int(cfg, key, default, required)
     if value < 1:
         raise ConfigError(key, f"must be at least 1, got {value}")
     return value
@@ -196,6 +196,9 @@ def _build_kernel(cfg: dict, dim: int) -> AngularKernel:
         if dim != 1:
             raise ConfigError("kernel", "two_point kernels are one-dimensional")
         w = _floats(cfg, "kernel_weights", [0.5, 0.5])
+        if len(w) != 2:
+            raise ConfigError("kernel_weights", f"need 2 values (mass at +1 and at -1), "
+                              f"got {len(w)}")
         return AngularKernel.two_point(float(w[0]), float(w[1]))
     raise ConfigError("kernel", f"unknown kernel '{name}'")
 
@@ -207,18 +210,22 @@ def _build_observable(cfg: dict) -> ObservableProduct:
         # checked per coordinate, passed as given: the tag echoes the config
         _per_coordinate(cfg, "observable_center", None, _state_dim(cfg))
         params["center"] = _floats(cfg, "observable_center")
-    for key, tgt in (
-        ("observable_width", "width"),
-        ("observable_scale", "scale"),
-        ("observable_axis", "axis"),
-    ):
+    for key, tgt in (("observable_width", "width"), ("observable_scale", "scale")):
         if key in cfg:
-            params[tgt] = cfg[key]
+            values = _floats(cfg, key)
+            if len(values) != 1 or not (math.isfinite(values[0]) and values[0] > 0.0):
+                raise ConfigError(key, f"must be a positive finite number, got {cfg[key]!r}")
+            params[tgt] = cfg[key]  # as given: the observable's tag echoes it
+    if "observable_axis" in cfg:
+        axis, m = _int(cfg, "observable_axis"), _state_dim(cfg)
+        if not 0 <= axis < m:
+            raise ConfigError("observable_axis", f"must lie in [0, {m}), got {axis}")
+        params["axis"] = cfg["observable_axis"]
     return ObservableProduct((observable_catalog(str(name), **params),))
 
 
 def _state_dim(cfg: dict) -> int:
-    d = _int(cfg, "dimension", required=True)
+    d = _count(cfg, "dimension", required=True)
     if _get(cfg, "model", required=True) == "vlasov":
         return 2 * d
     return d
@@ -247,7 +254,11 @@ def _initial_state(cfg: dict, n: int, streams: list[RngStream]) -> ParticleState
             inv = lambda u: lo + (hi - lo) * u
         elif law == "gaussian":
             mu = float(_get(cfg, "quantile_mean", 0.0))
-            sd = math.sqrt(float(_get(cfg, "quantile_variance", 1.0)))
+            var = float(_get(cfg, "quantile_variance", 1.0))
+            if not (math.isfinite(var) and var >= 0.0):
+                raise ConfigError("quantile_variance",
+                                  f"must be finite and nonnegative, got {var}")
+            sd = math.sqrt(var)
             inv = lambda u: mu + sd * ndtri(u)
         else:
             raise ConfigError("quantile_law", f"unknown law '{law}'")
@@ -301,7 +312,7 @@ def _build_vlasov_spec(cfg: dict, dim: int) -> VlasovSpec:
 def _model_kernel(cfg: dict) -> AngularKernel | None:
     """The angular kernel of a collision model, built once per command."""
     if _get(cfg, "model", required=True) in ("kac_elastic", "inelastic_thermostat"):
-        return _build_kernel(cfg, _int(cfg, "dimension", required=True))
+        return _build_kernel(cfg, _count(cfg, "dimension", required=True))
     return None
 
 
@@ -317,7 +328,7 @@ def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKern
     t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
     init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
     initial = _initial_state(cfg, n, init_streams)
-    dim = _int(cfg, "dimension", required=True)
+    dim = _count(cfg, "dimension", required=True)
     dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
     if model == "kac_elastic":
         states = simulate_kac(initial, kernel, t_end, times, dyn_streams)
@@ -519,7 +530,7 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
 
 def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
     cfg = _Cfg(cfg)
-    dim = _int(cfg, "dimension", required=True)
+    dim = _count(cfg, "dimension", required=True)
     n_values = _n_list(cfg)
     replicas = _replica_count(cfg, 200)
     estimator = str(_get(cfg, "estimator", "auto"))
@@ -689,16 +700,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=str, default=None, help="output CSV path")
     args = parser.parse_args(argv)
 
-    cfg: dict = {}
-    if args.config is not None:
-        cfg = parse_config(args.config)
-    elif args.subcommand != "check":
+    if args.config is None and args.subcommand != "check":
         parser.error("--config is required for this subcommand")
-    seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
-    out = args.out if args.out is not None else cfg.get("out")
     try:
+        cfg = {} if args.config is None else parse_config(args.config)
+        seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
+        out = args.out if args.out is not None else cfg.get("out")
         _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers), out)
-    except (ValueError, SimulationError, SpectralInstability) as exc:
+    except (ValueError, SimulationError, SpectralInstability, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except MemoryError as exc:  # numpy names the allocation it could not make

@@ -83,24 +83,19 @@ class RngStream:
             return int(size)
         return int(math.prod(size))
 
-    def uniform(self, size=None, out=None) -> np.ndarray | float:
-        """Uniform variates on the open interval (0, 1), into ``out`` when given.
-
-        ``out`` is a C-contiguous float64 array; its size is the draw size.
-        """
-        if out is None:
-            if size is None:
-                self.draw_counter += 1
-                return min(np.float64(self._gen.random()) + _HALF_STEP, _BELOW_ONE)
-            out = np.empty(size)
-        return open_unit(self.uniform_words(out))
+    def uniform(self, size=None) -> np.ndarray | float:
+        """Uniform variates on the open interval (0, 1)."""
+        if size is None:
+            self.draw_counter += 1
+            return min(np.float64(self._gen.random()) + _HALF_STEP, _BELOW_ONE)
+        return open_unit(self.uniform_words(np.empty(size)))
 
     def uniform_words(self, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with the words ``k * 2**-53`` that ``uniform(out=out)`` draws, unshifted.
+        """Fill the C-contiguous float64 ``out`` with the words ``k * 2**-53`` of its uniforms.
 
-        ``open_unit`` turns them into those uniforms element by element, so
-        a caller can fill many small pieces of one buffer and shift the
-        buffer once.
+        ``open_unit`` turns them into the uniforms :meth:`uniform` would
+        draw, element by element, so a caller can fill many small pieces
+        of one buffer and shift the buffer once.
         """
         self._gen.random(out=out)
         self.draw_counter += out.size
@@ -112,9 +107,6 @@ class RngStream:
         if size is None:
             return ndtri(u)
         return ndtri(u, out=u)
-
-    def exponential(self, scale: float = 1.0, size=None) -> np.ndarray | float:
-        return -scale * np.log(self.uniform(size=size))
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64) -> np.ndarray | int:
         """Uniform integers in [low, high), of the given numpy integer dtype."""
@@ -232,21 +224,18 @@ def canonical_atom_order(atoms: np.ndarray) -> np.ndarray:
     return out.reshape(atoms.shape)
 
 
-def quantile_init_1d(target_cdf_inverse: Callable[[float], float], n: int) -> ParticleState:
+def quantile_init_1d(target_cdf_inverse: Callable[[np.ndarray], np.ndarray],
+                     n: int) -> ParticleState:
     """Deterministic midpoint-quantile configuration of a 1-D law.
 
     Places particle j at F^{-1}((j - 1/2)/n), ascending.  Used wherever the
     i.i.d. sampling error must be suppressed below the mean-field error.
+    ``target_cdf_inverse`` maps the array of n levels to n quantiles.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     u = (np.arange(n, dtype=np.float64) + 0.5) / n
-    try:
-        x = np.asarray(target_cdf_inverse(u), dtype=np.float64)
-    except (TypeError, ValueError):
-        x = np.array([target_cdf_inverse(float(ui)) for ui in u], dtype=np.float64)
-    if x.shape != (n,):
-        x = np.broadcast_to(x, (n,)).astype(np.float64)
+    x = np.asarray(target_cdf_inverse(u), dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise SimulationError("inverse CDF returned non-finite quantiles")
     return ParticleState(np.sort(x)[:, None], time=0.0)

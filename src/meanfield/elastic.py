@@ -142,34 +142,51 @@ class AngularKernel:
         return self.cosines(np.atleast_1d(rng.uniform(size=k)))
 
 
+def _jump_times(rngs, size, rate, start):
+    """Rows of ``size`` Poisson clock jumps at ``rate``, row r from ``rngs[r]`` after ``start[r]``.
+
+    The clock's one draw: each stream fills its row with uniform words,
+    and the block becomes exponential gaps -log(u) / rate and their
+    running sums from the start.
+    """
+    clock = np.empty((len(rngs), size))
+    for rng, row in zip(rngs, clock):
+        rng.uniform_words(row)
+    np.log(open_unit(clock), out=clock)
+    clock *= -(1.0 / rate)
+    np.cumsum(clock, axis=1, out=clock)
+    clock += start[:, None]
+    return clock
+
+
 def _segment_times(rate, t0, t_end, snaps, rngs):
     """Each stream's Poisson clock on (t0, t_end), cut at the snapshots into segments.
 
-    Stream r draws ``expected`` exponential gaps (and, if its clock has
-    not passed t_end, more of them as ``_events.extend_times`` does) into
-    a row of one block buffer.  Returns the per-segment times, the
-    per-segment replica bounds, and each stream's plan: one ``(segment,
-    start in it, first event, one past its last)`` per nonempty piece of
-    its events, in stream order.  The last segment holds the events after
-    the last snapshot, every stream's piece at its start.  A function of
-    its own, so that the clock buffer, which the per-stream times view, is
-    freed before the record's other fields are allocated.
+    The rate is positive.  Stream r draws ``max(64, 1.2 rate (t_end -
+    t0) + 16)`` exponential gaps into a row of one block buffer; while its
+    clock has not passed t_end it draws ``max(64, size // 4)`` more, the
+    size shrinking each round, in a block with the other streams still
+    short.  Returns the per-segment times, the per-segment replica
+    bounds, and each stream's plan: one ``(segment, start in it, first
+    event, one past its last)`` per nonempty piece of its events, in
+    stream order.  The last segment holds the events after the last
+    snapshot, every stream's piece at its start.  A function of its own,
+    so that the clock buffer, which the per-stream times view, is freed
+    before the record's other fields are allocated.
     """
     reps = len(rngs)
-    expected = max(64, int(1.2 * rate * (t_end - t0)) + 16) if rate > 0.0 and t_end > t0 else 0
-    clock = np.empty((reps, expected))
-    for rng, row in zip(rngs, clock):
-        rng.uniform(out=row)
-    if expected:  # exponential gaps -log(u) / rate, then their running sums from t0
-        np.log(clock, out=clock)
-        clock *= -(1.0 / rate)
-    np.cumsum(clock, axis=1, out=clock)
-    clock += t0
+    size = max(64, int(1.2 * rate * (t_end - t0)) + 16) if t_end > t0 else 0
+    clock = _jump_times(rngs, size, rate, np.full(reps, t0, dtype=np.float64))
     keep = clock < t_end
     times = [clock[r, :c] for r, c in enumerate(keep.sum(axis=1).tolist())]
-    short = np.flatnonzero(keep[:, -1]).tolist() if expected else []
-    for r in short:  # a clock that has not passed t_end refills on its own
-        times[r] = _events.extend_times(clock[r], rate, t_end, expected, rngs[r])
+    short = np.flatnonzero(keep[:, -1]).tolist() if size else []
+    while short:  # these clocks kept every jump so far; each refill starts at the last
+        size = max(64, size // 4)
+        more = _jump_times([rngs[r] for r in short], size, rate,
+                           np.array([times[r][-1] for r in short]))
+        for r, row in zip(short, more):
+            times[r] = np.concatenate((times[r], row[row < t_end]))
+        short = [r for r, row in zip(short, more) if row[-1] < t_end]
     # stream r's events edges[r, s]:edges[r, s + 1] fall in segment s
     edges = np.zeros((reps, len(snaps) + 2), dtype=np.int64)
     for t, row in zip(times, edges):
@@ -207,10 +224,11 @@ def _generate_events(
     s = 0), replica after replica.  Stream r draws, in this order: its
     clock gaps (``_segment_times``), the first and the second int32 pair
     index of its k events (one call each), k cosine uniforms and k d
-    frame uniforms.  The uniforms go, piece by piece in stream order,
-    straight into the segments, and the events after the last snapshot,
-    which nothing plays, into scratch that is dropped.  The transforms
-    run once per segment, in place.
+    frame uniforms (none at d = 1, whose frames are (k, 0)).  The
+    uniforms go, piece by piece in stream order, straight into the
+    segments, and the events after the last snapshot, which nothing
+    plays, into scratch that is dropped.  The transforms run once per
+    segment, in place.
     """
     if len(rngs) * n > np.iinfo(np.int32).max:
         raise SimulationError("a replica stack indexes at most 2**31 - 1 particles")
@@ -218,7 +236,7 @@ def _generate_events(
     sizes = [len(t) for t in seg_times]
     pair_i, pair_j = ([np.empty(m, dtype=np.int32) for m in sizes] for _ in range(2))
     costh = [np.empty(m) for m in sizes]
-    frames = [np.empty((m, dim)) for m in sizes] if dim >= 2 else None
+    frames = [np.empty((m, dim if dim >= 2 else 0)) for m in sizes]
     for rng, plan_r in zip(rngs, plan):
         k = plan_r[-1][3] if plan_r else 0  # the stream's events: its last piece ends there
         for high, dst in ((n, pair_i), (n - 1, pair_j)):
@@ -226,7 +244,7 @@ def _generate_events(
             for s, lo, e0, e1 in plan_r:
                 dst[s][lo:lo + e1 - e0] = drawn[e0:e1]
             del drawn  # before the next draw: one stream's indices held at a time
-        for dst in (costh,) if frames is None else (costh, frames):
+        for dst in (costh, frames):
             for s, lo, e0, e1 in plan_r:
                 rng.uniform_words(dst[s][lo:lo + e1 - e0])
     offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)
@@ -243,10 +261,9 @@ def _generate_events(
         a += offset
         pair_j[s] += offset
         kernel.cosines(open_unit(costh[s]), out=costh[s])
-        if frames is not None:
-            ndtri(open_unit(frames[s]), out=frames[s])
-    return [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s],
-                                 None if frames is None else frames[s], bounds[s])
+        ndtri(open_unit(frames[s]), out=frames[s])
+    return [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s], frames[s],
+                                 bounds[s])
             for s in range(len(snaps))]
 
 
@@ -300,14 +317,13 @@ def _apply_coupled(x, pi, pj, costh, frames, restitution, batches, pre_batch_hoo
     """
     d = len(x) // 2
     va, vb = x[:d], x[d:]
-    sinth = None if frames is None else _events.sine_of(costh)
+    sinth = _events.sine_of(costh)
     for lo, hi in batches:
         ii = pi[lo:hi]
         jj = pj[lo:hi]
         wa, ua, ra = _events.pair_geometry(va, ii, jj)
         wb, ub, rb = _events.pair_geometry(vb, ii, jj)
-        fr = None if frames is None else frames[:, lo:hi]
-        sn = None if sinth is None else sinth[lo:hi]
+        fr, sn = frames[:, lo:hi], sinth[lo:hi]
         sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr, sn)
         # transport onto the second geometry where both are defined;
         # a degenerate first pair falls back to the direct construction

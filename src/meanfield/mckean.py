@@ -4,11 +4,11 @@ position-velocity specialization.
 The stochastic system couples a linear drift, a mean-field pairwise force
 (1/N) Σ_{j≠i} U(z_i - z_j) and additive Gaussian noise, integrated by
 fixed-step Euler-Maruyama (weak order one is enough: the mean-field error
-dominates at desk scale).  ``simulate_mkv`` and ``em_step`` advance a
-replica stack, one stream per replica, each system feeling only its own
-mean field.  The zero-diffusion specialization carries (x, v)
-coordinates, a velocity-only force through a potential gradient, and a
-second-order explicit midpoint integrator, bit-reproducible run to run.
+dominates at desk scale).  ``simulate_mkv`` advances a replica stack,
+one stream per replica, each system feeling only its own mean field.
+The zero-diffusion specialization carries (x, v) coordinates, a
+velocity-only force through a potential gradient, and a second-order
+explicit midpoint integrator, bit-reproducible run to run.
 
 Interaction kernels come from a small named catalog; every entry vanishes
 at the origin, so the self-pair term of the full double sum is harmless
@@ -32,7 +32,6 @@ __all__ = [
     "DriftDiffusionSpec",
     "VlasovSpec",
     "gradient_catalog",
-    "em_step",
     "simulate_mkv",
     "simulate_vlasov",
     "linear_moment_flow",
@@ -133,19 +132,9 @@ def _check_finite(coords: np.ndarray, when: str) -> None:
         raise SimulationError(f"non-finite coordinates detected ({when}); blow-up")
 
 
-def em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float,
-            rngs: Sequence[RngStream]) -> ParticleState:
-    """One Euler-Maruyama step of a replica stack, replica r driven by ``rngs[r]``."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = replica_size(state, rngs)
-    return _em_step(state, spec, dt, len(rngs),
-                    replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim))
-
-
 def _em_step(state: ParticleState, spec: DriftDiffusionSpec, dt: float, reps: int,
              z: np.ndarray) -> ParticleState:
-    """``em_step`` of a stack of ``reps`` replicas with its (R N, m) normals z given."""
+    """One Euler-Maruyama step of a stack of ``reps`` replicas, its (R N, m) normals z given."""
     coords = state.coords
     # coords + dt * (coords L^T + F) + sqrt(dt) * (z S^T), combined in place
     # in that operation order, so bitwise equal to the expression.  np.dot,
@@ -184,8 +173,8 @@ def simulate_mkv(
     [initial.time, t_end] on the grid initial.time + k dt, as
     ``core.run_fixed_steps`` reads them; no step runs past the last one.
     Step k is stamped ``initial.time + k * dt``, not a running sum of dt.
-    Each stream hands out its normals in ``em_step``'s order, K steps per
-    call, and draws none past the last step.
+    Each stream hands out its N m normals per step, step after step, K
+    steps per call, and draws none past the last step.
     """
     n = replica_size(initial, rngs)
     t0, m = initial.time, initial.dim

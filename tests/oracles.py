@@ -1,17 +1,19 @@
-"""Reference forms of the event engine, kept as test oracles.
+"""Reference forms of the event engine and the Euler-Maruyama step, kept as test oracles.
 
 These are the per-stream event generator and the row-major collision
 rules the engine used before it played each replica block as one
-coordinate-major system, and the per-replica loop of the coupled
-contraction check; the engine must reproduce them bit for bit.
+coordinate-major system, the per-replica loop of the coupled
+contraction check, and the one-step Euler-Maruyama draw; the package
+must reproduce them bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from meanfield.core import RngStream
+from meanfield.core import RngStream, replica_normals, replica_size
 from meanfield.elastic import simulate_kac_coupled
+from meanfield.mckean import _em_step
 
 
 def sample_event_times(rate: float, t0: float, t1: float, rng: RngStream) -> np.ndarray:
@@ -22,7 +24,7 @@ def sample_event_times(rate: float, t0: float, t1: float, rng: RngStream) -> np.
     t = t0
     expected = max(64, int(1.2 * rate * (t1 - t0)) + 16)
     while True:
-        gaps = rng.exponential(scale=1.0 / rate, size=expected)
+        gaps = -(1.0 / rate) * np.log(rng.uniform(size=expected))
         times = t + np.cumsum(gaps)
         if times[-1] >= t1:
             out.append(times[times < t1])
@@ -161,3 +163,14 @@ def tanaka_per_replica(initial_pair_sampler, kernel, time_grid, rngs):
         for k, (sa, sb) in enumerate(zip(out_a, out_b)):
             vals[r, k] = math.sqrt(float(np.mean(np.sum((sa.coords - sb.coords) ** 2, axis=1))))
     return vals
+
+
+def em_step(state, spec, dt, rngs):
+    """One Euler-Maruyama step of a replica stack, replica r driven by ``rngs[r]``.
+
+    Each stream draws the step's N m normals in one call, the per-step
+    form of the K-step draws of ``mckean.simulate_mkv``.
+    """
+    n = replica_size(state, rngs)
+    return _em_step(state, spec, dt, len(rngs),
+                    replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim))

@@ -301,7 +301,7 @@ def test_c06_thermostat_energy_balance():
     r = np.linalg.norm(u, axis=1)
     costh = kern.sample_costheta(m, rng)
     frames = np.atleast_2d(rng.normal(size=(m, 3)))
-    sigma = _events.deviation_vectors(u.T, r, costh, frames.T).T
+    sigma = _events.deviation_vectors(u.T, r, costh, frames.T, _events.sine_of(costh)).T
     u_star = 0.5 * (1 - params.alpha) * u + 0.5 * (1 + params.alpha) * r[:, None] * sigma
     d_energy = 0.5 * (np.einsum("ij,ij->i", u_star, u_star) - r**2)
     predicted = -(1 - params.alpha**2) * (1 - kern.b1()) / 4.0 * float(np.mean(r**2))

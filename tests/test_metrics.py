@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from meanfield.core import EmpiricalMeasure, RngStream, gaussian_sample_state
 from meanfield.metrics import (
     _normal_quantile_blocks,
+    _squared_distances,
     empirical_sampling_error,
     h_neg_sobolev_norm,
     toscani_norm,
@@ -43,6 +44,10 @@ def test_w1_sorted_coupling():
 def test_w1_unequal_counts_quantile_coupling():
     # {0} vs {0,1}: Q_b jumps at u=1/2; integral of |0 - Q_b| = 1/2
     assert w1_exact_1d(E([0.0]), E([0.0, 1.0])) == pytest.approx(0.5, abs=1e-15)
+    # the first size a multiple of the second: the coupling swaps its
+    # arguments.  On quarters Qa = 0, .5, 1, 2 against Qb = 0, 0, 1, 1
+    a, b = E([0.0, 0.5, 1.0, 2.0]), E([0.0, 1.0])
+    assert w1_exact_1d(a, b) == w1_exact_1d(b, a) == pytest.approx(0.375, abs=1e-15)
     # non-nested sizes exercise the general refinement
     got = w1_exact_1d(E([0.0, 1.0]), E([0.0, 0.5, 1.0]))
     # refinement cells: Qa=0 on (0,1/2), 1 on (1/2,1); Qb=0,(1/3) .5,(2/3) 1
@@ -92,16 +97,18 @@ def test_w2_matching_bruteforce_property(n, seed):
     assert res.cost <= ident + 1e-12
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 11])
 def test_w2_matching_cost_matrix_bitwise(d):
-    # the cost matrix is built a coordinate at a time; cost and assignment
-    # must be those of the (N, N, d) difference-tensor formula, bit for bit
+    # the cost matrix is built a coordinate at a time below d = 8 and from
+    # the tensor from d = 8 on; matrix, cost and assignment must be those of
+    # the (N, N, d) difference-tensor formula, bit for bit
     from scipy.optimize import linear_sum_assignment
 
     rng = np.random.default_rng(70 + d)
     a = rng.normal(size=(96, d)) * 10.0 ** rng.uniform(-3, 3, size=(1, d))
     b = 0.5 + rng.normal(size=(96, d))
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert _squared_distances(a, b).tobytes() == d2.tobytes()
     rows, cols = linear_sum_assignment(d2)
     res = w2_exact_matching(E(a), E(b))
     assert res.cost == math.fsum(d2[rows, cols].tolist()) / 96

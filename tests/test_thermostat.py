@@ -33,7 +33,8 @@ def collide(vi, vj, costh, frames, restitution):
     k = len(vi)
     pairs = np.arange(k)
     _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
-                                  None if frames is None else frames.T, restitution, [(0, k)])
+                                  np.empty((0, k)) if frames is None else frames.T, restitution,
+                                  [(0, k)])
     return x.T[:k], x.T[k:]
 
 
@@ -102,8 +103,9 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
         _diffuse(got, ii, got_sync, now[lo:hi], nu, zt[:d])
         _diffuse(got, jj, got_sync, now[lo:hi], nu, zt[d:])
 
-    _events.apply_pair_collisions(got, pi, pj, costh, None if frames is None else frames.T,
-                                  0.6, batches, hook)
+    _events.apply_pair_collisions(got, pi, pj, costh,
+                                  np.empty((0, k)) if frames is None else frames.T, 0.6, batches,
+                                  hook)
     want, want_sync = coords0.copy(), np.zeros(n)
 
     def reference_hook(lo, hi, ii, jj):
