@@ -31,6 +31,7 @@ import functools
 import hashlib
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,8 +84,6 @@ RATE_CONVENTIONS = {
     "rate_convention_thermostat_halved": "unordered-pairs:(N-1)/2",
 }
 
-_MODELS = ("kac_elastic", "inelastic_thermostat", "mckean_vlasov", "vlasov")
-
 # chaos-curve replicas of one N run in blocks of at most this many particles,
 # each block one stacked system of whichever stochastic model (elastic,
 # thermostat or McKean-Vlasov); larger stacks buy little speed and cost
@@ -99,261 +98,280 @@ class ConfigError(ValueError):
         self.field = field
 
 
-class _Cfg(dict):
-    """Config dict that records the defaults it hands out.
+# --------------------------------------------------------------------------
+# the config schema
 
-    The CSV header echoes the union of the explicit keys and everything
-    resolved from defaults, so rerunning the echoed block needs no
-    implicit knowledge.
+_REQUIRED = object()  # the default of a field that has none
+
+# Every config field, declared once: name -> (kind, default).  Kinds: a tuple
+# of choices, "bool", "path", the whole numbers "count" (>= 1), "replicas"
+# (>= 2) and "index" (>= 0), the finite reals of _REAL_BOUNDS, and [kind], one
+# or more values of a kind.  A default of None: the field is read only when set,
+# or its command works out the default.  Per-command kinds and defaults are
+# keyed by command.  Keys outside the table are accepted and echoed unread.
+_FIELDS = {
+    "master_seed": ("index", 0),
+    "out": ("path", None),
+    "model": (("kac_elastic", "inelastic_thermostat", "mckean_vlasov", "vlasov"), _REQUIRED),
+    "dimension": ("count", _REQUIRED),
+    # simulate and chaos-curve runs
+    "n": ("count", _REQUIRED),
+    "snapshot_times": (["real"], _REQUIRED),
+    "t_end": ("nonnegative", None),  # default: the last snapshot time
+    "dump_particles": ("bool", False),
+    "initial": (("gaussian", "quantile", "file"), "gaussian"),
+    "initial_mean": (["real"], [0.0]),
+    "initial_variance": (["nonnegative"], [1.0]),
+    "initial_file": ("path", _REQUIRED),
+    "quantile_law": (("uniform", "gaussian"), "uniform"),
+    "quantile_lo": ("real", -1.0),
+    "quantile_hi": ("real", 1.0),
+    "quantile_mean": ("real", 0.0),
+    "quantile_variance": ("nonnegative", 1.0),
+    "kernel": (("isotropic", "two_point"), "isotropic"),
+    "kernel_weights": (["nonnegative"], [0.5, 0.5]),
+    "alpha": ("probability", _REQUIRED),
+    "nu": ("nonnegative", 1.0),
+    "ordered_pair_rate": ("bool", True),
+    "drift_lambda": ("real", 0.0),
+    "sigma": ("real", 0.0),
+    "interaction": (("zero", "linear", "gaussian_derivative", "screened_coulomb"), "zero"),
+    "interaction_kappa": ("real", None),
+    "interaction_amp": ("real", None),
+    "interaction_width": ("real", None),
+    "interaction_eps": ("real", None),
+    "n_minus_one_prefactor": ("bool", False),
+    "potential_gradient": (("zero", "linear", "sine"), "zero"),
+    "gradient_amp": ("real", None),
+    "gradient_kappa": ("real", None),
+    "dt": ("positive", 1e-3),
+    # chaos-curve and omega-n
+    "n_list": (["count"], _REQUIRED),
+    "n_ref": ("count", _REQUIRED),
+    "replicas": ("replicas", {"chaos-curve": 64, "omega-n": 200}),
+    "replicas_ref": ("count", 32),
+    "estimator": ({"chaos-curve": ("empirical-mean", "marginal"),
+                   "omega-n": ("auto", "exact-1d", "sliced")},
+                  {"chaos-curve": "empirical-mean", "omega-n": "auto"}),
+    "observable": (("gauss_bump", "tanh_coord", "tanh_square"), _REQUIRED),
+    "observable_center": (["real"], None),
+    "observable_width": ("positive", None),
+    "observable_scale": ("positive", None),
+    "observable_axis": ("index", None),
+    "n_projections": ("count", 64),
+    "law": (("gaussian",), "gaussian"),
+    "law_mean": (["real"], [0.0]),
+    "law_variance": (["nonnegative"], [1.0]),
+    # metric
+    "metric": (("w1", "w2_exact", "w2_sliced", "toscani", "h_sobolev", "tv"), _REQUIRED),
+    "input_a": ("path", _REQUIRED),
+    "input_b": ("path", _REQUIRED),
+    "xi_max": ("positive", 40.0),
+    "xi_nodes": ("count", 4096),
+    "s": ("positive", None),  # default: 3 for toscani, 1 for h_sobolev
+    "bin_edges": (["real"], _REQUIRED),
+}
+_REAL_BOUNDS = {
+    "real": (lambda x: True, "a finite number"),
+    "positive": (lambda x: x > 0.0, "positive and finite"),
+    "nonnegative": (lambda x: x >= 0.0, "nonnegative and finite"),
+    "probability": (lambda x: 0.0 < x < 1.0, "strictly between 0 and 1"),
+}
+
+
+def _value(name: str, kind, value):
+    """One value of a scalar kind, resolved, or a ConfigError on its field."""
+    if isinstance(kind, tuple):
+        if not isinstance(value, str) or value not in kind:
+            raise ConfigError(name, f"unknown {name} {value!r} (one of {', '.join(kind)})")
+    elif kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(name, f"must be true or false, got {value!r}")
+    elif kind == "path":
+        if not isinstance(value, str) or not value:
+            raise ConfigError(name, f"must be a file path, got {value!r}")
+    elif kind in ("count", "replicas", "index"):
+        # a whole number, also when written as an integral float; bool is an int subclass
+        if isinstance(value, (float, np.floating)) and float(value).is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(name, f"must be an integer, got {value!r}")
+        lowest = 0 if kind == "index" else 1
+        if value < lowest:
+            raise ConfigError(name, f"must be at least {lowest}, got {value}")
+        if kind == "replicas" and value < 2:  # one replica reports a standard error of 0
+            raise ConfigError(name, f"must be at least 2 for a standard error, got {value}")
+        return int(value)
+    else:
+        test, bound = _REAL_BOUNDS[kind]
+        if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+                or not (math.isfinite(value) and test(value))):
+            raise ConfigError(name, f"{name} must be {bound}, got {value!r}")
+        return float(value)
+    return value
+
+
+class _Cfg(dict):
+    """One command's config, each field read through its declared kind.
+
+    The CSV header echoes the explicit keys and every default a read fell
+    back on, so rerunning the echoed block needs no implicit knowledge.
     """
 
-    def __init__(self, base: dict) -> None:
+    def __init__(self, base: dict, command: str) -> None:
         super().__init__(base)
+        self.command = command
         self.used: dict = {}
 
+    def read(self, name: str, default=None, coords: int | None = None):
+        """A field's resolved value, None if unset without a default.
 
-def _get(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(key, "required but missing")
-    if isinstance(cfg, _Cfg) and default is not None:
-        cfg.used[key] = default
-    return default
-
-
-def _integer(key: str, value) -> int:
-    """A config value that must be a whole number: an int or an integral float."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(key, f"must be an integer, got {value!r}")
-
-
-def _int(cfg: dict, key: str, default: int | None = None, required: bool = False) -> int:
-    return _integer(key, _get(cfg, key, default, required))
-
-
-def _count(cfg: dict, key: str, default: int | None = None, required: bool = False) -> int:
-    """A replica or projection count or a dimension, refused below 1."""
-    value = _int(cfg, key, default, required)
-    if value < 1:
-        raise ConfigError(key, f"must be at least 1, got {value}")
-    return value
-
-
-def _replica_count(cfg: dict, default: int) -> int:
-    """Replicas of a Monte Carlo estimate: one would report a standard error of 0."""
-    value = _count(cfg, "replicas", default)
-    if value < 2:
-        raise ConfigError("replicas", f"must be at least 2 for a standard error, got {value}")
-    return value
-
-
-def _as_list(v) -> list:
-    if isinstance(v, (list, tuple)):
-        return list(v)
-    return [v]
-
-
-def _floats(cfg: dict, key: str, default=None, required: bool = False) -> np.ndarray:
-    """A number or a list of numbers, as a float array."""
-    values = _as_list(_get(cfg, key, default, required))
-    try:
-        return np.asarray([float(x) for x in values], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"must be a number or a list of numbers, got {values!r}") from None
-
-
-def _n_list(cfg: dict) -> list[int]:
-    """The particle counts of a curve, each refused below 1."""
-    n_values = [_integer("n_list", x) for x in _as_list(_get(cfg, "n_list", required=True))]
-    if min(n_values) < 1:
-        raise ConfigError("n_list", f"must be at least 1, got {min(n_values)}")
-    return n_values
-
-
-def _per_coordinate(cfg: dict, key: str, default: list, m: int) -> np.ndarray:
-    """A per-coordinate list of m values; a single value is broadcast."""
-    values = _floats(cfg, key, default)
-    if len(values) == 1:
-        return np.full(m, values[0])
-    if len(values) != m:
-        raise ConfigError(key, f"need 1 or {m} values (one per coordinate), got {len(values)}")
-    return values
-
-
-# --------------------------------------------------------------------------
-# builders
-
-
-def _build_kernel(cfg: dict, dim: int) -> AngularKernel:
-    name = _get(cfg, "kernel", "isotropic")
-    if name == "isotropic":
-        return AngularKernel.isotropic(dim)
-    if name == "two_point":
-        if dim != 1:
-            raise ConfigError("kernel", "two_point kernels are one-dimensional")
-        w = _floats(cfg, "kernel_weights", [0.5, 0.5])
-        if len(w) != 2:
-            raise ConfigError("kernel_weights", f"need 2 values (mass at +1 and at -1), "
-                              f"got {len(w)}")
-        return AngularKernel.two_point(float(w[0]), float(w[1]))
-    raise ConfigError("kernel", f"unknown kernel '{name}'")
-
-
-def _build_observable(cfg: dict) -> ObservableProduct:
-    name = _get(cfg, "observable", required=True)
-    params = {}
-    if "observable_center" in cfg:
-        # checked per coordinate, passed as given: the tag echoes the config
-        _per_coordinate(cfg, "observable_center", None, _state_dim(cfg))
-        params["center"] = _floats(cfg, "observable_center")
-    for key, tgt in (("observable_width", "width"), ("observable_scale", "scale")):
-        if key in cfg:
-            values = _floats(cfg, key)
-            if len(values) != 1 or not (math.isfinite(values[0]) and values[0] > 0.0):
-                raise ConfigError(key, f"must be a positive finite number, got {cfg[key]!r}")
-            params[tgt] = cfg[key]  # as given: the observable's tag echoes it
-    if "observable_axis" in cfg:
-        axis, m = _int(cfg, "observable_axis"), _state_dim(cfg)
-        if not 0 <= axis < m:
-            raise ConfigError("observable_axis", f"must lie in [0, {m}), got {axis}")
-        params["axis"] = cfg["observable_axis"]
-    return ObservableProduct((observable_catalog(str(name), **params),))
-
-
-def _state_dim(cfg: dict) -> int:
-    d = _count(cfg, "dimension", required=True)
-    if _get(cfg, "model", required=True) == "vlasov":
-        return 2 * d
-    return d
-
-
-def _initial_state(cfg: dict, n: int, streams: list[RngStream]) -> ParticleState:
-    """Initial data of a replica stack, replica r drawing from ``streams[r]``."""
-    kind = _get(cfg, "initial", "gaussian")
-    m = _state_dim(cfg)
-    if kind == "gaussian":
-        mean = _per_coordinate(cfg, "initial_mean", [0.0], m)
-        var = _per_coordinate(cfg, "initial_variance", [1.0], m)
-        if not np.all(np.isfinite(mean)):
-            raise ConfigError("initial_mean", "must be finite")
-        if not np.all(np.isfinite(var)) or np.any(var < 0):
-            raise ConfigError("initial_variance", "must be finite and nonnegative")
-        return gaussian_sample_state(mean, var, n, streams)
-    if kind == "quantile":
-        vlasov = _get(cfg, "model") == "vlasov"
-        if m != (2 if vlasov else 1):
-            raise ConfigError("initial", "quantile initialization needs dimension = 1")
-        law = _get(cfg, "quantile_law", "uniform")
-        if law == "uniform":
-            lo = float(_get(cfg, "quantile_lo", -1.0))
-            hi = float(_get(cfg, "quantile_hi", 1.0))
-            inv = lambda u: lo + (hi - lo) * u
-        elif law == "gaussian":
-            mu = float(_get(cfg, "quantile_mean", 0.0))
-            var = float(_get(cfg, "quantile_variance", 1.0))
-            if not (math.isfinite(var) and var >= 0.0):
-                raise ConfigError("quantile_variance",
-                                  f"must be finite and nonnegative, got {var}")
-            sd = math.sqrt(var)
-            inv = lambda u: mu + sd * ndtri(u)
+        ``coords`` reads a per-coordinate list (one value for every coordinate,
+        or one per coordinate) as an array of ``coords`` values.
+        """
+        kind, declared = _FIELDS[name]
+        kind = kind[self.command] if isinstance(kind, dict) else kind
+        if default is None:
+            default = declared[self.command] if isinstance(declared, dict) else declared
+        if name in self:
+            value = self[name]
+        elif default is _REQUIRED:
+            raise ConfigError(name, "required but missing")
+        elif default is None:
+            return None
         else:
-            raise ConfigError("quantile_law", f"unknown law '{law}'")
-        coords = np.zeros((n, m))
-        coords[:, :1] = quantile_init_1d(inv, n).coords  # vlasov velocities start at rest
-    elif kind == "file":
-        coords = load_particles(_get(cfg, "initial_file", required=True))
-        if coords.shape[1] != m:
-            raise ConfigError("initial_file", f"particles must have {m} coordinates")
-        if len(coords) < n:
-            raise ConfigError("initial_file", f"needs {n} particles, found {len(coords)}")
-        coords = coords[:n]
+            value = self.used[name] = default
+        if not isinstance(kind, list):
+            return _value(name, kind, value)
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if coords is not None and len(values) not in (1, coords):
+            raise ConfigError(name, f"need 1 or {coords} values (one per coordinate), "
+                              f"got {len(values)}")
+        if not values:
+            raise ConfigError(name, "must hold at least one value")
+        values = [_value(name, kind[0], x) for x in values]
+        return values if coords is None else np.resize(values, coords)
+
+
+@dataclass(frozen=True)
+class _Run:
+    """A simulate or chaos-curve run, resolved once from its config; it pickles.
+
+    ``play`` is the model's simulate function, bound to all but data and streams.
+    """
+
+    m: int  # coordinates per particle: a vlasov particle has a position and a velocity
+    times: list[float]
+    initial: tuple  # ("gaussian", mean, var), ("quantile", law, a, b) or ("file", particles)
+    play: functools.partial
+    stochastic: bool
+
+
+def _resolve_run(cfg: _Cfg, n_max: int) -> _Run:
+    """Every field the run reads; ``n_max`` is the largest N it plays."""
+    model = cfg.read("model")
+    dim = cfg.read("dimension")
+    m = 2 * dim if model == "vlasov" else dim
+    times = cfg.read("snapshot_times")
+    grid = {"t_end": cfg.read("t_end", times[-1]), "snapshot_times": times}
+    if model == "kac_elastic":
+        play = functools.partial(simulate_kac, kernel=_build_kernel(cfg, dim), **grid)
+    elif model == "inelastic_thermostat":
+        play = functools.partial(simulate_thermostat, kernel=_build_kernel(cfg, dim),
+                                 params=RestitutionParams(cfg.read("alpha"), cfg.read("nu"), dim),
+                                 ordered_pair_rate=cfg.read("ordered_pair_rate"), **grid)
+    elif model == "mckean_vlasov":
+        lam, sigma, name = cfg.read("drift_lambda"), cfg.read("sigma"), cfg.read("interaction")
+        force = interaction_catalog(name, dim, **_catalog_params(
+            cfg, "interaction_", ("kappa", "amp", "width", "eps")))
+        spec = DriftDiffusionSpec(dim, -lam * np.eye(dim), sigma * np.eye(dim), force,
+                                  cfg.read("n_minus_one_prefactor"))
+        play = functools.partial(simulate_mkv, spec=spec, dt=cfg.read("dt"), **grid)
     else:
-        raise ConfigError("initial", f"unknown initial law '{kind}'")
+        name = cfg.read("potential_gradient")
+        force = gradient_catalog(name, **_catalog_params(cfg, "gradient_", ("amp", "kappa")))
+        play = functools.partial(simulate_vlasov, spec=VlasovSpec(dim, force), dt=cfg.read("dt"),
+                                 **grid)
+    return _Run(m, times, _resolve_initial(cfg, dim, m, n_max), play, model != "vlasov")
+
+
+def _catalog_params(cfg: _Cfg, prefix: str, names: tuple[str, ...]) -> dict:
+    """The catalog parameters the config sets; the catalog defaults the rest."""
+    values = {name: cfg.read(prefix + name) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _build_kernel(cfg: _Cfg, dim: int) -> AngularKernel:
+    if cfg.read("kernel") == "isotropic":
+        return AngularKernel.isotropic(dim)
+    if dim != 1:
+        raise ConfigError("kernel", "two_point kernels are one-dimensional")
+    w = cfg.read("kernel_weights")
+    if len(w) != 2:
+        raise ConfigError("kernel_weights", f"need 2 values (mass at +1 and at -1), got {len(w)}")
+    return AngularKernel.two_point(*w)
+
+
+def _resolve_initial(cfg: _Cfg, dim: int, m: int, n_max: int) -> tuple:
+    kind = cfg.read("initial")
+    if kind == "gaussian":
+        return kind, cfg.read("initial_mean", coords=m), cfg.read("initial_variance", coords=m)
+    if kind == "quantile":
+        if dim != 1:
+            raise ConfigError("initial", "quantile initialization needs dimension = 1")
+        law = cfg.read("quantile_law")
+        if law == "uniform":
+            return kind, law, cfg.read("quantile_lo"), cfg.read("quantile_hi")
+        return kind, law, cfg.read("quantile_mean"), math.sqrt(cfg.read("quantile_variance"))
+    particles = load_particles(cfg.read("initial_file"))
+    if particles.shape[1] != m:
+        raise ConfigError("initial_file", f"particles must have {m} coordinates")
+    if len(particles) < n_max:
+        raise ConfigError("initial_file", f"needs {n_max} particles, found {len(particles)}")
+    return kind, particles
+
+
+def _build_observable(cfg: _Cfg, m: int) -> ObservableProduct:
+    name = cfg.read("observable")
+    params = _catalog_params(cfg, "observable_", ("width", "scale", "axis"))
+    if "observable_center" in cfg:
+        cfg.read("observable_center", coords=m)
+        # passed as given, not broadcast: the observable's tag echoes it
+        params["center"] = cfg.read("observable_center")
+    if params.get("axis", 0) >= m:
+        raise ConfigError("observable_axis", f"must lie in [0, {m}), got {params['axis']}")
+    return ObservableProduct((observable_catalog(name, **params),))
+
+
+def _initial_state(run: _Run, n: int, streams: list[RngStream]) -> ParticleState:
+    """Initial data of a replica stack, replica r drawing from ``streams[r]``."""
+    kind, *law = run.initial
+    if kind == "gaussian":
+        return gaussian_sample_state(*law, n, streams)
+    if kind == "quantile":
+        name, a, b = law
+        inv = (lambda u: a + (b - a) * u) if name == "uniform" else (lambda u: a + b * ndtri(u))
+        coords = np.zeros((n, run.m))
+        coords[:, :1] = quantile_init_1d(inv, n).coords  # vlasov velocities start at rest
+    else:
+        coords = law[0][:n]
     # these laws draw nothing: every replica starts from the same data
     return ParticleState(np.tile(coords, (len(streams), 1)))
 
 
-def _build_mkv_spec(cfg: dict, dim: int) -> DriftDiffusionSpec:
-    lam = float(_get(cfg, "drift_lambda", 0.0))
-    sigma = float(_get(cfg, "sigma", 0.0))
-    name = str(_get(cfg, "interaction", "zero"))
-    params = {}
-    for key, tgt in (
-        ("interaction_kappa", "kappa"),
-        ("interaction_amp", "amp"),
-        ("interaction_width", "width"),
-        ("interaction_eps", "eps"),
-    ):
-        if key in cfg:
-            params[tgt] = float(cfg[key])
-    return DriftDiffusionSpec(
-        dim=dim,
-        linear_drift=-lam * np.eye(dim),
-        diffusion_matrix=sigma * np.eye(dim),
-        interaction=interaction_catalog(name, dim, **params),
-        n_minus_one_prefactor=bool(_get(cfg, "n_minus_one_prefactor", False)),
-    )
-
-
-def _build_vlasov_spec(cfg: dict, dim: int) -> VlasovSpec:
-    name = str(_get(cfg, "potential_gradient", "zero"))
-    params = {}
-    if "gradient_amp" in cfg:
-        params["amp"] = float(cfg["gradient_amp"])
-    if "gradient_kappa" in cfg:
-        params["kappa"] = float(cfg["gradient_kappa"])
-    return VlasovSpec(space_dim=dim, potential_gradient=gradient_catalog(name, **params))
-
-
-def _model_kernel(cfg: dict) -> AngularKernel | None:
-    """The angular kernel of a collision model, built once per command."""
-    if _get(cfg, "model", required=True) in ("kac_elastic", "inelastic_thermostat"):
-        return _build_kernel(cfg, _count(cfg, "dimension", required=True))
-    return None
-
-
-def _simulate_runs(cfg: dict, n: int, seed: int, stream_ids, kernel: AngularKernel | None):
+def _simulate_runs(run: _Run, n: int, seed: int, stream_ids):
     """Trajectories of N particles, one replica per (initial, dynamics) stream-id pair.
 
-    Returns (times, the replica stack at each time, draw items per replica).
+    Returns (the replica stack at each time, draw items per replica).
     """
-    model = _get(cfg, "model", required=True)
-    if model not in _MODELS:
-        raise ConfigError("model", f"must be one of {_MODELS}")
-    times = _floats(cfg, "snapshot_times", required=True)
-    t_end = float(_get(cfg, "t_end", times[-1] if len(times) else 0.0))
     init_streams = [RngStream(seed, sid) for sid, _ in stream_ids]
-    initial = _initial_state(cfg, n, init_streams)
-    dim = _count(cfg, "dimension", required=True)
+    initial = _initial_state(run, n, init_streams)
     dyn_streams = [RngStream(seed, sid) for _, sid in stream_ids]
-    if model == "kac_elastic":
-        states = simulate_kac(initial, kernel, t_end, times, dyn_streams)
-    elif model == "inelastic_thermostat":
-        params = RestitutionParams(
-            alpha=float(_get(cfg, "alpha", required=True)),
-            nu=float(_get(cfg, "nu", 1.0)),
-            dim=dim,
-        )
-        ordered = bool(_get(cfg, "ordered_pair_rate", True))
-        states = simulate_thermostat(initial, kernel, params, t_end, times, dyn_streams,
-                                     ordered_pair_rate=ordered)
-    elif model == "mckean_vlasov":
-        spec = _build_mkv_spec(cfg, dim)
-        dt = float(_get(cfg, "dt", 1e-3))
-        states = simulate_mkv(initial, spec, t_end, dt, times, dyn_streams)
-    else:  # vlasov: deterministic, so every caller asks for one run
-        spec = _build_vlasov_spec(cfg, dim)
-        dt = float(_get(cfg, "dt", 1e-3))
-        states = simulate_vlasov(initial, spec, t_end, dt, times)
-    draws = [
-        [(a, init.draw_counter), (b, dyn.draw_counter)]
-        for (a, b), init, dyn in zip(stream_ids, init_streams, dyn_streams)
-    ]
-    return times, states, draws
+    # vlasov is deterministic, so every caller asks for one run
+    states = run.play(initial, rngs=dyn_streams) if run.stochastic else run.play(initial)
+    draws = [[(a, init.draw_counter), (b, dyn.draw_counter)]
+             for (a, b), init, dyn in zip(stream_ids, init_streams, dyn_streams)]
+    return states, draws
 
 
 # --------------------------------------------------------------------------
@@ -376,13 +394,10 @@ def _accounting_items(draws: list[tuple[int, int]]) -> list[tuple[str, object]]:
     return items
 
 
-def _header(cfg: dict, seed: int, extra: list[tuple[str, object]]) -> list[tuple[str, object]]:
+def _header(cfg: _Cfg, seed: int, extra: list[tuple[str, object]]) -> list[tuple[str, object]]:
     items: list[tuple[str, object]] = [("meanfield_csv", 1), ("code_version", __version__)]
     items += [(k, v) for k, v in sorted(RATE_CONVENTIONS.items())]
-    resolved = dict(cfg)
-    if isinstance(cfg, _Cfg):
-        resolved.update(cfg.used)
-    resolved["master_seed"] = seed
+    resolved = {**cfg, **cfg.used, "master_seed": seed}
     items += [(k, resolved[k]) for k in sorted(resolved)]
     items += extra
     return items
@@ -407,31 +422,27 @@ def _fit_footers(n_values, errors, std_errors) -> list[tuple[str, object]]:
 
 
 def cmd_simulate(cfg: dict, seed: int, workers: int, out: str | None) -> str:
-    cfg = _Cfg(cfg)
-    n = _int(cfg, "n", required=True)
-    times, states, (draws,) = _simulate_runs(cfg, n, seed, [(1, 2)], _model_kernel(cfg))
-    m = states[0].dim if states else 0
-    columns = ["time", "temperature"] + [f"mom_{k}" for k in range(m)]
+    cfg = _Cfg(cfg, "simulate")
+    n = cfg.read("n")
+    run = _resolve_run(cfg, n)
+    dump = cfg.read("dump_particles")
+    states, (draws,) = _simulate_runs(run, n, seed, [(1, 2)])
+    columns = ["time", "temperature"] + [f"mom_{k}" for k in range(run.m)]
     rows = []
     for s in states:
         mom = s.coords.mean(axis=0)
         rows.append([s.time, temperature(s)] + [float(x) for x in mom])
-    if bool(_get(cfg, "dump_particles", False)) and out:
+    if dump and out:
         dump_particles(str(out) + ".particles.txt", states[-1].coords)
     header = _header(cfg, seed, _accounting_items(draws))
     return write_csv(out, header, columns, rows)
 
 
-_METRIC_NAMES = ("w1", "w2_exact", "w2_sliced", "toscani", "h_sobolev", "tv")
-
-
 def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
-    cfg = _Cfg(cfg)
-    name = _get(cfg, "metric", required=True)
-    if name not in _METRIC_NAMES:
-        raise ConfigError("metric", f"must be one of {_METRIC_NAMES}")
-    a = EmpiricalMeasure(load_particles(_get(cfg, "input_a", required=True)))
-    b = EmpiricalMeasure(load_particles(_get(cfg, "input_b", required=True)))
+    cfg = _Cfg(cfg, "metric")
+    name = cfg.read("metric")
+    a = EmpiricalMeasure(load_particles(cfg.read("input_a")))
+    b = EmpiricalMeasure(load_particles(cfg.read("input_b")))
     draws: list[tuple[int, int]] = []
     extra: list[tuple[str, object]] = []
     se = 0.0
@@ -444,14 +455,13 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         extra.append(("estimator_used", "exact-assignment"))
     elif name == "w2_sliced":
         stream = RngStream(seed, 1)
-        value, se = w2_sliced(a, b, _count(cfg, "n_projections", 64), stream)
+        value, se = w2_sliced(a, b, cfg.read("n_projections"), stream)
         draws.append((1, stream.draw_counter))
         extra.append(("estimator_used", "sliced-monte-carlo"))
     elif name in ("toscani", "h_sobolev"):
-        xi_max = float(_get(cfg, "xi_max", 40.0))
-        n_nodes = _int(cfg, "xi_nodes", 4096)
-        xi = np.linspace(-xi_max, xi_max, n_nodes)
-        s_order = float(_get(cfg, "s", 3.0 if name == "toscani" else 1.0))
+        xi_max = cfg.read("xi_max")
+        xi = np.linspace(-xi_max, xi_max, cfg.read("xi_nodes"))
+        s_order = cfg.read("s", 3.0 if name == "toscani" else 1.0)
         if name == "toscani":
             value, arg = toscani_norm(a, b, s_order, xi)
             extra += [("estimator_used", "grid-sup"), ("argmax_xi", arg)]
@@ -459,58 +469,46 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
             value = h_neg_sobolev_norm(a, b, s_order, xi)
             extra.append(("estimator_used", "grid-trapezoid"))
     else:
-        edges = _floats(cfg, "bin_edges", required=True)
-        value = tv_histogram(a, b, edges)
+        value = tv_histogram(a, b, cfg.read("bin_edges"))
         extra.append(("estimator_used", "binned-tv-lower-bound"))
     header = _header(cfg, seed, extra + _accounting_items(draws))
     return write_csv(out, header, ["metric", "value", "std_error"], [[name, value, se]])
 
 
-def _curve_block(cfg, seed, obs, estimator, kernel, block) -> list[tuple[np.ndarray, int, int]]:
+def _curve_block(run: _Run, obs: ObservableProduct, estimator: str, seed: int,
+                 block) -> list[tuple[np.ndarray, int, int]]:
     """Replicas of one N: per replica (per-time values, stream_id, draws)."""
     n, sids = block
     # even/odd split keeps the two per-replica streams disjoint for every replica
-    _, states, draws = _simulate_runs(cfg, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids],
-                                      kernel)
+    states, draws = _simulate_runs(run, n, seed, [(2 * sid, 2 * sid + 1) for sid in sids])
     # one (replicas, N, d) view per snapshot: the observable runs once per block
     values = observable_series([s.coords.reshape(len(sids), n, -1) for s in states], obs,
                                estimator)
     return [(v, sid, sum(c for _, c in items)) for v, sid, items in zip(values, sids, draws)]
 
 
-def _replica_blocks(n: int, sids: list[int]) -> list[tuple[int, list[int]]]:
-    size = max(1, REPLICA_BLOCK_PARTICLES // n)
-    return [(n, sids[i:i + size]) for i in range(0, len(sids), size)]
-
-
 def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
-    cfg = _Cfg(cfg)
-    model = _get(cfg, "model", required=True)
-    times = _floats(cfg, "snapshot_times", required=True)
-    n_values = _n_list(cfg)
-    obs = _build_observable(cfg)
-    estimator = str(_get(cfg, "estimator", "empirical-mean"))
-    if estimator not in ("empirical-mean", "marginal"):
-        raise ConfigError("estimator", f"unknown estimator '{estimator}' "
-                          "(empirical-mean or marginal)")
-    n_ref = _int(cfg, "n_ref", required=True)
+    cfg = _Cfg(cfg, "chaos-curve")
+    n_values = cfg.read("n_list")
+    n_ref = cfg.read("n_ref")
     if n_ref < 16 * max(n_values):
         raise ConfigError("n_ref", "must be at least 16x the largest N")
-    deterministic = model == "vlasov"
-    replicas = 1 if deterministic else _replica_count(cfg, 64)
-    replicas_ref = 1 if deterministic else _count(cfg, "replicas_ref", 32)
-    task = functools.partial(_curve_block, cfg, seed, obs, estimator, _model_kernel(cfg))
+    run = _resolve_run(cfg, n_ref)
+    obs = _build_observable(cfg, run.m)
+    estimator = cfg.read("estimator")
+    replicas, replicas_ref = 1, 1  # vlasov is deterministic: one run per N
+    if run.stochastic:
+        replicas, replicas_ref = cfg.read("replicas"), cfg.read("replicas_ref")
+    task = functools.partial(_curve_block, run, obs, estimator, seed)
 
-    def run_blocks(n: int, sids: list[int], in_process_first: bool = False) -> list:
-        blocks = _replica_blocks(n, sids)
-        head = [task(blocks.pop(0))] if in_process_first else []
-        return [rep for block in head + ordered_map(task, blocks, workers) for rep in block]
+    def run_blocks(n: int, sids: list[int]) -> list:
+        size = max(1, REPLICA_BLOCK_PARTICLES // n)
+        blocks = [(n, sids[i:i + size]) for i in range(0, len(sids), size)]
+        return [rep for block in ordered_map(task, blocks, workers) for rep in block]
 
-    # oracle replicas first (fixed stream block), then the measured runs;
-    # the first block runs in-process so the defaults it resolves land in
-    # the parent's header whatever the worker count
-    oracle_out = run_blocks(n_ref, [900_000_000 + r for r in range(replicas_ref)], True)
-    oracle = OracleEstimate.from_replicas(times, np.stack([v for v, _, _ in oracle_out]))
+    # oracle replicas first (fixed stream block), then the measured runs
+    oracle_out = run_blocks(n_ref, [900_000_000 + r for r in range(replicas_ref)])
+    oracle = OracleEstimate.from_replicas(run.times, np.stack([v for v, _, _ in oracle_out]))
     draws = [(sid, d) for _, sid, d in oracle_out]
     values = []
     for k, n in enumerate(n_values):
@@ -529,26 +527,17 @@ def cmd_chaos_curve(cfg: dict, seed: int, workers: int, out: str | None) -> str:
 
 
 def cmd_omega_n(cfg: dict, seed: int, workers: int, out: str | None) -> str:
-    cfg = _Cfg(cfg)
-    dim = _count(cfg, "dimension", required=True)
-    n_values = _n_list(cfg)
-    replicas = _replica_count(cfg, 200)
-    estimator = str(_get(cfg, "estimator", "auto"))
-    if estimator not in ("auto", "exact-1d", "sliced"):
-        raise ConfigError("estimator", f"unknown estimator '{estimator}' "
-                          "(auto, exact-1d or sliced)")
+    cfg = _Cfg(cfg, "omega-n")
+    dim = cfg.read("dimension")
+    n_values = cfg.read("n_list")
+    replicas = cfg.read("replicas")
+    estimator = cfg.read("estimator")
     if estimator == "exact-1d" and dim != 1:
         raise ConfigError("estimator", f"exact-1d needs dimension = 1, got {dim}")
-    n_proj = _count(cfg, "n_projections", 64)
-    law = str(_get(cfg, "law", "gaussian"))
-    if law != "gaussian":
-        raise ConfigError("law", "only the gaussian law is built in")
-    mean = _per_coordinate(cfg, "law_mean", [0.0], dim)
-    if not np.all(np.isfinite(mean)):
-        raise ConfigError("law_mean", f"must be finite, got {mean.tolist()}")
-    var = _per_coordinate(cfg, "law_variance", [1.0], dim)
-    if not np.all(np.isfinite(var) & (var >= 0)):
-        raise ConfigError("law_variance", f"must be finite and nonnegative, got {var.tolist()}")
+    n_proj = cfg.read("n_projections")
+    cfg.read("law")  # gaussian, the one built-in law: read to refuse another and echo it
+    mean = cfg.read("law_mean", coords=dim)
+    var = cfg.read("law_variance", coords=dim)
 
     rows = []
     errors = []
@@ -703,9 +692,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is None and args.subcommand != "check":
         parser.error("--config is required for this subcommand")
     try:
-        cfg = {} if args.config is None else parse_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("master_seed", 0))
-        out = args.out if args.out is not None else cfg.get("out")
+        cfg = _Cfg({} if args.config is None else parse_config(args.config), args.subcommand)
+        seed = args.seed if args.seed is not None else cfg.read("master_seed")
+        out = args.out if args.out is not None else cfg.read("out")
         _COMMANDS[args.subcommand](cfg, seed, max(1, args.workers), out)
     except (ValueError, SimulationError, SpectralInstability, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -289,10 +289,12 @@ def replica_normals(rngs: Sequence[RngStream], owners, width: int) -> np.ndarray
 
 
 def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:
-    """Snapshot times as an array, refused unless sorted and inside [t0, t_end]."""
-    if t_end < t0:
-        raise ValueError("t_end must not precede the start time")
+    """Snapshot times as an array, refused unless finite, sorted and inside [t0, t_end]."""
+    if not t0 <= t_end < math.inf:  # NaN fails every comparison
+        raise ValueError(f"t_end must not precede the start time and must be finite, got {t_end}")
     snaps = np.asarray(snapshot_times, dtype=np.float64)
+    if not np.all(np.isfinite(snaps)):
+        raise ValueError("snapshot times must be finite")
     if snaps.size and np.any(np.diff(snaps) < 0):
         raise ValueError("snapshot times must be sorted ascending")
     if snaps.size and (snaps[0] < t0 - 1e-12 or snaps[-1] > t_end + 1e-12):
@@ -309,8 +311,8 @@ def run_fixed_steps(x, step: Callable, emit: Callable, snapshot_times: Sequence[
     ``emit(x, k)`` at each snapshot's step k (k = 0 is the initial x) and
     takes no step past the last snapshot.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
     steps = (snaps - t0) / dt
     off = np.abs(steps - np.rint(steps)) > 1e-6

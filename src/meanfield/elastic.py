@@ -65,8 +65,8 @@ class AngularKernel:
             if self.weights is None:
                 raise ValueError("d=1 kernels are two point masses; pass weights")
             wp, wm = self.weights
-            if wp < 0 or wm < 0 or wp + wm <= 0:
-                raise ValueError("weights must be nonnegative with positive sum")
+            if not (0 <= wp < math.inf and 0 <= wm < math.inf and wp + wm > 0):
+                raise ValueError("weights must be finite and nonnegative with positive sum")
             self.raw_norm = wp + wm
             self.weights = (wp / self.raw_norm, wm / self.raw_norm)
             return

@@ -17,6 +17,7 @@ and the force loops do not special-case the diagonal.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -48,36 +49,37 @@ class InteractionKernel:
     fast_force: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+# catalog entries bind module-level functions, so the specs pickle into worker tasks
+
+
+def _linear_force(kappa: float, coords: np.ndarray) -> np.ndarray:
+    return -kappa * (coords - coords.mean(axis=-2, keepdims=True))
+
+
+def _gaussian_derivative(amp: float, width: float, z: np.ndarray) -> np.ndarray:
+    r2 = np.sum(z * z, axis=-1, keepdims=True)
+    return -amp * z * np.exp(-r2 / (2.0 * width**2))
+
+
+def _screened_coulomb(amp: float, eps: float, z: np.ndarray) -> np.ndarray:
+    r2 = np.sum(z * z, axis=-1, keepdims=True)
+    return amp * z / (r2 + eps**2) ** 1.5
+
+
 def interaction_catalog(name: str, dim: int, **params) -> InteractionKernel:
     """Built-in interactions: zero, linear, gaussian_derivative, screened_coulomb."""
     if name == "zero":
-        return InteractionKernel(lambda z: np.zeros_like(z),
-                                 fast_force=lambda coords: np.zeros_like(coords))
+        return InteractionKernel(np.zeros_like, fast_force=np.zeros_like)
     if name == "linear":
         kappa = float(params.get("kappa", 1.0))
-
-        def fast(coords: np.ndarray) -> np.ndarray:
-            return -kappa * (coords - coords.mean(axis=-2, keepdims=True))
-
-        return InteractionKernel(lambda z: -kappa * z, fast_force=fast)
+        return InteractionKernel(functools.partial(np.multiply, -kappa),
+                                 fast_force=functools.partial(_linear_force, kappa))
     if name == "gaussian_derivative":
-        amp = float(params.get("amp", 1.0))
-        width = float(params.get("width", 1.0))
-
-        def fn(z: np.ndarray) -> np.ndarray:
-            r2 = np.sum(z * z, axis=-1, keepdims=True)
-            return -amp * z * np.exp(-r2 / (2.0 * width**2))
-
-        return InteractionKernel(fn)
+        return InteractionKernel(functools.partial(
+            _gaussian_derivative, float(params.get("amp", 1.0)), float(params.get("width", 1.0))))
     if name == "screened_coulomb":
-        amp = float(params.get("amp", 1.0))
-        eps = float(params.get("eps", 0.5))
-
-        def fn(z: np.ndarray) -> np.ndarray:
-            r2 = np.sum(z * z, axis=-1, keepdims=True)
-            return amp * z / (r2 + eps**2) ** 1.5
-
-        return InteractionKernel(fn)
+        return InteractionKernel(functools.partial(
+            _screened_coulomb, float(params.get("amp", 1.0)), float(params.get("eps", 0.5))))
     raise ValueError(f"unknown interaction kernel '{name}'")
 
 
@@ -202,6 +204,22 @@ def simulate_mkv(
 # deterministic position-velocity specialization
 
 
+def _linear_gradient(kappa: float, x: np.ndarray) -> np.ndarray:
+    return kappa * (x - x.mean(axis=0))
+
+
+def _sine(amp: float, x: np.ndarray) -> np.ndarray:
+    return amp * np.sin(x)
+
+
+def _sine_force(amp: float, x: np.ndarray) -> np.ndarray:
+    # sin(xi - xj) = sin xi cos xj - cos xi sin xj: two running means
+    if x.shape[1] != 1:
+        raise ValueError("sine gradient is one-dimensional")
+    s, c = np.sin(x), np.cos(x)
+    return amp * (s * c.mean(axis=0) - c * s.mean(axis=0))
+
+
 def gradient_catalog(name: str, **params) -> InteractionKernel:
     """Potential gradients for the velocity-block force: zero, linear, sine.
 
@@ -210,29 +228,15 @@ def gradient_catalog(name: str, **params) -> InteractionKernel:
     continuum dynamics.
     """
     if name == "zero":
-        return InteractionKernel(lambda x: np.zeros_like(x),
-                                 fast_force=lambda x: np.zeros_like(x))
+        return InteractionKernel(np.zeros_like, fast_force=np.zeros_like)
     if name == "linear":
         kappa = float(params.get("kappa", 1.0))
-
-        def fast(x: np.ndarray) -> np.ndarray:
-            return kappa * (x - x.mean(axis=0))
-
-        return InteractionKernel(lambda x: kappa * x, fast_force=fast)
+        return InteractionKernel(functools.partial(np.multiply, kappa),
+                                 fast_force=functools.partial(_linear_gradient, kappa))
     if name == "sine":
         amp = float(params.get("amp", 1.0))
-
-        def fn(x: np.ndarray) -> np.ndarray:
-            return amp * np.sin(x)
-
-        def fast(x: np.ndarray) -> np.ndarray:
-            # sin(xi - xj) = sin xi cos xj - cos xi sin xj: two running means
-            if x.shape[1] != 1:
-                raise ValueError("sine gradient is one-dimensional")
-            s, c = np.sin(x), np.cos(x)
-            return amp * (s * c.mean(axis=0) - c * s.mean(axis=0))
-
-        return InteractionKernel(fn, fast_force=fast)
+        return InteractionKernel(functools.partial(_sine, amp),
+                                 fast_force=functools.partial(_sine_force, amp))
     raise ValueError(f"unknown potential gradient '{name}'")
 
 

@@ -63,8 +63,8 @@ class RestitutionParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative (0 disables the bath)")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError("nu must be nonnegative and finite (0 disables the bath)")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 

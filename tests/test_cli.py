@@ -1,10 +1,13 @@
 import functools
+import itertools
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from meanfield import cli
@@ -114,27 +117,32 @@ def test_cmd_simulate_deterministic_and_echo_round_trip(tmp_path):
     assert a2 == a
 
 
+THERMO_CFG = {
+    "model": "inelastic_thermostat", "dimension": 3, "n": 32,
+    "alpha": 0.8, "nu": 1.0, "t_end": 0.5, "snapshot_times": [0.5],
+    "initial_variance": 2.0,
+}
+MKV_CFG = {
+    "model": "mckean_vlasov", "dimension": 1, "n": 128, "dt": 0.01,
+    "drift_lambda": 1.0, "sigma": 1.0, "interaction": "linear",
+    "interaction_kappa": 1.0, "t_end": 0.5, "snapshot_times": [0.25, 0.5],
+}
+VLASOV_CFG = {
+    "model": "vlasov", "dimension": 1, "n": 64, "dt": 0.01,
+    "potential_gradient": "sine", "gradient_amp": 1.0,
+    "initial": "quantile", "quantile_law": "uniform",
+    "t_end": 0.5, "snapshot_times": [0.5],
+}
+TWO_POINT_CFG = {"model": "kac_elastic", "dimension": 1, "n": 16, "kernel": "two_point",
+                 "kernel_weights": [0.25, 0.75], "t_end": 0.5, "snapshot_times": [0.0, 0.5]}
+
+
 def test_cmd_simulate_models(tmp_path):
-    thermo = {
-        "model": "inelastic_thermostat", "dimension": 3, "n": 32,
-        "alpha": 0.8, "nu": 1.0, "t_end": 0.5, "snapshot_times": [0.5],
-        "initial_variance": 2.0,
-    }
-    out = cmd_simulate(thermo, 3, 1, None)
+    out = cmd_simulate(dict(THERMO_CFG), 3, 1, None)
     assert "temperature" in out
-    mkv = {
-        "model": "mckean_vlasov", "dimension": 1, "n": 128, "dt": 0.01,
-        "drift_lambda": 1.0, "sigma": 1.0, "interaction": "linear",
-        "interaction_kappa": 1.0, "t_end": 0.5, "snapshot_times": [0.25, 0.5],
-    }
-    out = cmd_simulate(mkv, 3, 1, None)
+    out = cmd_simulate(dict(MKV_CFG), 3, 1, None)
     assert out.count("\n") > 3
-    vl = {
-        "model": "vlasov", "dimension": 1, "n": 64, "dt": 0.01,
-        "potential_gradient": "sine", "gradient_amp": 1.0,
-        "initial": "quantile", "quantile_law": "uniform",
-        "t_end": 0.5, "snapshot_times": [0.5],
-    }
+    vl = dict(VLASOV_CFG)
     out1 = cmd_simulate(vl, 3, 1, None)
     out2 = cmd_simulate(vl, 3, 1, None)
     assert out1 == out2  # fully deterministic model
@@ -146,9 +154,7 @@ def test_cmd_simulate_models(tmp_path):
     np.testing.assert_allclose(x0[:, 0], 2.0 * ndtri((np.arange(64) + 0.5) / 64), rtol=1e-15)
     np.testing.assert_array_equal(x0[:, 1], 0.0)
     # the d = 1 two-point kernel keeps the energy of every collision
-    two_point = {"model": "kac_elastic", "dimension": 1, "n": 16, "kernel": "two_point",
-                 "kernel_weights": [0.25, 0.75], "t_end": 0.5, "snapshot_times": [0.0, 0.5]}
-    text = cmd_simulate(two_point, 3, 1, None)
+    text = cmd_simulate(dict(TWO_POINT_CFG), 3, 1, None)
     assert read_csv_header(text)["kernel_weights"] == [0.25, 0.75]
     (_, temp0, _), (_, temp1, _) = [map(float, ln.split(",")) for ln in text.splitlines()[-2:]]
     assert temp1 == pytest.approx(temp0, rel=1e-12)
@@ -288,10 +294,11 @@ def test_cmd_chaos_curve_mckean_blocks_match_across_workers(monkeypatch):
 
 
 def test_chaos_curve_block_task_pickles():
-    # tasks carry their context, so they run under any start method
-    cfg = cli._Cfg(dict(CURVE_CFG))
-    task = functools.partial(cli._curve_block, cfg, 21, cli._build_observable(cfg),
-                             "empirical-mean", cli._model_kernel(cfg))
+    # tasks carry the resolved run, so they run under any start method
+    cfg = cli._Cfg(dict(CURVE_CFG), "chaos-curve")
+    run = cli._resolve_run(cfg, 256)
+    task = functools.partial(cli._curve_block, run, cli._build_observable(cfg, run.m),
+                             "empirical-mean", 21)
     block = (8, [1_000_000, 1_000_001, 1_000_002])
     copy = pickle.loads(pickle.dumps(task))
     for (va, sa, da), (vb, sb, db) in zip(task(block), copy(block)):
@@ -456,6 +463,25 @@ KAC_D1 = {**KAC_D3, "dimension": 1}
     # a negative quantile variance was a math domain error that named no field
     ("simulate", {**KAC_D1, "initial": "quantile", "quantile_law": "gaussian",
                   "quantile_variance": -1.0}, "quantile_variance"),
+    # NaN fails every < test: a NaN t_end ran without collisions, a NaN bath
+    # strength turned the bath off, a NaN step read every snapshot at step 0,
+    # and an infinite t_end overflowed; NaN coefficients ended in a blow-up
+    ("simulate", {**KAC_D3, "t_end": np.nan}, "t_end"),
+    ("simulate", {**KAC_D3, "t_end": np.inf}, "t_end"),
+    ("simulate", {**KAC_D3, "snapshot_times": np.nan}, "snapshot_times"),
+    ("simulate", {**THERMO_CFG, "nu": np.nan}, "nu"),
+    ("simulate", {**THERMO_CFG, "nu": np.inf}, "nu"),
+    ("simulate", {**MKV_CFG, "dt": np.nan}, "dt"),
+    ("simulate", {**MKV_CFG, "dt": np.inf}, "dt"),
+    ("simulate", {**TWO_POINT_CFG, "kernel_weights": [np.nan, 0.5]}, "kernel_weights"),
+    ("simulate", {**MKV_CFG, "sigma": np.nan}, "sigma"),
+    ("simulate", {**VLASOV_CFG, "quantile_lo": np.nan}, "quantile_lo"),
+    ("simulate", {**MKV_CFG, "drift_lambda": "abc"}, "drift_lambda"),
+    ("simulate", {**KAC_D3, "n": 0}, "n"),
+    ("simulate", {**KAC_D3, "n": -3}, "n"),
+    # bool("no") is True: a word in a boolean field ran as true
+    ("simulate", {**MKV_CFG, "n_minus_one_prefactor": "no"}, "n_minus_one_prefactor"),
+    ("simulate", {**THERMO_CFG, "ordered_pair_rate": "maybe"}, "ordered_pair_rate"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     for key in ("initial_file", "input_a", "input_b"):
@@ -468,7 +494,8 @@ def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "bad.cfg"
     path.write_text(format_config(cfg))
     assert main([command, "--config", str(path)]) == 2
-    assert f"config field '{field}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
 
 
 def test_config_integral_float_count_accepted():
@@ -571,3 +598,109 @@ print(sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules))
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["[]", "['scipy.linalg', 'scipy.optimize']"]
+
+
+VLASOV_CURVE_CFG = {
+    "model": "vlasov", "dimension": 1, "n_list": [16, 32], "n_ref": 512, "dt": 0.01,
+    "snapshot_times": [0.1, 0.2], "potential_gradient": "sine", "initial": "quantile",
+    "observable": "gauss_bump", "observable_center": [0.5, 0.0], "observable_width": 1.0,
+}
+# one small run per command and model: (command, config, seed)
+HEADER_RUNS = {
+    "simulate kac_elastic": ("simulate", SIM_CFG, 11),
+    "simulate kac_elastic two_point quantile": (
+        "simulate", {**TWO_POINT_CFG, "initial": "quantile", "quantile_law": "gaussian"}, 3),
+    "simulate inelastic_thermostat": ("simulate", THERMO_CFG, 3),
+    "simulate mckean_vlasov": ("simulate", MKV_CFG, 3),
+    "simulate vlasov quantile": ("simulate", VLASOV_CFG, 3),
+    "chaos-curve kac_elastic": ("chaos-curve", CURVE_CFG, 21),
+    "chaos-curve vlasov": ("chaos-curve", VLASOV_CURVE_CFG, 5),
+    "omega-n": ("omega-n", OMEGA_D3, 7),
+    "metric toscani": ("metric", {"metric": "toscani", "input_a": "a.txt", "input_b": "b.txt"}, 0),
+    "metric h_sobolev": ("metric", {"metric": "h_sobolev", "input_a": "a.txt",
+                                    "input_b": "b.txt", "xi_nodes": 301}, 0),
+}
+HEADER_GOLDEN = Path(__file__).with_name("cli_headers.golden")
+
+
+def cli_header_blocks() -> str:
+    """The header lines of every HEADER_RUNS run, one labelled block each.
+
+    Runs in the current directory, where it writes the metric inputs.
+    """
+    rng = np.random.default_rng(5)
+    dump_particles("a.txt", rng.normal(size=(16, 1)))
+    dump_particles("b.txt", rng.normal(0.5, 1.5, size=(12, 1)))
+    blocks = []
+    for label, (command, cfg, seed) in HEADER_RUNS.items():
+        text = cli._COMMANDS[command](dict(cfg), seed, 1, None)
+        lines = itertools.takewhile(lambda ln: ln.startswith("#"), text.splitlines())
+        blocks.append("\n".join([f"[{label}]", *lines]) + "\n")
+    return "\n".join(blocks)
+
+
+def test_cli_header_lines_are_pinned(tmp_path, monkeypatch):
+    # explicit keys, the defaults each run reads, the estimator, the
+    # observable tag and the draw accounting, line for line
+    monkeypatch.chdir(tmp_path)
+    assert cli_header_blocks() == HEADER_GOLDEN.read_text()
+
+
+
+# the command scripts/run_experiments.sh runs each scripts/configs file with
+SCRIPT_COMMANDS = {"elastic_chaos_curve": "chaos-curve", "omega_gaussian_d3": "omega-n",
+                   "thermostat_plateau": "simulate", "vlasov_doubling": "chaos-curve"}
+SCRIPT_CONFIGS = sorted((Path(__file__).parents[1] / "scripts" / "configs").glob("*.cfg"))
+
+
+def _shrunk(cfg: dict) -> dict:
+    """cfg with its counts capped, never raised, and its run cut to t <= 0.1."""
+    small = dict(cfg)
+    for key, cap in (("n", 16), ("n_ref", 256), ("replicas", 4), ("replicas_ref", 2)):
+        if key in small:
+            small[key] = min(small[key], cap)
+    if "n_list" in small:
+        small["n_list"] = [min(n, 8 * 2**k) for k, n in enumerate(small["n_list"][:2])]
+    if "snapshot_times" in small:
+        small["snapshot_times"] = [0.05, 0.1]
+    if "t_end" in small:
+        small["t_end"] = 0.1
+    return small
+
+
+MUTATED_RUNS = [
+    *[(command, _shrunk(cfg)) for command, cfg, _ in HEADER_RUNS.values()],
+    *[(SCRIPT_COMMANDS[path.stem], _shrunk(parse_config_text(path.read_text())))
+      for path in SCRIPT_CONFIGS],
+    ("metric", {"metric": "w2_sliced", "n_projections": 8, "input_a": "a.txt", "input_b": "b.txt"}),
+    ("metric", {"metric": "tv", "bin_edges": [-1.0, 0.0, 1.0], "input_a": "a.txt",
+                "input_b": "b.txt"}),
+]
+
+
+def _mutations(value) -> list[str]:
+    """Config-file values for one field: non-finite, zero, negative, empty, a
+    word, an empty list and a list one value longer."""
+    values = value if isinstance(value, list) else [value]
+    return ["nan", "inf", "-inf", "0", "-1", "", "bogus", ",", render_value(values + values[-1:])]
+
+
+def test_mutated_config_field_exits_zero_or_two(tmp_path, monkeypatch):
+    # one field of a working config set to a bad value: the run completes or
+    # refuses with exit 2, and never escapes main as a traceback
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(5)
+    dump_particles("a.txt", rng.normal(size=(16, 1)))
+    dump_particles("b.txt", rng.normal(0.5, 1.5, size=(12, 1)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def check(data):
+        command, cfg = data.draw(st.sampled_from(MUTATED_RUNS))
+        field = data.draw(st.sampled_from(sorted(cfg)))
+        mutation = data.draw(st.sampled_from(_mutations(cfg[field])))
+        path = tmp_path / "mutated.cfg"
+        path.write_text(f"{format_config(cfg)}\n{field} = {mutation}\n")
+        assert main([command, "--config", str(path)]) in (0, 2)
+
+    check()

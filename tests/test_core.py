@@ -17,6 +17,7 @@ from meanfield.core import (
     quantile_init_1d,
     replica_normals,
     run_fixed_steps,
+    validate_snapshots,
 )
 
 
@@ -352,6 +353,22 @@ def test_run_fixed_steps_reads_each_snapshot_and_stops_at_the_last():
         with pytest.raises(ValueError, match=message):
             run_fixed_steps(0, step, lambda x, k: x, times, 0.0, 4.0, dt)
     assert taken == [1, 2, 3]  # refused before any step
+
+
+@pytest.mark.parametrize("times, t_end", [([0.5], np.nan), ([0.5], np.inf), ([np.nan], 1.0),
+                                          ([0.25, np.nan, 0.75], 1.0), ([0.25, np.inf], 1.0)])
+def test_validate_snapshots_refuses_non_finite_times(times, t_end):
+    # NaN fails every comparison, so a NaN t_end or snapshot time passed the
+    # order and range tests, and an infinite t_end overflowed downstream
+    with pytest.raises(ValueError, match="finite"):
+        validate_snapshots(times, 0.0, t_end)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_run_fixed_steps_refuses_non_finite_dt(dt):
+    # a NaN step read every snapshot at step 0
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        run_fixed_steps(0, lambda x, k: x + 1, lambda x, k: x, [0.5], 0.0, 1.0, dt)
 
 
 def test_particle_state_validation():

@@ -36,6 +36,12 @@ def test_kernel_rejects_negative_density():
         AngularKernel(dim=3, density=lambda c: c)  # negative on [-1, 0)
 
 
+@pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.inf), (np.inf, np.inf)])
+def test_two_point_kernel_refuses_non_finite_weights(weights):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        AngularKernel.two_point(*weights)
+
+
 def test_isotropic_b1_zero():
     assert AngularKernel.isotropic(3).b1() == pytest.approx(0.0, abs=1e-12)
     assert AngularKernel.isotropic(2).b1() == pytest.approx(0.0, abs=1e-10)

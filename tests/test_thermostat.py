@@ -27,6 +27,13 @@ def test_restitution_validation():
     RestitutionParams(alpha=0.5, nu=0.0, dim=1)  # bath-off limit allowed
 
 
+@pytest.mark.parametrize("nu", [np.nan, np.inf])
+def test_restitution_refuses_non_finite_nu(nu):
+    # a NaN bath strength ran as the bath-off limit, since nu > 0 is false
+    with pytest.raises(ValueError, match="nu must be nonnegative and finite"):
+        RestitutionParams(alpha=0.5, nu=nu)
+
+
 def collide(vi, vj, costh, frames, restitution):
     """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
     x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
