@@ -12,17 +12,23 @@ per event).  Exactness under vectorization rests on two facts:
   is drawn up front in event order, so nothing random depends on the
   schedule.
 
-``play_events`` is the one snapshot/batch loop.  The record is cut at
-the snapshots when it is drawn: one ``EventSegment`` per snapshot holds
-the events since the previous one, and ``play_events`` consumes the
-record, releasing each segment once it is played, before the snapshot
-is copied.  A segment is played in chunks of consecutive events; within
-a chunk every event gets the ASAP level of its per-particle dependency
-DAG (``level_schedule``), and each level is one batch of events on
-disjoint particles.  Levels are few (11-13 for a chunk of 12,000-16,000
-events on 16,384 or 32,768 particles), so the per-batch numpy overhead
-is paid about a dozen times per chunk instead of once per ~sqrt(N)
-events.
+``play_events`` is the one snapshot/batch loop.  A model hands it a
+collision rule, called once per batch of disjoint pairs
+(``apply_pair_collisions``, elastic or inelastic, or the coupled gas's
+rule), and optionally a bath that moves particles between their jumps
+(the thermostat's Brownian forcing), so every model plays under the one
+schedule.
+
+The record is cut at the snapshots when it is drawn: one
+``EventSegment`` per snapshot holds the events since the previous one,
+and ``play_events`` consumes the record, releasing each segment once it
+is played, before the snapshot is copied.  A segment is played in
+chunks of consecutive events; within a chunk every event gets the ASAP
+level of its per-particle dependency DAG (``level_schedule``), and each
+level is one batch of events on disjoint particles.  Levels are few
+(11-13 for a chunk of 12,000-16,000 events on 16,384 or 32,768
+particles), so the per-batch numpy overhead is paid about a dozen times
+per chunk instead of once per ~sqrt(N) events.
 Replicas stack into one system: replica r owns particles r N .. r N +
 N - 1, and each segment holds the whole block's events of its interval,
 replica after replica, with pair indices offset by r N.  Their events
@@ -248,39 +254,24 @@ def put_pairs(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, w: np.ndarray, u_st
     put_columns(x, jj, vj_new)
 
 
-def apply_pair_collisions(
-    x: np.ndarray,
-    pi: np.ndarray,
-    pj: np.ndarray,
-    costh: np.ndarray,
-    frames: np.ndarray,
-    restitution: float | None,
-    batches: list[tuple[int, int]],
-    pre_batch_hook=None,
-) -> None:
-    """Apply the collision sequence to the C-contiguous coordinate-major (d, M) x in place.
+def apply_pair_collisions(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, costh: np.ndarray,
+                          frames: np.ndarray, sinth: np.ndarray,
+                          restitution: float | None = None) -> None:
+    """One batch of collisions on the disjoint column pairs (ii, jj) of x, in place.
 
-    Event e collides columns pi[e] and pj[e] with deviation cosine
-    costh[e] and frame column frames[:, e] of the (d, K) frames, (0, K)
-    at d = 1.  restitution None means the elastic rule (relative speed
-    preserved); otherwise the inelastic rule with that coefficient.
-    pre_batch_hook, when given, is called as hook(lo, hi, idx_i, idx_j)
-    before each batch (the thermostat uses it to bring colliding particles
-    up to date with their diffusion).
+    x is C-contiguous and coordinate-major (d, M).  Pair k collides with
+    deviation cosine costh[k], its sine sinth[k] and frame column
+    frames[:, k] of the (d, k) frames, (0, k) at d = 1.  restitution None
+    means the elastic rule (relative speed preserved); otherwise the
+    inelastic rule with that coefficient.
     """
-    sinth = sine_of(costh)
-    for lo, hi in batches:
-        ii = pi[lo:hi]
-        jj = pj[lo:hi]
-        if pre_batch_hook is not None:
-            pre_batch_hook(lo, hi, ii, jj)
-        w, u, r = pair_geometry(x, ii, jj)
-        sigma = deviation_vectors(u, r, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
-        if restitution is None:
-            u_star = np.multiply(r, sigma, out=sigma)
-        else:
-            u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r * sigma
-        put_pairs(x, ii, jj, w, u_star, r > 0.0)
+    w, u, r = pair_geometry(x, ii, jj)
+    sigma = deviation_vectors(u, r, costh, frames, sinth)
+    if restitution is None:
+        u_star = np.multiply(r, sigma, out=sigma)
+    else:
+        u_star = 0.5 * (1.0 - restitution) * u + 0.5 * (1.0 + restitution) * r * sigma
+    put_pairs(x, ii, jj, w, u_star, r > 0.0)
 
 
 # a segment is played in chunks of at most this many events: one chunk per
@@ -290,34 +281,29 @@ def apply_pair_collisions(
 CHUNK_EVENTS = 16384
 
 
-def _play_segment(x, seg: EventSegment, restitution, apply, on_chunk) -> None:
+def _play_segment(x, seg: EventSegment, collide, bath) -> None:
     """Play one segment on x, in chunks of at most ``CHUNK_EVENTS`` consecutive events."""
     live = np.flatnonzero(np.diff(seg.bounds))  # replicas with events in the segment
     starts, ends = seg.bounds[live], seg.bounds[live + 1]
     for c0 in range(0, len(seg), CHUNK_EVENTS):
         c1 = min(c0 + CHUNK_EVENTS, len(seg))
-        pi, pj = seg.pair_i[c0:c1], seg.pair_j[c0:c1]
-        order, batches = level_schedule(pi, pj)
+        order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
+        pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
+        sinth = sine_of(costh)
         frames = np.ascontiguousarray(seg.frames[c0:c1].take(order, axis=0).T)
-        hook = None
-        if on_chunk is not None:
+        if bath is not None:
             k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
             counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
-            hook = on_chunk(order, seg.times[c0:c1].take(order),
-                            list(zip(live[k0:k1].tolist(), counts.tolist())))
-        apply(x, pi.take(order), pj.take(order), seg.costh[c0:c1].take(order), frames,
-              restitution, batches, hook)
+            bath.chunk(seg.times[c0:c1], list(zip(live[k0:k1].tolist(), counts.tolist())))
+        for lo, hi in batches:
+            ii, jj = pi[lo:hi], pj[lo:hi]
+            if bath is not None:
+                bath.kick(x, ii, jj, order[lo:hi])
+            collide(x, ii, jj, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
 
 
-def play_events(
-    x: np.ndarray,
-    record: list[EventSegment],
-    snaps: np.ndarray,
-    restitution: float | None = None,
-    apply=None,
-    on_chunk=None,
-    on_snapshot=None,
-) -> list[np.ndarray]:
+def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, collide,
+                bath=None) -> list[np.ndarray]:
     """Play a stacked event record on x in place; row copies of x at the snapshots.
 
     x is the C-contiguous coordinate-major ``(d, R n)`` working copy of a
@@ -326,27 +312,22 @@ def play_events(
     previous snapshot, and is consumed: each segment leaves the list and
     is released once played, before its snapshot is copied.  A segment is
     played in chunks of consecutive events (replica by replica, each in
-    stream order), each chunk in its level schedule, and each field of a
-    chunk is one slice of the segment.  ``apply`` (default
-    :func:`apply_pair_collisions`, looked up at call time) has that
-    function's signature and gets the chunk's event fields in play order
-    with one ``(lo, hi)`` batch per level.
-    ``on_chunk(order, times, owners)``, when given, is called before
-    each chunk with its play order (positions among the chunk's events in
-    stream order), the event times in play order and the chunk's owners:
-    one ``(r, count)`` per span, in stream order, for ``count``
-    consecutive events of replica r.  It returns the chunk's pre-batch
-    hook.  ``on_snapshot(s)`` runs right before the state at time s is
-    copied.
+    stream order), each chunk in its level schedule.  ``collide(x, ii, jj,
+    costh, frames, sinth)``, the signature of :func:`apply_pair_collisions`,
+    plays one batch: one level's events on disjoint pairs.  ``bath``, when
+    given, moves particles between their jumps: ``bath.chunk(times,
+    owners)`` runs before each chunk with its event times in stream order
+    and its owners, one ``(r, count)`` per span, in stream order, for
+    ``count`` consecutive events of replica r; ``bath.kick(x, ii, jj,
+    events)`` runs before each batch collides, with the batch's positions
+    among the chunk's events; and ``bath.sync(x, s)`` runs right before
+    the state at time s is copied.
     """
-    if apply is None:
-        apply = apply_pair_collisions
     out = []
     for s in snaps:
-        # the call holds the segment's last reference, and its chunk views
-        # end with it: the segment is freed before the snapshot copy
-        _play_segment(x, record.pop(0), restitution, apply, on_chunk)
-        if on_snapshot is not None:
-            on_snapshot(float(s))
+        # the call holds the segment's last reference: it and the chunk arrays go before the copy
+        _play_segment(x, record.pop(0), collide, bath)
+        if bath is not None:
+            bath.sync(x, float(s))
         out.append(x.T.copy())
     return out

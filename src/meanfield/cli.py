@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from ._events import apply_pair_collisions, column_norms
+from ._events import apply_pair_collisions, column_norms, sine_of
 from ._parallel import ordered_map
 from .config import dump_particles, load_particles, parse_config, write_csv
 from .core import (
@@ -48,6 +48,7 @@ from .core import (
     SimulationError,
     gaussian_sample_state,
     quantile_init_1d,
+    validate_snapshots,
 )
 from .elastic import AngularKernel, simulate_kac
 from .harness import (
@@ -93,9 +94,14 @@ REPLICA_BLOCK_PARTICLES = 16_384
 
 
 class ConfigError(ValueError):
+    """A config value refused on its field; its args are (field, message), so it pickles."""
+
     def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"config field '{field}': {message}")
+        super().__init__(field, message)
         self.field = field
+
+    def __str__(self) -> str:
+        return f"config field '{self.args[0]}': {self.args[1]}"
 
 
 # --------------------------------------------------------------------------
@@ -272,8 +278,17 @@ def _resolve_run(cfg: _Cfg, n_max: int) -> _Run:
     model = cfg.read("model")
     dim = cfg.read("dimension")
     m = 2 * dim if model == "vlasov" else dim
+    n_field = "n" if cfg.command == "simulate" else "n_list"
+    if model in ("kac_elastic", "inelastic_thermostat") and np.min(cfg.read(n_field)) < 2:
+        raise ConfigError(n_field, "the collision models need N >= 2")
     times = cfg.read("snapshot_times")
-    grid = {"t_end": cfg.read("t_end", times[-1]), "snapshot_times": times}
+    # a negative last snapshot is refused below, not as the t_end it would default
+    grid = {"t_end": cfg.read("t_end", max(times[-1], 0.0)), "snapshot_times": times}
+    dt = cfg.read("dt") if model in ("mckean_vlasov", "vlasov") else None
+    try:  # the simulators' own contract, checked here to name the field
+        validate_snapshots(times, 0.0, grid["t_end"], dt)
+    except ValueError as exc:
+        raise ConfigError("snapshot_times", str(exc)) from None
     if model == "kac_elastic":
         play = functools.partial(simulate_kac, kernel=_build_kernel(cfg, dim), **grid)
     elif model == "inelastic_thermostat":
@@ -286,12 +301,11 @@ def _resolve_run(cfg: _Cfg, n_max: int) -> _Run:
             cfg, "interaction_", ("kappa", "amp", "width", "eps")))
         spec = DriftDiffusionSpec(dim, -lam * np.eye(dim), sigma * np.eye(dim), force,
                                   cfg.read("n_minus_one_prefactor"))
-        play = functools.partial(simulate_mkv, spec=spec, dt=cfg.read("dt"), **grid)
+        play = functools.partial(simulate_mkv, spec=spec, dt=dt, **grid)
     else:
         name = cfg.read("potential_gradient")
         force = gradient_catalog(name, **_catalog_params(cfg, "gradient_", ("amp", "kappa")))
-        play = functools.partial(simulate_vlasov, spec=VlasovSpec(dim, force), dt=cfg.read("dt"),
-                                 **grid)
+        play = functools.partial(simulate_vlasov, spec=VlasovSpec(dim, force), dt=dt, **grid)
     return _Run(m, times, _resolve_initial(cfg, dim, m, n_max), play, model != "vlasov")
 
 
@@ -307,8 +321,9 @@ def _build_kernel(cfg: _Cfg, dim: int) -> AngularKernel:
     if dim != 1:
         raise ConfigError("kernel", "two_point kernels are one-dimensional")
     w = cfg.read("kernel_weights")
-    if len(w) != 2:
-        raise ConfigError("kernel_weights", f"need 2 values (mass at +1 and at -1), got {len(w)}")
+    if len(w) != 2 or not sum(w) > 0.0:
+        raise ConfigError("kernel_weights", f"need 2 values (mass at +1 and at -1) with a "
+                          f"positive sum, got {w}")
     return AngularKernel.two_point(*w)
 
 
@@ -462,6 +477,8 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         xi_max = cfg.read("xi_max")
         xi = np.linspace(-xi_max, xi_max, cfg.read("xi_nodes"))
         s_order = cfg.read("s", 3.0 if name == "toscani" else 1.0)
+        if name == "h_sobolev" and s_order < 1.0:
+            raise ConfigError("s", f"h_sobolev needs s >= 1 for empirical inputs, got {s_order}")
         if name == "toscani":
             value, arg = toscani_norm(a, b, s_order, xi)
             extra += [("estimator_used", "grid-sup"), ("argmax_xi", arg)]
@@ -469,7 +486,10 @@ def cmd_metric(cfg: dict, seed: int, workers: int, out: str | None) -> str:
             value = h_neg_sobolev_norm(a, b, s_order, xi)
             extra.append(("estimator_used", "grid-trapezoid"))
     else:
-        value = tv_histogram(a, b, cfg.read("bin_edges"))
+        edges = cfg.read("bin_edges")
+        if len(edges) < 2 or any(hi <= lo for lo, hi in zip(edges, edges[1:])):
+            raise ConfigError("bin_edges", f"need 2 or more edges, strictly increasing: {edges}")
+        value = tv_histogram(a, b, edges)
         extra.append(("estimator_used", "binned-tv-lower-bound"))
     header = _header(cfg, seed, extra + _accounting_items(draws))
     return write_csv(out, header, ["metric", "value", "std_error"], [[name, value, se]])
@@ -649,8 +669,8 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         x = stream.normal(size=(100, 3)).T.copy()  # coordinate-major, as the engine plays
         u = x[:, :50] - x[:, 50:]
         costh = kernel.sample_costheta(50, stream)
-        apply_pair_collisions(x, pairs, pairs + 50, costh, stream.normal(size=(50, 3)).T, alpha,
-                              [(0, 50)])
+        apply_pair_collisions(x, pairs, pairs + 50, costh, stream.normal(size=(50, 3)).T,
+                              sine_of(costh), alpha)
         ratio = column_norms(x[:, :50] - x[:, 50:]) / column_norms(u)
         worst_ratio = max(worst_ratio, float(ratio.max()))
     report("inelastic-contraction", worst_ratio <= 1.0 + 1e-12,

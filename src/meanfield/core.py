@@ -288,8 +288,9 @@ def replica_normals(rngs: Sequence[RngStream], owners, width: int) -> np.ndarray
     return ndtri(open_unit(z), out=z)
 
 
-def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float) -> np.ndarray:
-    """Snapshot times as an array, refused unless finite, sorted and inside [t0, t_end]."""
+def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float,
+                       dt: float | None = None) -> np.ndarray:
+    """Snapshot times as an array: finite, sorted, in [t0, t_end] and, given dt, on t0 + k dt."""
     if not t0 <= t_end < math.inf:  # NaN fails every comparison
         raise ValueError(f"t_end must not precede the start time and must be finite, got {t_end}")
     snaps = np.asarray(snapshot_times, dtype=np.float64)
@@ -299,6 +300,11 @@ def validate_snapshots(snapshot_times: Sequence[float], t0: float, t_end: float)
         raise ValueError("snapshot times must be sorted ascending")
     if snaps.size and (snaps[0] < t0 - 1e-12 or snaps[-1] > t_end + 1e-12):
         raise ValueError("snapshot times must lie in [start, t_end]")
+    if dt is not None:
+        steps = (snaps - t0) / dt
+        off = np.abs(steps - np.rint(steps)) > 1e-6
+        if off.any():
+            raise ValueError(f"snapshot {snaps[off][0]} is not a multiple of dt={dt}")
     return snaps
 
 
@@ -306,21 +312,17 @@ def run_fixed_steps(x, step: Callable, emit: Callable, snapshot_times: Sequence[
                     t0: float, t_end: float, dt: float) -> list:
     """Fixed-step flow ``x = step(x, k)`` for k = 1, 2, ..., read at the snapshots.
 
-    The snapshots obey ``validate_snapshots`` and each lies on the grid
-    t0 + k dt; a repeated time is read once per repeat.  Returns
+    The snapshots obey ``validate_snapshots`` with the step dt; a
+    repeated time is read once per repeat.  Returns
     ``emit(x, k)`` at each snapshot's step k (k = 0 is the initial x) and
     takes no step past the last snapshot.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    snaps = validate_snapshots(snapshot_times, t0, t_end)
-    steps = (snaps - t0) / dt
-    off = np.abs(steps - np.rint(steps)) > 1e-6
-    if off.any():
-        raise ValueError(f"snapshot {snaps[off][0]} is not a multiple of dt={dt}")
+    snaps = validate_snapshots(snapshot_times, t0, t_end, dt)
     out = []
     k = 0
-    for target in np.rint(steps).astype(int):
+    for target in np.rint((snaps - t0) / dt).astype(int):
         while k < target:
             k += 1
             x = step(x, k)

@@ -267,29 +267,22 @@ def _generate_events(
             for s in range(len(snaps))]
 
 
-def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate,
-                      restitution=None, bath=None, apply=None) -> list[ParticleState]:
+def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, collide,
+                      bath=None) -> list[ParticleState]:
     """Independent collision trajectories of a replica stack, played as one system.
 
     ``initial`` stacks R = len(rngs) replicas of N particles (the
     ``ParticleState`` row layout); replica r draws its events, at total
-    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``restitution`` and
-    ``apply`` go to ``_events.play_events``; under ``_apply_coupled`` a
-    row holds two systems of the kernel's dimension side by side.
-    ``bath(x)``, when given, takes the coordinate-major ``(d, R N)`` copy
-    the events play on and returns ``play_events``'s ``(on_chunk, on_snapshot)``.
+    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``collide`` and
+    ``bath`` go to ``_events.play_events``, which plays them on the
+    coordinate-major ``(d, R N)`` copy of ``initial``.
     """
     n, t0 = replica_size(initial, rngs), initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
-    if kernel.dim * (2 if apply is _apply_coupled else 1) != initial.dim:
-        raise ValueError("kernel dimension must match the state")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
     record = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end, snaps, rngs)
-    x = initial.coords.T.copy()  # coordinate-major working copy
-    on_chunk, on_snapshot = (None, None) if bath is None else bath(x)
-    captured = _events.play_events(x, record, snaps, restitution, apply,
-                                   on_chunk=on_chunk, on_snapshot=on_snapshot)
+    captured = _events.play_events(initial.coords.T.copy(), record, snaps, collide, bath)
     return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
 
@@ -305,34 +298,31 @@ def simulate_kac(
     Replica r of ``initial`` draws its events from ``rngs[r]`` and is
     bitwise the run it would be alone; one stream is one run.
     """
-    return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, 0.5)
+    if kernel.dim != initial.dim:
+        raise ValueError("kernel dimension must match the state")
+    return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, 0.5,
+                             _events.apply_pair_collisions)
 
 
-def _apply_coupled(x, pi, pj, costh, frames, restitution, batches, pre_batch_hook) -> None:
-    """Elastic collisions of two systems stacked in the coordinate rows x = [v_a; v_b].
+def _apply_coupled(x, ii, jj, costh, frames, sinth) -> None:
+    """One batch of elastic collisions of two systems stacked in the rows x = [v_a; v_b].
 
-    Takes the arguments of ``_events.apply_pair_collisions`` (restitution
-    and hook are unused: the coupling is elastic and has no bath) and
-    shares its pair gather and scatter.
+    The coupled gas's rule: the arguments of ``_events.apply_pair_collisions``,
+    and its pair gather and scatter.
     """
     d = len(x) // 2
     va, vb = x[:d], x[d:]
-    sinth = _events.sine_of(costh)
-    for lo, hi in batches:
-        ii = pi[lo:hi]
-        jj = pj[lo:hi]
-        wa, ua, ra = _events.pair_geometry(va, ii, jj)
-        wb, ub, rb = _events.pair_geometry(vb, ii, jj)
-        fr, sn = frames[:, lo:hi], sinth[lo:hi]
-        sigma_a = _events.deviation_vectors(ua, ra, costh[lo:hi], fr, sn)
-        # transport onto the second geometry where both are defined;
-        # a degenerate first pair falls back to the direct construction
-        sigma_b = _events.rotate_between(ua / np.where(ra > 0.0, ra, 1.0),
-                                         ub / np.where(rb > 0.0, rb, 1.0), sigma_a)
-        direct_b = _events.deviation_vectors(ub, rb, costh[lo:hi], fr, sn)
-        sigma_b = np.where(ra > 0.0, sigma_b, direct_b)
-        _events.put_pairs(va, ii, jj, wa, np.multiply(ra, sigma_a, out=sigma_a), ra > 0.0)
-        _events.put_pairs(vb, ii, jj, wb, np.multiply(rb, sigma_b, out=sigma_b), rb > 0.0)
+    wa, ua, ra = _events.pair_geometry(va, ii, jj)
+    wb, ub, rb = _events.pair_geometry(vb, ii, jj)
+    sigma_a = _events.deviation_vectors(ua, ra, costh, frames, sinth)
+    # transport onto the second geometry where both are defined;
+    # a degenerate first pair falls back to the direct construction
+    sigma_b = _events.rotate_between(ua / np.where(ra > 0.0, ra, 1.0),
+                                     ub / np.where(rb > 0.0, rb, 1.0), sigma_a)
+    direct_b = _events.deviation_vectors(ub, rb, costh, frames, sinth)
+    sigma_b = np.where(ra > 0.0, sigma_b, direct_b)
+    _events.put_pairs(va, ii, jj, wa, np.multiply(ra, sigma_a, out=sigma_a), ra > 0.0)
+    _events.put_pairs(vb, ii, jj, wb, np.multiply(rb, sigma_b, out=sigma_b), rb > 0.0)
 
 
 def simulate_kac_coupled(
@@ -361,7 +351,9 @@ def simulate_kac_coupled(
         raise ValueError("coupled systems need matching shapes")
     if initial_b.time != initial_a.time:
         raise ValueError("coupled systems need equal start times")
+    if kernel.dim != initial_a.dim:
+        raise ValueError("kernel dimension must match the state")
     both = ParticleState(np.hstack([initial_a.coords, initial_b.coords]), initial_a.time)
-    out = _simulate_stacked(both, kernel, t_end, snapshot_times, rngs, 0.5, apply=_apply_coupled)
+    out = _simulate_stacked(both, kernel, t_end, snapshot_times, rngs, 0.5, _apply_coupled)
     return ([ParticleState(s.coords[:, :initial_a.dim], s.time) for s in out],
             [ParticleState(s.coords[:, initial_a.dim:], s.time) for s in out])

@@ -30,13 +30,14 @@ factor 2 in the collision component only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._events import put_columns
+from . import _events
 from .core import ParticleState, RngStream, replica_normals
 from .elastic import AngularKernel, _simulate_stacked
 
@@ -111,14 +112,37 @@ def steady_temperature(
     return 2.0 * params.nu * finite_n / dissipation
 
 
-def _diffuse(x, idx, last_sync, now, nu, z) -> None:
-    """Bring the columns idx of x up to their exact Brownian state at time now.
+class _Bath:
+    """Brownian forcing of strength nu on a replica stack, caught up per particle.
 
-    z holds one normal per coordinate and particle, coordinate-major.
+    The bath of ``_events.play_events``: ``chunk`` draws 2 d normals per
+    event of a chunk, in event order, from each owner's stream; ``kick``
+    brings a batch's particles up to their collision time; ``sync`` brings
+    every particle up to a snapshot with d more normals per particle.
     """
-    dt = now - last_sync[idx]
-    put_columns(x, idx, x.take(idx, axis=1) + np.sqrt(np.maximum(2.0 * nu * dt, 0.0)) * z)
-    last_sync[idx] = now
+
+    def __init__(self, rngs: Sequence[RngStream], nu: float, initial: ParticleState) -> None:
+        self.rngs, self.nu, self.d = rngs, nu, initial.dim
+        self.last_sync = np.full(initial.n_particles, initial.time)
+
+    def chunk(self, times: np.ndarray, owners) -> None:
+        self.z = None  # the last chunk's normals go before this chunk's are drawn
+        self.times, self.z = times, replica_normals(self.rngs, owners, 2 * self.d)
+
+    def kick(self, x: np.ndarray, ii: np.ndarray, jj: np.ndarray, events: np.ndarray) -> None:
+        # taken in play order batch by batch, not as a chunk-sized reordered copy
+        now, z = self.times.take(events), self.z.take(events, axis=0).T
+        for idx, z_idx in ((ii, z[:self.d]), (jj, z[self.d:])):
+            scale = np.sqrt(np.maximum(2.0 * self.nu * (now - self.last_sync[idx]), 0.0))
+            _events.put_columns(x, idx, x.take(idx, axis=1) + scale * z_idx)
+            self.last_sync[idx] = now
+
+    def sync(self, x: np.ndarray, s: float) -> None:
+        self.times = self.z = None  # the played segment's times go before its snapshot copy
+        n = x.shape[1] // len(self.rngs)
+        z = replica_normals(self.rngs, [(r, n) for r in range(len(self.rngs))], self.d)
+        np.add(x, np.sqrt(np.maximum(2.0 * self.nu * (s - self.last_sync), 0.0)) * z.T, out=x)
+        self.last_sync[:] = s
 
 
 def simulate_thermostat(
@@ -138,34 +162,9 @@ def simulate_thermostat(
     is no bath: the run is the pure inelastic collision process, and the
     streams draw only the events.
     """
-    if params.dim != kernel.dim:
-        raise ValueError("kernel/params dimension must match the state")
-    bath = None
-    if params.nu > 0.0:
-        nu, d = params.nu, params.dim
-
-        def bath(x: np.ndarray):
-            n = x.shape[1] // len(rngs)
-            last_sync = np.full(x.shape[1], initial.time)
-
-            def on_chunk(order: np.ndarray, now: np.ndarray, owners):
-                # drawn in event order, then taken in play order batch by
-                # batch (no chunk-sized reordered copy)
-                z = replica_normals(rngs, owners, 2 * d)
-
-                def hook(lo: int, hi: int, ii: np.ndarray, jj: np.ndarray) -> None:
-                    zb = z.take(order[lo:hi], axis=0).T
-                    _diffuse(x, ii, last_sync, now[lo:hi], nu, zb[:d])
-                    _diffuse(x, jj, last_sync, now[lo:hi], nu, zb[d:])
-
-                return hook
-
-            def on_snapshot(s: float) -> None:
-                z = replica_normals(rngs, [(r, n) for r in range(len(rngs))], d)
-                np.add(x, np.sqrt(np.maximum(2.0 * nu * (s - last_sync), 0.0)) * z.T, out=x)
-                last_sync[:] = s
-
-            return on_chunk, on_snapshot
-
+    if not params.dim == kernel.dim == initial.dim:
+        raise ValueError("kernel dimension must match the state and params.dim")
+    bath = _Bath(rngs, params.nu, initial) if params.nu > 0.0 else None
+    collide = functools.partial(_events.apply_pair_collisions, restitution=params.alpha)
     return _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs,
-                             1.0 if ordered_pair_rate else 0.5, params.alpha, bath)
+                             1.0 if ordered_pair_rate else 0.5, collide, bath)

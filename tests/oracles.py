@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from meanfield._events import sine_of
 from meanfield.core import RngStream, replica_normals, replica_size
 from meanfield.elastic import simulate_kac_coupled
 from meanfield.mckean import _em_step
@@ -96,6 +97,16 @@ def reference_apply(coords, pi, pj, costh, frames, restitution, batches, pre_bat
         moving = r > 0.0
         coords[ii[moving]] = (0.5 * (w + u_star))[moving]
         coords[jj[moving]] = (0.5 * (w - u_star))[moving]
+
+
+def apply_batches(rule, x, pi, pj, costh, frames, batches, **kwargs) -> None:
+    """A per-batch collision rule on each ``(lo, hi)`` batch in turn, as the engine plays a chunk.
+
+    x is coordinate-major (d, M) and frames (d, K), (0, K) at d = 1.
+    """
+    sinth = sine_of(costh)
+    for lo, hi in batches:
+        rule(x, pi[lo:hi], pj[lo:hi], costh[lo:hi], frames[:, lo:hi], sinth[lo:hi], **kwargs)
 
 
 def reference_rotate_between(p, q, x):

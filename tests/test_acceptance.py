@@ -103,8 +103,10 @@ def test_c01_elastic_conservation():
     vi, vj = v[:1000].copy(), v[1000:].copy()
     pairs = np.arange(1000)
     x = v.T.copy()  # the engine plays coordinate-major columns
-    _events.apply_pair_collisions(x, pairs, pairs + 1000, kern.sample_costheta(1000, rng),
-                                  np.atleast_2d(rng.normal(size=(1000, 3))).T, None, [(0, 1000)])
+    costh = kern.sample_costheta(1000, rng)
+    _events.apply_pair_collisions(x, pairs, pairs + 1000, costh,
+                                  np.atleast_2d(rng.normal(size=(1000, 3))).T,
+                                  _events.sine_of(costh))
     wi, wj = x.T[:1000], x.T[1000:]
     e_before = np.sum(vi**2 + vj**2, axis=1)
     worst = max(

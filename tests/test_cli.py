@@ -482,6 +482,22 @@ KAC_D1 = {**KAC_D3, "dimension": 1}
     # bool("no") is True: a word in a boolean field ran as true
     ("simulate", {**MKV_CFG, "n_minus_one_prefactor": "no"}, "n_minus_one_prefactor"),
     ("simulate", {**THERMO_CFG, "ordered_pair_rate": "maybe"}, "ordered_pair_rate"),
+    # refusals that depend on two fields or an ordering name their field
+    # too, not only the library's guards: a collision needs two particles,
+    # an Euler step lands on every snapshot, and snapshots lie in [0, t_end]
+    ("simulate", {**KAC_D3, "n": 1}, "n"),
+    ("simulate", {**THERMO_CFG, "n": 1}, "n"),
+    ("chaos-curve", {**CURVE_CFG, "n_list": [1, 8]}, "n_list"),
+    ("simulate", {**MKV_CFG, "dt": 0.3, "snapshot_times": [0.5]}, "snapshot_times"),
+    ("simulate", {**KAC_D3, "snapshot_times": [0.5], "t_end": 0.25}, "snapshot_times"),
+    ("simulate", {**KAC_D3, "snapshot_times": [0.5], "t_end": 0.0}, "snapshot_times"),
+    ("simulate", {**KAC_D3, "snapshot_times": [0.5, 0.25]}, "snapshot_times"),
+    ("chaos-curve", {**CURVE_CFG, "snapshot_times": -1.0}, "snapshot_times"),
+    ("metric", {"metric": "tv", "input_a": np.zeros((4, 1)), "input_b": np.ones((4, 1)),
+                "bin_edges": [-1.0, 0.0, 1.0, 1.0]}, "bin_edges"),
+    ("simulate", {**TWO_POINT_CFG, "kernel_weights": [0.0, 0.0]}, "kernel_weights"),
+    ("metric", {"metric": "h_sobolev", "input_a": np.zeros((4, 1)), "input_b": np.ones((4, 1)),
+                "s": 0.5}, "s"),
 ])
 def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     for key in ("initial_file", "input_a", "input_b"):
@@ -496,6 +512,14 @@ def test_config_field_refused(tmp_path, capsys, command, cfg, field):
     assert main([command, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: config field '{field}': ") and err.count("\n") == 1
+
+
+def test_config_error_pickles():
+    # a refusal raised in a worker task reaches the parent as itself
+    err = cli.ConfigError("n", "must be at least 1, got 0")
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is cli.ConfigError and copy.field == "n"
+    assert str(copy) == str(err) == "config field 'n': must be at least 1, got 0"
 
 
 def test_config_integral_float_count_accepted():

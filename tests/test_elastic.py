@@ -13,6 +13,7 @@ from meanfield.elastic import (
 )
 from meanfield.thermostat import RestitutionParams, simulate_thermostat
 from oracles import (
+    apply_batches,
     generate_events_alone,
     reference_apply,
     reference_apply_coupled,
@@ -52,9 +53,10 @@ def collide(vi, vj, costh, frames=None, restitution=None):
     x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
     k = len(vi)
     pairs = np.arange(k)
-    _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
+    costh = np.asarray(costh, dtype=np.float64)
+    _events.apply_pair_collisions(x, pairs, pairs + k, costh,
                                   np.empty((0, k)) if frames is None else np.asarray(frames).T,
-                                  restitution, [(0, k)])
+                                  _events.sine_of(costh), restitution)
     return x.T[:k], x.T[k:]
 
 
@@ -238,12 +240,12 @@ def test_batched_apply_equals_sequential_oracle():
     a = x0.copy()
     order, batches = _events.level_schedule(pi, pj)
     assert len(batches) < k // 2  # the schedule really batches
-    _events.apply_pair_collisions(a, pi[order], pj[order], costh[order], frames[:, order], None,
-                                  batches)
+    apply_batches(_events.apply_pair_collisions, a, pi[order], pj[order], costh[order],
+                  frames[:, order], batches)
 
     b = x0.copy()
     one_by_one = [(e, e + 1) for e in range(k)]
-    _events.apply_pair_collisions(b, pi, pj, costh, frames, None, one_by_one)
+    apply_batches(_events.apply_pair_collisions, b, pi, pj, costh, frames, one_by_one)
 
     np.testing.assert_array_equal(a, b)
 
@@ -363,9 +365,9 @@ def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
         frames[0] = 2.5 * (coords0[pi[0]] - coords0[pj[0]])
     got = coords0.T.copy()
     # the engine takes d = 1 frames as (0, K); the reference, None
-    _events.apply_pair_collisions(got, pi, pj, costh,
-                                  np.empty((0, k)) if frames is None else frames.T.copy(),
-                                  restitution, batches)
+    apply_batches(_events.apply_pair_collisions, got, pi, pj, costh,
+                  np.empty((0, k)) if frames is None else frames.T.copy(), batches,
+                  restitution=restitution)
     want = coords0.copy()
     reference_apply(want, pi, pj, costh, frames, restitution, batches)
     assert got.T.tobytes() == want.tobytes()
@@ -398,8 +400,8 @@ def test_apply_coupled_bitwise_equals_reference(d):
         frames[5] = -3.0 * (a0[pi[5]] - a0[pj[5]])
     rows = np.hstack([a0, b0])
     got = rows.T.copy()
-    _apply_coupled(got, pi, pj, costh, np.empty((0, k)) if frames is None else frames.T.copy(),
-                   None, batches, None)
+    apply_batches(_apply_coupled, got, pi, pj, costh,
+                  np.empty((0, k)) if frames is None else frames.T.copy(), batches)
     want = rows.copy()
     reference_apply_coupled(want, pi, pj, costh, frames, batches)
     assert got.T.tobytes() == want.tobytes()
@@ -634,7 +636,8 @@ def test_replay_coupled_identical_streams():
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
     rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, np.asarray(snaps), [RngStream(4, 1)])
-    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps))
+    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps),
+                               _events.apply_pair_collisions)
     assert rec == []  # each segment leaves the record once played
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b)

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -5,11 +6,11 @@ import numpy as np
 import pytest
 
 from meanfield import _events
-from meanfield.core import ParticleState, RngStream, gaussian_sample_state
-from meanfield.elastic import AngularKernel, _generate_events, simulate_kac
+from meanfield.core import ParticleState, RngStream, gaussian_sample_state, replica_normals
+from meanfield.elastic import AngularKernel, _generate_events, simulate_kac, simulate_kac_coupled
 from meanfield.thermostat import (
     RestitutionParams,
-    _diffuse,
+    _Bath,
     simulate_thermostat,
     steady_temperature,
     temperature,
@@ -39,9 +40,10 @@ def collide(vi, vj, costh, frames, restitution):
     x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
     k = len(vi)
     pairs = np.arange(k)
-    _events.apply_pair_collisions(x, pairs, pairs + k, np.asarray(costh, dtype=np.float64),
-                                  np.empty((0, k)) if frames is None else frames.T, restitution,
-                                  [(0, k)])
+    costh = np.asarray(costh, dtype=np.float64)
+    _events.apply_pair_collisions(x, pairs, pairs + k, costh,
+                                  np.empty((0, k)) if frames is None else frames.T,
+                                  _events.sine_of(costh), restitution)
     return x.T[:k], x.T[k:]
 
 
@@ -84,9 +86,10 @@ def test_collide_inelastic_contraction_and_momentum():
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_inelastic_apply_with_bath_hook_equals_reference(d):
-    # the inelastic rule with the bath's catch-up before each batch, on the
-    # coordinate-major kernel and on the row-major loop as first written;
-    # includes a pair at zero relative velocity and a frame parallel to u-hat
+    # the bath's kick before each batch and the inelastic rule on the batch,
+    # on the coordinate-major kernel and on the row-major loop as first
+    # written; includes a pair at zero relative velocity and a frame
+    # parallel to u-hat
     rng = RngStream(46, d)
     n, k, nu = 30, 1_500, 0.7
     coords0 = np.atleast_2d(rng.normal(size=(n, d)))
@@ -94,25 +97,27 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
     costh = kern.sample_costheta(k, rng)
     frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
-    now = np.sort(rng.uniform(size=k)) * 3.0
-    z = np.atleast_2d(rng.normal(size=(k, 2 * d)))
+    now = np.sort(rng.uniform(size=k)) * 3.0  # event times, in stream order
     order, batches = _events.level_schedule(pi, pj)
-    pi, pj, costh, now, z = pi[order], pj[order], costh[order], now[order], z[order]
+    pi, pj, costh = pi[order], pj[order], costh[order]
     coords0[pj[1]] = coords0[pi[1]]
     if frames is not None:
         frames = frames[order]
         frames[0] = -0.5 * (coords0[pi[0]] - coords0[pj[0]])
 
-    got, got_sync = coords0.T.copy(), np.zeros(n)
+    got = coords0.T.copy()
+    bath = _Bath([RngStream(47, d)], nu, ParticleState(coords0))
+    bath.chunk(now, [(0, k)])
+    sinth = _events.sine_of(costh)
+    fr = np.empty((0, k)) if frames is None else frames.T.copy()
+    for lo, hi in batches:
+        ii, jj = pi[lo:hi], pj[lo:hi]
+        bath.kick(got, ii, jj, order[lo:hi])
+        _events.apply_pair_collisions(got, ii, jj, costh[lo:hi], fr[:, lo:hi], sinth[lo:hi], 0.6)
 
-    def hook(lo, hi, ii, jj):
-        zt = z[lo:hi].T
-        _diffuse(got, ii, got_sync, now[lo:hi], nu, zt[:d])
-        _diffuse(got, jj, got_sync, now[lo:hi], nu, zt[d:])
-
-    _events.apply_pair_collisions(got, pi, pj, costh,
-                                  np.empty((0, k)) if frames is None else frames.T, 0.6, batches,
-                                  hook)
+    # the bath's normals, drawn again in event order, then taken in play order
+    z = replica_normals([RngStream(47, d)], [(0, k)], 2 * d)[order]
+    now = now[order]
     want, want_sync = coords0.copy(), np.zeros(n)
 
     def reference_hook(lo, hi, ii, jj):
@@ -123,7 +128,7 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
 
     reference_apply(want, pi, pj, costh, frames, 0.6, batches, reference_hook)
     assert got.T.tobytes() == want.tobytes()
-    assert got_sync.tobytes() == want_sync.tobytes()
+    assert bath.last_sync.tobytes() == want_sync.tobytes()
 
 
 def test_mean_energy_loss_single_collision_mc():
@@ -174,7 +179,9 @@ def test_bath_off_draws_only_the_event_stream():
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
     rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, np.asarray(snaps), [alone])
     assert dyn.draw_counter == alone.draw_counter
-    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), p.alpha)
+    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps),
+                                 functools.partial(_events.apply_pair_collisions,
+                                                   restitution=p.alpha))
     for a, b in zip(out, replay):
         np.testing.assert_array_equal(a.coords, b)
 
@@ -257,18 +264,27 @@ def test_momentum_martingale_band():
     assert np.all(np.abs(drift) < 3.5 * se + 1e-12)
 
 
-@pytest.mark.parametrize("nu", [1.0, 0.0])
-def test_trajectory_independent_of_batching(monkeypatch, nu):
-    # bath normals are drawn in event order, so the level schedule, small
-    # chunks and one event per batch realize the same trajectory bit for bit
-    p = RestitutionParams(alpha=0.7, nu=nu, dim=3)
+@pytest.mark.parametrize("model, nu", [("elastic", None), ("coupled", None),
+                                       ("thermostat", 1.0), ("thermostat", 0.0)])
+def test_trajectory_independent_of_batching(monkeypatch, model, nu):
+    # every rule the engine plays, with and without the bath: bath normals
+    # are drawn in event order, so the level schedule, small chunks and one
+    # event per batch realize the same trajectory bit for bit
     kern = AngularKernel.isotropic(3)
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 50, RngStream(19, 0))
+    st_b = gaussian_sample_state(np.ones(3), np.full(3, 2.0), 50, RngStream(19, 2))
     snaps = [0.0, 0.5, 1.5, 2.0]
 
     def run():
         rng = RngStream(19, 1)
-        out = simulate_thermostat(st0, kern, p, 2.5, snaps, [rng])
+        if model == "elastic":
+            out = simulate_kac(st0, kern, 2.5, snaps, [rng])
+        elif model == "coupled":
+            out_a, out_b = simulate_kac_coupled(st0, st_b, kern, 2.5, snaps, [rng])
+            out = out_a + out_b
+        else:
+            out = simulate_thermostat(st0, kern, RestitutionParams(alpha=0.7, nu=nu, dim=3), 2.5,
+                                      snaps, [rng])
         return out, rng.draw_counter
 
     levels, draws = run()
@@ -278,6 +294,7 @@ def test_trajectory_independent_of_batching(monkeypatch, nu):
                         lambda pi, pj: (np.arange(len(pi)), [(e, e + 1) for e in range(len(pi))]))
     singles, draws_single = run()
     assert draws == draws_chunked == draws_single
+    assert not np.array_equal(levels[-1].coords, st0.coords)
     for a, b, c in zip(levels, singles, chunked):
         np.testing.assert_array_equal(a.coords, b.coords)
         np.testing.assert_array_equal(a.coords, c.coords)
