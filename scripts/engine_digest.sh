@@ -8,8 +8,9 @@
 # so no worktree is added and nothing under .git changes.  The same fixed
 # set of stacked runs is played on each tree: simulate_kac,
 # simulate_thermostat and simulate_kac_coupled at d = 1, 2, 3, with an
-# empty snapshot list and with snapshots at t0, repeated and at t_end, on
-# ordinary streams and on streams whose clocks refill.  One SHA-256 over
+# empty snapshot list, with snapshots at t0, repeated and at t_end, and
+# with a last snapshot before t_end (events left after it, never played),
+# on ordinary streams and on streams whose clocks refill.  One SHA-256 over
 # every snapshot's time and coordinates and every stream's draw counter is
 # printed per tree.  Exits 1 when the two digests differ.
 set -eu
@@ -66,7 +67,7 @@ kernels = {1: [AngularKernel.two_point(0.3, 0.7)],
 seed = 0
 for d, kerns in kernels.items():
     for kernel in kerns:
-        for snaps in ([], [t0, t0, 0.5, 1.25, 1.25, t_end]):
+        for snaps in ([], [t0, t0, 0.5, 1.25, 1.25, t_end], [0.5, 1.25]):
             for stream in (RngStream, RefillingStream):
                 seed += 1
                 reps, n = 3, 6

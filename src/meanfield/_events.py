@@ -7,10 +7,13 @@ per event).  Exactness under vectorization rests on two facts:
 * collision updates on disjoint pairs commute, so any schedule that keeps
   every particle's own events in stream order realizes the same
   trajectory bit for bit;
-* all per-event randomness (waiting time, pair, deviation-angle cosine,
-  a raw frame vector for the azimuth, and the thermostat's bath normals)
-  is drawn up front in event order, so nothing random depends on the
-  schedule.
+* every stream hands out its per-event randomness in event order, never
+  in batch order, so nothing random depends on the schedule.  The
+  waiting times, pairs and deviation-angle cosines are drawn when the
+  record is made; the raw frame vectors for the azimuth, which come next
+  in each stream, are drawn chunk by chunk just before the chunk is
+  played (Philox streams can be read in pieces with no change to a word),
+  and the thermostat's bath normals after all of a stream's frames.
 
 ``play_events`` is the one snapshot/batch loop.  A model hands it a
 collision rule, called once per batch of disjoint pairs
@@ -21,14 +24,15 @@ schedule.
 
 The record is cut at the snapshots when it is drawn: one
 ``EventSegment`` per snapshot holds the events since the previous one,
-and ``play_events`` consumes the record, releasing each segment once it
-is played, before the snapshot is copied.  A segment is played in
-chunks of consecutive events; within a chunk every event gets the ASAP
-level of its per-particle dependency DAG (``level_schedule``), and each
-level is one batch of events on disjoint particles.  Levels are few
-(11-13 for a chunk of 12,000-16,000 events on 16,384 or 32,768
-particles), so the per-batch numpy overhead is paid about a dozen times
-per chunk instead of once per ~sqrt(N) events.
+24 bytes each (time, two int32 pair indices, cosine), and
+``play_events`` consumes the record, releasing each segment once it is
+played, before the snapshot is copied.  A segment is played in chunks of
+consecutive events; within a chunk every event gets the ASAP level of
+its per-particle dependency DAG (``level_schedule``), and each level is
+one batch of events on disjoint particles.  Levels are few (8-13 for a
+chunk of 12,000-16,384 events on 16,384 or 32,768 particles), so the
+per-batch numpy overhead is paid about a dozen times per chunk instead
+of once per ~sqrt(N) events.
 Replicas stack into one system: replica r owns particles r N .. r N +
 N - 1, and each segment holds the whole block's events of its interval,
 replica after replica, with pair indices offset by r N.  Their events
@@ -51,6 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import replica_normals
+
 
 @dataclass
 class EventSegment:
@@ -58,16 +64,15 @@ class EventSegment:
 
     The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
     1]``, in its stream order, and its pair indices (int32) are rows of
-    the stacked state (offset by r N).  ``frames`` holds one raw frame
-    vector per event, row-major ``(K, d)``; at d = 1, which has no
-    azimuth, it is ``(K, 0)``.
+    the stacked state (offset by r N).  An event takes 24 bytes: its
+    frame vector is not kept but drawn when the event is played
+    (``play_events``).
     """
 
     times: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     costh: np.ndarray
-    frames: np.ndarray
     bounds: np.ndarray
 
     def __len__(self) -> int:
@@ -154,6 +159,11 @@ def column_norms(u: np.ndarray) -> np.ndarray:
     for c in range(1, u.shape[0]):
         s += u[c] * u[c]
     return np.sqrt(s, out=s)
+
+
+def frame_width(dim: int) -> int:
+    """Frame words per event in dimension dim: one per coordinate, none at d = 1 (no azimuth)."""
+    return dim if dim >= 2 else 0
 
 
 def sine_of(costh: np.ndarray) -> np.ndarray:
@@ -277,24 +287,27 @@ def apply_pair_collisions(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, costh: 
 # a segment is played in chunks of at most this many events: one chunk per
 # snapshot segment of a 16,384-particle chaos-curve block (11-13 levels
 # for its ~12,500 events, against ~12 levels per 4,096-event chunk).  The
-# thermostat at N = 32768 takes 11 levels per chunk
+# thermostat at N = 32768 takes 8-10 levels per full chunk
 CHUNK_EVENTS = 16384
 
 
-def _play_segment(x, seg: EventSegment, collide, bath) -> None:
+def _play_segment(x, seg: EventSegment, rngs, width: int, collide, bath) -> None:
     """Play one segment on x, in chunks of at most ``CHUNK_EVENTS`` consecutive events."""
     live = np.flatnonzero(np.diff(seg.bounds))  # replicas with events in the segment
     starts, ends = seg.bounds[live], seg.bounds[live + 1]
     for c0 in range(0, len(seg), CHUNK_EVENTS):
         c1 = min(c0 + CHUNK_EVENTS, len(seg))
+        k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
+        counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
+        owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
+        # each owner's next frame words, from its own stream, in stream order
+        frames = replica_normals(rngs, owners, width)
         order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
         pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
         sinth = sine_of(costh)
-        frames = np.ascontiguousarray(seg.frames[c0:c1].take(order, axis=0).T)
+        frames = frames.T.take(order, axis=1)  # coordinate-major, in play order
         if bath is not None:
-            k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
-            counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
-            bath.chunk(seg.times[c0:c1], list(zip(live[k0:k1].tolist(), counts.tolist())))
+            bath.chunk(seg.times[c0:c1], owners)
         for lo, hi in batches:
             ii, jj = pi[lo:hi], pj[lo:hi]
             if bath is not None:
@@ -302,8 +315,8 @@ def _play_segment(x, seg: EventSegment, collide, bath) -> None:
             collide(x, ii, jj, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
 
 
-def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, collide,
-                bath=None) -> list[np.ndarray]:
+def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, rngs, width: int,
+                collide, bath=None) -> list[np.ndarray]:
     """Play a stacked event record on x in place; row copies of x at the snapshots.
 
     x is the C-contiguous coordinate-major ``(d, R n)`` working copy of a
@@ -321,12 +334,15 @@ def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, co
     ``count`` consecutive events of replica r; ``bath.kick(x, ii, jj,
     events)`` runs before each batch collides, with the batch's positions
     among the chunk's events; and ``bath.sync(x, s)`` runs right before
-    the state at time s is copied.
+    the state at time s is copied.  Just before a chunk is played, each
+    owner r draws its events' frames from ``rngs[r]``, ``width`` normals
+    per event (``frame_width``), in stream order: one word block per
+    owner, one transform per chunk.
     """
     out = []
     for s in snaps:
         # the call holds the segment's last reference: it and the chunk arrays go before the copy
-        _play_segment(x, record.pop(0), collide, bath)
+        _play_segment(x, record.pop(0), rngs, width, collide, bath)
         if bath is not None:
             bath.sync(x, float(s))
         out.append(x.T.copy())

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtri
+from scipy.special import gammaln
 
 from . import _events
 from .core import (ParticleState, RngStream, SimulationError, open_unit, replica_size,
@@ -217,18 +217,21 @@ def _generate_events(
     t_end: float,
     snaps: np.ndarray,
     rngs: Sequence[RngStream],
-) -> list[_events.EventSegment]:
+) -> tuple[list[_events.EventSegment], np.ndarray]:
     """The stacked event record of R = len(rngs) replicas of n particles, cut at the snapshots.
 
     Segment s holds the events in (snaps[s - 1], snaps[s]] (from t0 for
     s = 0), replica after replica.  Stream r draws, in this order: its
     clock gaps (``_segment_times``), the first and the second int32 pair
-    index of its k events (one call each), k cosine uniforms and k d
-    frame uniforms (none at d = 1, whose frames are (k, 0)).  The
-    uniforms go, piece by piece in stream order, straight into the
-    segments, and the events after the last snapshot, which nothing
-    plays, into scratch that is dropped.  The transforms run once per
-    segment, in place.
+    index of its k events (one call each) and k cosine uniforms, which go,
+    piece by piece in stream order, straight into the segments, and those
+    of the events after the last snapshot, which nothing plays, into
+    scratch that is dropped.  The cosine transform runs once per segment,
+    in place.  The k d frame words of its events come next in the stream
+    (none at d = 1): ``_events.play_events`` draws a segment's frames as it
+    plays it, and those of the dropped events are counted in the stream's
+    ``draw_counter`` but never drawn.  Returns the record and each stream's
+    k.
     """
     if len(rngs) * n > np.iinfo(np.int32).max:
         raise SimulationError("a replica stack indexes at most 2**31 - 1 particles")
@@ -236,7 +239,6 @@ def _generate_events(
     sizes = [len(t) for t in seg_times]
     pair_i, pair_j = ([np.empty(m, dtype=np.int32) for m in sizes] for _ in range(2))
     costh = [np.empty(m) for m in sizes]
-    frames = [np.empty((m, dim if dim >= 2 else 0)) for m in sizes]
     for rng, plan_r in zip(rngs, plan):
         k = plan_r[-1][3] if plan_r else 0  # the stream's events: its last piece ends there
         for high, dst in ((n, pair_i), (n - 1, pair_j)):
@@ -244,9 +246,11 @@ def _generate_events(
             for s, lo, e0, e1 in plan_r:
                 dst[s][lo:lo + e1 - e0] = drawn[e0:e1]
             del drawn  # before the next draw: one stream's indices held at a time
-        for dst in (costh, frames):
-            for s, lo, e0, e1 in plan_r:
-                rng.uniform_words(dst[s][lo:lo + e1 - e0])
+        for s, lo, e0, e1 in plan_r:
+            rng.uniform_words(costh[s][lo:lo + e1 - e0])
+    width = _events.frame_width(dim)
+    for rng, dropped in zip(rngs, np.diff(bounds[-1]).tolist()):
+        rng.draw_counter += dropped * width  # the frames that nothing plays
     offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)
     for s in range(len(snaps)):  # the last segment, after the last snapshot, is dropped
         # replica r's particles are rows r n .. r n + n - 1; uniform pairs
@@ -261,10 +265,9 @@ def _generate_events(
         a += offset
         pair_j[s] += offset
         kernel.cosines(open_unit(costh[s]), out=costh[s])
-        ndtri(open_unit(frames[s]), out=frames[s])
-    return [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s], frames[s],
-                                 bounds[s])
-            for s in range(len(snaps))]
+    record = [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s], bounds[s])
+              for s in range(len(snaps))]
+    return record, np.diff(bounds, axis=1).sum(axis=0)
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, collide,
@@ -275,14 +278,21 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, c
     ``ParticleState`` row layout); replica r draws its events, at total
     rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``collide`` and
     ``bath`` go to ``_events.play_events``, which plays them on the
-    coordinate-major ``(d, R N)`` copy of ``initial``.
+    coordinate-major ``(d, R N)`` copy of ``initial``; before the play,
+    ``bath.start(skip)`` learns how many frame words, ``skip[r]``, stream r
+    hands out ahead of the bath's draws.
     """
     n, t0 = replica_size(initial, rngs), initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
-    record = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end, snaps, rngs)
-    captured = _events.play_events(initial.coords.T.copy(), record, snaps, collide, bath)
+    record, events = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end,
+                                      snaps, rngs)
+    width = _events.frame_width(kernel.dim)
+    if bath is not None:  # its normals follow every frame word of the streams
+        bath.start((events * width).tolist())
+    captured = _events.play_events(initial.coords.T.copy(), record, snaps, rngs, width, collide,
+                                   bath)
     return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
 

@@ -54,6 +54,27 @@ def generate_events_alone(n, dim, rate, kernel, t0, t_end, rng):
     return times, pi, pj, costh, frames
 
 
+def directional_temperature_flow(coords, n, times, axis=0):
+    """E[S(t) | V_0] of each replica of the d = 3 elastic gas, isotropic kernel: (R, len(times)).
+
+    S = Σ_i v_{i,axis}² over the replica's n particles; ``coords`` is the
+    (R n, 3) stack of initial velocities.  Each pair collides at rate
+    1/n, and a collision moves the pair's S by |u|²/6 − u_axis²/2 in the
+    mean over the isotropic sigma.  Summed over the pairs, with the
+    conserved momentum P and energy E = Σ|v_i|², the mean obeys
+    dS/dt = −(S − S*)/2 with S* = P_axis²/n + E/3 − |P|²/(3n), so
+
+        E[S(t) | V_0] = S* + (S(0) − S*) e^{−t/2}.
+    """
+    v = coords.reshape(-1, n, 3)
+    p = v.sum(axis=1)
+    energy = np.sum(v**2, axis=(1, 2))
+    start = np.sum(v[..., axis] ** 2, axis=1)
+    star = p[:, axis] ** 2 / n + energy / 3.0 - np.sum(p**2, axis=1) / (3.0 * n)
+    decay = np.exp(-0.5 * np.asarray(times, dtype=np.float64))
+    return star[:, None] + (start - star)[:, None] * decay
+
+
 def reference_orthonormal_to(uhat, g):
     e = g - np.einsum("ij,ij->i", g, uhat)[:, None] * uhat
     norms = np.linalg.norm(e, axis=1)

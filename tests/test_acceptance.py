@@ -87,8 +87,9 @@ def test_c01_elastic_conservation():
     out = simulate_kac(init, kern, t_end, snaps, [dyn])
     # the run's events, drawn again from a stream with the same key
     alone = RngStream(SEED, 2)
-    record = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, snaps, [alone])
-    assert dyn.draw_counter == alone.draw_counter
+    record, _ = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, snaps, [alone])
+    # the run drew this record, and the play 3 frame words per event
+    assert dyn.draw_counter == alone.draw_counter + 3 * sum(len(segment) for segment in record)
     assert sum(len(segment) for segment in record) >= 1_000_000
     drift_e = max(abs(np.sum(s.coords**2) - e0) / e0 for s in out)
     drift_p = max(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,6 +16,7 @@ from meanfield.elastic import (
 from meanfield.thermostat import RestitutionParams, simulate_thermostat
 from oracles import (
     apply_batches,
+    directional_temperature_flow,
     generate_events_alone,
     reference_apply,
     reference_apply_coupled,
@@ -138,8 +141,8 @@ def test_collide_elastic_conservation_random():
 
 def test_next_collision_rate_and_mean_wait():
     # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
-    (segment,) = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, 200_000.0,
-                                  [200_000.0], [RngStream(21, 0)])
+    (segment,), _ = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0,
+                                     200_000.0, [200_000.0], [RngStream(21, 0)])
     times = segment.times
     waits = np.diff(times, prepend=0.0)
     assert len(waits) > 99_000
@@ -150,8 +153,9 @@ def test_next_collision_rate_and_mean_wait():
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
     simulate_kac(st100, kern, 10.0, [10.0], [dyn])
-    (rec,) = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [10.0], [alone])
-    assert dyn.draw_counter == alone.draw_counter  # the run drew exactly this record
+    (rec,), _ = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [10.0], [alone])
+    # the run drew exactly this record, and the play 3 frame words per event
+    assert dyn.draw_counter == alone.draw_counter + 3 * len(rec)
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
 
@@ -454,6 +458,29 @@ class _HalfGaps(RngStream):
         return np.sqrt(super().uniform_words(out), out=out)
 
 
+def played_frames(record, snaps, rngs, d):
+    """The frames the play draws for a record, one (K, frame width) array per segment.
+
+    Rows are in the record's event order.  The record is consumed; each
+    segment must fit one play chunk, whose level schedule maps the
+    batches' frames back to that order.
+    """
+    assert all(len(seg) <= _events.CHUNK_EVENTS for seg in record)
+    orders = [_events.level_schedule(seg.pair_i, seg.pair_j)[0] for seg in record]
+    seen = []
+    _events.play_events(np.empty((d, 0)), record, snaps, rngs, _events.frame_width(d),
+                        lambda x, ii, jj, costh, frames, sinth: seen.append(frames))
+    width = _events.frame_width(d)
+    played = np.concatenate(seen, axis=1) if seen else np.empty((width, 0))
+    out, lo = [], 0
+    for order in orders:
+        frames = np.empty((len(order), width))
+        frames[order] = played[:, lo:lo + len(order)].T
+        out.append(frames)
+        lo += len(order)
+    return out
+
+
 @pytest.mark.parametrize("d, kernel", [
     (1, AngularKernel.two_point(0.3, 0.7)),
     (1, AngularKernel.isotropic(1)),
@@ -463,63 +490,98 @@ class _HalfGaps(RngStream):
     (2, AngularKernel(dim=2, density=lambda c: np.exp(c), name="forward")),
 ])
 def test_generate_events_block_equals_per_stream_generator(d, kernel):
-    # the segmented block record, reassembled per replica, against each
-    # stream generating alone: every field, the replica bounds and the draw
-    # counts; stream 1 refills its clock.  The snapshots cut at t0 (an empty
-    # first segment), twice at one time (an empty segment) and at t_end
+    # the segmented block record, reassembled per replica, and the frames
+    # the play draws for it, against each stream generating alone: every
+    # field, the replica bounds and the draw counts; stream 1 refills its
+    # clock.  The snapshots cut at t0 (an empty first segment), twice at one
+    # time (an empty segment) and at t_end
     n, rate, t0, t_end = 7, 3.0 * 6, 0.5, 5.5
     snaps = np.array([t0, 1.25, 1.25, 3.0, t_end])
     block = [RngStream(70, r) for r in range(4)]
     block[1] = _HalfGaps(70, 1)
     alone = [type(s)(70, s.stream_id) for s in block]
-    rec = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
+    rec, events = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
     parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
     counts = [len(p[0]) for p in parts]
+    assert events.tolist() == counts
     assert counts[1] > max(64, int(1.2 * rate * (t_end - t0)) + 16) // 2  # refilled
     assert len(rec) == len(snaps) and len(rec[0]) == len(rec[2]) == 0
     for seg, lo, hi in zip(rec, np.concatenate(([-np.inf], snaps[:-1])), snaps):
         assert np.all((seg.times > lo) & (seg.times <= hi))
+    bounds = [seg.bounds for seg in rec]
     for r, p in enumerate(parts):
-        assert sum(seg.bounds[r + 1] - seg.bounds[r] for seg in rec) == counts[r]
-        for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "frames"]):
-            got = [getattr(seg, name) for seg in rec]
-            if p[field] is None:  # the record's d = 1 frames are (K, 0), drawn from no word
-                assert d == 1 and all(g.shape == (len(seg), 0) for g, seg in zip(got, rec))
-                continue
-            got = np.concatenate([g[seg.bounds[r]:seg.bounds[r + 1]] for g, seg in zip(got, rec)])
+        assert sum(b[r + 1] - b[r] for b in bounds) == counts[r]
+        for field, name in enumerate(["times", "pair_i", "pair_j", "costh"]):
+            got = np.concatenate([getattr(seg, name)[seg.bounds[r]:seg.bounds[r + 1]]
+                                  for seg in rec])
             if name.startswith("pair"):  # rows of the stack, drawn and kept as int32
                 assert got.dtype == np.int32
                 np.testing.assert_array_equal(got - r * n, p[field])
             else:
                 assert got.dtype == p[field].dtype and got.tobytes() == p[field].tobytes()
+    frames = played_frames(rec, snaps, block, d)
+    for r, p in enumerate(parts):
+        got = np.concatenate([f[b[r]:b[r + 1]] for f, b in zip(frames, bounds)])
+        if p[4] is None:  # d = 1 plays (K, 0) frames, drawn from no word
+            assert d == 1 and got.shape == (counts[r], 0)
+        else:
+            assert got.tobytes() == p[4].tobytes()
     assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-    empty = _generate_events(n, d, rate, kernel, t0, t0, np.array([t0]), [RngStream(70, 9)])
+    empty, events = _generate_events(n, d, rate, kernel, t0, t0, np.array([t0]),
+                                     [RngStream(70, 9)])
     assert len(empty) == 1 and len(empty[0]) == 0 and empty[0].bounds.tolist() == [0, 0]
+    assert events.tolist() == [0]
 
 
 def test_generate_events_drops_events_after_the_last_snapshot():
-    # the events after the last snapshot are drawn, so the streams end where
-    # a lone generator's do, and dropped; without snapshots none is kept
+    # the events after the last snapshot are drawn and dropped, and their
+    # frames are counted but never drawn: the draw counts are a lone
+    # generator's, and each stream stops exactly those frame words short
+    # of where a lone generator's ends; without snapshots none is kept
     n, d, rate, t0, t_end = 9, 3, 4.0 * 8, 0.0, 3.0
     kernel = AngularKernel.isotropic(d)
     for snaps in (np.array([0.4, 1.0]), np.array([])):
         block = [RngStream(71, r) for r in range(3)]
         alone = [RngStream(71, r) for r in range(3)]
-        rec = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
+        rec, events = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
         parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
-        assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
+        assert events.tolist() == [len(p[0]) for p in parts]
         if not len(snaps):
             assert rec == []
+            assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
             continue
         assert len(rec) == len(snaps)
+        kept = [int(np.searchsorted(p[0], snaps[-1], side="right")) for p in parts]
+        assert all(0 < k < len(p[0]) for k, p in zip(kept, parts))
         for r, p in enumerate(parts):
-            kept = int(np.searchsorted(p[0], snaps[-1], side="right"))
-            assert 0 < kept < len(p[0])
-            for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "frames"]):
+            for field, name in enumerate(["times", "pair_i", "pair_j", "costh"]):
                 got = np.concatenate([getattr(seg, name)[seg.bounds[r]:seg.bounds[r + 1]]
                                       for seg in rec])
                 np.testing.assert_array_equal(got - (r * n if name.startswith("pair") else 0),
-                                              p[field][:kept])
+                                              p[field][:kept[r]])
+        bounds = [seg.bounds for seg in rec]
+        frames = played_frames(rec, snaps, block, d)
+        for r, p in enumerate(parts):
+            got = np.concatenate([f[b[r]:b[r + 1]] for f, b in zip(frames, bounds)])
+            assert got.tobytes() == p[4][:kept[r]].tobytes()
+        assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
+        for s, a, k, p in zip(block, alone, kept, parts):
+            skipped = s.fork(d * (len(p[0]) - k))._gen.bit_generator.state
+            assert str(skipped) == str(a._gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_event_record_holds_24_bytes_per_event(d):
+    # the time, two int32 pair indices and the cosine: no frame is kept,
+    # the play draws them
+    kernel = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
+    rec, events = _generate_events(50, d, 24.5, kernel, 0.0, 4.0, np.array([1.0, 2.5, 4.0]),
+                                   [RngStream(73, r) for r in range(3)])
+    per_event = [f.name for f in dataclasses.fields(_events.EventSegment) if f.name != "bounds"]
+    assert per_event == ["times", "pair_i", "pair_j", "costh"]
+    k = sum(len(seg) for seg in rec)
+    assert k == events.sum() > 0
+    assert sum(getattr(seg, name).nbytes for seg in rec for name in per_event) == 24 * k
 
 
 def test_generate_events_refuses_stacks_past_int32_indices():
@@ -635,12 +697,31 @@ def test_replay_coupled_identical_streams():
     out1 = simulate_kac(st0, kern, 2.0, snaps, [RngStream(4, 1)])
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
-    rec = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, np.asarray(snaps), [RngStream(4, 1)])
-    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps),
+    rngs = [RngStream(4, 1)]
+    rec, _ = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, np.asarray(snaps), rngs)
+    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), rngs, 3,
                                _events.apply_pair_collisions)
     assert rec == []  # each segment leaves the record once played
     for a, b in zip(out1, out2):
         np.testing.assert_array_equal(a.coords, b)
+
+
+@pytest.mark.parametrize("n, reps", [(4, 8192), (64, 1024), (1024, 64)])
+def test_directional_temperature_relaxes_at_rate_one_half(n, reps):
+    # the exact conditional mean of S_x = Σ v_x² (oracles) against the
+    # engine on C4's data: a noise-free law that sees the clock's rate, the
+    # cosine law and the azimuth frames, which conservation does not.  z of
+    # the replica mean of (S_x - E[S_x | V_0]) / N; this seed reads |z| <= 1.8
+    times = [0.5, 1.5, 3.0, 6.0]
+    init = gaussian_sample_state(np.zeros(3), [4.0, 0.25, 0.25], n,
+                                 [RngStream(74, r) for r in range(reps)])
+    out = simulate_kac(init, AngularKernel.isotropic(3), times[-1], times,
+                       [RngStream(75, r) for r in range(reps)])
+    want = directional_temperature_flow(init.coords, n, times)
+    for k, state in enumerate(out):
+        got = np.sum(state.coords.reshape(reps, n, 3)[..., 0] ** 2, axis=1)
+        gap = (got - want[:, k]) / n
+        assert abs(gap.mean()) < 4.0 * gap.std(ddof=1) / np.sqrt(reps)
 
 
 @pytest.mark.slow

@@ -107,6 +107,7 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
 
     got = coords0.T.copy()
     bath = _Bath([RngStream(47, d)], nu, ParticleState(coords0))
+    bath.start([0])
     bath.chunk(now, [(0, k)])
     sinth = _events.sine_of(costh)
     fr = np.empty((0, k)) if frames is None else frames.T.copy()
@@ -177,11 +178,11 @@ def test_bath_off_draws_only_the_event_stream():
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
-    rec = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, np.asarray(snaps), [alone])
-    assert dyn.draw_counter == alone.draw_counter
-    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps),
+    rec, _ = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, np.asarray(snaps), [alone])
+    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), [alone], 3,
                                  functools.partial(_events.apply_pair_collisions,
                                                    restitution=p.alpha))
+    assert dyn.draw_counter == alone.draw_counter
     for a, b in zip(out, replay):
         np.testing.assert_array_equal(a.coords, b)
 
@@ -196,9 +197,8 @@ def test_run_peak_memory_below_record_plus_snapshots():
     kern = AngularKernel.isotropic(d)
     p = RestitutionParams(alpha=0.8, nu=1.0, dim=d)
     st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(24, 0))
-    rec = _generate_events(n, d, n - 1.0, kern, 0.0, t_end, snaps, [RngStream(24, 1)])
-    record_bytes = sum(a.nbytes for s in rec for a in (s.times, s.pair_i, s.pair_j, s.costh,
-                                                         s.frames))
+    rec, _ = _generate_events(n, d, n - 1.0, kern, 0.0, t_end, snaps, [RngStream(24, 1)])
+    record_bytes = sum(a.nbytes for s in rec for a in (s.times, s.pair_i, s.pair_j, s.costh))
     del rec
     snapshot_bytes = len(snaps) * n * d * 8
     tracemalloc.start()
