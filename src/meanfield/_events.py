@@ -300,12 +300,12 @@ def _play_segment(x, seg: EventSegment, rngs, width: int, collide, bath) -> None
         k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
         counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
         owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
-        # each owner's next frame words, from its own stream, in stream order
-        frames = replica_normals(rngs, owners, width)
         order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
         pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
         sinth = sine_of(costh)
-        frames = frames.T.take(order, axis=1)  # coordinate-major, in play order
+        # each owner's next frame words, drawn from its own stream in stream
+        # order, taken in play order; the (d, K) transpose is a view
+        frames = replica_normals(rngs, owners, width).take(order, axis=0).T
         if bath is not None:
             bath.chunk(seg.times[c0:c1], owners)
         for lo, hi in batches:
