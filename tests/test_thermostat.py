@@ -15,7 +15,7 @@ from meanfield.thermostat import (
     steady_temperature,
     temperature,
 )
-from oracles import reference_apply, reference_diffuse, sample_pairs
+from oracles import generate_events_alone, reference_apply, reference_diffuse, sample_pairs
 
 
 def test_restitution_validation():
@@ -185,6 +185,41 @@ def test_bath_off_draws_only_the_event_stream():
     assert dyn.draw_counter == alone.draw_counter
     for a, b in zip(out, replay):
         np.testing.assert_array_equal(a.coords, b)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_thermostat_equals_lone_stream_reference_past_the_last_snapshot(d):
+    # one stream drawing alone, in a lone run's order: its events (frames of
+    # the events after the last snapshot included), then per segment its
+    # events' bath normals and each particle's sync normals, played one
+    # event at a time by the row-major rule.  t_end lies past the last
+    # snapshot, so the bath's cursor skips frame words that nothing draws
+    n, nu, alpha, t_end, snaps = 12, 0.7, 0.6, 3.0, [0.5, 1.25]
+    kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
+    st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(48, 0))
+    dyn, rng = RngStream(48, 1), RngStream(48, 1)
+    out = simulate_thermostat(st0, kern, RestitutionParams(alpha, nu, d), t_end, snaps, [dyn])
+    times, pi, pj, costh, frames = generate_events_alone(n, d, n - 1.0, kern, 0.0, t_end, rng)
+    want, last_sync = st0.coords.copy(), np.zeros(n)
+    done = 0
+    for s, got in zip(snaps, out):
+        upto = int(np.searchsorted(times, s, side="right"))
+        z = rng.normal(size=(upto - done, 2 * d))
+
+        def kick(lo, hi, ii, jj, z=z, done=done):
+            zb = z[lo - done:hi - done]
+            reference_diffuse(want, np.concatenate([ii, jj]), last_sync, np.tile(times[lo:hi], 2),
+                              nu, np.concatenate([zb[:, :d], zb[:, d:]]))
+
+        reference_apply(want, pi, pj, costh, frames, alpha, [(e, e + 1) for e in range(done, upto)],
+                        kick)
+        reference_diffuse(want, np.arange(n), last_sync, np.full(n, s), nu,
+                          rng.normal(size=(n, d)))
+        done = upto
+        assert got.coords.tobytes() == want.tobytes()
+    assert 0 < done < len(times)  # events after the last snapshot were drawn and dropped
+    # the dropped events' frames and the cursor's normals count in the stream
+    assert dyn.draw_counter == rng.draw_counter
 
 
 def test_run_peak_memory_below_record_plus_snapshots():
