@@ -10,17 +10,18 @@ per event).  Exactness under vectorization rests on two facts:
 * every stream hands out its per-event randomness in event order, never
   in batch order, so nothing random depends on the schedule.  The
   waiting times, pairs and deviation-angle cosines are drawn when the
-  record is made; the raw frame vectors for the azimuth, which come next
-  in each stream, are drawn chunk by chunk just before the chunk is
-  played (Philox streams can be read in pieces with no change to a word),
-  and the thermostat's bath normals after all of a stream's frames.
+  record is made; the rest of an event's words, its raw frame vector
+  for the azimuth and then, for the thermostat, its bath normals, come
+  next in each stream, one row per event, drawn chunk by chunk just
+  before the chunk is played (Philox streams can be read in pieces with
+  no change to a word).  Nothing is drawn past the last snapshot.
 
 ``play_events`` is the one snapshot/batch loop.  A model hands it a
 collision rule, called once per batch of disjoint pairs
 (``apply_pair_collisions``, elastic or inelastic, or the coupled gas's
 rule), and optionally a bath that moves particles between their jumps
-(the thermostat's Brownian forcing), so every model plays under the one
-schedule.
+(the thermostat's Brownian forcing) with the normals of its events' row
+tails, so every model plays under the one schedule.
 
 The record is cut at the snapshots when it is drawn: one
 ``EventSegment`` per snapshot holds the events since the previous one,
@@ -65,8 +66,8 @@ class EventSegment:
     The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
     1]``, in its stream order, and its pair indices (int32) are rows of
     the stacked state (offset by r N).  An event takes 24 bytes: its
-    frame vector is not kept but drawn when the event is played
-    (``play_events``).
+    frame vector and bath normals are not kept but drawn when the event
+    is played (``play_events``).
     """
 
     times: np.ndarray
@@ -291,6 +292,30 @@ def apply_pair_collisions(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, costh: 
 CHUNK_EVENTS = 16384
 
 
+def _play_chunk(x, seg: EventSegment, c0: int, c1: int, owners, rngs, width: int, collide,
+                bath) -> None:
+    """Play the events ``c0:c1`` of a segment on x in their level schedule.
+
+    A function of its own, so that a chunk's normals are freed before the
+    next chunk draws its own.
+    """
+    order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
+    pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
+    sinth = sine_of(costh)
+    # each owner's next rows of [frame | bath] normals, drawn from its own
+    # stream in stream order, taken in play order; the transposes are views
+    tail = 0 if bath is None else bath.width
+    z = replica_normals(rngs, owners, width + tail).take(order, axis=0).T
+    frames = z[:width]
+    if bath is not None:
+        now = seg.times[c0:c1].take(order)
+    for lo, hi in batches:
+        ii, jj = pi[lo:hi], pj[lo:hi]
+        if bath is not None:
+            bath.kick(x, ii, jj, now[lo:hi], z[width:, lo:hi])
+        collide(x, ii, jj, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
+
+
 def _play_segment(x, seg: EventSegment, rngs, width: int, collide, bath) -> None:
     """Play one segment on x, in chunks of at most ``CHUNK_EVENTS`` consecutive events."""
     live = np.flatnonzero(np.diff(seg.bounds))  # replicas with events in the segment
@@ -300,19 +325,7 @@ def _play_segment(x, seg: EventSegment, rngs, width: int, collide, bath) -> None
         k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
         counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
         owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
-        order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
-        pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
-        sinth = sine_of(costh)
-        # each owner's next frame words, drawn from its own stream in stream
-        # order, taken in play order; the (d, K) transpose is a view
-        frames = replica_normals(rngs, owners, width).take(order, axis=0).T
-        if bath is not None:
-            bath.chunk(seg.times[c0:c1], owners)
-        for lo, hi in batches:
-            ii, jj = pi[lo:hi], pj[lo:hi]
-            if bath is not None:
-                bath.kick(x, ii, jj, order[lo:hi])
-            collide(x, ii, jj, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
+        _play_chunk(x, seg, c0, c1, owners, rngs, width, collide, bath)
 
 
 def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, rngs, width: int,
@@ -327,17 +340,16 @@ def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, rn
     played in chunks of consecutive events (replica by replica, each in
     stream order), each chunk in its level schedule.  ``collide(x, ii, jj,
     costh, frames, sinth)``, the signature of :func:`apply_pair_collisions`,
-    plays one batch: one level's events on disjoint pairs.  ``bath``, when
-    given, moves particles between their jumps: ``bath.chunk(times,
-    owners)`` runs before each chunk with its event times in stream order
-    and its owners, one ``(r, count)`` per span, in stream order, for
-    ``count`` consecutive events of replica r; ``bath.kick(x, ii, jj,
-    events)`` runs before each batch collides, with the batch's positions
-    among the chunk's events; and ``bath.sync(x, s)`` runs right before
-    the state at time s is copied.  Just before a chunk is played, each
-    owner r draws its events' frames from ``rngs[r]``, ``width`` normals
-    per event (``frame_width``), in stream order: one word block per
-    owner, one transform per chunk.
+    plays one batch: one level's events on disjoint pairs.  Just before a
+    chunk is played, each of its owners, one ``(r, count)`` per span of
+    ``count`` consecutive events of replica r, draws one row of normals
+    per event from ``rngs[r]``, in stream order: ``width`` frame normals
+    (``frame_width``), then ``bath.width`` more when a bath is given; one
+    word block per owner, one transform per chunk.  ``bath``, when given,
+    moves particles between their jumps: ``bath.kick(x, ii, jj, now, z)``
+    runs before each batch collides, with the batch's event times and the
+    ``(bath.width, k)`` tails of its rows, and ``bath.sync(x, s)`` runs
+    right before the state at time s is copied.
     """
     out = []
     for s in snaps:

@@ -14,7 +14,6 @@ consumes these types.  Two contracts matter most:
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -69,18 +68,12 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
     draw_counter: int = field(init=False, default=0)
-    _parent = None  # a fork's root stream (unannotated: not a field)
 
     def __post_init__(self) -> None:
         if self.master_seed < 0 or self.stream_id < 0:
             raise ValueError("master_seed and stream_id must be nonnegative")
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(seq))
-
-    @property
-    def _ledger(self) -> "RngStream":
-        """The stream whose ``draw_counter`` counts this one's draws."""
-        return self._parent or self
 
     def _count(self, size) -> int:
         # plain Python: np.prod costs more than a small draw itself
@@ -93,7 +86,7 @@ class RngStream:
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform variates on the open interval (0, 1)."""
         if size is None:
-            self._ledger.draw_counter += 1
+            self.draw_counter += 1
             return min(np.float64(self._gen.random()) + _HALF_STEP, _BELOW_ONE)
         return open_unit(self.uniform_words(np.empty(size)))
 
@@ -105,37 +98,8 @@ class RngStream:
         of one buffer and shift the buffer once.
         """
         self._gen.random(out=out)
-        self._ledger.draw_counter += out.size
+        self.draw_counter += out.size
         return out
-
-    def fork(self, skip: int) -> "RngStream":
-        """A copy of the stream ``skip`` words ahead, as if it had drawn and dropped them.
-
-        Philox is counter-based, so the copy lands exactly, in O(1): past
-        the words left in the current block of four, whole blocks by
-        ``advance``, and the rest drawn from the next block, so its state
-        is the one drawing would leave.  A pending 32-bit half word
-        (``has_uint32``) carries over, as it does past drawn words.  The
-        copy keeps the stream's class, so a subclass's
-        :meth:`uniform_words` draws its words too, and its draws count in
-        this stream's ``draw_counter``.  The stream itself does not move.
-        """
-        state = self._gen.bit_generator.state
-        bits = np.random.Philox(0)  # a placeholder seed: the stream's state replaces it
-        left = 4 - state["buffer_pos"]  # words still in the current block
-        if skip <= left:
-            state["buffer_pos"] += skip
-        else:
-            bits.state = state
-            blocks, rest = divmod(skip - left - 1, 4)
-            bits.advance(blocks)  # also empties the buffer and the half word
-            bits.random_raw(rest + 1)
-            state = {**bits.state, "has_uint32": state["has_uint32"],
-                     "uinteger": state["uinteger"]}
-        bits.state = state
-        fork = copy.copy(self)
-        fork._gen, fork._parent = np.random.Generator(bits), self._ledger
-        return fork
 
     def normal(self, size=None) -> np.ndarray | float:
         """Standard normals via inverse transform of :meth:`uniform`."""
@@ -146,7 +110,7 @@ class RngStream:
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64) -> np.ndarray | int:
         """Uniform integers in [low, high), of the given numpy integer dtype."""
-        self._ledger.draw_counter += self._count(size)
+        self.draw_counter += self._count(size)
         return self._gen.integers(low, high, size=size, dtype=dtype)
 
     def unit_vectors(self, dim: int, n: int) -> np.ndarray:

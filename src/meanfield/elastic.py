@@ -88,9 +88,7 @@ class AngularKernel:
         u_nodes = np.linspace(0.0, 1.0, _TABLE_NODES)
         self._theta_of_u = np.interp(u_nodes, cdf, t)
         self._u_nodes = u_nodes
-        self._exact = None
-        if self.name == "isotropic" and self.dim in (2, 3):
-            self._exact = f"isotropic-{self.dim}d"
+        self._exact = None  # the isotropic factory's exact transform, by dimension
 
     @classmethod
     def isotropic(cls, dim: int) -> "AngularKernel":
@@ -99,7 +97,10 @@ class AngularKernel:
             return cls(dim=1, weights=(0.5, 0.5), name="isotropic")
         # a partial, not a lambda, so the kernel pickles into worker tasks
         density = functools.partial(_constant_density, 1.0 / sphere_area(dim - 1))
-        return cls(dim=dim, density=density, name="isotropic")
+        kernel = cls(dim=dim, density=density, name="isotropic")
+        if dim in (2, 3):  # the uniform law's cosine has a closed-form inverse CDF
+            kernel._exact = dim
+        return kernel
 
     @classmethod
     def two_point(cls, w_plus: float, w_minus: float) -> "AngularKernel":
@@ -129,10 +130,10 @@ class AngularKernel:
             out = np.empty(np.shape(u))
         if self.dim == 1:
             np.copyto(out, np.where(u < self.weights[0], 1.0, -1.0))
-        elif self._exact == "isotropic-3d":
+        elif self._exact == 3:
             np.multiply(u, -2.0, out=out)
             out += 1.0  # 1 - 2 u, rounded once as written
-        elif self._exact == "isotropic-2d":
+        elif self._exact == 2:
             np.cos(np.multiply(u, math.pi, out=out), out=out)
         else:
             np.cos(np.interp(u, self._u_nodes, self._theta_of_u), out=out)
@@ -159,25 +160,26 @@ def _jump_times(rngs, size, rate, start):
     return clock
 
 
-def _segment_times(rate, t0, t_end, snaps, rngs):
-    """Each stream's Poisson clock on (t0, t_end), cut at the snapshots into segments.
+def _segment_times(rate, t0, snaps, rngs):
+    """Each stream's Poisson clock on (t0, snaps[-1]), cut at the snapshots into segments.
 
-    The rate is positive.  Stream r draws ``max(64, 1.2 rate (t_end -
+    The rate is positive.  Stream r draws ``max(64, 1.2 rate (t_last -
     t0) + 16)`` exponential gaps into a row of one block buffer; while its
-    clock has not passed t_end it draws ``max(64, size // 4)`` more, the
-    size shrinking each round, in a block with the other streams still
-    short.  Returns the per-segment times, the per-segment replica
-    bounds, and each stream's plan: one ``(segment, start in it, first
-    event, one past its last)`` per nonempty piece of its events, in
-    stream order.  The last segment holds the events after the last
-    snapshot, every stream's piece at its start.  A function of its own,
-    so that the clock buffer, which the per-stream times view, is freed
-    before the record's other fields are allocated.
+    clock has not passed the last snapshot t_last it draws ``max(64, size
+    // 4)`` more, the size shrinking each round, in a block with the other
+    streams still short.  Without snapshots, or with the last at t0,
+    nothing is drawn.  Returns the per-segment times, the per-segment
+    replica bounds, and each stream's plan: one ``(segment, start in it,
+    first event, one past its last)`` per nonempty piece of its events, in
+    stream order.  A function of its own, so that the clock buffer, which
+    the per-stream times view, is freed before the record's other fields
+    are allocated.
     """
     reps = len(rngs)
-    size = max(64, int(1.2 * rate * (t_end - t0)) + 16) if t_end > t0 else 0
+    t_last = snaps[-1] if len(snaps) else t0
+    size = max(64, int(1.2 * rate * (t_last - t0)) + 16) if t_last > t0 else 0
     clock = _jump_times(rngs, size, rate, np.full(reps, t0, dtype=np.float64))
-    keep = clock < t_end
+    keep = clock < t_last
     times = [clock[r, :c] for r, c in enumerate(keep.sum(axis=1).tolist())]
     short = np.flatnonzero(keep[:, -1]).tolist() if size else []
     while short:  # these clocks kept every jump so far; each refill starts at the last
@@ -185,23 +187,19 @@ def _segment_times(rate, t0, t_end, snaps, rngs):
         more = _jump_times([rngs[r] for r in short], size, rate,
                            np.array([times[r][-1] for r in short]))
         for r, row in zip(short, more):
-            times[r] = np.concatenate((times[r], row[row < t_end]))
-        short = [r for r, row in zip(short, more) if row[-1] < t_end]
+            times[r] = np.concatenate((times[r], row[row < t_last]))
+        short = [r for r, row in zip(short, more) if row[-1] < t_last]
     # stream r's events edges[r, s]:edges[r, s + 1] fall in segment s
-    edges = np.zeros((reps, len(snaps) + 2), dtype=np.int64)
+    edges = np.zeros((reps, len(snaps) + 1), dtype=np.int64)
     for t, row in zip(times, edges):
-        row[1:-1] = np.searchsorted(t, snaps, side="right")
-        row[-1] = len(t)
+        row[1:] = np.searchsorted(t, snaps, side="right")
     pieces = np.diff(edges, axis=1)
     starts = np.cumsum(pieces, axis=0) - pieces
-    starts[:, -1] = 0
-    sizes = pieces.sum(axis=0)
-    sizes[-1] = pieces[:, -1].max(initial=0)
-    bounds = np.zeros((len(snaps) + 1, reps + 1), dtype=np.int64)
+    bounds = np.zeros((len(snaps), reps + 1), dtype=np.int64)
     np.cumsum(pieces.T, axis=1, out=bounds[:, 1:])
     plan = [[(s, lo, e0, e1) for s, (lo, e0, e1) in enumerate(zip(lo_r, e_r, e_r[1:])) if e1 > e0]
             for lo_r, e_r in zip(starts.tolist(), edges.tolist())]
-    seg_times = [np.empty(m) for m in sizes.tolist()]
+    seg_times = [np.empty(m) for m in bounds[:, -1].tolist()]
     for t, plan_r in zip(times, plan):
         for s, lo, e0, e1 in plan_r:
             seg_times[s][lo:lo + e1 - e0] = t[e0:e1]
@@ -210,32 +208,27 @@ def _segment_times(rate, t0, t_end, snaps, rngs):
 
 def _generate_events(
     n: int,
-    dim: int,
     rate: float,
     kernel: AngularKernel,
     t0: float,
-    t_end: float,
     snaps: np.ndarray,
     rngs: Sequence[RngStream],
-) -> tuple[list[_events.EventSegment], np.ndarray]:
+) -> list[_events.EventSegment]:
     """The stacked event record of R = len(rngs) replicas of n particles, cut at the snapshots.
 
     Segment s holds the events in (snaps[s - 1], snaps[s]] (from t0 for
-    s = 0), replica after replica.  Stream r draws, in this order: its
-    clock gaps (``_segment_times``), the first and the second int32 pair
-    index of its k events (one call each) and k cosine uniforms, which go,
-    piece by piece in stream order, straight into the segments, and those
-    of the events after the last snapshot, which nothing plays, into
-    scratch that is dropped.  The cosine transform runs once per segment,
-    in place.  The k d frame words of its events come next in the stream
-    (none at d = 1): ``_events.play_events`` draws a segment's frames as it
-    plays it, and those of the dropped events are counted in the stream's
-    ``draw_counter`` but never drawn.  Returns the record and each stream's
-    k.
+    s = 0), replica after replica; no event after the last snapshot is
+    drawn.  Stream r draws, in this order: its clock gaps
+    (``_segment_times``), the first and the second int32 pair index of
+    its k events (one call each) and k cosine uniforms, which go, piece by
+    piece in stream order, straight into the segments.  The cosine
+    transform runs once per segment, in place.  The rest of each event's
+    words come next in the stream: ``_events.play_events`` draws them as
+    it plays the segment.
     """
     if len(rngs) * n > np.iinfo(np.int32).max:
         raise SimulationError("a replica stack indexes at most 2**31 - 1 particles")
-    seg_times, bounds, plan = _segment_times(rate, t0, t_end, snaps, rngs)
+    seg_times, bounds, plan = _segment_times(rate, t0, snaps, rngs)
     sizes = [len(t) for t in seg_times]
     pair_i, pair_j = ([np.empty(m, dtype=np.int32) for m in sizes] for _ in range(2))
     costh = [np.empty(m) for m in sizes]
@@ -248,16 +241,12 @@ def _generate_events(
             del drawn  # before the next draw: one stream's indices held at a time
         for s, lo, e0, e1 in plan_r:
             rng.uniform_words(costh[s][lo:lo + e1 - e0])
-    width = _events.frame_width(dim)
-    for rng, dropped in zip(rngs, np.diff(bounds[-1]).tolist()):
-        rng.draw_counter += dropped * width  # the frames that nothing plays
     offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)
-    for s in range(len(snaps)):  # the last segment, after the last snapshot, is dropped
+    for s, (a, b) in enumerate(zip(pair_i, pair_j)):
         # replica r's particles are rows r n .. r n + n - 1; uniform pairs
         # i != j, canonicalized to i < j: the collision laws are
         # orientation-free (swapping the pair and reflecting sigma preserves
         # the update law), so the canonical order loses nothing
-        a, b = pair_i[s], pair_j[s]
         b += b >= a
         pair_j[s] = np.maximum(a, b)
         np.minimum(a, b, out=a)
@@ -265,9 +254,8 @@ def _generate_events(
         a += offset
         pair_j[s] += offset
         kernel.cosines(open_unit(costh[s]), out=costh[s])
-    record = [_events.EventSegment(seg_times[s], pair_i[s], pair_j[s], costh[s], bounds[s])
-              for s in range(len(snaps))]
-    return record, np.diff(bounds, axis=1).sum(axis=0)
+    return [_events.EventSegment(*fields) for fields in zip(seg_times, pair_i, pair_j, costh,
+                                                            bounds)]
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, collide,
@@ -278,21 +266,16 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, c
     ``ParticleState`` row layout); replica r draws its events, at total
     rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``collide`` and
     ``bath`` go to ``_events.play_events``, which plays them on the
-    coordinate-major ``(d, R N)`` copy of ``initial``; before the play,
-    ``bath.start(skip)`` learns how many frame words, ``skip[r]``, stream r
-    hands out ahead of the bath's draws.
+    coordinate-major ``(d, R N)`` copy of ``initial``.  t_end only bounds
+    the snapshots: the run draws and plays nothing past the last one.
     """
     n, t0 = replica_size(initial, rngs), initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
     snaps = validate_snapshots(snapshot_times, t0, t_end)
-    record, events = _generate_events(n, kernel.dim, pair_rate * (n - 1), kernel, t0, t_end,
-                                      snaps, rngs)
-    width = _events.frame_width(kernel.dim)
-    if bath is not None:  # its normals follow every frame word of the streams
-        bath.start((events * width).tolist())
-    captured = _events.play_events(initial.coords.T.copy(), record, snaps, rngs, width, collide,
-                                   bath)
+    record = _generate_events(n, pair_rate * (n - 1), kernel, t0, snaps, rngs)
+    captured = _events.play_events(initial.coords.T.copy(), record, snaps, rngs,
+                                   _events.frame_width(kernel.dim), collide, bath)
     return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
 
 
@@ -306,7 +289,9 @@ def simulate_kac(
     """Exact event-driven trajectories of a replica stack; its snapshot states.
 
     Replica r of ``initial`` draws its events from ``rngs[r]`` and is
-    bitwise the run it would be alone; one stream is one run.
+    bitwise the run it would be alone; one stream is one run.  Nothing is
+    drawn or played past the last snapshot: a run with t_end beyond it is
+    the run that ends there, and one without snapshots draws nothing.
     """
     if kernel.dim != initial.dim:
         raise ValueError("kernel dimension must match the state")

@@ -150,6 +150,7 @@ def symmetrization_gap(state: ParticleState, obs: ObservableProduct) -> tuple[fl
 # observable error curves
 
 BOOTSTRAP_RESAMPLES = 200
+RATE_FIT_RESAMPLES = 400  # the parametric bootstrap of ``rate_fit``'s slope CI
 # the bootstrap gathers its resampled values at most this many at a time
 # (512 KB), so its peak memory does not grow with the replica count
 _GATHER_VALUES = 2**16
@@ -259,7 +260,6 @@ def rate_fit(
     n_values: np.ndarray,
     errors: np.ndarray,
     std_errors: np.ndarray,
-    n_bootstrap: int = 400,
     seed: int = 7,
 ) -> tuple[float, float, tuple[float, float]]:
     """Least-squares slope of log(error) against log(N), with bootstrap CI.
@@ -267,7 +267,8 @@ def rate_fit(
     Returns (slope, intercept, CI).  Refuses (DegenerateFit) when any
     error sits within two standard errors of zero, and demands at least
     four N values spanning 1.5 decades.  The CI resamples errors through
-    their standard errors (parametric bootstrap) unless zero everywhere.
+    their standard errors (parametric bootstrap, ``RATE_FIT_RESAMPLES``
+    resamples) unless zero everywhere.
     """
     n_values = np.asarray(n_values, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
@@ -284,7 +285,7 @@ def rate_fit(
     if np.all(std_errors == 0.0):
         return float(slope), float(intercept), (float(slope), float(slope))
     # one resample per row, drawn in the order of one draw per resample
-    noise = RngStream(seed, 1331).normal(size=(n_bootstrap, len(errors)))
+    noise = RngStream(seed, 1331).normal(size=(RATE_FIT_RESAMPLES, len(errors)))
     slopes, _ = _line_fits(x, np.log(np.maximum(errors + std_errors * noise, 1e-300)))
     lo, hi = np.quantile(slopes, [0.025, 0.975])
     return float(slope), float(intercept), (float(lo), float(hi))

@@ -10,16 +10,14 @@ independent Gaussians, so deferred aggregation is exact in law and O(1)
 per event instead of O(N)).
 
 The bath is drawn per replica, in event order, never in batch order:
-before each chunk of consecutive events is played, every event of the
-chunk gets 2 d normals up front from its own replica's stream (d for each
-particle of the pair, the increment since that particle was last
-touched), and at each snapshot every particle is synced with d more from
-the same stream.  Each stream hands out its events and then its
-increments in the order of a lone run (the increments from a cursor
-placed past the frame words that the play is still to draw), and a
-replica's trajectory is the same bit for bit under any schedule of the
-event engine: the dependency levels, one event per batch, or many
-replicas stacked into one system.
+each event's 2 d bath normals (d for each particle of the pair, the
+increment since that particle was last touched) follow its frame normals
+in one row drawn from its own replica's stream just before its chunk is
+played, and at each snapshot every particle is synced with d more from
+the same stream.  Each stream hands out its words in the order of a lone
+run, and a replica's trajectory is the same bit for bit under any
+schedule of the event engine: the dependency levels, one event per
+batch, or many replicas stacked into one system.
 ``simulate_thermostat`` takes such a stack (one state of R N rows, one
 stream per replica); a single run is R = 1.
 
@@ -117,40 +115,27 @@ def steady_temperature(
 class _Bath:
     """Brownian forcing of strength nu on a replica stack, caught up per particle.
 
-    The bath of ``_events.play_events``.  Each stream hands out its
-    frame words first, which the play draws, and the bath's normals after
-    them, so ``start`` gives the bath one cursor per stream, a
-    ``RngStream.fork`` that many words ahead, and the bath draws from its
-    cursors only: ``chunk`` draws 2 d normals per event of a chunk, in
-    event order, from each owner's cursor; ``kick`` brings a batch's
-    particles up to their collision time; ``sync`` brings every particle
-    up to a snapshot with d more normals per particle.
+    The bath of ``_events.play_events``, which draws ``width`` = 2 d
+    normals per event, after the event's frame, and hands them to
+    ``kick``: it brings a batch's particles up to their collision time.
+    ``sync`` brings every particle up to a snapshot with d more normals
+    per particle, drawn from each replica's stream.
     """
 
     def __init__(self, rngs: Sequence[RngStream], nu: float, initial: ParticleState) -> None:
-        self.rngs, self.nu, self.d = rngs, nu, initial.dim
+        self.rngs, self.nu, self.d, self.width = rngs, nu, initial.dim, 2 * initial.dim
         self.last_sync = np.full(initial.n_particles, initial.time)
 
-    def start(self, skip) -> None:
-        """Put the cursor of stream r ``skip[r]`` words ahead of it, before the play."""
-        self.cursors = [rng.fork(k) for rng, k in zip(self.rngs, skip)]
-
-    def chunk(self, times: np.ndarray, owners) -> None:
-        self.z = None  # the last chunk's normals go before this chunk's are drawn
-        self.times, self.z = times, replica_normals(self.cursors, owners, 2 * self.d)
-
-    def kick(self, x: np.ndarray, ii: np.ndarray, jj: np.ndarray, events: np.ndarray) -> None:
-        # taken in play order batch by batch, not as a chunk-sized reordered copy
-        now, z = self.times.take(events), self.z.take(events, axis=0).T
+    def kick(self, x: np.ndarray, ii: np.ndarray, jj: np.ndarray, now: np.ndarray,
+             z: np.ndarray) -> None:
         for idx, z_idx in ((ii, z[:self.d]), (jj, z[self.d:])):
             scale = np.sqrt(np.maximum(2.0 * self.nu * (now - self.last_sync[idx]), 0.0))
             _events.put_columns(x, idx, x.take(idx, axis=1) + scale * z_idx)
             self.last_sync[idx] = now
 
     def sync(self, x: np.ndarray, s: float) -> None:
-        self.times = self.z = None  # the played segment's times go before its snapshot copy
-        n = x.shape[1] // len(self.cursors)
-        z = replica_normals(self.cursors, [(r, n) for r in range(len(self.cursors))], self.d)
+        n = x.shape[1] // len(self.rngs)
+        z = replica_normals(self.rngs, [(r, n) for r in range(len(self.rngs))], self.d)
         np.add(x, np.sqrt(np.maximum(2.0 * self.nu * (s - self.last_sync), 0.0)) * z.T, out=x)
         self.last_sync[:] = s
 
@@ -167,10 +152,11 @@ def simulate_thermostat(
     """Exact trajectories of the collision + bath process of a replica stack.
 
     Replica r of ``initial`` (the ``ParticleState`` row layout) draws its
-    events, then its bath normals, from ``rngs[r]`` and is bitwise the run
-    it would be alone; one stream is one run.  At ``params.nu == 0`` there
-    is no bath: the run is the pure inelastic collision process, and the
-    streams draw only the events.
+    events, each event's bath normals after its frame and each snapshot's
+    sync normals from ``rngs[r]``, and is bitwise the run it would be
+    alone; one stream is one run.  Nothing is drawn past the last
+    snapshot.  At ``params.nu == 0`` there is no bath: the run is the pure
+    inelastic collision process, and the streams draw only the events.
     """
     if not params.dim == kernel.dim == initial.dim:
         raise ValueError("kernel dimension must match the state and params.dim")

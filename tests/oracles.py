@@ -44,14 +44,17 @@ def sample_pairs(n: int, k: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray
     return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
 
 
-def generate_events_alone(n, dim, rate, kernel, t0, t_end, rng):
-    """One stream's events: (times, pair_i, pair_j, costh, frames or None)."""
+def generate_events_alone(n, dim, rate, kernel, t0, t_end, rng, frames=True):
+    """One stream's events: (times, pair_i, pair_j, costh, frames or None).
+
+    Without ``frames`` the stream stops after the cosines, where a
+    thermostat's per-event rows of frame and bath normals begin.
+    """
     times = sample_event_times(rate, t0, t_end, rng)
     k = len(times)
     pi, pj = sample_pairs(n, k, rng)
     costh = kernel.sample_costheta(k, rng)
-    frames = rng.normal(size=(k, dim)) if dim >= 2 else None
-    return times, pi, pj, costh, frames
+    return times, pi, pj, costh, rng.normal(size=(k, dim)) if frames and dim >= 2 else None
 
 
 def directional_temperature_flow(coords, n, times, axis=0):

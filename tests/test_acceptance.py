@@ -87,7 +87,7 @@ def test_c01_elastic_conservation():
     out = simulate_kac(init, kern, t_end, snaps, [dyn])
     # the run's events, drawn again from a stream with the same key
     alone = RngStream(SEED, 2)
-    record, _ = _generate_events(1000, 3, 499.5, kern, 0.0, t_end, snaps, [alone])
+    record = _generate_events(1000, 499.5, kern, 0.0, snaps, [alone])
     # the run drew this record, and the play 3 frame words per event
     assert dyn.draw_counter == alone.draw_counter + 3 * sum(len(segment) for segment in record)
     assert sum(len(segment) for segment in record) >= 1_000_000

@@ -316,57 +316,6 @@ def test_int32_integers_equal_int64_draws(n):
     assert r32.draw_counter == r64.draw_counter == 9
 
 
-def _philox_state(stream):
-    """The stream's whole generator state, comparable with ==."""
-    state = stream._gen.bit_generator.state
-    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
-            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
-            state["uinteger"])
-
-
-@pytest.mark.parametrize("half_word", [False, True])
-def test_rng_fork_equals_drawing_and_dropping_the_words(half_word):
-    # from every position in Philox's block of four words, with and without
-    # a pending 32-bit half word: the fork's state, and so its next words
-    # and int32 draws, are those of a twin that drew the skipped words; the
-    # stream does not move
-    for pos in range(4):
-        for skip in range(14):
-            stream, twin = RngStream(15, 3), RngStream(15, 3)
-            for s in (stream, twin):
-                if half_word:
-                    s.integers(0, 9, size=3, dtype=np.int32)
-                s.uniform_words(np.empty(pos))
-            before = _philox_state(stream)
-            fork = stream.fork(skip)
-            twin.uniform_words(np.empty(skip))
-            assert _philox_state(stream) == before
-            assert _philox_state(fork) == _philox_state(twin)
-            assert fork._gen.bit_generator.state["has_uint32"] == int(half_word)
-            assert fork.uniform_words(np.empty(5)).tobytes() == \
-                twin.uniform_words(np.empty(5)).tobytes()
-            np.testing.assert_array_equal(fork.integers(0, 9, size=3, dtype=np.int32),
-                                          twin.integers(0, 9, size=3, dtype=np.int32))
-
-
-def test_rng_fork_keeps_the_class_and_counts_in_the_parent():
-    class Squared(RngStream):
-        def uniform_words(self, out):
-            return np.square(super().uniform_words(out), out=out)
-
-    stream, twin = Squared(16, 0), Squared(16, 0)
-    fork = stream.fork(7)
-    assert type(fork) is Squared
-    twin.uniform_words(np.empty(7))
-    assert fork.uniform_words(np.empty(4)).tobytes() == twin.uniform_words(np.empty(4)).tobytes()
-    fork.integers(0, 5, size=2)
-    fork.uniform()
-    # the fork's draws count in the parent, and a fork of a fork's in the root
-    assert stream.draw_counter == 7
-    stream.fork(0).fork(3).uniform_words(np.empty(2))
-    assert stream.draw_counter == 9
-
-
 def test_rng_unit_vectors():
     v = RngStream(11, 0).unit_vectors(3, 200)
     np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=1e-12)

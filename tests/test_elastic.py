@@ -51,6 +51,20 @@ def test_isotropic_b1_zero():
     assert AngularKernel.isotropic(2).b1() == pytest.approx(0.0, abs=1e-10)
 
 
+def test_custom_density_named_isotropic_samples_its_own_law():
+    # the exact transform belongs to the isotropic factory, not to the name:
+    # a tilted density named "isotropic" samples its own mean cosine (0.751),
+    # not the uniform law's 0
+    kern = AngularKernel(dim=3, density=lambda c: np.exp(4.0 * c), name="isotropic")
+    u = RngStream(76, 0).uniform(size=100_000)
+    mean = kern.cosines(u).mean()  # standard error 0.0009
+    assert kern.b1() == pytest.approx(0.751, abs=5e-4)
+    assert mean == pytest.approx(kern.b1(), abs=0.005)
+    # the factory's kernels keep their closed forms, bit for bit
+    assert AngularKernel.isotropic(3).cosines(u).tobytes() == (1.0 - 2.0 * u).tobytes()
+    assert AngularKernel.isotropic(2).cosines(u).tobytes() == np.cos(u * np.pi).tobytes()
+
+
 def collide(vi, vj, costh, frames=None, restitution=None):
     """Pairs (vi[k], vj[k]) through the engine's collision rule, as one batch."""
     x = np.concatenate([vi, vj]).astype(np.float64).T.copy()  # coordinate-major
@@ -141,8 +155,8 @@ def test_collide_elastic_conservation_random():
 
 def test_next_collision_rate_and_mean_wait():
     # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
-    (segment,), _ = _generate_events(2, 1, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0,
-                                     200_000.0, [200_000.0], [RngStream(21, 0)])
+    (segment,) = _generate_events(2, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, [200_000.0],
+                                  [RngStream(21, 0)])
     times = segment.times
     waits = np.diff(times, prepend=0.0)
     assert len(waits) > 99_000
@@ -153,7 +167,7 @@ def test_next_collision_rate_and_mean_wait():
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
     simulate_kac(st100, kern, 10.0, [10.0], [dyn])
-    (rec,), _ = _generate_events(100, 3, 49.5, kern, 0.0, 10.0, [10.0], [alone])
+    (rec,) = _generate_events(100, 49.5, kern, 0.0, [10.0], [alone])
     # the run drew exactly this record, and the play 3 frame words per event
     assert dyn.draw_counter == alone.draw_counter + 3 * len(rec)
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
@@ -500,10 +514,9 @@ def test_generate_events_block_equals_per_stream_generator(d, kernel):
     block = [RngStream(70, r) for r in range(4)]
     block[1] = _HalfGaps(70, 1)
     alone = [type(s)(70, s.stream_id) for s in block]
-    rec, events = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
+    rec = _generate_events(n, rate, kernel, t0, snaps, block)
     parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
     counts = [len(p[0]) for p in parts]
-    assert events.tolist() == counts
     assert counts[1] > max(64, int(1.2 * rate * (t_end - t0)) + 16) // 2  # refilled
     assert len(rec) == len(snaps) and len(rec[0]) == len(rec[2]) == 0
     for seg, lo, hi in zip(rec, np.concatenate(([-np.inf], snaps[:-1])), snaps):
@@ -527,47 +540,12 @@ def test_generate_events_block_equals_per_stream_generator(d, kernel):
         else:
             assert got.tobytes() == p[4].tobytes()
     assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-    empty, events = _generate_events(n, d, rate, kernel, t0, t0, np.array([t0]),
-                                     [RngStream(70, 9)])
-    assert len(empty) == 1 and len(empty[0]) == 0 and empty[0].bounds.tolist() == [0, 0]
-    assert events.tolist() == [0]
-
-
-def test_generate_events_drops_events_after_the_last_snapshot():
-    # the events after the last snapshot are drawn and dropped, and their
-    # frames are counted but never drawn: the draw counts are a lone
-    # generator's, and each stream stops exactly those frame words short
-    # of where a lone generator's ends; without snapshots none is kept
-    n, d, rate, t0, t_end = 9, 3, 4.0 * 8, 0.0, 3.0
-    kernel = AngularKernel.isotropic(d)
-    for snaps in (np.array([0.4, 1.0]), np.array([])):
-        block = [RngStream(71, r) for r in range(3)]
-        alone = [RngStream(71, r) for r in range(3)]
-        rec, events = _generate_events(n, d, rate, kernel, t0, t_end, snaps, block)
-        parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
-        assert events.tolist() == [len(p[0]) for p in parts]
-        if not len(snaps):
-            assert rec == []
-            assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-            continue
-        assert len(rec) == len(snaps)
-        kept = [int(np.searchsorted(p[0], snaps[-1], side="right")) for p in parts]
-        assert all(0 < k < len(p[0]) for k, p in zip(kept, parts))
-        for r, p in enumerate(parts):
-            for field, name in enumerate(["times", "pair_i", "pair_j", "costh"]):
-                got = np.concatenate([getattr(seg, name)[seg.bounds[r]:seg.bounds[r + 1]]
-                                      for seg in rec])
-                np.testing.assert_array_equal(got - (r * n if name.startswith("pair") else 0),
-                                              p[field][:kept[r]])
-        bounds = [seg.bounds for seg in rec]
-        frames = played_frames(rec, snaps, block, d)
-        for r, p in enumerate(parts):
-            got = np.concatenate([f[b[r]:b[r + 1]] for f, b in zip(frames, bounds)])
-            assert got.tobytes() == p[4][:kept[r]].tobytes()
-        assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-        for s, a, k, p in zip(block, alone, kept, parts):
-            skipped = s.fork(d * (len(p[0]) - k))._gen.bit_generator.state
-            assert str(skipped) == str(a._gen.bit_generator.state)
+    # a last snapshot at t0 draws nothing, and neither does an empty snapshot list
+    for snaps in (np.array([t0]), np.array([])):
+        rng = RngStream(70, 9)
+        empty = _generate_events(n, rate, kernel, t0, snaps, [rng])
+        assert len(empty) == len(snaps) and rng.draw_counter == 0
+        assert all(len(seg) == 0 and seg.bounds.tolist() == [0, 0] for seg in empty)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -575,12 +553,12 @@ def test_event_record_holds_24_bytes_per_event(d):
     # the time, two int32 pair indices and the cosine: no frame is kept,
     # the play draws them
     kernel = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
-    rec, events = _generate_events(50, d, 24.5, kernel, 0.0, 4.0, np.array([1.0, 2.5, 4.0]),
-                                   [RngStream(73, r) for r in range(3)])
+    rec = _generate_events(50, 24.5, kernel, 0.0, np.array([1.0, 2.5, 4.0]),
+                           [RngStream(73, r) for r in range(3)])
     per_event = [f.name for f in dataclasses.fields(_events.EventSegment) if f.name != "bounds"]
     assert per_event == ["times", "pair_i", "pair_j", "costh"]
     k = sum(len(seg) for seg in rec)
-    assert k == events.sum() > 0
+    assert k == sum(seg.bounds[-1] for seg in rec) > 0
     assert sum(getattr(seg, name).nbytes for seg in rec for name in per_event) == 24 * k
 
 
@@ -588,8 +566,7 @@ def test_generate_events_refuses_stacks_past_int32_indices():
     # pair indices are int32 rows of the stack; no event is drawn before the refusal
     rngs = [RngStream(72, 0), RngStream(72, 1)]
     with pytest.raises(SimulationError, match="2\\*\\*31 - 1 particles"):
-        _generate_events(2**30, 1, 1.0, AngularKernel.isotropic(1), 0.0, 1.0, np.array([1.0]),
-                         rngs)
+        _generate_events(2**30, 1.0, AngularKernel.isotropic(1), 0.0, np.array([1.0]), rngs)
     assert [s.draw_counter for s in rngs] == [0, 0]
 
 
@@ -698,7 +675,7 @@ def test_replay_coupled_identical_streams():
     # the same events, drawn again from a stream with the same key and
     # played on the same initial state
     rngs = [RngStream(4, 1)]
-    rec, _ = _generate_events(32, 3, 15.5, kern, 0.0, 2.0, np.asarray(snaps), rngs)
+    rec = _generate_events(32, 15.5, kern, 0.0, np.asarray(snaps), rngs)
     out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), rngs, 3,
                                _events.apply_pair_collisions)
     assert rec == []  # each segment leaves the record once played

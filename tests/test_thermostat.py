@@ -105,20 +105,20 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
         frames = frames[order]
         frames[0] = -0.5 * (coords0[pi[0]] - coords0[pj[0]])
 
-    got = coords0.T.copy()
+    # the bath's normals, drawn in event order, then taken in play order
     bath = _Bath([RngStream(47, d)], nu, ParticleState(coords0))
-    bath.start([0])
-    bath.chunk(now, [(0, k)])
+    z = replica_normals([RngStream(47, d)], [(0, k)], bath.width)[order]
+    now = now[order]
+
+    got = coords0.T.copy()
     sinth = _events.sine_of(costh)
     fr = np.empty((0, k)) if frames is None else frames.T.copy()
+    zt = z.T  # (2 d, k), a view, as the play hands the bath its rows' tails
     for lo, hi in batches:
         ii, jj = pi[lo:hi], pj[lo:hi]
-        bath.kick(got, ii, jj, order[lo:hi])
+        bath.kick(got, ii, jj, now[lo:hi], zt[:, lo:hi])
         _events.apply_pair_collisions(got, ii, jj, costh[lo:hi], fr[:, lo:hi], sinth[lo:hi], 0.6)
 
-    # the bath's normals, drawn again in event order, then taken in play order
-    z = replica_normals([RngStream(47, d)], [(0, k)], 2 * d)[order]
-    now = now[order]
     want, want_sync = coords0.copy(), np.zeros(n)
 
     def reference_hook(lo, hi, ii, jj):
@@ -178,7 +178,7 @@ def test_bath_off_draws_only_the_event_stream():
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
-    rec, _ = _generate_events(40, 3, 39.0, kern, 0.0, 2.0, np.asarray(snaps), [alone])
+    rec = _generate_events(40, 39.0, kern, 0.0, np.asarray(snaps), [alone])
     replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), [alone], 3,
                                  functools.partial(_events.apply_pair_collisions,
                                                    restitution=p.alpha))
@@ -187,39 +187,132 @@ def test_bath_off_draws_only_the_event_stream():
         np.testing.assert_array_equal(a.coords, b)
 
 
-@pytest.mark.parametrize("d", [1, 3])
+def lone_run_draws(n, d, rate, kern, t0, snaps, rng, bath):
+    """Draw from one stream, alone, what one run draws, in a lone run's order.
+
+    The events up to the last snapshot, then per snapshot each event's row
+    of frame normals followed, with a ``bath``, by its 2 d bath normals,
+    and with a bath each particle's d sync normals.  Returns the events
+    (times, pair_i, pair_j, costh) and one (rows, sync normals or None)
+    per snapshot.
+    """
+    t_last = snaps[-1] if len(snaps) else t0
+    times, pi, pj, costh, _ = generate_events_alone(n, d, rate, kern, t0, t_last, rng,
+                                                    frames=False)
+    width = _events.frame_width(d) + (2 * d if bath else 0)
+    segments, done = [], 0
+    for s in snaps:
+        upto = int(np.searchsorted(times, s, side="right"))
+        rows = rng.normal(size=(upto - done, width))
+        segments.append((rows, rng.normal(size=(n, d)) if bath else None))
+        done = upto
+    return (times, pi, pj, costh), segments
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_thermostat_equals_lone_stream_reference_past_the_last_snapshot(d):
-    # one stream drawing alone, in a lone run's order: its events (frames of
-    # the events after the last snapshot included), then per segment its
-    # events' bath normals and each particle's sync normals, played one
-    # event at a time by the row-major rule.  t_end lies past the last
-    # snapshot, so the bath's cursor skips frame words that nothing draws
+    # one stream drawing alone, in a lone run's order: its events up to the
+    # last snapshot, then per segment each event's row of frame and bath
+    # normals and each particle's sync normals, played one event at a time
+    # by the row-major rule.  t_end lies past the last snapshot, where
+    # nothing is drawn, so the stream ends where the reference's ends
     n, nu, alpha, t_end, snaps = 12, 0.7, 0.6, 3.0, [0.5, 1.25]
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
     st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(48, 0))
     dyn, rng = RngStream(48, 1), RngStream(48, 1)
     out = simulate_thermostat(st0, kern, RestitutionParams(alpha, nu, d), t_end, snaps, [dyn])
-    times, pi, pj, costh, frames = generate_events_alone(n, d, n - 1.0, kern, 0.0, t_end, rng)
+    (times, pi, pj, costh), segments = lone_run_draws(n, d, n - 1.0, kern, 0.0, snaps, rng, True)
+    w = _events.frame_width(d)
     want, last_sync = st0.coords.copy(), np.zeros(n)
     done = 0
-    for s, got in zip(snaps, out):
-        upto = int(np.searchsorted(times, s, side="right"))
-        z = rng.normal(size=(upto - done, 2 * d))
+    for s, got, (rows, sync) in zip(snaps, out, segments):
+        seg = slice(done, done + len(rows))
 
-        def kick(lo, hi, ii, jj, z=z, done=done):
-            zb = z[lo - done:hi - done]
-            reference_diffuse(want, np.concatenate([ii, jj]), last_sync, np.tile(times[lo:hi], 2),
-                              nu, np.concatenate([zb[:, :d], zb[:, d:]]))
+        def kick(lo, hi, ii, jj, z=rows[:, w:], now=times[seg]):
+            reference_diffuse(want, np.concatenate([ii, jj]), last_sync, np.tile(now[lo:hi], 2),
+                              nu, np.concatenate([z[lo:hi, :d], z[lo:hi, d:]]))
 
-        reference_apply(want, pi, pj, costh, frames, alpha, [(e, e + 1) for e in range(done, upto)],
-                        kick)
-        reference_diffuse(want, np.arange(n), last_sync, np.full(n, s), nu,
-                          rng.normal(size=(n, d)))
-        done = upto
+        reference_apply(want, pi[seg], pj[seg], costh[seg], rows[:, :w] if w else None, alpha,
+                        [(e, e + 1) for e in range(len(rows))], kick)
+        reference_diffuse(want, np.arange(n), last_sync, np.full(n, s), nu, sync)
+        done += len(rows)
         assert got.coords.tobytes() == want.tobytes()
-    assert 0 < done < len(times)  # events after the last snapshot were drawn and dropped
-    # the dropped events' frames and the cursor's normals count in the stream
+    assert done == len(times) > 0
     assert dyn.draw_counter == rng.draw_counter
+    assert dyn.uniform_words(np.empty(8)).tobytes() == rng.uniform_words(np.empty(8)).tobytes()
+
+
+MODELS = ["kac", "coupled", "thermostat-nu0", "thermostat"]
+
+
+def run_model(model, init, init_b, kern, t_end, snaps, rngs):
+    """A stack run of one of the engine's models; the coupled gas's two systems in one list."""
+    if model == "kac":
+        return simulate_kac(init, kern, t_end, snaps, rngs)
+    if model == "coupled":
+        out_a, out_b = simulate_kac_coupled(init, init_b, kern, t_end, snaps, rngs)
+        return out_a + out_b
+    params = RestitutionParams(alpha=0.7, nu=0.0 if model == "thermostat-nu0" else 1.0,
+                               dim=init.dim)
+    return simulate_thermostat(init, kern, params, t_end, snaps, rngs)
+
+
+def stack_data(d, n, reps, seed):
+    """A kernel, a stack of ``reps`` Gaussian replicas of n particles and a second stack for the
+    coupled gas."""
+    kern = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
+    init = gaussian_sample_state(np.zeros(d), np.ones(d), n,
+                                 [RngStream(seed, 100 + r) for r in range(reps)])
+    return kern, init, ParticleState(2.0 * init.coords - 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_run_past_the_last_snapshot_equals_the_run_ending_there(model, d):
+    # nothing is drawn or played past the last snapshot: a stack run to
+    # t_end 3 and the run to its last snapshot agree in every byte, in the
+    # draw counts and in the streams' next words
+    kern, init, init_b = stack_data(d, 8, 3, 49)
+    snaps = [0.25, 1.0, 1.0]
+    runs = []
+    for t_end in (3.0, 1.0):
+        rngs = [RngStream(49, r) for r in range(3)]
+        out = run_model(model, init, init_b, kern, t_end, snaps, rngs)
+        runs.append((b"".join(s.coords.tobytes() for s in out), [s.time for s in out],
+                     [r.draw_counter for r in rngs],
+                     [r.uniform_words(np.empty(8)).tobytes() for r in rngs]))
+    assert runs[0] == runs[1]
+    assert min(runs[0][2]) > 0
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_empty_snapshot_list_draws_nothing(model):
+    kern, init, init_b = stack_data(3, 8, 2, 50)
+    rngs = [RngStream(50, r) for r in range(2)]
+    assert run_model(model, init, init_b, kern, 2.0, [], rngs) == []
+    assert [r.draw_counter for r in rngs] == [0, 0]
+    assert [r.uniform_words(np.empty(4)).tobytes() for r in rngs] == \
+        [RngStream(50, r).uniform_words(np.empty(4)).tobytes() for r in range(2)]
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_streams_end_where_the_lone_reference_ends(model, d):
+    # after a stack run, each stream has drawn exactly what one stream
+    # drawing alone in a lone run's order draws (lone_run_draws): the same
+    # count, and the same next words.  t_end lies past the last snapshot,
+    # the first snapshot is at the start, and the clocks draw more than
+    # their 64-gap minimum, so a clock run past the last snapshot shows
+    n, reps, t_end, snaps = 16, 3, 12.0, [0.0, 0.5, 10.0]
+    kern, init, init_b = stack_data(d, n, reps, 51)
+    rngs = [RngStream(51, r) for r in range(reps)]
+    run_model(model, init, init_b, kern, t_end, snaps, rngs)
+    rate = (n - 1.0) * (1.0 if model.startswith("thermostat") else 0.5)
+    for r, rng in enumerate(rngs):
+        ref = RngStream(51, r)
+        lone_run_draws(n, d, rate, kern, 0.0, snaps, ref, model == "thermostat")
+        assert rng.draw_counter == ref.draw_counter > 0
+        assert rng.uniform_words(np.empty(8)).tobytes() == ref.uniform_words(np.empty(8)).tobytes()
 
 
 def test_run_peak_memory_below_record_plus_snapshots():
@@ -232,7 +325,7 @@ def test_run_peak_memory_below_record_plus_snapshots():
     kern = AngularKernel.isotropic(d)
     p = RestitutionParams(alpha=0.8, nu=1.0, dim=d)
     st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(24, 0))
-    rec, _ = _generate_events(n, d, n - 1.0, kern, 0.0, t_end, snaps, [RngStream(24, 1)])
+    rec = _generate_events(n, n - 1.0, kern, 0.0, snaps, [RngStream(24, 1)])
     record_bytes = sum(a.nbytes for s in rec for a in (s.times, s.pair_i, s.pair_j, s.costh))
     del rec
     snapshot_bytes = len(snaps) * n * d * 8
