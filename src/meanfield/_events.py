@@ -8,34 +8,30 @@ per event).  Exactness under vectorization rests on two facts:
   every particle's own events in stream order realizes the same
   trajectory bit for bit;
 * every stream hands out its per-event randomness in event order, never
-  in batch order, so nothing random depends on the schedule.  The
-  waiting times, pairs and deviation-angle cosines are drawn when the
-  record is made; the rest of an event's words, its raw frame vector
-  for the azimuth and then, for the thermostat, its bath normals, come
-  next in each stream, one row per event, drawn chunk by chunk just
-  before the chunk is played (Philox streams can be read in pieces with
-  no change to a word).  Nothing is drawn past the last snapshot.
+  in batch order, so nothing random depends on the schedule.  A snapshot
+  interval's events are drawn whole just before they are played
+  (``elastic._generate_events``): each stream's clock gaps, then one row
+  of [cosine, i, j] uniforms per event, then one row of normals per
+  event, its raw frame vector for the azimuth followed, for the
+  thermostat, by its bath normals.  Nothing is drawn past the last
+  snapshot.
 
-``play_events`` is the one snapshot/batch loop.  A model hands it a
-collision rule, called once per batch of disjoint pairs
-(``apply_pair_collisions``, elastic or inelastic, or the coupled gas's
-rule), and optionally a bath that moves particles between their jumps
-(the thermostat's Brownian forcing) with the normals of its events' row
-tails, so every model plays under the one schedule.
+``play_segment`` plays one interval.  A model hands it a collision rule,
+called once per batch of disjoint pairs (``apply_pair_collisions``,
+elastic or inelastic, or the coupled gas's rule), and optionally a bath
+that moves particles between their jumps (the thermostat's Brownian
+forcing) with the normals of its events' row tails, so every model plays
+under the one schedule.  One interval is held at a time: it is drawn,
+played and released before the next is drawn.
 
-The record is cut at the snapshots when it is drawn: one
-``EventSegment`` per snapshot holds the events since the previous one,
-24 bytes each (time, two int32 pair indices, cosine), and
-``play_events`` consumes the record, releasing each segment once it is
-played, before the snapshot is copied.  A segment is played in chunks of
-consecutive events; within a chunk every event gets the ASAP level of
-its per-particle dependency DAG (``level_schedule``), and each level is
-one batch of events on disjoint particles.  Levels are few (8-13 for a
-chunk of 12,000-16,384 events on 16,384 or 32,768 particles), so the
-per-batch numpy overhead is paid about a dozen times per chunk instead
-of once per ~sqrt(N) events.
+A segment is played in chunks of consecutive events; within a chunk
+every event gets the ASAP level of its per-particle dependency DAG
+(``level_schedule``), and each level is one batch of events on disjoint
+particles.  Levels are few (8-13 for a chunk of 12,000-16,384 events on
+16,384 or 32,768 particles), so the per-batch numpy overhead is paid
+about a dozen times per chunk instead of once per ~sqrt(N) events.
 Replicas stack into one system: replica r owns particles r N .. r N +
-N - 1, and each segment holds the whole block's events of its interval,
+N - 1, and a segment holds the whole block's events of its interval,
 replica after replica, with pair indices offset by r N.  Their events
 never share a particle and each replica keeps its own streams, so a
 stacked block plays every replica exactly as it would play alone, in as
@@ -56,24 +52,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import replica_normals
-
 
 @dataclass
 class EventSegment:
-    """The events of a replica block between two snapshots: enough to replay them.
+    """The events of a replica block in one snapshot interval: enough to play them.
 
     The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
     1]``, in its stream order, and its pair indices (int32) are rows of
-    the stacked state (offset by r N).  An event takes 24 bytes: its
-    frame vector and bath normals are not kept but drawn when the event
-    is played (``play_events``).
+    the stacked state (offset by r N).  ``normals`` holds one row per
+    event: its frame normals, then a bath's.
     """
 
     times: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     costh: np.ndarray
+    normals: np.ndarray
     bounds: np.ndarray
 
     def __len__(self) -> int:
@@ -292,20 +286,17 @@ def apply_pair_collisions(x: np.ndarray, ii: np.ndarray, jj: np.ndarray, costh: 
 CHUNK_EVENTS = 16384
 
 
-def _play_chunk(x, seg: EventSegment, c0: int, c1: int, owners, rngs, width: int, collide,
-                bath) -> None:
+def _play_chunk(x, seg: EventSegment, c0: int, c1: int, width: int, collide, bath) -> None:
     """Play the events ``c0:c1`` of a segment on x in their level schedule.
 
-    A function of its own, so that a chunk's normals are freed before the
-    next chunk draws its own.
+    A function of its own, so that a chunk's arrays are freed before the
+    next chunk takes its own.
     """
     order, batches = level_schedule(seg.pair_i[c0:c1], seg.pair_j[c0:c1])
     pi, pj, costh = (a[c0:c1].take(order) for a in (seg.pair_i, seg.pair_j, seg.costh))
     sinth = sine_of(costh)
-    # each owner's next rows of [frame | bath] normals, drawn from its own
-    # stream in stream order, taken in play order; the transposes are views
-    tail = 0 if bath is None else bath.width
-    z = replica_normals(rngs, owners, width + tail).take(order, axis=0).T
+    # the rows of [frame | bath] normals in play order; the transposes are views
+    z = seg.normals[c0:c1].take(order, axis=0).T
     frames = z[:width]
     if bath is not None:
         now = seg.times[c0:c1].take(order)
@@ -316,46 +307,20 @@ def _play_chunk(x, seg: EventSegment, c0: int, c1: int, owners, rngs, width: int
         collide(x, ii, jj, costh[lo:hi], frames[:, lo:hi], sinth[lo:hi])
 
 
-def _play_segment(x, seg: EventSegment, rngs, width: int, collide, bath) -> None:
-    """Play one segment on x, in chunks of at most ``CHUNK_EVENTS`` consecutive events."""
-    live = np.flatnonzero(np.diff(seg.bounds))  # replicas with events in the segment
-    starts, ends = seg.bounds[live], seg.bounds[live + 1]
-    for c0 in range(0, len(seg), CHUNK_EVENTS):
-        c1 = min(c0 + CHUNK_EVENTS, len(seg))
-        k0, k1 = np.searchsorted(ends, c0, side="right"), np.searchsorted(starts, c1)
-        counts = np.minimum(ends[k0:k1], c1) - np.maximum(starts[k0:k1], c0)
-        owners = list(zip(live[k0:k1].tolist(), counts.tolist()))
-        _play_chunk(x, seg, c0, c1, owners, rngs, width, collide, bath)
-
-
-def play_events(x: np.ndarray, record: list[EventSegment], snaps: np.ndarray, rngs, width: int,
-                collide, bath=None) -> list[np.ndarray]:
-    """Play a stacked event record on x in place; row copies of x at the snapshots.
+def play_segment(x: np.ndarray, seg: EventSegment, width: int, collide, bath=None) -> None:
+    """Play one interval's events on x in place.
 
     x is the C-contiguous coordinate-major ``(d, R n)`` working copy of a
-    stacked state; each snapshot is a ``(R n, d)`` copy of its rows.
-    ``record`` holds one segment per snapshot, the events since the
-    previous snapshot, and is consumed: each segment leaves the list and
-    is released once played, before its snapshot is copied.  A segment is
-    played in chunks of consecutive events (replica by replica, each in
+    stacked state.  The segment is played in chunks of at most
+    ``CHUNK_EVENTS`` consecutive events (replica by replica, each in
     stream order), each chunk in its level schedule.  ``collide(x, ii, jj,
     costh, frames, sinth)``, the signature of :func:`apply_pair_collisions`,
-    plays one batch: one level's events on disjoint pairs.  Just before a
-    chunk is played, each of its owners, one ``(r, count)`` per span of
-    ``count`` consecutive events of replica r, draws one row of normals
-    per event from ``rngs[r]``, in stream order: ``width`` frame normals
-    (``frame_width``), then ``bath.width`` more when a bath is given; one
-    word block per owner, one transform per chunk.  ``bath``, when given,
-    moves particles between their jumps: ``bath.kick(x, ii, jj, now, z)``
-    runs before each batch collides, with the batch's event times and the
-    ``(bath.width, k)`` tails of its rows, and ``bath.sync(x, s)`` runs
-    right before the state at time s is copied.
+    plays one batch: one level's events on disjoint pairs, with the first
+    ``width`` columns of their rows of normals (``frame_width``) as the
+    ``(width, k)`` frames.  ``bath``, when given, moves particles between
+    their jumps: ``bath.kick(x, ii, jj, now, z)`` runs before each batch
+    collides, with the batch's event times and the ``(bath.width, k)``
+    tails of its rows.
     """
-    out = []
-    for s in snaps:
-        # the call holds the segment's last reference: it and the chunk arrays go before the copy
-        _play_segment(x, record.pop(0), rngs, width, collide, bath)
-        if bath is not None:
-            bath.sync(x, float(s))
-        out.append(x.T.copy())
-    return out
+    for c0 in range(0, len(seg), CHUNK_EVENTS):
+        _play_chunk(x, seg, c0, min(c0 + CHUNK_EVENTS, len(seg)), width, collide, bath)

@@ -7,6 +7,17 @@ onto a fresh direction sigma drawn from the angular kernel.  Momentum and
 kinetic energy are conserved collision by collision.  ``simulate_kac``
 and ``simulate_kac_coupled`` (Tanaka's coupling of two systems) play a
 replica stack, one dynamics stream per replica, as one system.
+
+A run draws its events one snapshot interval at a time, just before it
+plays them (``_generate_events``): the Poisson clock is memoryless, so
+restarting it at each snapshot samples the law of one clock run
+through.  A pair is drawn from two uniforms u_i, u_j of the package's
+53-bit grid (``RngStream``) as i = floor(u_i n) and j = j' + (j' >= i)
+with j' = floor(u_j (n - 1)).  floor(u n) is monotone in u, and each of
+the n indices takes a share of the grid within a few 2**-53 of 1/n; it
+never reaches n, since for u <= 1 - 2**-53 the product u n rounds below
+n.  numpy's bounded integer draw would cost about 13 us a call, more
+than a small replica's whole interval.
 """
 
 from __future__ import annotations
@@ -20,8 +31,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _events
-from .core import (ParticleState, RngStream, SimulationError, open_unit, replica_size,
-                   validate_snapshots)
+from .core import (ParticleState, RngStream, SimulationError, open_unit, replica_normals,
+                   replica_size, validate_snapshots)
 
 __all__ = [
     "AngularKernel",
@@ -160,50 +171,32 @@ def _jump_times(rngs, size, rate, start):
     return clock
 
 
-def _segment_times(rate, t0, snaps, rngs):
-    """Each stream's Poisson clock on (t0, snaps[-1]), cut at the snapshots into segments.
+def _interval_times(rate, t0, t1, rngs):
+    """Each stream's Poisson clock on (t0, t1): the jump times, stream after stream, and counts.
 
-    The rate is positive.  Stream r draws ``max(64, 1.2 rate (t_last -
-    t0) + 16)`` exponential gaps into a row of one block buffer; while its
-    clock has not passed the last snapshot t_last it draws ``max(64, size
-    // 4)`` more, the size shrinking each round, in a block with the other
-    streams still short.  Without snapshots, or with the last at t0,
-    nothing is drawn.  Returns the per-segment times, the per-segment
-    replica bounds, and each stream's plan: one ``(segment, start in it,
-    first event, one past its last)`` per nonempty piece of its events, in
-    stream order.  A function of its own, so that the clock buffer, which
-    the per-stream times view, is freed before the record's other fields
-    are allocated.
+    The rate is positive.  Stream r draws ``max(64, 1.2 rate (t1 - t0) +
+    16)`` exponential gaps into a row of one block buffer; while its clock
+    has not passed t1 it draws ``max(64, size // 4)`` more, the size
+    shrinking each round, in a block with the other streams still short.
+    With t1 <= t0 nothing is drawn.  A function of its own, so that the
+    clock buffer, which the per-stream times view, is freed before the
+    segment's other fields are allocated.
     """
-    reps = len(rngs)
-    t_last = snaps[-1] if len(snaps) else t0
-    size = max(64, int(1.2 * rate * (t_last - t0)) + 16) if t_last > t0 else 0
-    clock = _jump_times(rngs, size, rate, np.full(reps, t0, dtype=np.float64))
-    keep = clock < t_last
-    times = [clock[r, :c] for r, c in enumerate(keep.sum(axis=1).tolist())]
-    short = np.flatnonzero(keep[:, -1]).tolist() if size else []
+    if t1 <= t0:
+        return np.empty(0), [0] * len(rngs)
+    size = max(64, int(1.2 * rate * (t1 - t0)) + 16)
+    clock = _jump_times(rngs, size, rate, np.full(len(rngs), t0, dtype=np.float64))
+    counts = np.count_nonzero(clock < t1, axis=1)
+    times = [row[:c] for row, c in zip(clock, counts.tolist())]
+    short = np.flatnonzero(counts == size).tolist()
     while short:  # these clocks kept every jump so far; each refill starts at the last
         size = max(64, size // 4)
         more = _jump_times([rngs[r] for r in short], size, rate,
                            np.array([times[r][-1] for r in short]))
         for r, row in zip(short, more):
-            times[r] = np.concatenate((times[r], row[row < t_last]))
-        short = [r for r, row in zip(short, more) if row[-1] < t_last]
-    # stream r's events edges[r, s]:edges[r, s + 1] fall in segment s
-    edges = np.zeros((reps, len(snaps) + 1), dtype=np.int64)
-    for t, row in zip(times, edges):
-        row[1:] = np.searchsorted(t, snaps, side="right")
-    pieces = np.diff(edges, axis=1)
-    starts = np.cumsum(pieces, axis=0) - pieces
-    bounds = np.zeros((len(snaps), reps + 1), dtype=np.int64)
-    np.cumsum(pieces.T, axis=1, out=bounds[:, 1:])
-    plan = [[(s, lo, e0, e1) for s, (lo, e0, e1) in enumerate(zip(lo_r, e_r, e_r[1:])) if e1 > e0]
-            for lo_r, e_r in zip(starts.tolist(), edges.tolist())]
-    seg_times = [np.empty(m) for m in bounds[:, -1].tolist()]
-    for t, plan_r in zip(times, plan):
-        for s, lo, e0, e1 in plan_r:
-            seg_times[s][lo:lo + e1 - e0] = t[e0:e1]
-    return seg_times, bounds, plan
+            times[r] = np.concatenate((times[r], row[row < t1]))
+        short = [r for r, row in zip(short, more) if row[-1] < t1]
+    return np.concatenate(times), [len(t) for t in times]
 
 
 def _generate_events(
@@ -211,51 +204,43 @@ def _generate_events(
     rate: float,
     kernel: AngularKernel,
     t0: float,
-    snaps: np.ndarray,
+    t1: float,
     rngs: Sequence[RngStream],
-) -> list[_events.EventSegment]:
-    """The stacked event record of R = len(rngs) replicas of n particles, cut at the snapshots.
+    width: int,
+) -> _events.EventSegment:
+    """The events in (t0, t1) of R = len(rngs) replicas of n particles, replica after replica.
 
-    Segment s holds the events in (snaps[s - 1], snaps[s]] (from t0 for
-    s = 0), replica after replica; no event after the last snapshot is
-    drawn.  Stream r draws, in this order: its clock gaps
-    (``_segment_times``), the first and the second int32 pair index of
-    its k events (one call each) and k cosine uniforms, which go, piece by
-    piece in stream order, straight into the segments.  The cosine
-    transform runs once per segment, in place.  The rest of each event's
-    words come next in the stream: ``_events.play_events`` draws them as
-    it plays the segment.
+    Stream r draws, in this order: its clock gaps (``_interval_times``),
+    one ``(k, 3)`` block of uniform words, a row [cosine, i, j] per event,
+    and k rows of ``width`` normals (``core.replica_normals``): the frame,
+    then a bath's.  The cosine transform and the pair map (module
+    docstring) run once per block; pair indices are int32 rows of the
+    stack, offset by r n.
     """
     if len(rngs) * n > np.iinfo(np.int32).max:
         raise SimulationError("a replica stack indexes at most 2**31 - 1 particles")
-    seg_times, bounds, plan = _segment_times(rate, t0, snaps, rngs)
-    sizes = [len(t) for t in seg_times]
-    pair_i, pair_j = ([np.empty(m, dtype=np.int32) for m in sizes] for _ in range(2))
-    costh = [np.empty(m) for m in sizes]
-    for rng, plan_r in zip(rngs, plan):
-        k = plan_r[-1][3] if plan_r else 0  # the stream's events: its last piece ends there
-        for high, dst in ((n, pair_i), (n - 1, pair_j)):
-            drawn = rng.integers(0, high, size=k, dtype=np.int32)
-            for s, lo, e0, e1 in plan_r:
-                dst[s][lo:lo + e1 - e0] = drawn[e0:e1]
-            del drawn  # before the next draw: one stream's indices held at a time
-        for s, lo, e0, e1 in plan_r:
-            rng.uniform_words(costh[s][lo:lo + e1 - e0])
-    offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)
-    for s, (a, b) in enumerate(zip(pair_i, pair_j)):
-        # replica r's particles are rows r n .. r n + n - 1; uniform pairs
-        # i != j, canonicalized to i < j: the collision laws are
-        # orientation-free (swapping the pair and reflecting sigma preserves
-        # the update law), so the canonical order loses nothing
-        b += b >= a
-        pair_j[s] = np.maximum(a, b)
-        np.minimum(a, b, out=a)
-        offset = np.repeat(offsets, np.diff(bounds[s]))
-        a += offset
-        pair_j[s] += offset
-        kernel.cosines(open_unit(costh[s]), out=costh[s])
-    return [_events.EventSegment(*fields) for fields in zip(seg_times, pair_i, pair_j, costh,
-                                                            bounds)]
+    times, counts = _interval_times(rate, t0, t1, rngs)
+    bounds = np.zeros(len(rngs) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    words = np.empty((len(times), 3))
+    for rng, lo, hi in zip(rngs, bounds.tolist(), bounds[1:].tolist()):
+        rng.uniform_words(words[lo:hi])
+    normals = replica_normals(rngs, list(enumerate(counts)), width)
+    u = open_unit(words).T
+    costh = kernel.cosines(u[0])
+    pair_i = np.multiply(u[1], n).astype(np.int32)
+    b = np.multiply(u[2], n - 1).astype(np.int32)
+    # replica r's particles are rows r n .. r n + n - 1; uniform pairs
+    # i != j, canonicalized to i < j: the collision laws are
+    # orientation-free (swapping the pair and reflecting sigma preserves
+    # the update law), so the canonical order loses nothing
+    b += b >= pair_i
+    pair_j = np.maximum(pair_i, b)
+    np.minimum(pair_i, b, out=pair_i)
+    offset = np.repeat(np.arange(0, len(rngs) * n, n, dtype=np.int32), counts)
+    pair_i += offset
+    pair_j += offset
+    return _events.EventSegment(times, pair_i, pair_j, costh, normals, bounds)
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, collide,
@@ -264,19 +249,31 @@ def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, c
 
     ``initial`` stacks R = len(rngs) replicas of N particles (the
     ``ParticleState`` row layout); replica r draws its events, at total
-    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  ``collide`` and
-    ``bath`` go to ``_events.play_events``, which plays them on the
-    coordinate-major ``(d, R N)`` copy of ``initial``.  t_end only bounds
-    the snapshots: the run draws and plays nothing past the last one.
+    rate ``pair_rate * (N - 1)``, from ``rngs[r]``.  The run is played on
+    the coordinate-major ``(d, R N)`` copy of ``initial``, one snapshot
+    interval at a time: its events are drawn (``_generate_events``, with
+    rows of ``bath.width`` more normals when a bath is given), played
+    (``_events.play_segment`` with ``collide`` and ``bath``) and
+    released, then the bath syncs and the snapshot is copied.  t_end only
+    bounds the snapshots: the run draws and plays nothing past the last.
     """
-    n, t0 = replica_size(initial, rngs), initial.time
+    n, t = replica_size(initial, rngs), initial.time
     if n < 2:
         raise SimulationError("need N >= 2")
-    snaps = validate_snapshots(snapshot_times, t0, t_end)
-    record = _generate_events(n, pair_rate * (n - 1), kernel, t0, snaps, rngs)
-    captured = _events.play_events(initial.coords.T.copy(), record, snaps, rngs,
-                                   _events.frame_width(kernel.dim), collide, bath)
-    return [ParticleState(c, time=float(t)) for t, c in zip(snaps, captured)]
+    snaps = validate_snapshots(snapshot_times, t, t_end)
+    rate, frame = pair_rate * (n - 1), _events.frame_width(kernel.dim)
+    width = frame + (0 if bath is None else bath.width)
+    x = initial.coords.T.copy()
+    out = []
+    for s in snaps.tolist():
+        # the call holds the interval's only reference: it goes before the copy
+        _events.play_segment(x, _generate_events(n, rate, kernel, t, s, rngs, width), frame,
+                             collide, bath)
+        t = max(t, s)
+        if bath is not None:
+            bath.sync(x, s)
+        out.append(ParticleState(x.T.copy(), time=s))
+    return out
 
 
 def simulate_kac(

@@ -12,12 +12,13 @@ per event instead of O(N)).
 The bath is drawn per replica, in event order, never in batch order:
 each event's 2 d bath normals (d for each particle of the pair, the
 increment since that particle was last touched) follow its frame normals
-in one row drawn from its own replica's stream just before its chunk is
-played, and at each snapshot every particle is synced with d more from
-the same stream.  Each stream hands out its words in the order of a lone
-run, and a replica's trajectory is the same bit for bit under any
-schedule of the event engine: the dependency levels, one event per
-batch, or many replicas stacked into one system.
+in one row, drawn from its own replica's stream with the rest of its
+snapshot interval's events, and at each snapshot later than the last
+sync every particle is synced with d more from the same stream.  Each
+stream hands out its words in the order of a lone run, and a replica's
+trajectory is the same bit for bit under any schedule of the event
+engine: the dependency levels, one event per batch, or many replicas
+stacked into one system.
 ``simulate_thermostat`` takes such a stack (one state of R N rows, one
 stream per replica); a single run is R = 1.
 
@@ -115,16 +116,18 @@ def steady_temperature(
 class _Bath:
     """Brownian forcing of strength nu on a replica stack, caught up per particle.
 
-    The bath of ``_events.play_events``, which draws ``width`` = 2 d
-    normals per event, after the event's frame, and hands them to
-    ``kick``: it brings a batch's particles up to their collision time.
-    ``sync`` brings every particle up to a snapshot with d more normals
-    per particle, drawn from each replica's stream.
+    The bath of ``_events.play_segment``: each event's row of normals
+    carries ``width`` = 2 d more after its frame, and ``kick`` brings a
+    batch's particles up to their collision time with them.  ``sync``
+    brings every particle up to a snapshot with d more normals per
+    particle, drawn from each replica's stream; a snapshot no later than
+    the last sync draws nothing, as no time has passed.
     """
 
     def __init__(self, rngs: Sequence[RngStream], nu: float, initial: ParticleState) -> None:
         self.rngs, self.nu, self.d, self.width = rngs, nu, initial.dim, 2 * initial.dim
         self.last_sync = np.full(initial.n_particles, initial.time)
+        self.synced = initial.time
 
     def kick(self, x: np.ndarray, ii: np.ndarray, jj: np.ndarray, now: np.ndarray,
              z: np.ndarray) -> None:
@@ -134,6 +137,9 @@ class _Bath:
             self.last_sync[idx] = now
 
     def sync(self, x: np.ndarray, s: float) -> None:
+        if s <= self.synced:
+            return
+        self.synced = s
         n = x.shape[1] // len(self.rngs)
         z = replica_normals(self.rngs, [(r, n) for r in range(len(self.rngs))], self.d)
         np.add(x, np.sqrt(np.maximum(2.0 * self.nu * (s - self.last_sync), 0.0)) * z.T, out=x)
@@ -153,9 +159,10 @@ def simulate_thermostat(
 
     Replica r of ``initial`` (the ``ParticleState`` row layout) draws its
     events, each event's bath normals after its frame and each snapshot's
-    sync normals from ``rngs[r]``, and is bitwise the run it would be
-    alone; one stream is one run.  Nothing is drawn past the last
-    snapshot.  At ``params.nu == 0`` there is no bath: the run is the pure
+    sync normals from ``rngs[r]``, one snapshot interval at a time, and is
+    bitwise the run it would be alone; one stream is one run.  Nothing is
+    drawn past the last snapshot, and a snapshot at the time of the one
+    before (or at the start) draws nothing.  At ``params.nu == 0`` there is no bath: the run is the pure
     inelastic collision process, and the streams draw only the events.
     """
     if not params.dim == kernel.dim == initial.dim:

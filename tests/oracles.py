@@ -1,10 +1,13 @@
 """Reference forms of the event engine and the Euler-Maruyama step, kept as test oracles.
 
-These are the per-stream event generator and the row-major collision
-rules the engine used before it played each replica block as one
-coordinate-major system, the per-replica loop of the coupled
-contraction check, and the one-step Euler-Maruyama draw; the package
-must reproduce them bit for bit.
+These are one stream's events of one snapshot interval, drawn alone
+(the engine draws each interval of a replica block just before playing
+it, every stream in this order), the row-major collision rules the
+engine used before it played each replica block as one coordinate-major
+system, the per-replica loop of the coupled contraction check, and the
+one-step Euler-Maruyama draw; the package must reproduce them bit for
+bit.  ``sample_pairs`` draws uniform pairs for tests of the schedule and
+the collision rules; it is not the engine's pair draw.
 """
 
 import math
@@ -44,17 +47,20 @@ def sample_pairs(n: int, k: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray
     return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
 
 
-def generate_events_alone(n, dim, rate, kernel, t0, t_end, rng, frames=True):
-    """One stream's events: (times, pair_i, pair_j, costh, frames or None).
+def generate_events_alone(n, rate, kernel, t0, t1, rng, width):
+    """One stream's events in (t0, t1), drawn alone: (times, pair_i, pair_j, costh, normals).
 
-    Without ``frames`` the stream stops after the cosines, where a
-    thermostat's per-event rows of frame and bath normals begin.
+    The clock, then one row of [cosine, i, j] uniforms per event, then
+    one row of ``width`` normals per event (the frame, then a bath's).
     """
-    times = sample_event_times(rate, t0, t_end, rng)
+    times = sample_event_times(rate, t0, t1, rng)
     k = len(times)
-    pi, pj = sample_pairs(n, k, rng)
-    costh = kernel.sample_costheta(k, rng)
-    return times, pi, pj, costh, rng.normal(size=(k, dim)) if frames and dim >= 2 else None
+    u = rng.uniform(size=(k, 3))
+    i = np.floor(u[:, 1] * n).astype(np.int64)
+    j = np.floor(u[:, 2] * (n - 1)).astype(np.int64)
+    j += j >= i
+    return (times, np.minimum(i, j), np.maximum(i, j), kernel.cosines(u[:, 0]),
+            rng.normal(size=(k, width)))
 
 
 def directional_temperature_flow(coords, n, times, axis=0):

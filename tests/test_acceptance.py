@@ -85,12 +85,15 @@ def test_c01_elastic_conservation():
     snaps = np.linspace(t_end / 8, t_end, 8)
     dyn = RngStream(SEED, 2)
     out = simulate_kac(init, kern, t_end, snaps, [dyn])
-    # the run's events, drawn again from a stream with the same key
-    alone = RngStream(SEED, 2)
-    record = _generate_events(1000, 499.5, kern, 0.0, snaps, [alone])
-    # the run drew this record, and the play 3 frame words per event
-    assert dyn.draw_counter == alone.draw_counter + 3 * sum(len(segment) for segment in record)
-    assert sum(len(segment) for segment in record) >= 1_000_000
+    # the run's events, drawn again interval by interval from a stream with
+    # the same key: the run drew exactly these, 3 frame normals per event
+    alone, events = RngStream(SEED, 2), 0
+    for lo, hi in zip(np.concatenate(([0.0], snaps)), snaps):
+        segment = _generate_events(1000, 499.5, kern, lo, hi, [alone], 3)
+        assert segment.normals.shape == (len(segment), 3)
+        events += len(segment)
+    assert dyn.draw_counter == alone.draw_counter
+    assert events >= 1_000_000
     drift_e = max(abs(np.sum(s.coords**2) - e0) / e0 for s in out)
     drift_p = max(
         float(np.linalg.norm(s.coords.sum(axis=0) - p0)) / math.sqrt(e0) for s in out
@@ -118,7 +121,7 @@ def test_c01_elastic_conservation():
     assert worst <= 1e-12
     _report(
         "C1 elastic conservation", 60, t0,
-        f"{len(record)} events: energy drift {drift_e:.1e}, momentum drift "
+        f"{events} events: energy drift {drift_e:.1e}, momentum drift "
         f"{drift_p:.1e}, per-collision worst {worst:.1e}",
     )
 

@@ -1,10 +1,8 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import stats
 
-from meanfield import _events
+from meanfield import _events, elastic
 from meanfield.core import ParticleState, RngStream, SimulationError, gaussian_sample_state
 from meanfield.elastic import (
     AngularKernel,
@@ -155,8 +153,8 @@ def test_collide_elastic_conservation_random():
 
 def test_next_collision_rate_and_mean_wait():
     # N=2 -> rate (N-1)/2 = 1/2: about 100,000 waits of mean 2
-    (segment,) = _generate_events(2, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, [200_000.0],
-                                  [RngStream(21, 0)])
+    segment = _generate_events(2, 0.5, AngularKernel.two_point(0.5, 0.5), 0.0, 200_000.0,
+                               [RngStream(21, 0)], 0)
     times = segment.times
     waits = np.diff(times, prepend=0.0)
     assert len(waits) > 99_000
@@ -167,9 +165,11 @@ def test_next_collision_rate_and_mean_wait():
     kern = AngularKernel.isotropic(3)
     dyn, alone = RngStream(3, 2), RngStream(3, 2)
     simulate_kac(st100, kern, 10.0, [10.0], [dyn])
-    (rec,) = _generate_events(100, 49.5, kern, 0.0, [10.0], [alone])
-    # the run drew exactly this record, and the play 3 frame words per event
-    assert dyn.draw_counter == alone.draw_counter + 3 * len(rec)
+    rec = _generate_events(100, 49.5, kern, 0.0, 10.0, [alone], 3)
+    # the run drew exactly this interval: its clock, 3 uniforms and 3 frame
+    # normals per event
+    assert dyn.draw_counter == alone.draw_counter
+    assert rec.normals.shape == (len(rec), 3)
     assert abs(len(rec) / 10.0 - 49.5) < 3.0 * np.sqrt(495.0) / 10.0 * 3
 
 
@@ -184,33 +184,65 @@ def pair_chi_square(pi: np.ndarray, pj: np.ndarray, n: int) -> float:
 PAIR_CELLS_CRITICAL = stats.chi2.ppf(1.0 - 1e-3, 44)  # 78.75
 
 
-@pytest.mark.slow
+def engine_pairs(n, k, rng):
+    """About k pairs of n particles from the engine: one interval of a clock of rate 1.
+
+    The pair indices are rows of a one-replica stack, int64 for the tests.
+    """
+    seg = _generate_events(n, 1.0, AngularKernel.isotropic(1), 0.0, float(k), [rng], 0)
+    return seg.pair_i.astype(np.int64), seg.pair_j.astype(np.int64)
+
+
 def test_pair_marginal_uniform():
-    # one goodness-of-fit test over all 45 cells: a correct sampler fails
-    # it with probability 1e-3 (this stream reads 45.9, p = 0.39)
+    # one goodness-of-fit test over all 45 cells of the engine's pair draw:
+    # a correct sampler fails it with probability 1e-3 (this stream reads
+    # 50.5, p = 0.23)
     n = 10
-    # the engine draws its pairs as this oracle does
-    # (test_generate_events_block_equals_per_stream_generator)
-    pi, pj = sample_pairs(n, 1_000_000, RngStream(5, 0))
+    pi, pj = engine_pairs(n, 1_000_000, RngStream(5, 0))
+    assert len(pi) > 990_000 and np.all(pi < pj)
     assert pair_chi_square(pi, pj, n) < PAIR_CELLS_CRITICAL
 
 
-@pytest.mark.slow
 def test_pair_chi_square_rejects_one_heavier_cell():
-    # the same sampler, with each draw moved to cell (0, 1) with probability
-    # eps, so that cell is 5 % heavier: p (1 - eps) + eps = 1.05 p.  Over K
-    # draws the statistic's noncentrality is 0.0025 p K (1 + 1/44): 56.8 at
-    # K = 10**6, rejected with probability 0.90, and 227 at 4 * 10**6,
-    # rejected except with probability 4e-16
-    n, k = 10, 4_000_000
+    # the engine's pairs, with each draw moved to cell (0, 1) with
+    # probability eps, so that cell is 5 % heavier: p (1 - eps) + eps =
+    # 1.05 p.  Over K draws the statistic's noncentrality is 0.0025 p K
+    # (1 + 1/44): 56.8 at K = 10**6, rejected with probability 0.90, and
+    # 227 at 4 * 10**6, rejected except with probability 4e-16 (these
+    # streams read 229 moved and 47.1 unmoved).  Drawn in four intervals
+    # of 10**6, one held at a time
+    n = 10
     p = 2.0 / (n * (n - 1))
-    rng = RngStream(5, 1)
-    pi, pj = sample_pairs(n, k, rng)
-    moved = rng.uniform(size=k) < 0.05 * p / (1.0 - p)
+    moves = RngStream(5, 3)
+    pairs = []
+    for rng in (RngStream(5, 1), RngStream(5, 2)):
+        parts = [engine_pairs(n, 1_000_000, rng) for _ in range(4)]
+        pairs.append([np.concatenate(c) for c in zip(*parts)])
+    pi, pj = pairs[0]
+    moved = moves.uniform(size=len(pi)) < 0.05 * p / (1.0 - p)
     pi[moved], pj[moved] = 0, 1
     assert pair_chi_square(pi, pj, n) > PAIR_CELLS_CRITICAL
-    pi, pj = sample_pairs(n, k, RngStream(5, 2))  # the uniform law at this size passes
-    assert pair_chi_square(pi, pj, n) < PAIR_CELLS_CRITICAL
+    assert pair_chi_square(*pairs[1], n) < PAIR_CELLS_CRITICAL  # the uniform law at this size
+
+
+class _TopWords(RngStream):
+    """A stream whose every uniform word is the top one, k = 2**53 - 1: the
+    uniform is 1 - 2**-53, and each exponential gap 2**-53 / rate."""
+
+    def uniform_words(self, out):
+        super().uniform_words(out)
+        out.fill(1.0 - 2.0**-53)
+        return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**20 + 1, 2**31 - 1])
+def test_pair_indices_stay_below_n_at_the_top_word(n):
+    # floor(u n) at the largest uniform the package draws: every index
+    # below n, the pair (n - 2, n - 1)
+    seg = _generate_events(n, 1.0, AngularKernel.isotropic(1), 0.0, 1e-14, [_TopWords(5, 4)], 0)
+    assert len(seg) > 64  # the first clock fill and a refill
+    assert np.all(seg.pair_j < n) and np.all(seg.pair_i < seg.pair_j)
+    assert seg.pair_i.tolist() == [n - 2] * len(seg) and seg.pair_j.tolist() == [n - 1] * len(seg)
 
 
 def test_simulate_t_end_zero_returns_initial():
@@ -428,22 +460,22 @@ def test_apply_coupled_bitwise_equals_reference(d):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_simulate_kac_coupled_equals_sequential_reference(d):
-    # the whole coupled run against the stream's events applied one at a
-    # time, in stream order, by the row-major rule
+    # the whole coupled run against the stream's events, drawn alone one
+    # snapshot interval at a time, applied one at a time, in stream order,
+    # by the row-major rule
     kern = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
     a = gaussian_sample_state(np.zeros(d), np.ones(d), 12, RngStream(47, 0))
     b = ParticleState(a.coords * np.linspace(2.0, 1.0, d) + 0.5)
     snaps = [0.5, 3.0]
     out_a, out_b = simulate_kac_coupled(a, b, kern, 3.0, snaps, [RngStream(47, 1)])
-    times, pi, pj, costh, frames = generate_events_alone(12, d, 5.5, kern, 0.0, 3.0,
-                                                         RngStream(47, 1))
+    rng, t = RngStream(47, 1), 0.0
     rows = np.hstack([a.coords, b.coords])
-    done = 0
     for s, sa, sb in zip(snaps, out_a, out_b):
-        upto = int(np.searchsorted(times, s, side="right"))
-        reference_apply_coupled(rows, pi, pj, costh, frames,
-                                [(e, e + 1) for e in range(done, upto)])
-        done = upto
+        _, pi, pj, costh, frames = generate_events_alone(12, 5.5, kern, t, s, rng,
+                                                         _events.frame_width(d))
+        t = s
+        reference_apply_coupled(rows, pi, pj, costh, frames if d >= 2 else None,
+                                [(e, e + 1) for e in range(len(pi))])
         assert sa.coords.tobytes() == np.ascontiguousarray(rows[:, :d]).tobytes()
         assert sb.coords.tobytes() == np.ascontiguousarray(rows[:, d:]).tobytes()
     assert not np.array_equal(out_a[-1].coords, a.coords)
@@ -472,29 +504,6 @@ class _HalfGaps(RngStream):
         return np.sqrt(super().uniform_words(out), out=out)
 
 
-def played_frames(record, snaps, rngs, d):
-    """The frames the play draws for a record, one (K, frame width) array per segment.
-
-    Rows are in the record's event order.  The record is consumed; each
-    segment must fit one play chunk, whose level schedule maps the
-    batches' frames back to that order.
-    """
-    assert all(len(seg) <= _events.CHUNK_EVENTS for seg in record)
-    orders = [_events.level_schedule(seg.pair_i, seg.pair_j)[0] for seg in record]
-    seen = []
-    _events.play_events(np.empty((d, 0)), record, snaps, rngs, _events.frame_width(d),
-                        lambda x, ii, jj, costh, frames, sinth: seen.append(frames))
-    width = _events.frame_width(d)
-    played = np.concatenate(seen, axis=1) if seen else np.empty((width, 0))
-    out, lo = [], 0
-    for order in orders:
-        frames = np.empty((len(order), width))
-        frames[order] = played[:, lo:lo + len(order)].T
-        out.append(frames)
-        lo += len(order)
-    return out
-
-
 @pytest.mark.parametrize("d, kernel", [
     (1, AngularKernel.two_point(0.3, 0.7)),
     (1, AngularKernel.isotropic(1)),
@@ -504,69 +513,70 @@ def played_frames(record, snaps, rngs, d):
     (2, AngularKernel(dim=2, density=lambda c: np.exp(c), name="forward")),
 ])
 def test_generate_events_block_equals_per_stream_generator(d, kernel):
-    # the segmented block record, reassembled per replica, and the frames
-    # the play draws for it, against each stream generating alone: every
-    # field, the replica bounds and the draw counts; stream 1 refills its
-    # clock.  The snapshots cut at t0 (an empty first segment), twice at one
-    # time (an empty segment) and at t_end
-    n, rate, t0, t_end = 7, 3.0 * 6, 0.5, 5.5
-    snaps = np.array([t0, 1.25, 1.25, 3.0, t_end])
-    block = [RngStream(70, r) for r in range(4)]
-    block[1] = _HalfGaps(70, 1)
-    alone = [type(s)(70, s.stream_id) for s in block]
-    rec = _generate_events(n, rate, kernel, t0, snaps, block)
-    parts = [generate_events_alone(n, d, rate, kernel, t0, t_end, s) for s in alone]
-    counts = [len(p[0]) for p in parts]
-    assert counts[1] > max(64, int(1.2 * rate * (t_end - t0)) + 16) // 2  # refilled
-    assert len(rec) == len(snaps) and len(rec[0]) == len(rec[2]) == 0
-    for seg, lo, hi in zip(rec, np.concatenate(([-np.inf], snaps[:-1])), snaps):
-        assert np.all((seg.times > lo) & (seg.times <= hi))
-    bounds = [seg.bounds for seg in rec]
-    for r, p in enumerate(parts):
-        assert sum(b[r + 1] - b[r] for b in bounds) == counts[r]
-        for field, name in enumerate(["times", "pair_i", "pair_j", "costh"]):
-            got = np.concatenate([getattr(seg, name)[seg.bounds[r]:seg.bounds[r + 1]]
-                                  for seg in rec])
-            if name.startswith("pair"):  # rows of the stack, drawn and kept as int32
-                assert got.dtype == np.int32
-                np.testing.assert_array_equal(got - r * n, p[field])
-            else:
-                assert got.dtype == p[field].dtype and got.tobytes() == p[field].tobytes()
-    frames = played_frames(rec, snaps, block, d)
-    for r, p in enumerate(parts):
-        got = np.concatenate([f[b[r]:b[r + 1]] for f, b in zip(frames, bounds)])
-        if p[4] is None:  # d = 1 plays (K, 0) frames, drawn from no word
-            assert d == 1 and got.shape == (counts[r], 0)
-        else:
-            assert got.tobytes() == p[4].tobytes()
-    assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
-    # a last snapshot at t0 draws nothing, and neither does an empty snapshot list
-    for snaps in (np.array([t0]), np.array([])):
+    # one stacked interval, read per replica, against each stream drawing
+    # the interval alone: every field, the replica bounds, the normals
+    # (frame rows, and frame and bath rows) and the draw counts; stream 1
+    # refills its clock.  Each stream then draws a second interval after
+    # the first, and an empty interval draws nothing
+    n, rate, t0, t_mid, t1 = 7, 3.0 * 6, 0.5, 3.0, 5.5
+    for width in (_events.frame_width(d), _events.frame_width(d) + 2 * d):
+        block = [RngStream(70, r) for r in range(4)]
+        block[1] = _HalfGaps(70, 1)
+        alone = [type(s)(70, s.stream_id) for s in block]
+        for lo, hi in ((t0, t_mid), (t_mid, t1)):
+            seg = _generate_events(n, rate, kernel, lo, hi, block, width)
+            parts = [generate_events_alone(n, rate, kernel, lo, hi, s, width) for s in alone]
+            counts = [len(p[0]) for p in parts]
+            assert seg.bounds.tolist() == np.cumsum([0] + counts).tolist()
+            assert np.all((seg.times > lo) & (seg.times < hi))
+            assert seg.normals.shape == (len(seg), width)
+            for r, p in enumerate(parts):
+                rows = slice(seg.bounds[r], seg.bounds[r + 1])
+                for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "normals"]):
+                    got = getattr(seg, name)[rows]
+                    if name.startswith("pair"):  # rows of the stack, drawn and kept as int32
+                        assert got.dtype == np.int32
+                        np.testing.assert_array_equal(got - r * n, p[field])
+                    else:
+                        assert got.dtype == p[field].dtype and got.tobytes() == p[field].tobytes()
+            assert [s.draw_counter for s in block] == [s.draw_counter for s in alone]
+            assert counts[1] > max(64, int(1.2 * rate * (hi - lo)) + 16)  # refilled
+            assert min(counts) > 0
+    # an empty interval, or one ending before it starts, draws nothing
+    for hi in (t0, t0 - 1e-13):
         rng = RngStream(70, 9)
-        empty = _generate_events(n, rate, kernel, t0, snaps, [rng])
-        assert len(empty) == len(snaps) and rng.draw_counter == 0
-        assert all(len(seg) == 0 and seg.bounds.tolist() == [0, 0] for seg in empty)
+        empty = _generate_events(n, rate, kernel, t0, hi, [rng], _events.frame_width(d))
+        assert len(empty) == 0 and empty.bounds.tolist() == [0, 0] and rng.draw_counter == 0
+        assert empty.normals.shape == (0, _events.frame_width(d))
 
 
-@pytest.mark.parametrize("d", [1, 3])
-def test_event_record_holds_24_bytes_per_event(d):
-    # the time, two int32 pair indices and the cosine: no frame is kept,
-    # the play draws them
-    kernel = AngularKernel.two_point(0.3, 0.7) if d == 1 else AngularKernel.isotropic(d)
-    rec = _generate_events(50, 24.5, kernel, 0.0, np.array([1.0, 2.5, 4.0]),
-                           [RngStream(73, r) for r in range(3)])
-    per_event = [f.name for f in dataclasses.fields(_events.EventSegment) if f.name != "bounds"]
-    assert per_event == ["times", "pair_i", "pair_j", "costh"]
-    k = sum(len(seg) for seg in rec)
-    assert k == sum(seg.bounds[-1] for seg in rec) > 0
-    assert sum(getattr(seg, name).nbytes for seg in rec for name in per_event) == 24 * k
+def test_snapshot_intervals_are_drawn_and_played_in_turn(monkeypatch):
+    # one interval is held at a time: each is drawn just before it is played
+    calls = []
+    generate, play = elastic._generate_events, _events.play_segment
+
+    def traced_generate(*args):
+        calls.append("generate")
+        return generate(*args)
+
+    def traced_play(*args):
+        calls.append("play")
+        return play(*args)
+
+    monkeypatch.setattr(elastic, "_generate_events", traced_generate)
+    monkeypatch.setattr(_events, "play_segment", traced_play)
+    st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 20, RngStream(73, 0))
+    snaps = np.linspace(0.25, 5.0, 20)
+    out = simulate_kac(st0, AngularKernel.isotropic(3), 5.0, snaps, [RngStream(73, 1)])
+    assert len(out) == 20
+    assert calls == ["generate", "play"] * 20
 
 
 def test_generate_events_refuses_stacks_past_int32_indices():
     # pair indices are int32 rows of the stack; no event is drawn before the refusal
     rngs = [RngStream(72, 0), RngStream(72, 1)]
     with pytest.raises(SimulationError, match="2\\*\\*31 - 1 particles"):
-        _generate_events(2**30, 1.0, AngularKernel.isotropic(1), 0.0, np.array([1.0]), rngs)
+        _generate_events(2**30, 1.0, AngularKernel.isotropic(1), 0.0, 1.0, rngs, 0)
     assert [s.draw_counter for s in rngs] == [0, 0]
 
 
@@ -671,16 +681,18 @@ def test_replay_coupled_identical_streams():
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 32, RngStream(4, 0))
     snaps = [1.0, 2.0]
     kern = AngularKernel.isotropic(3)
-    out1 = simulate_kac(st0, kern, 2.0, snaps, [RngStream(4, 1)])
-    # the same events, drawn again from a stream with the same key and
-    # played on the same initial state
-    rngs = [RngStream(4, 1)]
-    rec = _generate_events(32, 15.5, kern, 0.0, np.asarray(snaps), rngs)
-    out2 = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), rngs, 3,
-                               _events.apply_pair_collisions)
-    assert rec == []  # each segment leaves the record once played
-    for a, b in zip(out1, out2):
-        np.testing.assert_array_equal(a.coords, b)
+    dyn = RngStream(4, 1)
+    out1 = simulate_kac(st0, kern, 2.0, snaps, [dyn])
+    # the same events, drawn again interval by interval from a stream with
+    # the same key and played on the same initial state
+    rng, x, t = RngStream(4, 1), st0.coords.T.copy(), 0.0
+    for s, a in zip(snaps, out1):
+        _events.play_segment(x, _generate_events(32, 15.5, kern, t, s, [rng], 3), 3,
+                             _events.apply_pair_collisions)
+        t = s
+        np.testing.assert_array_equal(a.coords, x.T)
+    assert dyn.draw_counter == rng.draw_counter
+    assert not np.array_equal(out1[-1].coords, st0.coords)
 
 
 @pytest.mark.parametrize("n, reps", [(4, 8192), (64, 1024), (1024, 64)])

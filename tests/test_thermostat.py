@@ -170,74 +170,69 @@ def test_bath_off_energy_nonincreasing_pathwise():
 
 
 def test_bath_off_draws_only_the_event_stream():
-    # nu = 0: the dynamics stream draws exactly the event record, and the
-    # run is that record played with restitution alpha
+    # nu = 0: the dynamics stream draws exactly the events, with frame rows
+    # and no bath normals, and the run is those events played with
+    # restitution alpha
     p = RestitutionParams(alpha=0.6, nu=0.0, dim=3)
     kern = AngularKernel.isotropic(3)
     st0 = gaussian_sample_state(np.zeros(3), np.ones(3), 40, RngStream(23, 0))
     snaps = [0.5, 1.0, 2.0]
     dyn, alone = RngStream(23, 1), RngStream(23, 1)
     out = simulate_thermostat(st0, kern, p, 2.0, snaps, [dyn])
-    rec = _generate_events(40, 39.0, kern, 0.0, np.asarray(snaps), [alone])
-    replay = _events.play_events(st0.coords.T.copy(), rec, np.asarray(snaps), [alone], 3,
-                                 functools.partial(_events.apply_pair_collisions,
-                                                   restitution=p.alpha))
+    x, t = st0.coords.T.copy(), 0.0
+    for s, a in zip(snaps, out):
+        _events.play_segment(x, _generate_events(40, 39.0, kern, t, s, [alone], 3), 3,
+                             functools.partial(_events.apply_pair_collisions,
+                                               restitution=p.alpha))
+        t = s
+        np.testing.assert_array_equal(a.coords, x.T)
     assert dyn.draw_counter == alone.draw_counter
-    for a, b in zip(out, replay):
-        np.testing.assert_array_equal(a.coords, b)
 
 
 def lone_run_draws(n, d, rate, kern, t0, snaps, rng, bath):
     """Draw from one stream, alone, what one run draws, in a lone run's order.
 
-    The events up to the last snapshot, then per snapshot each event's row
-    of frame normals followed, with a ``bath``, by its 2 d bath normals,
-    and with a bath each particle's d sync normals.  Returns the events
-    (times, pair_i, pair_j, costh) and one (rows, sync normals or None)
-    per snapshot.
+    Per snapshot interval its events (``generate_events_alone``), each
+    with a row of frame normals followed, with a ``bath``, by its 2 d bath
+    normals, and then, with a bath and a snapshot later than the last
+    sync, each particle's d sync normals.  Returns one ((times, pair_i,
+    pair_j, costh, rows), sync normals or None) per snapshot.
     """
-    t_last = snaps[-1] if len(snaps) else t0
-    times, pi, pj, costh, _ = generate_events_alone(n, d, rate, kern, t0, t_last, rng,
-                                                    frames=False)
     width = _events.frame_width(d) + (2 * d if bath else 0)
-    segments, done = [], 0
+    segments, t = [], t0
     for s in snaps:
-        upto = int(np.searchsorted(times, s, side="right"))
-        rows = rng.normal(size=(upto - done, width))
-        segments.append((rows, rng.normal(size=(n, d)) if bath else None))
-        done = upto
-    return (times, pi, pj, costh), segments
+        events = generate_events_alone(n, rate, kern, t, s, rng, width)
+        segments.append((events, rng.normal(size=(n, d)) if bath and s > t else None))
+        t = max(t, s)
+    return segments
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_thermostat_equals_lone_stream_reference_past_the_last_snapshot(d):
-    # one stream drawing alone, in a lone run's order: its events up to the
-    # last snapshot, then per segment each event's row of frame and bath
-    # normals and each particle's sync normals, played one event at a time
-    # by the row-major rule.  t_end lies past the last snapshot, where
-    # nothing is drawn, so the stream ends where the reference's ends
+    # one stream drawing alone, in a lone run's order: per snapshot interval
+    # its events with their rows of frame and bath normals, then each
+    # particle's sync normals, played one event at a time by the row-major
+    # rule.  t_end lies past the last snapshot, where nothing is drawn, so
+    # the stream ends where the reference's ends
     n, nu, alpha, t_end, snaps = 12, 0.7, 0.6, 3.0, [0.5, 1.25]
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
     st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(48, 0))
     dyn, rng = RngStream(48, 1), RngStream(48, 1)
     out = simulate_thermostat(st0, kern, RestitutionParams(alpha, nu, d), t_end, snaps, [dyn])
-    (times, pi, pj, costh), segments = lone_run_draws(n, d, n - 1.0, kern, 0.0, snaps, rng, True)
+    segments = lone_run_draws(n, d, n - 1.0, kern, 0.0, snaps, rng, True)
     w = _events.frame_width(d)
     want, last_sync = st0.coords.copy(), np.zeros(n)
-    done = 0
-    for s, got, (rows, sync) in zip(snaps, out, segments):
-        seg = slice(done, done + len(rows))
+    for s, got, ((times, pi, pj, costh, rows), sync) in zip(snaps, out, segments):
 
-        def kick(lo, hi, ii, jj, z=rows[:, w:], now=times[seg]):
+        def kick(lo, hi, ii, jj, z=rows[:, w:], now=times):
             reference_diffuse(want, np.concatenate([ii, jj]), last_sync, np.tile(now[lo:hi], 2),
                               nu, np.concatenate([z[lo:hi, :d], z[lo:hi, d:]]))
 
-        reference_apply(want, pi[seg], pj[seg], costh[seg], rows[:, :w] if w else None, alpha,
+        reference_apply(want, pi, pj, costh, rows[:, :w] if w else None, alpha,
                         [(e, e + 1) for e in range(len(rows))], kick)
         reference_diffuse(want, np.arange(n), last_sync, np.full(n, s), nu, sync)
-        done += len(rows)
+        assert len(rows) > 0
         assert got.coords.tobytes() == want.tobytes()
-    assert done == len(times) > 0
     assert dyn.draw_counter == rng.draw_counter
     assert dyn.uniform_words(np.empty(8)).tobytes() == rng.uniform_words(np.empty(8)).tobytes()
 
@@ -301,8 +296,9 @@ def test_streams_end_where_the_lone_reference_ends(model, d):
     # after a stack run, each stream has drawn exactly what one stream
     # drawing alone in a lone run's order draws (lone_run_draws): the same
     # count, and the same next words.  t_end lies past the last snapshot,
-    # the first snapshot is at the start, and the clocks draw more than
-    # their 64-gap minimum, so a clock run past the last snapshot shows
+    # the first snapshot is at the start (no sync draws there), and the
+    # clocks draw more than their 64-gap minimum, so a clock run past the
+    # last snapshot shows
     n, reps, t_end, snaps = 16, 3, 12.0, [0.0, 0.5, 10.0]
     kern, init, init_b = stack_data(d, n, reps, 51)
     rngs = [RngStream(51, r) for r in range(reps)]
@@ -315,19 +311,45 @@ def test_streams_end_where_the_lone_reference_ends(model, d):
         assert rng.uniform_words(np.empty(8)).tobytes() == ref.uniform_words(np.empty(8)).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("model", MODELS)
+def test_snapshots_with_no_time_elapsed_draw_nothing(model, d):
+    # a snapshot at the start, or at the time of the one before, draws
+    # nothing: no events, and no bath sync.  The t = 1 states and the draw
+    # counts of all three snapshot lists agree
+    kern, init, init_b = stack_data(d, 100, 2, 52)
+    starts = [init, init_b] if model == "coupled" else [init]
+    runs = []
+    for snaps in ([1.0], [0.0, 1.0], [0.0, 0.0, 1.0, 1.0]):
+        rngs = [RngStream(52, r) for r in range(2)]
+        out = run_model(model, init, init_b, kern, 1.0, snaps, rngs)
+        k = len(snaps)
+        for start, system in zip(starts, [out[i:i + k] for i in range(0, len(out), k)]):
+            for s in system:  # the start state at 0, one state at 1
+                want = start if s.time == 0.0 else system[-1]
+                assert s.coords.tobytes() == want.coords.tobytes()
+        runs.append(([s.coords.tobytes() for s in out[k - 1::k]], [r.draw_counter for r in rngs]))
+    assert runs[0] == runs[1] == runs[2]
+    assert min(runs[0][1]) > 0
+
+
 def test_run_peak_memory_below_record_plus_snapshots():
-    # each segment of the event record is released once played, before its
-    # snapshot is copied, so a run's traced peak stays below its record and
-    # all its snapshots side by side, where a record kept whole to the end
-    # puts it
+    # each snapshot interval's events are drawn just before they are played
+    # and released before the snapshot is copied, so a run's traced peak
+    # stays below the whole run's events (24 bytes each, without their
+    # normals) and all its snapshots side by side, where a record kept
+    # whole to the end puts it
     n, d, t_end = 4096, 3, 10.0
     snaps = np.arange(0.5, t_end + 0.25, 0.5)
     kern = AngularKernel.isotropic(d)
     p = RestitutionParams(alpha=0.8, nu=1.0, dim=d)
     st0 = gaussian_sample_state(np.zeros(d), np.ones(d), n, RngStream(24, 0))
-    rec = _generate_events(n, n - 1.0, kern, 0.0, snaps, [RngStream(24, 1)])
-    record_bytes = sum(a.nbytes for s in rec for a in (s.times, s.pair_i, s.pair_j, s.costh))
-    del rec
+    rng, record_bytes = RngStream(24, 1), 0
+    for lo, hi in zip(np.concatenate(([0.0], snaps)), snaps):
+        seg = _generate_events(n, n - 1.0, kern, lo, hi, [rng], 3 + 2 * d)
+        record_bytes += sum(a.nbytes for a in (seg.times, seg.pair_i, seg.pair_j, seg.costh))
+        rng.normal(size=(n, d))  # the sync normals
+    del seg
     snapshot_bytes = len(snaps) * n * d * 8
     tracemalloc.start()
     try:
