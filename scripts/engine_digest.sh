@@ -1,32 +1,39 @@
 #!/bin/sh
-# Compare the collision engine's trajectories at a revision and in this
-# working tree:
+# Check which of the collision engine's trajectories a change moves:
 #
 #   scripts/engine_digest.sh REV
+#   scripts/engine_digest.sh --record
 #
-# REV is exported with `git archive | tar -x` into a temporary directory,
-# so no worktree is added and nothing under .git changes.  The same fixed
-# set of stacked runs is played on each tree: simulate_kac,
-# simulate_thermostat with and without the bath (nu = 0.8 and 0, both rate
-# conventions) and simulate_kac_coupled at d = 1, 2, 3, on ordinary
-# streams and on streams whose clocks refill, for each snapshot case: none,
-# snapshots at t0, repeated and at t_end, and a last snapshot before t_end;
-# and segments longer than one play chunk.  A SHA-256 over every
-# snapshot's time and coordinates and every stream's draw counter is
-# printed per group (model x snapshot case), both trees side by side, and
-# one over all groups.  Exits 1 when any digest differs.
+# A fixed set of stacked runs is played: simulate_kac, simulate_thermostat
+# with and without the bath (nu = 0.8 and 0, both rate conventions) and
+# simulate_kac_coupled at d = 1, 2, 3, on ordinary streams and on streams
+# whose clocks refill, for each snapshot case: none, snapshots at t0,
+# repeated and at t_end, and a last snapshot before t_end; and segments
+# longer than one play chunk.  A SHA-256 over every snapshot's time and
+# coordinates and every stream's draw counter is taken per group (model x
+# snapshot case), and one over all groups.
+#
+# --record writes the working tree's group digests to
+# tests/engine_digest.golden, one `group sha256` line per group.
+#
+# REV plays revision REV and the working tree on this machine, side by
+# side: digests may depend on the numpy build, so no digest recorded on
+# another machine is compared.  REV is exported with `git archive | tar
+# -x` into a temporary directory, so no worktree is added and nothing
+# under .git changes.  The golden file declares the groups a change moves: those
+# whose line differs between REV's file and the working tree's (none when
+# REV has no file).  Exits 1 unless the groups whose digests differ between
+# the two trees are exactly the declared ones.
 set -eu
 if [ $# -ne 1 ]; then
-    echo "usage: $0 REV" >&2
+    echo "usage: $0 REV | $0 --record" >&2
     exit 2
 fi
-rev=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
+golden=$root/tests/engine_digest.golden
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 trap 'exit 1' INT TERM
-mkdir "$tmp/rev"
-git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
 
 cat > "$tmp/digest.py" <<'EOF'
 import hashlib
@@ -110,16 +117,52 @@ for group, digest in sorted(digests.items()):
 print("overall", overall.hexdigest())
 EOF
 
-(cd "$tmp" && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$tmp/rev/src" python3 digest.py) > "$tmp/old"
-(cd "$tmp" && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$root/src" python3 digest.py) > "$tmp/new"
-printf '%-30s %-16s %-16s\n' group "$rev" "working tree"
-paste -d ' ' "$tmp/old" "$tmp/new" | while read -r group old _ new; do
-    if [ "$old" = "$new" ]; then verdict=equal; else verdict=DIFFERS; fi
-    printf '%-30s %.16s %.16s %s\n' "$group" "$old" "$new" "$verdict"
-done
-echo "$(sed -n 's/^overall //p' "$tmp/old")  $rev"
-echo "$(sed -n 's/^overall //p' "$tmp/new")  working tree"
-if ! cmp -s "$tmp/old" "$tmp/new"; then
-    echo "engine digests differ" >&2
-    exit 1
+play() {  # play SRC: the digests of the package under SRC
+    (cd "$tmp" && PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1" python3 digest.py)
+}
+
+if [ "$1" = --record ]; then
+    play "$root/src" | grep -v '^overall ' > "$golden"
+    echo "recorded $(wc -l < "$golden") group digests in tests/engine_digest.golden"
+    exit 0
 fi
+rev=$1
+if [ ! -f "$golden" ]; then
+    echo "error: no tests/engine_digest.golden; write it with $0 --record" >&2
+    exit 2
+fi
+mkdir "$tmp/rev"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/rev"
+play "$tmp/rev/src" > "$tmp/old"
+play "$root/src" > "$tmp/new"
+if [ -f "$tmp/rev/tests/engine_digest.golden" ]; then
+    cp "$tmp/rev/tests/engine_digest.golden" "$tmp/golden.rev"
+else  # a revision without the file declares no change
+    cp "$golden" "$tmp/golden.rev"
+fi
+
+python3 - "$tmp/old" "$tmp/new" "$tmp/golden.rev" "$golden" "$rev" <<'EOF'
+import sys
+
+
+def read(path):
+    return dict(line.split() for line in open(path) if line.strip())
+
+
+old, new, golden_rev, golden = map(read, sys.argv[1:5])
+rev = sys.argv[5]
+overall = old.pop("overall"), new.pop("overall")
+groups = sorted(set(old) | set(new) | set(golden_rev) | set(golden))
+differ = {g for g in groups if old.get(g) != new.get(g)}
+declared = {g for g in groups if golden_rev.get(g) != golden.get(g)}
+print(f"{'group':<30} {rev[:16]:<16} {'working tree':<16} {'played':<8} golden")
+for g in groups:
+    print(f"{g:<30} {old.get(g, '-'):<16.16} {new.get(g, '-'):<16.16} "
+          f"{'DIFFERS' if g in differ else 'equal':<8} {'moved' if g in declared else 'kept'}")
+print(f"{overall[0]}  {rev}")
+print(f"{overall[1]}  working tree")
+if differ != declared:
+    print("the groups that differ are not the groups whose golden line changed: "
+          + ", ".join(sorted(differ ^ declared)), file=sys.stderr)
+    sys.exit(1)
+EOF

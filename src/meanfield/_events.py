@@ -57,10 +57,10 @@ import numpy as np
 class EventSegment:
     """The events of a replica block in one snapshot interval: enough to play them.
 
-    The streams are stacked: replica r's events are ``bounds[r]:bounds[r +
-    1]``, in its stream order, and its pair indices (int32) are rows of
-    the stacked state (offset by r N).  ``normals`` holds one row per
-    event: its frame normals, then a bath's.
+    The streams are stacked: replica after replica, each replica's events
+    in its stream order, and its pair indices (int32) are rows of the
+    stacked state (offset by r N).  ``normals`` holds one row per event:
+    its frame normals, then a bath's.
     """
 
     times: np.ndarray
@@ -68,7 +68,6 @@ class EventSegment:
     pair_j: np.ndarray
     costh: np.ndarray
     normals: np.ndarray
-    bounds: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)

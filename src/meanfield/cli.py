@@ -17,11 +17,12 @@ aggregation is order-preserving).
 Stream-id allocation: simulate uses 1 (initial data) and 2 (dynamics);
 chaos-curve replicas carry base id 1_000_000 (k+1) + r for replica r of the
 k-th N (oracle replicas 900_000_000 + r) and split each base b into 2b
-(initial data) and 2b + 1 (dynamics), and its bootstrap draws from 977
-under the master seed; omega-n uses 10_000 (k+1) plus 1 (projection
-directions) and 2 + r (replicas); the rate fit of chaos-curve and
-omega-n draws its slope CI from 1331 under the fixed seed 7; check uses
-ids below 1000.
+(initial data) and 2b + 1 (dynamics); its bootstrap fills one block of
+uniform words per N of more than one replica from 977 under the master
+seed, outside the ``rng_draws`` accounting; omega-n uses 10_000 (k+1)
+plus 1 (projection directions) and 2 + r (replicas); the rate fit of
+chaos-curve and omega-n draws its slope CI from 1331 under the fixed
+seed 7; check uses ids below 1000.
 """
 
 from __future__ import annotations
@@ -668,7 +669,7 @@ def cmd_check(cfg: dict, seed: int, workers: int, out: str | None) -> str:
         alpha = 0.05 + 0.9 * float(stream.uniform())
         x = stream.normal(size=(100, 3)).T.copy()  # coordinate-major, as the engine plays
         u = x[:, :50] - x[:, 50:]
-        costh = kernel.sample_costheta(50, stream)
+        costh = kernel.cosines(stream.uniform(size=50))
         apply_pair_collisions(x, pairs, pairs + 50, costh, stream.normal(size=(50, 3)).T,
                               sine_of(costh), alpha)
         ratio = column_norms(x[:, :50] - x[:, 50:]) / column_norms(u)

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "parse_config_text",
     "parse_config",
-    "format_config",
     "render_value",
     "write_csv",
     "load_particles",
@@ -79,10 +78,6 @@ def render_value(v) -> str:
     if isinstance(v, (list, tuple, np.ndarray)):
         return ", ".join(render_value(x) for x in v)
     return str(v)
-
-
-def format_config(cfg: dict) -> str:
-    return "\n".join(f"{k} = {render_value(cfg[k])}" for k in sorted(cfg))
 
 
 def write_csv(

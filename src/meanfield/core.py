@@ -49,7 +49,11 @@ class RngStream:
     Independent streams are obtained by varying ``stream_id`` under a fixed
     ``master_seed`` (Philox keyed through ``SeedSequence(master_seed,
     spawn_key=(stream_id,))``).  ``draw_counter`` counts scalar variates
-    handed out, for audit headers.  Uniforms are ``(k + 0.5) * 2**-53``
+    handed out, for audit headers.  The stream hands out uniform words
+    (:meth:`uniform_words`) and what is built on them: uniforms, normals
+    and unit vectors.  A bounded integer in [0, n) is floor(u n) of a
+    uniform u (the pair map in the ``elastic`` module docstring), so
+    every variate is one word.  Uniforms are ``(k + 0.5) * 2**-53``
     in float64, with k the top 53 bits of one raw 64-bit word.  Below
     k = 2**52 that is exact; above it the ``+ 0.5`` rounds away (ties to
     even), so k = 2**52 gives exactly 0.5 and the upper half lies on the
@@ -75,14 +79,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(seq))
 
-    def _count(self, size) -> int:
-        # plain Python: np.prod costs more than a small draw itself
-        if size is None:
-            return 1
-        if isinstance(size, (int, np.integer)):
-            return int(size)
-        return int(math.prod(size))
-
     def uniform(self, size=None) -> np.ndarray | float:
         """Uniform variates on the open interval (0, 1)."""
         if size is None:
@@ -107,11 +103,6 @@ class RngStream:
         if size is None:
             return ndtri(u)
         return ndtri(u, out=u)
-
-    def integers(self, low: int, high: int, size=None, dtype=np.int64) -> np.ndarray | int:
-        """Uniform integers in [low, high), of the given numpy integer dtype."""
-        self.draw_counter += self._count(size)
-        return self._gen.integers(low, high, size=size, dtype=dtype)
 
     def unit_vectors(self, dim: int, n: int) -> np.ndarray:
         """n independent uniform directions on the (dim-1)-sphere."""

@@ -150,9 +150,6 @@ class AngularKernel:
             np.cos(np.interp(u, self._u_nodes, self._theta_of_u), out=out)
         return out
 
-    def sample_costheta(self, k: int, rng: RngStream) -> np.ndarray:
-        return self.cosines(np.atleast_1d(rng.uniform(size=k)))
-
 
 def _jump_times(rngs, size, rate, start):
     """Rows of ``size`` Poisson clock jumps at ``rate``, row r from ``rngs[r]`` after ``start[r]``.
@@ -240,7 +237,7 @@ def _generate_events(
     offset = np.repeat(np.arange(0, len(rngs) * n, n, dtype=np.int32), counts)
     pair_i += offset
     pair_j += offset
-    return _events.EventSegment(times, pair_i, pair_j, costh, normals, bounds)
+    return _events.EventSegment(times, pair_i, pair_j, costh, normals)
 
 
 def _simulate_stacked(initial, kernel, t_end, snapshot_times, rngs, pair_rate, collide,

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ParticleState, RngStream, canonical_atom_order
+from .core import ParticleState, RngStream, canonical_atom_order, open_unit
 from .elastic import AngularKernel, simulate_kac_coupled
 from .limits import GridSpectrum, OracleEstimate, spectral_evolve
 from .metrics import toscani_norm
@@ -197,8 +197,11 @@ def chaos_error_curve(
     oracle is the one-replica ``OracleEstimate.from_replicas(times,
     exact[None])``: standard error 0, nothing to resample.
     The standard errors come from BOOTSTRAP_RESAMPLES resamples drawn from
-    ``RngStream(seed, 977)``: per N and resample, the replica pick, then the
-    oracle-replica pick.  A single replica has standard error 0.
+    ``RngStream(seed, 977)``: per N, one ``(BOOTSTRAP_RESAMPLES, reps +
+    n_oracle)`` block of uniform words whose row b holds resample b's
+    replica picks, then its oracle-replica picks (none for a one-replica
+    oracle), each floor(u n) of its uniform u (the pair map in the
+    ``elastic`` module docstring).  A single replica has standard error 0.
     """
     n_values = np.asarray(list(n_values), dtype=np.int64)
     o_mean, o_raw = oracle.mean, oracle.per_replica
@@ -206,6 +209,7 @@ def chaos_error_curve(
     if len(values) != len(n_values):
         raise ValueError("need one value array per N")
 
+    n_oracle = len(o_raw) if len(o_raw) > 1 else 0
     boot_rng = RngStream(seed, 977)
     errors = np.empty(len(n_values))
     std_errors = np.zeros(len(n_values))
@@ -216,16 +220,12 @@ def chaos_error_curve(
         reps = len(vals)
         errors[k] = float(np.abs(vals.mean(axis=0) - o_mean).max())
         if reps > 1:
-            # the picks interleave on the stream; the means take one gather each
-            picks = np.empty((BOOTSTRAP_RESAMPLES, reps), dtype=np.int64)
-            opicks = np.empty((BOOTSTRAP_RESAMPLES, len(o_raw)), dtype=np.int64)
-            for b in range(BOOTSTRAP_RESAMPLES):
-                picks[b] = boot_rng.integers(0, reps, size=reps)
-                if len(o_raw) > 1:
-                    opicks[b] = boot_rng.integers(0, len(o_raw), size=len(o_raw))
-            oracle_b = o_raw[opicks].mean(axis=1) if len(o_raw) > 1 else o_mean
+            counts = np.repeat([reps, n_oracle], [reps, n_oracle])  # each column's n
+            u = open_unit(boot_rng.uniform_words(np.empty((BOOTSTRAP_RESAMPLES, len(counts)))))
+            picks = np.multiply(u, counts, out=u).astype(np.int64)
+            oracle_b = o_raw[picks[:, reps:]].mean(axis=1) if n_oracle else o_mean
             step = max(1, _GATHER_VALUES // vals.size)  # resamples per gather
-            means = np.concatenate([vals[picks[b:b + step]].mean(axis=1)
+            means = np.concatenate([vals[picks[b:b + step, :reps]].mean(axis=1)
                                     for b in range(0, BOOTSTRAP_RESAMPLES, step)])
             bs = np.abs(means - oracle_b).max(axis=1)
             std_errors[k] = float(bs.std(ddof=1))

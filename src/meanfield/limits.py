@@ -95,17 +95,6 @@ class GridSpectrum:
         if amax > 1.0 + 1e-6:
             raise SpectralInstability(f"|F| = {amax} exceeds the characteristic bound")
 
-    def second_moment(self) -> float:
-        """-F''(0) by a five-point central difference (the energy readout)."""
-        mid = self.zero_index
-        h = self.xi_nodes[mid + 1] - self.xi_nodes[mid]
-        f = self.values
-        d2 = (
-            -f[mid + 2] + 16.0 * f[mid + 1] - 30.0 * f[mid]
-            + 16.0 * f[mid - 1] - f[mid - 2]
-        ) / (12.0 * h * h)
-        return float(-d2.real)
-
     def copy(self) -> "GridSpectrum":
         return GridSpectrum(self.xi_nodes.copy(), self.values.copy())
 

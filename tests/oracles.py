@@ -7,7 +7,10 @@ engine used before it played each replica block as one coordinate-major
 system, the per-replica loop of the coupled contraction check, and the
 one-step Euler-Maruyama draw; the package must reproduce them bit for
 bit.  ``sample_pairs`` draws uniform pairs for tests of the schedule and
-the collision rules; it is not the engine's pair draw.
+the collision rules; it is not the engine's pair draw.  Also kept here,
+for tests only: the canonical config rendering (``format_config``), the
+spectral energy readout (``second_moment``) and a stream of top words
+(``TopWords``).
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from meanfield._events import sine_of
+from meanfield.config import render_value
 from meanfield.core import RngStream, replica_normals, replica_size
 from meanfield.elastic import simulate_kac_coupled
 from meanfield.mckean import _em_step
@@ -40,9 +44,14 @@ def sample_event_times(rate: float, t0: float, t1: float, rng: RngStream) -> np.
 
 
 def sample_pairs(n: int, k: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-    """k uniform pairs (i, j), i != j, canonicalized to i < j."""
-    a = rng.integers(0, n, size=k)
-    b = rng.integers(0, n - 1, size=k)
+    """k uniform pairs (i, j), i != j, canonicalized to i < j.
+
+    numpy's bounded integers from the stream's own Philox generator, so
+    the stream's later variates follow them as they always have; they are
+    not counted in ``draw_counter``.
+    """
+    a = rng._gen.integers(0, n, size=k)
+    b = rng._gen.integers(0, n - 1, size=k)
     b = b + (b >= a)
     return np.minimum(a, b).astype(np.int64), np.maximum(a, b).astype(np.int64)
 
@@ -215,3 +224,31 @@ def em_step(state, spec, dt, rngs):
     n = replica_size(state, rngs)
     return _em_step(state, spec, dt, len(rngs),
                     replica_normals(rngs, [(r, n) for r in range(len(rngs))], state.dim))
+
+
+def format_config(cfg: dict) -> str:
+    """The canonical rendering of a flat config: sorted keys, one ``key = value`` a line."""
+    return "\n".join(f"{k} = {render_value(cfg[k])}" for k in sorted(cfg))
+
+
+def second_moment(spectrum) -> float:
+    """-F''(0) of a ``GridSpectrum`` by a five-point central difference (the energy readout)."""
+    mid = spectrum.zero_index
+    h = spectrum.xi_nodes[mid + 1] - spectrum.xi_nodes[mid]
+    f = spectrum.values
+    d2 = (
+        -f[mid + 2] + 16.0 * f[mid + 1] - 30.0 * f[mid]
+        + 16.0 * f[mid - 1] - f[mid - 2]
+    ) / (12.0 * h * h)
+    return float(-d2.real)
+
+
+class TopWords(RngStream):
+    """A stream whose every uniform word is the top one, k = 2**53 - 1: the
+    uniform is 1 - 2**-53, floor(u n) is n - 1, and each exponential gap
+    2**-53 / rate."""
+
+    def uniform_words(self, out):
+        super().uniform_words(out)
+        out.fill(1.0 - 2.0**-53)
+        return out

@@ -107,7 +107,7 @@ def test_c01_elastic_conservation():
     vi, vj = v[:1000].copy(), v[1000:].copy()
     pairs = np.arange(1000)
     x = v.T.copy()  # the engine plays coordinate-major columns
-    costh = kern.sample_costheta(1000, rng)
+    costh = kern.cosines(rng.uniform(size=1000))
     _events.apply_pair_collisions(x, pairs, pairs + 1000, costh,
                                   np.atleast_2d(rng.normal(size=(1000, 3))).T,
                                   _events.sine_of(costh))
@@ -213,14 +213,14 @@ def _c4_block(n: int, base: int, reps: int) -> dict:
     return out
 
 
-def _max_gap_and_se(vals: np.ndarray, oracle: np.ndarray, boot: RngStream,
+def _max_gap_and_se(vals: np.ndarray, oracle: np.ndarray, boot: np.random.Generator,
                     n_boot: int = 300) -> tuple[float, float]:
     reps, n_oracle = len(vals), len(oracle)
     err = float(np.abs(vals.mean(axis=0) - oracle.mean(axis=0)).max())
     bs = np.empty(n_boot)
     for b in range(n_boot):
-        pick = np.asarray(boot.integers(0, reps, size=reps))
-        opick = np.asarray(boot.integers(0, n_oracle, size=n_oracle))
+        pick = boot.integers(0, reps, size=reps)
+        opick = boot.integers(0, n_oracle, size=n_oracle)
         bs[b] = float(np.abs(vals[pick].mean(axis=0) - oracle[opick].mean(axis=0)).max())
     return err, float(bs.std(ddof=1))
 
@@ -235,7 +235,8 @@ def test_c04_elastic_chaos_decay():
         1024: _c4_block(1024, 3_000_000, 2500),
         4096: _c4_block(4096, 4_000_000, 1500),
     }
-    boot = RngStream(SEED, 997)
+    # numpy's bounded integers on the key of RngStream(SEED, 997)
+    boot = np.random.Generator(np.random.Philox(np.random.SeedSequence(SEED, spawn_key=(997,))))
     details = []
     for key in _C4_OBS:
         errs = {}
@@ -305,7 +306,7 @@ def test_c06_thermostat_energy_balance():
     vj = np.atleast_2d(rng.normal(size=(m, 3)))
     u = vi - vj
     r = np.linalg.norm(u, axis=1)
-    costh = kern.sample_costheta(m, rng)
+    costh = kern.cosines(rng.uniform(size=m))
     frames = np.atleast_2d(rng.normal(size=(m, 3)))
     sigma = _events.deviation_vectors(u.T, r, costh, frames.T, _events.sine_of(costh)).T
     u_star = 0.5 * (1 - params.alpha) * u + 0.5 * (1 + params.alpha) * r[:, None] * sigma

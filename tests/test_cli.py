@@ -14,7 +14,6 @@ from meanfield import cli
 from meanfield.cli import cmd_chaos_curve, cmd_metric, cmd_omega_n, cmd_simulate, main
 from meanfield.config import (
     dump_particles,
-    format_config,
     load_particles,
     parse_config_text,
     render_value,
@@ -23,6 +22,7 @@ from meanfield.config import (
 from meanfield.core import EmpiricalMeasure, ParticleState
 from meanfield.mckean import VlasovSpec, gradient_catalog, simulate_vlasov
 from meanfield.metrics import h_neg_sobolev_norm, toscani_norm
+from oracles import format_config
 
 
 def read_csv_header(text: str) -> dict:

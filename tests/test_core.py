@@ -191,8 +191,12 @@ def test_rng_stream_open_interval_and_counter():
     assert r.draw_counter == 1000
     r.normal(size=(3, 4))
     assert r.draw_counter == 1012
-    r.integers(0, 10, size=5)
-    assert r.draw_counter == 1017
+
+
+def test_rng_stream_public_methods_are_the_uniform_word_draws():
+    # one draw primitive: a bounded integer is floor(u n) of a uniform
+    public = {name for name, v in vars(RngStream).items() if callable(v) and name[0] != "_"}
+    assert public == {"uniform", "uniform_words", "normal", "unit_vectors"}
 
 
 def test_rng_stream_draw_counter_for_every_size_kind():
@@ -201,7 +205,7 @@ def test_rng_stream_draw_counter_for_every_size_kind():
              ((np.int32(2), np.int64(3)), 6), ([2, 2], 4)]
     total = 0
     for size, count in sizes:
-        for draw in (r.uniform, r.normal, lambda size: r.integers(0, 9, size=size)):
+        for draw in (r.uniform, r.normal):
             got = draw(size=size)
             assert np.size(got) == count
             total += count
@@ -293,27 +297,6 @@ def test_rng_uniform_fill_equals_the_raw_word_formula():
     # numpy's own conversion, which the stand-in generator above copies
     raw = RngStream(4, 1)._gen.bit_generator.random_raw(1000)
     np.testing.assert_array_equal(RngStream(4, 1)._gen.random(1000), (raw >> 11) * 2.0**-53)
-
-
-@pytest.mark.parametrize("n", [2, 7, 1024, 32768, 2**31 - 1])
-def test_int32_integers_equal_int64_draws(n):
-    # the event engine draws its pair indices as int32: the values and the
-    # generator state are those of the int64 draw, also after odd sizes that
-    # leave half a raw word buffered
-    a, b = (np.random.Generator(np.random.Philox(np.random.SeedSequence(13, spawn_key=(7,))))
-            for _ in range(2))
-    for size in (1, 5, 1000, 0, 3):
-        x = a.integers(0, n, size=size, dtype=np.int32)
-        y = b.integers(0, n, size=size)
-        assert x.dtype == np.int32 and y.dtype == np.int64
-        np.testing.assert_array_equal(x, y)
-        assert str(a.bit_generator.state) == str(b.bit_generator.state)
-    assert a.random() == b.random()
-    # and through the stream, which counts the draws either way
-    r32, r64 = RngStream(13, 8), RngStream(13, 8)
-    np.testing.assert_array_equal(r32.integers(0, n, size=9, dtype=np.int32),
-                                  r64.integers(0, n, size=9))
-    assert r32.draw_counter == r64.draw_counter == 9
 
 
 def test_rng_unit_vectors():

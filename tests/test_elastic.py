@@ -13,6 +13,7 @@ from meanfield.elastic import (
 )
 from meanfield.thermostat import RestitutionParams, simulate_thermostat
 from oracles import (
+    TopWords,
     apply_batches,
     directional_temperature_flow,
     generate_events_alone,
@@ -79,7 +80,7 @@ def test_sample_sigma_isotropic_costheta_uniform_ks():
     k = AngularKernel.isotropic(3)
     rng = RngStream(42, 0)
     uhat = np.array([1.0, 0.0, 0.0])
-    c = k.sample_costheta(100_000, rng)
+    c = k.cosines(rng.uniform(size=100_000))
     ks = stats.kstest(c, stats.uniform(loc=-1.0, scale=2.0).cdf)
     assert ks.statistic < 0.01
     # the assembled sigma has the same cosine against uhat
@@ -95,7 +96,7 @@ def test_sample_sigma_spiked_kernel_aligns():
     rng = RngStream(7, 0)
     uhat = np.array([0.0, 1.0, 0.0])
     vi, vj = collide(np.tile(uhat, (64, 1)), np.tile(-uhat, (64, 1)),
-                     spike.sample_costheta(64, rng), np.atleast_2d(rng.normal(size=(64, 3))))
+                     spike.cosines(rng.uniform(size=64)), np.atleast_2d(rng.normal(size=(64, 3))))
     sigma = (vi - vj) / 2.0
     assert np.all(sigma @ uhat > 0.97)
 
@@ -104,7 +105,7 @@ def test_sample_costheta_tabulated_matches_density():
     # non-isotropic smooth kernel; empirical CDF vs quadrature CDF
     dens = lambda c: 1.0 + 0.5 * c
     k = AngularKernel(dim=3, density=dens, name="tilted")
-    c = k.sample_costheta(200_000, RngStream(9, 0))
+    c = k.cosines(RngStream(9, 0).uniform(size=200_000))
     # d=3 cosine marginal is density/norm with flat surface factor:
     # pdf (1 + c/2)/2 on [-1,1], CDF (x^2 + 4x + 3)/8
     cdf = lambda x: (x**2 + 4.0 * x + 3.0) / 8.0
@@ -138,7 +139,7 @@ def test_collide_elastic_conservation_random():
     rng = RngStream(13, 0)
     vi0 = np.atleast_2d(rng.normal(size=(200, 3)))
     vj0 = np.atleast_2d(rng.normal(size=(200, 3)))
-    costh = AngularKernel.isotropic(3).sample_costheta(200, rng)
+    costh = AngularKernel.isotropic(3).cosines(rng.uniform(size=200))
     vi, vj = collide(vi0, vj0, costh, np.atleast_2d(rng.normal(size=(200, 3))))
     p0, p1 = vi0 + vj0, vi + vj
     e0 = np.sum(vi0**2 + vj0**2, axis=1)
@@ -225,21 +226,11 @@ def test_pair_chi_square_rejects_one_heavier_cell():
     assert pair_chi_square(*pairs[1], n) < PAIR_CELLS_CRITICAL  # the uniform law at this size
 
 
-class _TopWords(RngStream):
-    """A stream whose every uniform word is the top one, k = 2**53 - 1: the
-    uniform is 1 - 2**-53, and each exponential gap 2**-53 / rate."""
-
-    def uniform_words(self, out):
-        super().uniform_words(out)
-        out.fill(1.0 - 2.0**-53)
-        return out
-
-
 @pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**20 + 1, 2**31 - 1])
 def test_pair_indices_stay_below_n_at_the_top_word(n):
     # floor(u n) at the largest uniform the package draws: every index
     # below n, the pair (n - 2, n - 1)
-    seg = _generate_events(n, 1.0, AngularKernel.isotropic(1), 0.0, 1e-14, [_TopWords(5, 4)], 0)
+    seg = _generate_events(n, 1.0, AngularKernel.isotropic(1), 0.0, 1e-14, [TopWords(5, 4)], 0)
     assert len(seg) > 64  # the first clock fill and a refill
     assert np.all(seg.pair_j < n) and np.all(seg.pair_i < seg.pair_j)
     assert seg.pair_i.tolist() == [n - 2] * len(seg) and seg.pair_j.tolist() == [n - 1] * len(seg)
@@ -284,7 +275,7 @@ def test_batched_apply_equals_sequential_oracle():
     n, d, k = 12, 3, 400
     x0 = np.atleast_2d(rng.normal(size=(n, d))).T.copy()
     pi, pj = sample_pairs(n, k, rng)
-    costh = AngularKernel.isotropic(3).sample_costheta(k, rng)
+    costh = AngularKernel.isotropic(3).cosines(rng.uniform(size=k))
     frames = np.atleast_2d(rng.normal(size=(k, d))).T.copy()
 
     a = x0.copy()
@@ -402,7 +393,7 @@ def test_apply_pair_collisions_bitwise_equals_reference(d, restitution):
     coords0 = np.atleast_2d(rng.normal(size=(n, d)))
     pi, pj = sample_pairs(n, k, rng)
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
-    costh = kern.sample_costheta(k, rng)
+    costh = kern.cosines(rng.uniform(size=k))
     frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
     order, batches = _events.level_schedule(pi, pj)
     assert batches[0][1] >= 2
@@ -435,7 +426,7 @@ def test_apply_coupled_bitwise_equals_reference(d):
     b0 = np.atleast_2d(rng.normal(size=(n, d)))
     pi, pj = sample_pairs(n, k, rng)
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
-    costh = kern.sample_costheta(k, rng)
+    costh = kern.cosines(rng.uniform(size=k))
     frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
     order, batches = _events.level_schedule(pi, pj)
     assert batches[0][1] >= 6
@@ -527,11 +518,12 @@ def test_generate_events_block_equals_per_stream_generator(d, kernel):
             seg = _generate_events(n, rate, kernel, lo, hi, block, width)
             parts = [generate_events_alone(n, rate, kernel, lo, hi, s, width) for s in alone]
             counts = [len(p[0]) for p in parts]
-            assert seg.bounds.tolist() == np.cumsum([0] + counts).tolist()
+            bounds = np.cumsum([0] + counts)
+            assert len(seg) == bounds[-1]
             assert np.all((seg.times > lo) & (seg.times < hi))
             assert seg.normals.shape == (len(seg), width)
             for r, p in enumerate(parts):
-                rows = slice(seg.bounds[r], seg.bounds[r + 1])
+                rows = slice(bounds[r], bounds[r + 1])
                 for field, name in enumerate(["times", "pair_i", "pair_j", "costh", "normals"]):
                     got = getattr(seg, name)[rows]
                     if name.startswith("pair"):  # rows of the stack, drawn and kept as int32
@@ -546,7 +538,7 @@ def test_generate_events_block_equals_per_stream_generator(d, kernel):
     for hi in (t0, t0 - 1e-13):
         rng = RngStream(70, 9)
         empty = _generate_events(n, rate, kernel, t0, hi, [rng], _events.frame_width(d))
-        assert len(empty) == 0 and empty.bounds.tolist() == [0, 0] and rng.draw_counter == 0
+        assert len(empty) == 0 and rng.draw_counter == 0
         assert empty.normals.shape == (0, _events.frame_width(d))
 
 

@@ -15,6 +15,7 @@ from meanfield.core import (
 from meanfield.elastic import AngularKernel, simulate_kac
 from meanfield import cli, harness
 from meanfield.harness import (
+    BOOTSTRAP_RESAMPLES,
     DegenerateFit,
     chaos_error_curve,
     fourier_contraction_check,
@@ -31,7 +32,7 @@ from meanfield.observables import (
     marginal_observable,
     observable_catalog,
 )
-from oracles import tanaka_per_replica
+from oracles import TopWords, tanaka_per_replica
 
 CONST_ONE = Observable("one", lambda a: np.ones(a.shape[:-1]), 1.0, 0.0)
 IDENTITY = Observable("id01", lambda a: a[..., 0], 1.0, 1.0)
@@ -350,8 +351,13 @@ def _kac_values(obs, times, n, replicas, seed, estimator="empirical-mean"):
     return np.stack(rows)
 
 
+def _floor_picks(rng, n):
+    """n picks in [0, n): floor(u n) of n uniforms of the stream."""
+    return np.floor(rng.uniform(size=n) * n).astype(np.int64)
+
+
 def _bootstrap_reference(values, oracle_values, seed):
-    """The chaos-curve bootstrap loop as the CLI ran it before the harness owned it."""
+    """The chaos-curve bootstrap as a per-resample loop: replica picks, then oracle picks."""
     replicas_ref = len(oracle_values)
     o_mean = oracle_values.mean(axis=0)
     errors = np.empty(len(values))
@@ -364,11 +370,9 @@ def _bootstrap_reference(values, oracle_values, seed):
         if replicas > 1:
             bs = np.empty(200)
             for bi in range(200):
-                pick = np.asarray(boot_rng.integers(0, replicas, size=replicas))
-                mean_b = vals[pick].mean(axis=0)
+                mean_b = vals[_floor_picks(boot_rng, replicas)].mean(axis=0)
                 if replicas_ref > 1:
-                    opick = np.asarray(boot_rng.integers(0, replicas_ref, size=replicas_ref))
-                    om = oracle_values[opick].mean(axis=0)
+                    om = oracle_values[_floor_picks(boot_rng, replicas_ref)].mean(axis=0)
                 else:
                     om = o_mean
                 bs[bi] = float(np.abs(mean_b - om).max())
@@ -415,6 +419,33 @@ def test_chaos_curve_equals_cli_bootstrap_bitwise():
         chaos_error_curve(n_values, values[:2], exact, seed=13)
     with pytest.raises(ValueError, match="matching the oracle"):
         chaos_error_curve(n_values, [v[:, :2] for v in values], exact, seed=13)
+
+
+@pytest.mark.filterwarnings("ignore:oracle standard error:RuntimeWarning")
+def test_chaos_curve_bootstrap_fills_once_per_n_and_picks_below_the_counts(monkeypatch):
+    # every word the top one: each pick is floor((1 - 2**-53) n) = n - 1,
+    # never n (an index error), so every resample takes the last replica and
+    # the last oracle replica and the spread is 0 up to rounding; one (resamples, reps + n_oracle) fill per
+    # N of more than one replica, no oracle columns for a one-replica oracle
+    fills = []
+
+    class LoggedTopWords(TopWords):
+        def uniform_words(self, out):
+            fills.append(out.shape)
+            return super().uniform_words(out)
+
+    monkeypatch.setattr(harness, "RngStream", LoggedTopWords)
+    rng = np.random.default_rng(5)
+    times = np.array([0.5, 1.0])
+    reps = (2, 1, 3, 1000)
+    values = [rng.normal(size=(r, 2)) for r in reps]
+    for o_vals in (rng.normal(size=(7, 2)), rng.normal(size=(1, 2))):
+        fills.clear()
+        curve = chaos_error_curve([4, 8, 16, 32], values,
+                                  OracleEstimate.from_replicas(times, o_vals), seed=3)
+        n_oracle = len(o_vals) if len(o_vals) > 1 else 0
+        assert fills == [(BOOTSTRAP_RESAMPLES, r + n_oracle) for r in reps if r > 1]
+        np.testing.assert_allclose(curve.std_errors, 0.0, rtol=0.0, atol=1e-15)
 
 
 def test_chaos_curve_self_comparison_zero():

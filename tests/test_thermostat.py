@@ -50,7 +50,7 @@ def collide(vi, vj, costh, frames, restitution):
 def random_pairs(rng, k):
     """k random 3-D pairs with isotropic deviation cosines and frames."""
     vi, vj, frames = (np.atleast_2d(rng.normal(size=(k, 3))) for _ in range(3))
-    return vi, vj, AngularKernel.isotropic(3).sample_costheta(k, rng), frames
+    return vi, vj, AngularKernel.isotropic(3).cosines(rng.uniform(size=k)), frames
 
 
 def test_collide_inelastic_sigma_parallel_identity():
@@ -95,7 +95,7 @@ def test_inelastic_apply_with_bath_hook_equals_reference(d):
     coords0 = np.atleast_2d(rng.normal(size=(n, d)))
     pi, pj = sample_pairs(n, k, rng)
     kern = AngularKernel.two_point(0.4, 0.6) if d == 1 else AngularKernel.isotropic(d)
-    costh = kern.sample_costheta(k, rng)
+    costh = kern.cosines(rng.uniform(size=k))
     frames = np.atleast_2d(rng.normal(size=(k, d))) if d >= 2 else None
     now = np.sort(rng.uniform(size=k)) * 3.0  # event times, in stream order
     order, batches = _events.level_schedule(pi, pj)
@@ -138,7 +138,7 @@ def test_mean_energy_loss_single_collision_mc():
     k = AngularKernel.isotropic(3)
     rng = RngStream(11, 0)
     n = 200_000
-    c = k.sample_costheta(n, rng)
+    c = k.cosines(rng.uniform(size=n))
     # |u|=2 head-on pair: dE = -(1-a^2)|u|^2 (1-c)/4
     de = -(1 - alpha**2) * 4.0 * (1 - c) / 4.0
     # E[dE] = -(1-a^2)(1-b1)|u|^2/4, averaging sigma over the kernel (mean cosine b1)
